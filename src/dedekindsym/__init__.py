@@ -4,7 +4,7 @@ iterated Eichler integrals of modular forms."""
 from .contfrac import CFSeq, CoprimePair, canonical, evaluate, tails
 from .eichler import (HAssignment, IntegratorConfig, TangentialBasePoint,
                       build_D, build_E, build_F, full_integral, i_infinity,
-                      i_numeric, pullback, reg_to_cusp)
+                      i_numeric, reg_to_cusp)
 from .errors import (DedekindSymError, DivisionByZeroTail, DomainError,
                      NonConvergence, NotInvertible, NotShuffled)
 from .modforms import (LaurentPoly, ModularFormSpec, bernoulli, delta_form,

@@ -89,6 +89,8 @@ def _parse_forms(text):
         letter = letter.strip()
         if not letter:
             raise DomainError("empty letter name")
+        if letter in out:
+            raise DomainError(f"letter {letter!r} is assigned twice")
         out[letter] = modforms.form_by_name(name.strip())
     return out
 

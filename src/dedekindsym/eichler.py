@@ -25,15 +25,15 @@ charts are decomposed into unit horizontal segments at height one so that
 no quadrature ever runs near the real axis.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd
 
 import numpy as np
 
 from .errors import DomainError, NonConvergence
-from .modforms import LaurentPoly, _solve_unimodular, form_value
-from .series import COMPLEX, POLY, Alphabet, TruncSeries
+from .modforms import _solve_unimodular, form_value
+from .series import COMPLEX, Alphabet, TruncSeries
 
 INF = float("inf")
 
@@ -76,9 +76,6 @@ class HAssignment:
     def form(self, word):
         return self.forms.get(self.alphabet.word(word))
 
-    def words(self):
-        return sorted(self.forms, key=lambda w: (len(w), w))
-
     def constant_terms(self):
         return {w: complex(f.coeff(0)) for w, f in self.forms.items()}
 
@@ -111,12 +108,9 @@ class IntegratorConfig:
     max_depth: int = 12
     fourier_tol: float = 1e-16
 
-    def with_trunc(self, trunc):
-        return replace(self, trunc=trunc)
-
 
 # ---------------------------------------------------------------------------
-# Scalar polynomial helpers (coefficients are complex numbers or LaurentPoly)
+# Scalar polynomial helpers (coefficients are complex numbers)
 
 def _poly_mul(u, v):
     out = [0] * (len(u) + len(v) - 1)
@@ -152,20 +146,14 @@ def _xy_factor_poly(X, Y, w):
 def _i_inf_polys(h, tau0, xy, trunc):
     """Per-word polynomials M_W(t) with I_inf(tau0, t) = sum M_W(t) W.
 
-    Exact antiderivative recursion; coefficients are complex for numeric
-    (X, Y) and LaurentPoly for the symbolic mode (xy None).
+    Exact antiderivative recursion at the numeric point xy = (X, Y).
     """
-    if xy is None:
-        X, Y = LaurentPoly.monomial(1, 0), LaurentPoly.monomial(0, 1)
-        one = LaurentPoly.const(1.0)
-    else:
-        X, Y = complex(xy[0]), complex(xy[1])
-        one = 1.0 + 0j
+    X, Y = complex(xy[0]), complex(xy[1])
     g = {}
     for w, a0 in h.constant_terms().items():
         if len(w) <= trunc and a0 != 0:
             g[w] = [a0 * c for c in _xy_factor_poly(X, Y, h.alphabet.word_weight(w))]
-    polys = {(): [one]}
+    polys = {(): [1.0 + 0j]}
     for word in h.alphabet.iter_words(trunc, min_len=1):
         rhs = [0]
         for k in range(1, len(word) + 1):
@@ -187,16 +175,14 @@ def _poly_add(u, v):
     return out
 
 
-def i_infinity(h, tau0, tau1, xy=None, trunc=2):
+def i_infinity(h, tau0, tau1, xy, trunc=2):
     """I_inf(tau0, tau1): iterated integrals of the constant-term form.
 
     Polynomial in the endpoints, hence valid anywhere in the plane and
     path-independent; used by the cusp regularization.
     """
     polys = _i_inf_polys(h, complex(tau0), xy, trunc)
-    kind = POLY if xy is None else COMPLEX
-    coeffs = {w: _poly_eval(p, complex(tau1)) for w, p in polys.items()}
-    return TruncSeries(h.alphabet, trunc, coeffs, kind)
+    return _series_from(h, {w: _poly_eval(p, complex(tau1)) for w, p in polys.items()}, trunc)
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +220,8 @@ def _fval(form, z, tol=1e-16):
 
 
 def _series_from(h, coeffs, trunc):
-    return TruncSeries(h.alphabet, trunc, coeffs, COMPLEX)
+    """Complex series from {index-tuple word: number}, numpy scalars included."""
+    return TruncSeries._trusted(h.alphabet, trunc, {w: complex(c) for w, c in coeffs.items()}, COMPLEX)
 
 
 def _series_scale(series):
@@ -279,7 +266,20 @@ def _omega_values(h, points, xy, jac, cfg):
     return vals
 
 
-def _chen_straight(h, z0, z1, xy, cfg, depth=0):
+def _adaptive(panel, a, b, cfg, depth=0):
+    """Chen transfer over [a, b] from the one-panel rule ``panel(a, b)``,
+    bisected until a panel agrees with the product of its two halves."""
+    whole = panel(a, b)
+    mid = (a + b) / 2
+    comp = panel(a, mid) * panel(mid, b)
+    if whole.max_abs_diff(comp) <= cfg.quad_tol * _series_scale(comp):
+        return comp
+    if depth >= cfg.max_depth:
+        raise NonConvergence(f"panel refinement exhausted on [{a:.3g}, {b:.3g}]")
+    return _adaptive(panel, a, mid, cfg, depth + 1) * _adaptive(panel, mid, b, cfg, depth + 1)
+
+
+def _chen_straight(h, z0, z1, xy, cfg):
     """Adaptive Chen transfer I(z0, z1) along the straight segment."""
     u, _, _ = _node_matrices(cfg.nodes)
 
@@ -288,51 +288,33 @@ def _chen_straight(h, z0, z1, xy, cfg, depth=0):
         pts = [a + jac * uj for uj in u]
         return _transfer_from_values(h, _omega_values(h, pts, xy, jac, cfg), cfg)
 
-    whole = panel(z0, z1)
-    mid = (z0 + z1) / 2
-    comp = panel(z0, mid) * panel(mid, z1)
-    if whole.max_abs_diff(comp) <= cfg.quad_tol * _series_scale(comp):
-        return comp
-    if depth >= cfg.max_depth:
-        raise NonConvergence(f"panel refinement exhausted between {z0:.3g} and {z1:.3g}")
-    return (_chen_straight(h, z0, mid, xy, cfg, depth + 1)
-            * _chen_straight(h, mid, z1, xy, cfg, depth + 1))
+    return _adaptive(panel, z0, z1, cfg)
 
 
-def omega(h, tau, xy=None, trunc=2):
+def omega(h, tau, xy, trunc=2):
     """The connection form coefficient at tau: word B reads h(B)(tau) (X - Y tau)^w(B)."""
     tau = complex(tau)
     if tau.imag <= 0:
         raise ValueError("tau must lie in the upper half-plane")
-    if xy is None:
-        X, Y = LaurentPoly.monomial(1, 0), LaurentPoly.monomial(0, 1)
-        kind = POLY
-    else:
-        X, Y = complex(xy[0]), complex(xy[1])
-        kind = COMPLEX
+    X, Y = complex(xy[0]), complex(xy[1])
     coeffs = {}
     for word, form in h.forms.items():
         if len(word) > trunc:
             continue
         wt = h.alphabet.word_weight(word)
         coeffs[word] = _fval(form, tau) * (X - Y * tau) ** wt
-    return TruncSeries(h.alphabet, trunc, coeffs, kind)
+    return _series_from(h, coeffs, trunc)
 
 
-def omega_inf(h, tau, xy=None, trunc=2):
+def omega_inf(h, tau, xy, trunc=2):
     """The constant-term variant: word B reads a_0(h(B)) (X - Y tau)^w(B)."""
-    if xy is None:
-        X, Y = LaurentPoly.monomial(1, 0), LaurentPoly.monomial(0, 1)
-        kind = POLY
-    else:
-        X, Y = complex(xy[0]), complex(xy[1])
-        kind = COMPLEX
+    X, Y = complex(xy[0]), complex(xy[1])
     tau = complex(tau)
     coeffs = {}
     for word, a0 in h.constant_terms().items():
-        if len(word) <= trunc and a0 != 0:
+        if len(word) <= trunc:
             coeffs[word] = a0 * (X - Y * tau) ** h.alphabet.word_weight(word)
-    return TruncSeries(h.alphabet, trunc, coeffs, kind)
+    return _series_from(h, coeffs, trunc)
 
 
 def i_numeric(h, tau0, tau1, xy, cfg=IntegratorConfig()):
@@ -366,32 +348,22 @@ def _ri_limit(h, tau, xy, cfg):
             per_node.append(s_inf * cusp * s_inf.inverse())
         out = {}
         for word in h.alphabet.iter_words(cfg.trunc, min_len=1):
-            col = np.array([ser.coeff(word) for ser in per_node])
+            col = np.array([ser.coeffs.get(word, 0j) for ser in per_node])
             if np.any(col):
                 out[word] = col * jac
         return out
 
-    def theta_transfer(y0, y1, depth=0):
-        u, _, _ = _node_matrices(cfg.nodes)
+    u, _, _ = _node_matrices(cfg.nodes)
 
-        def panel(a, b):
-            jac = 1j * (b - a)
-            pts = [complex(tau.real, a + (b - a) * uj) for uj in u]
-            return _transfer_from_values(h, theta_values(pts, jac), cfg)
-
-        whole = panel(y0, y1)
-        mid = (y0 + y1) / 2
-        comp = panel(y0, mid) * panel(mid, y1)
-        if whole.max_abs_diff(comp) <= cfg.quad_tol * _series_scale(comp):
-            return comp
-        if depth >= cfg.max_depth:
-            raise NonConvergence(f"panel refinement exhausted on heights [{y0:.3g}, {y1:.3g}]")
-        return theta_transfer(y0, mid, depth + 1) * theta_transfer(mid, y1, depth + 1)
+    def panel(a, b):
+        jac = 1j * (b - a)
+        pts = [complex(tau.real, a + (b - a) * uj) for uj in u]
+        return _transfer_from_values(h, theta_values(pts, jac), cfg)
 
     t = max(cfg.t0, 2.0 * tau.imag)
-    ri = theta_transfer(tau.imag, t)
+    ri = _adaptive(panel, tau.imag, t, cfg)
     while True:
-        step = theta_transfer(t, 2.0 * t)
+        step = _adaptive(panel, t, 2.0 * t, cfg)
         nxt = ri * step
         if nxt.max_abs_diff(ri) <= cfg.tol * _series_scale(nxt):
             return nxt
@@ -457,17 +429,6 @@ def sl2_word(m):
         a, b, c, d = c, d, n * c - a, n * d - b
     out.append(("T", a * b))
     return out
-
-
-def pullback(mat, series):
-    """Substitute (X, Y) -> (a X + b Y, c X + d Y) in the coefficients of a
-    symbolic-mode series."""
-    if series.kind != POLY:
-        raise ValueError("pullback needs a symbolic-polynomial series")
-    a, b, c, d = mat
-    sub = ((a, b), (c, d))
-    out = {w: coef.subs_linear(sub) for w, coef in series.coeffs.items()}
-    return TruncSeries(series.alphabet, series.trunc, out, POLY)
 
 
 def _bridge(h, mat, xy, cfg):

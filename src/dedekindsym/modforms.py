@@ -596,87 +596,8 @@ class LaurentPoly:
                 clean[(int(i), int(j))] = c
         self.coeffs = clean
 
-    @classmethod
-    def const(cls, c):
-        return cls({(0, 0): c})
-
-    @classmethod
-    def monomial(cls, i, j, c=1.0):
-        return cls({(i, j): c})
-
-    def __eq__(self, other):
-        if isinstance(other, LaurentPoly):
-            return self.coeffs == other.coeffs
-        if other == 0:
-            return not self.coeffs
-        return self == LaurentPoly.const(other)
-
-    def __add__(self, other):
-        if not isinstance(other, LaurentPoly):
-            other = LaurentPoly.const(other)
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            out[k] = out.get(k, 0) + c
-        return LaurentPoly(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return LaurentPoly({k: -c for k, c in self.coeffs.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if not isinstance(other, LaurentPoly):
-            return LaurentPoly({k: c * other for k, c in self.coeffs.items()})
-        out = {}
-        for (i1, j1), c1 in self.coeffs.items():
-            for (i2, j2), c2 in other.coeffs.items():
-                k = (i1 + i2, j1 + j2)
-                out[k] = out.get(k, 0) + c1 * c2
-        return LaurentPoly(out)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, scalar):
-        return LaurentPoly({k: c / scalar for k, c in self.coeffs.items()})
-
-    def __pow__(self, n):
-        if n < 0:
-            raise ValueError("negative powers of a general Laurent polynomial")
-        out = LaurentPoly.const(1.0)
-        for _ in range(n):
-            out = out * self
-        return out
-
     def evaluate(self, p, q):
         return sum(c * complex(p) ** i * complex(q) ** j for (i, j), c in self.coeffs.items())
-
-    def subs_linear(self, m):
-        """Substitute (p, q) -> (a p + b q, c p + d q) for m = ((a, b), (c, d)).
-
-        Exact for polynomial exponents; negative exponents are supported only
-        when the corresponding image is a monomial (e.g. the (p,q)->(-q,p) map).
-        """
-        (a, b), (c, d) = m
-        total = LaurentPoly({})
-        for (i, j), coef in self.coeffs.items():
-            term = LaurentPoly.const(coef)
-            for e, (u, v) in ((i, (a, b)), (j, (c, d))):
-                if e >= 0:
-                    term = term * LaurentPoly({(1, 0): u, (0, 1): v}) ** e
-                elif u != 0 and v != 0:
-                    raise ValueError("negative exponent under a non-monomial substitution")
-                elif u != 0:
-                    term = term * LaurentPoly({(e, 0): float(u) ** e})
-                else:
-                    term = term * LaurentPoly({(0, e): float(v) ** e})
-            total = total + term
-        return total
 
     def homogeneous_degrees(self):
         return sorted({i + j for i, j in self.coeffs})

@@ -2,13 +2,13 @@
 
 Elements live in the quotient of R<<A>> by words of length > N.  The
 coefficient ring R is either exact rationals (``fractions.Fraction``) or
-complex floats; a third "poly" kind carries ring-like coefficient objects
-(bivariate polynomials) for the symbolic integrator and is deliberately
-duck-typed.
+complex floats (Python ``complex``).
 
 Words are plain tuples of letter indices inside a series; the ``Word``
 wrapper carries the alphabet so that lengths, weights and concatenation
-can be validated at API boundaries.
+can be validated at API boundaries.  Words and coefficients are checked
+only there: the public constructors, ``coeff`` and ``scale``.  Arithmetic
+on valid series builds its coefficient dicts directly.
 """
 
 import itertools
@@ -20,7 +20,6 @@ from .errors import NotInvertible
 
 RATIONAL = "rational"
 COMPLEX = "complex"
-POLY = "poly"
 
 
 class Alphabet:
@@ -68,7 +67,10 @@ class Alphabet:
                 raise ValueError("word belongs to a different alphabet")
             return letters.letters
         if isinstance(letters, str):
-            return tuple(self._index[c] for c in letters)
+            try:
+                return tuple(self._index[c] for c in letters)
+            except KeyError as exc:
+                raise ValueError(f"unknown letter {exc.args[0]!r} in word {letters!r}") from None
         letters = tuple(int(i) for i in letters)
         for i in letters:
             if not 0 <= i < len(self.names):
@@ -159,18 +161,17 @@ def shuffle_words(u, v):
 GroupLikeness = namedtuple("GroupLikeness", "ok worst witness")
 
 
+_ZERO = {RATIONAL: Fraction(0), COMPLEX: 0j}
+
+
 def _coerce(kind, value):
-    if kind == RATIONAL:
-        if isinstance(value, Fraction):
-            return value
-        if isinstance(value, int):
-            return Fraction(value)
-        raise TypeError(f"rational series needs int/Fraction coefficients, got {type(value).__name__}")
     if kind == COMPLEX:
-        if isinstance(value, Fraction):
-            return complex(value)
         return complex(value)
-    return value  # POLY: duck-typed ring element
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int):
+        return Fraction(value)
+    raise TypeError(f"rational series needs int/Fraction coefficients, got {type(value).__name__}")
 
 
 class TruncSeries:
@@ -186,6 +187,8 @@ class TruncSeries:
     def __init__(self, alphabet, trunc, coeffs=None, kind=RATIONAL):
         if trunc < 0:
             raise ValueError("truncation length must be >= 0")
+        if kind not in _ZERO:
+            raise ValueError(f"unknown series kind {kind!r}")
         self.alphabet = alphabet
         self.trunc = int(trunc)
         self.kind = kind
@@ -201,6 +204,17 @@ class TruncSeries:
         self.coeffs = clean
 
     @classmethod
+    def _trusted(cls, alphabet, trunc, coeffs, kind):
+        """Series from index-tuple words and coefficients already of ``kind``:
+        drops exact zeros and words longer than ``trunc``, checks nothing."""
+        out = object.__new__(cls)
+        out.alphabet = alphabet
+        out.trunc = trunc
+        out.kind = kind
+        out.coeffs = {w: c for w, c in coeffs.items() if c and len(w) <= trunc}
+        return out
+
+    @classmethod
     def one(cls, alphabet, trunc, kind=RATIONAL):
         return cls(alphabet, trunc, {(): 1}, kind)
 
@@ -213,117 +227,105 @@ class TruncSeries:
         return cls(alphabet, trunc, {word: coeff}, kind)
 
     def coeff(self, word):
-        w = self.alphabet.word(word)
-        c = self.coeffs.get(w)
-        if c is not None:
-            return c
-        if self.kind == RATIONAL:
-            return Fraction(0)
-        if self.kind == COMPLEX:
-            return 0j
-        return 0
+        return self.coeffs.get(self.alphabet.word(word), _ZERO[self.kind])
 
     def items(self):
         """(word tuple, coefficient) pairs in canonical order: by length, then lexicographic."""
         return sorted(self.coeffs.items(), key=lambda kv: (len(kv[0]), kv[0]))
 
-    def _merge_kind(self, other):
-        if self.kind == other.kind:
-            return self.kind
-        kinds = {self.kind, other.kind}
-        if kinds == {RATIONAL, COMPLEX}:
-            return COMPLEX
-        raise TypeError(f"cannot mix series kinds {self.kind} and {other.kind}")
+    def _like(self, coeffs, trunc=None):
+        return TruncSeries._trusted(self.alphabet, self.trunc if trunc is None else trunc,
+                                    coeffs, self.kind)
 
-    def __add__(self, other):
+    def _common(self, other):
+        """Both operands over one alphabet and one kind (complex if they differ)."""
         if self.alphabet != other.alphabet:
             raise ValueError("alphabet mismatch")
-        kind = self._merge_kind(other)
-        out = {w: _coerce(kind, c) for w, c in self.coeffs.items()}
-        for w, c in other.coeffs.items():
-            out[w] = out.get(w, 0) + _coerce(kind, c)
-        return TruncSeries(self.alphabet, min(self.trunc, other.trunc), out, kind)
+        if self.kind == other.kind:
+            return self, other
+        if self.kind == RATIONAL:
+            return self._to_complex(), other
+        return self, other._to_complex()
+
+    def _to_complex(self):
+        return TruncSeries._trusted(self.alphabet, self.trunc,
+                                    {w: complex(c) for w, c in self.coeffs.items()}, COMPLEX)
+
+    def __add__(self, other):
+        a, b = self._common(other)
+        out = dict(a.coeffs)
+        for w, c in b.coeffs.items():
+            out[w] = out.get(w, 0) + c
+        return a._like(out, min(a.trunc, b.trunc))
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return TruncSeries(self.alphabet, self.trunc, {w: -c for w, c in self.coeffs.items()}, self.kind)
+        return self._like({w: -c for w, c in self.coeffs.items()})
 
     def scale(self, scalar):
         return TruncSeries(self.alphabet, self.trunc,
                            {w: c * scalar for w, c in self.coeffs.items()}, self.kind)
 
+    def _scaled(self, scalar):
+        return self._like({w: c * scalar for w, c in self.coeffs.items()})
+
     def __mul__(self, other):
         """Concatenation (Cauchy) product: (ST)^w = sum over splittings uv = w."""
         if not isinstance(other, TruncSeries):
             return self.scale(other)
-        if self.alphabet != other.alphabet:
-            raise ValueError("alphabet mismatch")
-        kind = self._merge_kind(other)
-        trunc = min(self.trunc, other.trunc)
+        a, b = self._common(other)
+        trunc = min(a.trunc, b.trunc)
         out = {}
-        for u, cu in self.coeffs.items():
+        for u, cu in a.coeffs.items():
             if len(u) > trunc:
                 continue
-            for v, cv in other.coeffs.items():
+            for v, cv in b.coeffs.items():
                 if len(u) + len(v) > trunc:
                     continue
                 w = u + v
-                term = _coerce(kind, cu) * _coerce(kind, cv)
-                out[w] = out.get(w, 0) + term
-        return TruncSeries(self.alphabet, trunc, out, kind)
+                out[w] = out.get(w, 0) + cu * cv
+        return a._like(out, trunc)
 
     def __rmul__(self, scalar):
         return self.scale(scalar)
 
     def inverse(self):
         """Geometric-series inverse; requires an invertible constant term."""
-        c0 = self.coeff(())
-        if self.kind == POLY:
-            if not c0 == 1:
-                raise NotInvertible("poly-coefficient series must have constant term 1")
-            inv0 = 1
-        else:
-            if c0 == 0:
-                raise NotInvertible("constant term is zero")
-            inv0 = Fraction(1) / c0 if self.kind == RATIONAL else 1.0 / c0
+        c0 = self.coeffs.get(())
+        if not c0:
+            raise NotInvertible("constant term is zero")
+        inv0 = Fraction(1) / c0 if self.kind == RATIONAL else 1.0 / c0
         # S = c0 (1 - X) with X supported in lengths >= 1
-        x = TruncSeries(self.alphabet, self.trunc,
-                        {w: -c * inv0 for w, c in self.coeffs.items() if w}, self.kind)
-        acc = TruncSeries.one(self.alphabet, self.trunc, self.kind)
-        power = TruncSeries.one(self.alphabet, self.trunc, self.kind)
+        x = self._like({w: -c * inv0 for w, c in self.coeffs.items() if w})
+        acc = power = TruncSeries.one(self.alphabet, self.trunc, self.kind)
         for _ in range(self.trunc):
             power = power * x
             if not power.coeffs:
                 break
             acc = acc + power
-        return acc.scale(inv0)
+        return acc._scaled(inv0)
 
     def exp(self):
         """exp(S) = sum S^n / n!; requires S^∅ = 0."""
-        if self.coeff(()) != 0:
+        if () in self.coeffs:
             raise ValueError("exp requires zero constant term")
-        acc = TruncSeries.one(self.alphabet, self.trunc, self.kind)
-        power = TruncSeries.one(self.alphabet, self.trunc, self.kind)
+        acc = power = TruncSeries.one(self.alphabet, self.trunc, self.kind)
         fact = 1
         for n in range(1, self.trunc + 1):
             power = power * self
             fact *= n
             if not power.coeffs:
                 break
-            if self.kind == RATIONAL:
-                acc = acc + power.scale(Fraction(1, fact))
-            else:
-                acc = acc + power.scale(1.0 / fact)
+            acc = acc + power._scaled(Fraction(1, fact) if self.kind == RATIONAL else 1.0 / fact)
         return acc
 
     def log(self):
         """log(S) = sum (-1)^(n+1) (S-1)^n / n; requires S^∅ = 1."""
-        if self.coeff(()) != 1:
+        if self.coeffs.get(()) != 1:
             raise ValueError("log requires constant term 1")
-        x = TruncSeries(self.alphabet, self.trunc,
-                        {w: c for w, c in self.coeffs.items() if w}, self.kind)
+        x = self._like({w: c for w, c in self.coeffs.items() if w})
         acc = TruncSeries.zero(self.alphabet, self.trunc, self.kind)
         power = TruncSeries.one(self.alphabet, self.trunc, self.kind)
         for n in range(1, self.trunc + 1):
@@ -331,33 +333,27 @@ class TruncSeries:
             if not power.coeffs:
                 break
             coef = Fraction((-1) ** (n + 1), n) if self.kind == RATIONAL else ((-1) ** (n + 1)) / n
-            acc = acc + power.scale(coef)
+            acc = acc + power._scaled(coef)
         return acc
 
     def truncated(self, n):
-        return TruncSeries(self.alphabet, min(self.trunc, n), self.coeffs, self.kind)
+        return self._like(self.coeffs, min(self.trunc, n))
 
     def remap(self, alphabet, index_map):
         """Reindex letters into a superalphabet (index_map[i] = new index of letter i)."""
         out = {tuple(index_map[i] for i in w): c for w, c in self.coeffs.items()}
-        return TruncSeries(alphabet, self.trunc, out, self.kind)
+        return TruncSeries._trusted(alphabet, self.trunc, out, self.kind)
 
     def max_abs_diff(self, other):
         if self.alphabet != other.alphabet:
             raise ValueError("alphabet mismatch")
+        n = min(self.trunc, other.trunc)
         worst = 0.0
         for w in set(self.coeffs) | set(other.coeffs):
-            if len(w) > min(self.trunc, other.trunc):
+            if len(w) > n:
                 continue
-            worst = max(worst, abs(complex(self.coeff(w)) - complex(other.coeff(w))))
+            worst = max(worst, abs(complex(self.coeffs.get(w, 0)) - complex(other.coeffs.get(w, 0))))
         return worst
-
-    def approx_eq(self, other, tol=0):
-        if self.kind == RATIONAL and other.kind == RATIONAL and tol == 0:
-            words = set(self.coeffs) | set(other.coeffs)
-            n = min(self.trunc, other.trunc)
-            return all(self.coeff(w) == other.coeff(w) for w in words if len(w) <= n)
-        return self.max_abs_diff(other) <= tol
 
     def is_grouplike(self, tol=0):
         """Check S^u S^v = sum_{w in Sh(u,v)} S^w for all u, v with l(u)+l(v) <= trunc.
@@ -365,8 +361,9 @@ class TruncSeries:
         Exact for rational coefficients (tol ignored); returns the worst
         violation and a witness pair of words.
         """
-        if self.coeff(()) != 1:
+        if self.coeffs.get(()) != 1:
             raise ValueError("group-like test requires constant term 1")
+        get, zero = self.coeffs.get, _ZERO[self.kind]
         worst = 0.0
         witness = None
         words = list(self.alphabet.iter_words(self.trunc - 1, min_len=1))
@@ -374,8 +371,8 @@ class TruncSeries:
             for v in words:
                 if u > v or len(u) + len(v) > self.trunc:
                     continue
-                lhs = self.coeff(u) * self.coeff(v)
-                rhs = sum((self.coeff(w) for w in _shuffle_tuples(u, v)), start=self.coeff(u) * 0)
+                lhs = get(u, zero) * get(v, zero)
+                rhs = sum((get(w, zero) for w in _shuffle_tuples(u, v)), start=zero)
                 viol = abs(complex(lhs) - complex(rhs))
                 if viol > worst:
                     worst = viol
@@ -386,8 +383,6 @@ class TruncSeries:
 
     def to_record(self):
         """Structured record; bit-exact for rationals, 17 significant digits for floats."""
-        if self.kind == POLY:
-            raise TypeError("poly-coefficient series are not serializable")
         entries = []
         for w, c in self.items():
             word = [self.alphabet.names[i] for i in w]

@@ -64,10 +64,9 @@ def sample_pairs(n, seed, bound=30, distinct=True):
 class _SeriesFn:
     """Memoized map (p, q) -> TruncSeries with constant term 1.
 
-    memo: "literal" caches by the pair itself, "sign" folds (p,q) ~ (-p,-q)
-    and "orbit" folds the full defining-relation orbit.  Only functions
-    whose axioms hold by construction should use the folded modes, else
-    axiom verification would be vacuous.
+    memo: "literal" caches by the pair itself and "sign" folds
+    (p,q) ~ (-p,-q).  Only functions whose axioms hold by construction
+    should use the folded mode, else axiom verification would be vacuous.
     """
 
     __slots__ = ("_func", "alphabet", "trunc", "kind", "almost", "memo_mode", "_memo", "name")
@@ -84,8 +83,6 @@ class _SeriesFn:
         self.name = name
 
     def _key(self, p, q):
-        if self.memo_mode == "orbit":
-            return orbit_key(p, q)
         if self.memo_mode == "sign":
             return (p, q) if p > 0 or (p == 0 and q > 0) else (-p, -q)
         return (p, q)
@@ -341,8 +338,7 @@ def random_symbol(alphabet, trunc, seed):
             coeffs[w] = _hash_fraction(seed, key, w)
         return TruncSeries(alphabet, trunc, coeffs, RATIONAL)
 
-    return SymbolFn(ev, alphabet, trunc, RATIONAL, almost=True,
-                    memo="orbit", name=f"random({seed})")
+    return SymbolFn(ev, alphabet, trunc, RATIONAL, almost=True, name=f"random({seed})")
 
 
 def random_scalar_symbol(seed):

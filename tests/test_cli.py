@@ -32,6 +32,10 @@ class TestSymbol:
         code, _ = run(capsys, "symbol", "--forms", "A=E5", "--pq", "3,5")
         assert code == 2
 
+    def test_repeated_letter(self, capsys):
+        code, out = run(capsys, "symbol", "--forms", "A=E4,A=E6", "--pq", "3,5")
+        assert code == 2 and not out
+
     def test_which_E(self, capsys):
         code, out = run(capsys, "symbol", "--forms", "A=E4", "--pq", "3,5", "--which", "E")
         assert code == 0

@@ -293,12 +293,6 @@ class TestLaurentFit:
         # the 1/(pq) coefficient is the Fourier constant term of E4
         assert abs(survivors.coeffs[(-1, -1)] - 1 / 240) < 1e-8
 
-    def test_subs_linear_monomial_maps(self):
-        poly = mf.LaurentPoly({(2, 0): 1.0, (-1, -1): 2.0})
-        rot = poly.subs_linear(((0, -1), (1, 0)))  # (p, q) -> (-q, p)
-        assert set(rot.coeffs) == {(0, 2), (-1, -1)}
-        assert abs(rot.coeffs[(-1, -1)] + 2.0) < 1e-15
-
 
 class TestFormValue:
     def test_sl2_reduction_invariance(self):

@@ -60,6 +60,15 @@ class TestAlphabetWord:
         with pytest.raises(ValueError):
             concat(Word(AB, "a"), Word(other, "x"))
 
+    def test_unknown_letter_names_the_letter(self):
+        with pytest.raises(ValueError, match="'z'"):
+            TruncSeries.term(AB, 3, "z", 1)
+        s = TruncSeries(AB, 2, {"ab": 1})
+        with pytest.raises(ValueError, match="'z'"):
+            s.coeff("az")
+        with pytest.raises(ValueError, match="out of range"):
+            s.coeff((0, 2))
+
 
 class TestMul:
     def test_one_plus_a_times_one_plus_b(self):
@@ -226,3 +235,40 @@ class TestSerialization:
         entry = [e for e in rec["entries"] if e["word"] == ["a", "b"]][0]
         assert entry["num"] == -3 and entry["den"] == 7
         json.dumps(rec)  # json-serializable
+
+
+class TestKinds:
+    def test_rational_times_complex_is_complex(self):
+        r = TruncSeries(AB, 2, {(): 1, "a": Fraction(1, 3), "ab": 2})
+        c = TruncSeries(AB, 2, {(): 1, "b": 0.5 - 1j}, kind=COMPLEX)
+        for out in (r * c, c * r, r + c, c - r):
+            assert out.kind == COMPLEX and out.coeffs
+            assert all(type(v) is complex for v in out.coeffs.values())
+        assert (r * c).coeff("ab") == complex(2) + complex(Fraction(1, 3)) * (0.5 - 1j)
+        assert (r * c).coeff("a") == complex(Fraction(1, 3))
+
+    def test_complex_stores_python_complex(self):
+        import numpy as np
+
+        s = TruncSeries(AB, 2, {(): np.complex128(1), "a": np.float64(0.5)}, kind=COMPLEX)
+        assert all(type(v) is complex for v in s.coeffs.values())
+        assert all(type(v) is complex for v in s.scale(np.float64(2.0)).coeffs.values())
+
+    def test_rational_scale_rejects_floats(self):
+        r = TruncSeries(AB, 2, {(): 1, "a": 1})
+        with pytest.raises(TypeError):
+            r.scale(1.5)
+        with pytest.raises(TypeError):
+            TruncSeries(AB, 2, {"a": 0.5})
+        assert r.scale(Fraction(3, 2)).coeff("a") == Fraction(3, 2)
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError):
+            TruncSeries(AB, 2, {}, kind="poly")
+
+    def test_arithmetic_drops_zeros_and_long_words(self):
+        s = TruncSeries(AB, 3, {(): 1, "a": 1, "aaa": 1})
+        t = TruncSeries(AB, 2, {(): 1, "a": -1})
+        assert (s + t).coeffs == {(): 2}
+        assert (s - s).coeffs == {}
+        assert s.truncated(1).coeffs == {(): 1, (0,): 1}
