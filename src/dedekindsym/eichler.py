@@ -23,6 +23,13 @@ reached through the unimodular change of chart gamma(inf) = cusp, which
 acts on the numeric evaluation point (X, Y) linearly; bridges between
 charts are decomposed into unit horizontal segments at height one so that
 no quadrature ever runs near the real axis.
+
+Cusp limits RI(tau, i inf) are memoized per (assignment, tau, point,
+config): D(p, q), D(-q, p) and F(p, q) share their limits, and every
+build_D shares the chart tail at (1, 0).  Coefficients have even degree
+in (X, Y), so (X, Y) and (-X, -Y) share one entry.  ``clear_caches()``
+empties the memos and ``cache_info()`` reports their sizes and the
+cusp-limit hit and miss counts.
 """
 
 from dataclasses import dataclass
@@ -207,7 +214,20 @@ def _node_matrices(n):
     return got
 
 
+# Bounded memos: one sweep of the 110-pair grid at trunc 2 fills a few
+# thousand form values and under a hundred cusp limits, so neither evicts.
+_FORM_VALUES_CAP = 1 << 15
+_RI_LIMITS_CAP = 1 << 10
 _FORM_VALUES = {}
+_RI_LIMITS = {}
+_RI_COUNTS = {"hits": 0, "misses": 0}
+
+
+def _remember(cache, cap, key, value):
+    """Store key -> value, evicting the oldest entry once ``cap`` is reached."""
+    if len(cache) >= cap:
+        del cache[next(iter(cache))]
+    cache[key] = value
 
 
 def _fval(form, z, tol=1e-16):
@@ -215,7 +235,7 @@ def _fval(form, z, tol=1e-16):
     v = _FORM_VALUES.get(key)
     if v is None:
         v = form_value(form, z, tol)
-        _FORM_VALUES[key] = v
+        _remember(_FORM_VALUES, _FORM_VALUES_CAP, key, v)
     return v
 
 
@@ -266,17 +286,22 @@ def _omega_values(h, points, xy, jac, cfg):
     return vals
 
 
-def _adaptive(panel, a, b, cfg, depth=0):
+def _adaptive(panel, a, b, cfg, whole=None, depth=0):
     """Chen transfer over [a, b] from the one-panel rule ``panel(a, b)``,
-    bisected until a panel agrees with the product of its two halves."""
-    whole = panel(a, b)
+    bisected until a panel agrees with the product of its two halves.
+    Each half is evaluated once: a rejected interval hands its halves down
+    as the ``whole`` of the recursive calls."""
+    if whole is None:
+        whole = panel(a, b)
     mid = (a + b) / 2
-    comp = panel(a, mid) * panel(mid, b)
+    left, right = panel(a, mid), panel(mid, b)
+    comp = left * right
     if whole.max_abs_diff(comp) <= cfg.quad_tol * _series_scale(comp):
         return comp
     if depth >= cfg.max_depth:
         raise NonConvergence(f"panel refinement exhausted on [{a:.3g}, {b:.3g}]")
-    return _adaptive(panel, a, mid, cfg, depth + 1) * _adaptive(panel, mid, b, cfg, depth + 1)
+    return (_adaptive(panel, a, mid, cfg, left, depth + 1)
+            * _adaptive(panel, mid, b, cfg, right, depth + 1))
 
 
 def _chen_straight(h, z0, z1, xy, cfg):
@@ -332,10 +357,27 @@ def i_numeric(h, tau0, tau1, xy, cfg=IntegratorConfig()):
 
 def _ri_limit(h, tau, xy, cfg):
     """RI(tau, i inf) = lim I(tau, eps) I_inf(eps, tau), via the conjugated
-    cuspidal form; heights double from t0 until the result is stable."""
+    cuspidal form; heights double from t0 until the result is stable.
+    Memoized; every coefficient has even degree in (X, Y), so (X, Y) and
+    (-X, -Y) share one entry."""
     tau = complex(tau)
-    polys = _i_inf_polys(h, tau, xy, cfg.trunc)
     X, Y = complex(xy[0]), complex(xy[1])
+    if (X.real, X.imag, Y.real, Y.imag) >= (-X.real, -X.imag, -Y.real, -Y.imag):
+        key = (h, tau, X, Y, cfg)
+    else:
+        key = (h, tau, -X, -Y, cfg)
+    got = _RI_LIMITS.get(key)
+    if got is not None:
+        _RI_COUNTS["hits"] += 1
+        return got
+    _RI_COUNTS["misses"] += 1
+    got = _ri_limit_uncached(h, tau, X, Y, cfg)
+    _remember(_RI_LIMITS, _RI_LIMITS_CAP, key, got)
+    return got
+
+
+def _ri_limit_uncached(h, tau, X, Y, cfg):
+    polys = _i_inf_polys(h, tau, (X, Y), cfg.trunc)
     cusp_words = [(w, f, h.alphabet.word_weight(w), complex(f.coeff(0)))
                   for w, f in h.forms.items() if len(w) <= cfg.trunc]
 
@@ -401,9 +443,12 @@ def _mat_apply_xy(m, xy):
 
 
 def _mat_mobius(m, z):
+    """m(z) for z rational (exact), infinite or complex (floating point)."""
     a, b, c, d = m
     if z == INF:
         return INF if c == 0 else Fraction(a, c)
+    if isinstance(z, complex):
+        return (a * z + b) / (c * z + d)
     z = Fraction(z)
     den = c * z + d
     if den == 0:
@@ -474,7 +519,7 @@ def _piece_via_chart(h, tau1, gam, direction, xy, cfg):
         raise DomainError("tangential direction coincides with the cusp")
     v = _mat_apply_xy(inv, (complex(xy[0]), complex(xy[1])))
     tail = reg_to_cusp(h, 1j, u, v, cfg)
-    sigma = _mat_mobius_c(inv, complex(tau1))
+    sigma = _mat_mobius(inv, complex(tau1))
     if abs(sigma - 1j) < 1e-15:
         head = TruncSeries.one(h.alphabet, cfg.trunc, COMPLEX)
     elif complex(tau1) == 1j:
@@ -483,11 +528,6 @@ def _piece_via_chart(h, tau1, gam, direction, xy, cfg):
     else:
         head = i_numeric(h, sigma, 1j, v, cfg)
     return head * tail
-
-
-def _mat_mobius_c(m, z):
-    a, b, c, d = m
-    return (a * z + b) / (c * z + d)
 
 
 def full_integral(h, tb0, tb1, pair, cfg=IntegratorConfig(), tau1=1j):
@@ -565,4 +605,14 @@ def symbol_fn(h, cfg=IntegratorConfig()):
 
 
 def clear_caches():
+    """Empty the form-value and cusp-limit memos and reset their counters."""
     _FORM_VALUES.clear()
+    _RI_LIMITS.clear()
+    _RI_COUNTS.update(hits=0, misses=0)
+
+
+def cache_info():
+    """Sizes of the memos and the cusp-limit hit/miss counts since the last
+    ``clear_caches()``; deterministic, no timings."""
+    return {"form_values": len(_FORM_VALUES), "ri_limits": len(_RI_LIMITS),
+            "ri_hits": _RI_COUNTS["hits"], "ri_misses": _RI_COUNTS["misses"]}

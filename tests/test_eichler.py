@@ -204,7 +204,7 @@ class TestPullback:
 
     def moved_and_pulled_back(self, mat):
         h = h_pair()
-        moved = ei.i_numeric(h, ei._mat_mobius_c(mat, self.A), ei._mat_mobius_c(mat, self.B),
+        moved = ei.i_numeric(h, ei._mat_mobius(mat, self.A), ei._mat_mobius(mat, self.B),
                              self.XY, CFG)
         pulled = ei.i_numeric(h, self.A, self.B, ei._mat_apply_xy(ei._mat_inv(mat), self.XY), CFG)
         return moved, pulled
@@ -393,3 +393,144 @@ class TestSL2Word:
                 gen = (1, n, 0, 1) if kind == "T" else (0, -1, 1, 0)
                 rebuilt = ei._mat_mul(rebuilt, gen)
             assert rebuilt == mat or rebuilt == tuple(-x for x in mat)
+
+
+class TestCuspLimitMemo:
+    PAIRS = [(7, 5), (-5, 7), (1, 9), (5, -1)]
+
+    @staticmethod
+    def builders(h, cfg):
+        def full(p, q):
+            tb0 = ei.TangentialBasePoint(Fraction(q, p), INF)
+            tb1 = ei.TangentialBasePoint(INF, Fraction(q, p))
+            return ei.full_integral(h, tb0, tb1, (p, q), cfg)
+
+        return [lambda p, q: ei.build_D(h, p, q, cfg), lambda p, q: ei.build_F(h, p, q, cfg), full]
+
+    @pytest.mark.parametrize("trunc", [1, 2])
+    def test_warm_equals_cold(self, trunc):
+        builders = self.builders(h_pair(), ei.IntegratorConfig(trunc=trunc))
+        cold = {}
+        for pq in self.PAIRS:
+            for build in builders:
+                ei.clear_caches()
+                cold.setdefault(pq, []).append(build(*pq).dumps())
+        ei.clear_caches()
+        for _ in range(2):
+            warm = {pq: [build(*pq).dumps() for build in builders] for pq in self.PAIRS}
+            assert warm == cold
+        assert ei.cache_info()["ri_hits"] > ei.cache_info()["ri_misses"]
+
+    @pytest.mark.parametrize("tau, xy", [(1j, (3 + 0j, 2 + 0j)), (1j, (1 + 0j, 0j)),
+                                         (0.3 + 1.1j, (-2 + 0j, 5 + 0j))])
+    def test_negated_point_same_bytes(self, tau, xy):
+        h = h_pair()
+        ei.clear_caches()
+        here = ei._ri_limit(h, tau, xy, CFG).dumps()
+        ei.clear_caches()
+        there = ei._ri_limit(h, tau, (-xy[0], -xy[1]), CFG).dumps()
+        assert here == there
+        assert ei.cache_info()["ri_misses"] == 1
+        ei._ri_limit(h, tau, xy, CFG)
+        assert ei.cache_info()["ri_hits"] == 1
+
+    def test_config_change_misses(self):
+        h = h_pair()
+        ei.clear_caches()
+        xy = (3 + 0j, 2 + 0j)
+        ei._ri_limit(h, 1j, xy, CFG)
+        ei._ri_limit(h, 1j, xy, ei.IntegratorConfig(trunc=1))
+        ei._ri_limit(h, 1j, xy, ei.IntegratorConfig(trunc=2, tol=1e-9))
+        assert ei.cache_info()["ri_misses"] == 3 and ei.cache_info()["ri_hits"] == 0
+        ei._ri_limit(h, 1j, xy, ei.IntegratorConfig(trunc=1))
+        assert ei.cache_info()["ri_hits"] == 1
+
+    def test_clear_caches_resets(self):
+        h = h_pair()
+        ei.build_D(h, 3, 2, CFG)
+        ei.build_D(h, 3, 2, CFG)
+        info = ei.cache_info()
+        assert info["form_values"] and info["ri_limits"] and info["ri_hits"]
+        ei.clear_caches()
+        assert ei.cache_info() == {"form_values": 0, "ri_limits": 0, "ri_hits": 0, "ri_misses": 0}
+
+    def test_reciprocity_triple_shares_three_limits(self):
+        # points (q, p), (p, -q) and the chart tail's (1, 0)
+        h = h_pair()
+        p, q = 3, 2
+        ei.clear_caches()
+        ei.build_D(h, p, q, CFG)
+        ei.build_D(h, -q, p, CFG)
+        ei.build_F(h, p, q, CFG)
+        info = ei.cache_info()
+        assert (info["ri_misses"], info["ri_hits"], info["ri_limits"]) == (3, 3, 3)
+
+    def test_caches_within_capacity(self, monkeypatch):
+        h = h_pair()
+        cfg = ei.IntegratorConfig(trunc=1)
+        ei.clear_caches()
+        want = [ei.build_D(h, p, q, cfg).dumps() for p, q in self.PAIRS]
+        info = ei.cache_info()
+        assert info["form_values"] <= ei._FORM_VALUES_CAP
+        assert info["ri_limits"] <= ei._RI_LIMITS_CAP
+        monkeypatch.setattr(ei, "_FORM_VALUES_CAP", 40)
+        monkeypatch.setattr(ei, "_RI_LIMITS_CAP", 2)
+        ei.clear_caches()
+        got = [ei.build_D(h, p, q, cfg).dumps() for p, q in self.PAIRS]
+        info = ei.cache_info()
+        assert got == want
+        assert info["form_values"] == 40 and info["ri_limits"] == 2
+        ei.clear_caches()
+
+    def test_remember_evicts_oldest(self):
+        cache = {}
+        for k in range(5):
+            ei._remember(cache, 3, k, -k)
+        assert cache == {2: -2, 3: -3, 4: -4}
+
+
+class TestAdaptive:
+    @staticmethod
+    def old_adaptive(panel, a, b, cfg, depth=0):
+        # the recursion before halves were handed down: each half is
+        # evaluated once by its parent and again as the child's whole
+        whole = panel(a, b)
+        mid = (a + b) / 2
+        comp = panel(a, mid) * panel(mid, b)
+        if whole.max_abs_diff(comp) <= cfg.quad_tol * ei._series_scale(comp):
+            return comp
+        if depth >= cfg.max_depth:
+            raise NonConvergence(f"panel refinement exhausted on [{a:.3g}, {b:.3g}]")
+        return (TestAdaptive.old_adaptive(panel, a, mid, cfg, depth + 1)
+                * TestAdaptive.old_adaptive(panel, mid, b, cfg, depth + 1))
+
+    @staticmethod
+    def counting_panel(h, xy, cfg, calls):
+        u, _, _ = ei._node_matrices(cfg.nodes)
+
+        def panel(a, b):
+            calls[a, b] = calls.get((a, b), 0) + 1
+            jac = b - a
+            pts = [a + jac * uj for uj in u]
+            return ei._transfer_from_values(h, ei._omega_values(h, pts, xy, jac, cfg), cfg)
+
+        return panel
+
+    def test_each_panel_once_and_same_bytes(self):
+        h = h_pair()
+        xy = (7 + 0j, 5 + 0j)
+        a, b = 0.2 + 0.6j, 1.5 + 1.2j
+        new_calls, old_calls = {}, {}
+        got = ei._adaptive(self.counting_panel(h, xy, CFG, new_calls), a, b, CFG)
+        want = self.old_adaptive(self.counting_panel(h, xy, CFG, old_calls), a, b, CFG)
+        assert got.dumps() == want.dumps()
+        assert len(new_calls) > 3                      # the interval was bisected
+        assert set(new_calls.values()) == {1}
+        assert set(new_calls) == set(old_calls)
+        assert sum(old_calls.values()) > sum(new_calls.values())
+
+    def test_exhaustion_still_raises(self):
+        h = h_pair()
+        cfg = ei.IntegratorConfig(trunc=2, quad_tol=1e-30, max_depth=2)
+        with pytest.raises(NonConvergence, match="panel refinement exhausted"):
+            ei._adaptive(self.counting_panel(h, (2 + 0j, 1 + 0j), cfg, {}), 0.5j, 1 + 2j, cfg)
