@@ -138,6 +138,13 @@ def cmd_symbol(args):
         series = eichler.build_F(h, p, q, cfg)
     else:
         series = eichler.build_E(h, p, q, args.length)
+    # the integrator can stabilize on a wrong series at wide pairs; refuse
+    # to print one that misses group-likeness
+    gap = series.is_grouplike(relative=True)
+    if gap.worst > args.tol:
+        u, v = (h.alphabet.word_name(w) for w in gap.witness)
+        raise NonConvergence(f"{args.which}({p}, {q}) is not group-like within {args.tol:g}: "
+                             f"relative gap {gap.worst:.3g} at ({u}, {v})")
     doc = _document("symbol", _series_rows(series, p, q), tolerance=args.tol,
                     extra={"which": args.which, "forms": args.forms})
     _emit(args, doc, csv_columns=["word", "p", "q", "re", "im"])

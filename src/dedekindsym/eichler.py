@@ -24,6 +24,14 @@ acts on the numeric evaluation point (X, Y) linearly; bridges between
 charts are decomposed into unit horizontal segments at height one so that
 no quadrature ever runs near the real axis.
 
+Quadrature works on a node axis: a series over one panel's Gauss nodes is
+a (words, nodes) complex array, one row per word.  Theta is formed for
+all nodes at once (I_inf's polynomials by Horner on the node array, the
+cusp term, the inverse and the two products are a few array operations),
+and so are the connection-form values of the bridges and the Chen
+transfer of a panel.  Products, the inverse and the transfer read the
+splits w = u v of every word from one table per (alphabet, trunc).
+
 Cusp limits RI(tau, i inf) are memoized per (assignment, tau, point,
 config): D(p, q), D(-q, p) and F(p, q) share their limits, and every
 build_D shares the chart tail at (1, 0).  Coefficients have even degree
@@ -32,8 +40,10 @@ empties the memos and ``cache_info()`` reports their sizes and the
 cusp-limit hit and miss counts.
 """
 
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, gcd
 
 import numpy as np
@@ -249,40 +259,102 @@ def _series_scale(series):
     return max((abs(c) for w, c in series.coeffs.items() if w), default=0.0) + 1.0
 
 
-def _transfer_from_values(h, vals, cfg):
-    """Chen transfer of one panel from per-word 1-form values at the nodes.
+# ---------------------------------------------------------------------------
+# Series on the node axis: one complex array per word, one column per node
 
-    vals: {word: complex ndarray over nodes}, already including the
-    d tau / d u jacobian.  Returns the transfer as a TruncSeries.
+_SplitTable = namedtuple("_SplitTable", "words index groups")
+
+
+@lru_cache(maxsize=32)
+def _split_table(alphabet, trunc):
+    """Words of length <= trunc in canonical order (row 0 is the empty word),
+    their row numbers, and per length L = 1..trunc a group (lo, hi, U, V):
+    the words of length L are rows lo..hi-1, and row lo + j is split as
+    U[j, k] V[j, k] for k < L, which runs over every w = u v with v
+    nonempty, by |v| ascending."""
+    words = tuple(alphabet.iter_words(trunc))
+    index = {w: i for i, w in enumerate(words)}
+    groups, lo = [], 1
+    for length in range(1, trunc + 1):
+        hi = lo + len(alphabet) ** length
+        splits = [[(index[w[:length - k]], index[w[length - k:]]) for k in range(1, length + 1)]
+                  for w in words[lo:hi]]
+        U, V = np.moveaxis(np.array(splits), 2, 0)
+        groups.append((lo, hi, U, V))
+        lo = hi
+    return _SplitTable(words, index, tuple(groups))
+
+
+def _node_mul(tab, a, b):
+    """Concatenation product of two node-axis series (rows: words of tab)."""
+    out = np.empty_like(a)
+    out[0] = a[0] * b[0]
+    for lo, hi, U, V in tab.groups:
+        out[lo:hi] = a[lo:hi] * b[0] + (a[U] * b[V]).sum(axis=1)
+    return out
+
+
+def _node_inverse(tab, a):
+    """Inverse of a node-axis series with constant term 1, word length by
+    word length: (a^-1)_w = -sum over w = u v, v nonempty, of (a^-1)_u a_v."""
+    out = np.empty_like(a)
+    out[0] = 1.0
+    for lo, hi, U, V in tab.groups:
+        out[lo:hi] = -(out[U] * a[V]).sum(axis=1)
+    return out
+
+
+def _cmul(a, b):
+    """a * b rounded like Python's complex product (numpy's complex multiply
+    may fuse multiply-adds)."""
+    out = np.empty(np.broadcast(a, b).shape, dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
+def _form_row(form, zs, X, Y, wt, tol, a0=0j):
+    """(form(z) - a0) (X - Y z)^wt at each node z, through the per-point memo.
+
+    Rounded like the scalar expression, since bridge coefficients cancel
+    heavily: _cmul for the product, and np.power rather than **, whose
+    fast path for squares fuses multiply-adds."""
+    f = np.array([_fval(form, z, tol) for z in zs.tolist()])
+    return _cmul(f - a0, np.power(X - Y * zs, wt))
+
+
+def _transfer_from_values(h, vals, cfg):
+    """Chen transfer of one panel from the node-axis 1-form values.
+
+    vals: complex array (words of ``_split_table``, nodes), already
+    including the d tau / d u jacobian.  Returns the transfer as a
+    TruncSeries.
     """
-    u, w, S = _node_matrices(cfg.nodes)
-    n = cfg.nodes
-    M = {(): np.ones(n, dtype=complex)}
-    end = {(): 1.0 + 0j}
-    for word in h.alphabet.iter_words(cfg.trunc, min_len=1):
-        rhs = np.zeros(n, dtype=complex)
-        hit = False
-        for k in range(1, len(word) + 1):
-            head, tail = word[: len(word) - k], word[len(word) - k:]
-            if tail in vals and head in M:
-                rhs += M[head] * vals[tail]
-                hit = True
-        if hit:
-            M[word] = S @ rhs
-            end[word] = w @ rhs
-        else:
-            M[word] = np.zeros(n, dtype=complex)
-    return _series_from(h, end, cfg.trunc)
+    _, w, S = _node_matrices(cfg.nodes)
+    tab = _split_table(h.alphabet, cfg.trunc)
+    M = np.empty_like(vals)
+    M[0] = 1.0
+    end = np.empty(len(tab.words), dtype=complex)
+    end[0] = 1.0
+    for lo, hi, U, V in tab.groups:
+        rhs = (M[U] * vals[V]).sum(axis=1)
+        # stacked matrix-vector products round like one S @ r per word
+        M[lo:hi] = np.matmul(S, rhs[:, :, None])[:, :, 0]
+        end[lo:hi] = np.matmul(rhs[:, None, :], w[:, None])[:, 0, 0]
+    return _series_from(h, dict(zip(tab.words, end.tolist())), cfg.trunc)
 
 
 def _omega_values(h, points, xy, jac, cfg):
+    """Connection-form values on the node axis: row B holds
+    h(B)(z) (X - Y z)^w(B) jac at each node z."""
     X, Y = complex(xy[0]), complex(xy[1])
-    vals = {}
+    tab = _split_table(h.alphabet, cfg.trunc)
+    zs = np.asarray(points, dtype=complex)
+    vals = np.zeros((len(tab.words), len(zs)), dtype=complex)
     for word, form in h.forms.items():
-        if len(word) > cfg.trunc:
-            continue
-        wt = h.alphabet.word_weight(word)
-        vals[word] = np.array([_fval(form, z, cfg.fourier_tol) * (X - Y * z) ** wt * jac for z in points])
+        if len(word) <= cfg.trunc:
+            wt = h.alphabet.word_weight(word)
+            vals[tab.index[word]] = _form_row(form, zs, X, Y, wt, cfg.fourier_tol) * jac
     return vals
 
 
@@ -310,8 +382,7 @@ def _chen_straight(h, z0, z1, xy, cfg):
 
     def panel(a, b):
         jac = b - a
-        pts = [a + jac * uj for uj in u]
-        return _transfer_from_values(h, _omega_values(h, pts, xy, jac, cfg), cfg)
+        return _transfer_from_values(h, _omega_values(h, a + jac * u, xy, jac, cfg), cfg)
 
     return _adaptive(panel, z0, z1, cfg)
 
@@ -376,31 +447,35 @@ def _ri_limit(h, tau, xy, cfg):
     return got
 
 
-def _ri_limit_uncached(h, tau, X, Y, cfg):
+def _theta(h, tau, X, Y, cfg):
+    """The conjugated cuspidal form Theta = I_inf(tau, z) (Omega - Omega_inf)(z)
+    I_inf(z, tau) on the node axis: ``theta(zs, jac)`` is the (words, nodes)
+    array of Theta at the points zs, times jac."""
+    tab = _split_table(h.alphabet, cfg.trunc)
     polys = _i_inf_polys(h, tau, (X, Y), cfg.trunc)
-    cusp_words = [(w, f, h.alphabet.word_weight(w), complex(f.coeff(0)))
-                  for w, f in h.forms.items() if len(w) <= cfg.trunc]
+    coef = np.zeros((len(tab.words), max(map(len, polys.values()))), dtype=complex)
+    for w, p in polys.items():
+        coef[tab.index[w], :len(p)] = p
+    columns = list(coef.T[:, :, None])       # Horner runs on all words at once
+    cusp_rows = [(tab.index[w], f, h.alphabet.word_weight(w), complex(f.coeff(0)))
+                 for w, f in h.forms.items() if len(w) <= cfg.trunc]
 
-    def theta_values(points, jac):
-        per_node = []
-        for z in points:
-            s_inf = _series_from(h, {w: _poly_eval(p, z) for w, p in polys.items()}, cfg.trunc)
-            cusp = _series_from(h, {w: (_fval(f, z, cfg.fourier_tol) - a0) * (X - Y * z) ** wt
-                                    for w, f, wt, a0 in cusp_words}, cfg.trunc)
-            per_node.append(s_inf * cusp * s_inf.inverse())
-        out = {}
-        for word in h.alphabet.iter_words(cfg.trunc, min_len=1):
-            col = np.array([ser.coeffs.get(word, 0j) for ser in per_node])
-            if np.any(col):
-                out[word] = col * jac
-        return out
+    def theta(zs, jac):
+        s_inf = _poly_eval(columns, zs)
+        cusp = np.zeros_like(s_inf)
+        for row, f, wt, a0 in cusp_rows:
+            cusp[row] = _form_row(f, zs, X, Y, wt, cfg.fourier_tol, a0)
+        return _node_mul(tab, _node_mul(tab, s_inf, cusp), _node_inverse(tab, s_inf)) * jac
 
+    return theta
+
+
+def _ri_limit_uncached(h, tau, X, Y, cfg):
+    theta = _theta(h, tau, X, Y, cfg)
     u, _, _ = _node_matrices(cfg.nodes)
 
     def panel(a, b):
-        jac = 1j * (b - a)
-        pts = [complex(tau.real, a + (b - a) * uj) for uj in u]
-        return _transfer_from_values(h, theta_values(pts, jac), cfg)
+        return _transfer_from_values(h, theta(tau.real + 1j * (a + (b - a) * u), 1j * (b - a)), cfg)
 
     t = max(cfg.t0, 2.0 * tau.imag)
     ri = _adaptive(panel, tau.imag, t, cfg)

@@ -355,11 +355,13 @@ class TruncSeries:
             worst = max(worst, abs(complex(self.coeffs.get(w, 0)) - complex(other.coeffs.get(w, 0))))
         return worst
 
-    def is_grouplike(self, tol=0):
+    def is_grouplike(self, tol=0, relative=False):
         """Check S^u S^v = sum_{w in Sh(u,v)} S^w for all u, v with l(u)+l(v) <= trunc.
 
         Exact for rational coefficients (tol ignored); returns the worst
-        violation and a witness pair of words.
+        violation and a witness pair of words.  With ``relative`` each
+        violation is divided by the size of its terms, |S^u S^v| + sum |S^w|,
+        taken at least 1.
         """
         if self.coeffs.get(()) != 1:
             raise ValueError("group-like test requires constant term 1")
@@ -372,8 +374,10 @@ class TruncSeries:
                 if u > v or len(u) + len(v) > self.trunc:
                     continue
                 lhs = get(u, zero) * get(v, zero)
-                rhs = sum((get(w, zero) for w in _shuffle_tuples(u, v)), start=zero)
-                viol = abs(complex(lhs) - complex(rhs))
+                terms = [get(w, zero) for w in _shuffle_tuples(u, v)]
+                viol = abs(complex(lhs) - complex(sum(terms, start=zero)))
+                if relative:
+                    viol /= max(1.0, abs(lhs) + sum(abs(t) for t in terms))
                 if viol > worst:
                     worst = viol
                     witness = (u, v)

@@ -2,6 +2,7 @@ import cmath
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from dedekindsym import eichler as ei
@@ -534,3 +535,115 @@ class TestAdaptive:
         cfg = ei.IntegratorConfig(trunc=2, quad_tol=1e-30, max_depth=2)
         with pytest.raises(NonConvergence, match="panel refinement exhausted"):
             ei._adaptive(self.counting_panel(h, (2 + 0j, 1 + 0j), cfg, {}), 0.5j, 1 + 2j, cfg)
+
+
+def theta_reference(h, tau, xy, cfg, zs):
+    """Theta node by node as series, s_inf * cusp * s_inf^-1: the conjugation
+    the cusp limit ran before it moved to the node axis.
+
+    Also returns, per node, the scale to which floating point determines
+    each word: the same computation with every coefficient, power and sum
+    term replaced by its absolute value."""
+    X, Y = complex(xy[0]), complex(xy[1])
+    polys = ei._i_inf_polys(h, tau, (X, Y), cfg.trunc)
+    wt = {w: h.alphabet.word_weight(w) for w in h.forms}
+    one = TruncSeries.one(h.alphabet, cfg.trunc, COMPLEX)
+
+    def series(coeffs):
+        return TruncSeries(h.alphabet, cfg.trunc, coeffs, COMPLEX)
+
+    out, scales = [], []
+    for z in zs.tolist():
+        s_inf = series({w: ei._poly_eval(p, z) for w, p in polys.items()})
+        cusp = {w: ei._fval(f, z, cfg.fourier_tol) - complex(f.coeff(0)) for w, f in h.forms.items()}
+        out.append(s_inf * series({w: c * (X - Y * z) ** wt[w] for w, c in cusp.items()})
+                   * s_inf.inverse())
+        s_abs = series({w: ei._poly_eval([abs(c) for c in p], abs(z)) for w, p in polys.items() if w})
+        inv_abs = (one - s_abs).inverse()
+        c_abs = series({w: abs(c) * (abs(X) + abs(Y) * abs(z)) ** wt[w] for w, c in cusp.items()})
+        scales.append((one + s_abs) * c_abs * inv_abs)
+    return out, scales
+
+
+class TestNodeAxis:
+    ASSIGNMENTS = {
+        "E4,E6": h_pair,
+        "E4,E6,Delta": lambda: ei.HAssignment.letters(
+            {"A": mf.eisenstein(4), "B": mf.eisenstein(6), "C": mf.delta_form()}),
+        "A=E4,AA=E6": lambda: ei.HAssignment(Alphabet([("A", 2)]),
+                                             {"A": mf.eisenstein(4), "AA": mf.eisenstein(6)}),
+    }
+
+    @pytest.mark.parametrize("letters", [2, 3])
+    @pytest.mark.parametrize("trunc", [1, 2, 3])
+    def test_split_table_lists_every_split_once(self, letters, trunc):
+        ab = Alphabet.simple("abc"[:letters])
+        tab = ei._split_table(ab, trunc)
+        assert tab.words == tuple(ab.iter_words(trunc)) and tab.words[0] == ()
+        assert all(tab.index[w] == i for i, w in enumerate(tab.words))
+        listed = []
+        for lo, hi, U, V in tab.groups:
+            for row, us, vs in zip(range(lo, hi), U.tolist(), V.tolist()):
+                listed += [(tab.words[row], tab.words[u], tab.words[v]) for u, v in zip(us, vs)]
+        want = [(w, w[:k], w[k:]) for w in tab.words for k in range(len(w))]
+        assert sorted(listed) == sorted(want) and len(set(listed)) == len(listed)
+        assert all(len(w) <= trunc and u + v == w and v for w, u, v in listed)
+
+    @pytest.mark.parametrize("name", sorted(ASSIGNMENTS))
+    @pytest.mark.parametrize("trunc", [1, 2, 3])
+    def test_theta_matches_series_conjugation(self, name, trunc):
+        h = self.ASSIGNMENTS[name]()
+        for nodes in (8, 16, 24):
+            cfg = ei.IntegratorConfig(trunc=trunc, nodes=nodes)
+            tab = ei._split_table(h.alphabet, trunc)
+            u, _, _ = ei._node_matrices(nodes)
+            for tau, xy, (a, b) in [(1j, (1, 0), (1.0, 4.0)), (1j, (51, -2), (4.0, 8.0)),
+                                    (1j, (3, 2), (1.0, 2.0)), (0.3 + 1.1j, (-5, 7), (1.1, 2.2))]:
+                zs = tau.real + 1j * (a + (b - a) * u)
+                got = ei._theta(h, tau, complex(xy[0]), complex(xy[1]), cfg)(zs, 1.0)
+                want, scales = theta_reference(h, tau, xy, cfg, zs)
+                for word, row in tab.index.items():
+                    ref = np.array([s.coeffs.get(word, 0j) for s in want])
+                    scale = np.array([s.coeffs.get(word, 0j) for s in scales]).real
+                    assert np.all(np.abs(got[row] - ref) <= 1e-14 * scale), (nodes, xy, word)
+
+    def test_transfer_matches_per_word_loop(self):
+        # the Chen transfer rounds exactly like one matrix-vector product per word
+        h = self.ASSIGNMENTS["E4,E6,Delta"]()
+        for trunc in (1, 2, 3):
+            cfg = ei.IntegratorConfig(trunc=trunc)
+            u, w, S = ei._node_matrices(cfg.nodes)
+            words = list(h.alphabet.iter_words(trunc))
+            for xy, a, b in [((7, 5), 0.2 + 0.6j, 1.5 + 1.2j), ((1, 0), 1j, 1 + 1j)]:
+                vals = ei._omega_values(h, a + (b - a) * u, xy, b - a, cfg)
+                M, end = {(): np.ones(cfg.nodes, dtype=complex)}, {(): 1.0}
+                for word in words[1:]:
+                    rhs = np.zeros(cfg.nodes, dtype=complex)
+                    for k in range(1, len(word) + 1):
+                        rhs += M[word[:len(word) - k]] * vals[words.index(word[len(word) - k:])]
+                    M[word], end[word] = S @ rhs, w @ rhs
+                want = TruncSeries(h.alphabet, trunc, end, COMPLEX)
+                assert ei._transfer_from_values(h, vals, cfg).dumps() == want.dumps()
+
+    def test_omega_values_match_scalar_omega(self):
+        # the node-axis rows round exactly like the scalar connection form
+        h = self.ASSIGNMENTS["E4,E6,Delta"]()
+        tab = ei._split_table(h.alphabet, 2)
+        u, _, _ = ei._node_matrices(16)
+        for xy in [(1, 0), (-3, 2), (5, -7), (2.5 - 1j, 0.5j)]:
+            pts = 0.2 + 0.9j + (1 + 0.5j) * u
+            got = ei._omega_values(h, pts, xy, 1.0, CFG)
+            for z, col in zip(pts.tolist(), got.T.tolist()):
+                scalar = ei.omega(h, z, xy, 2)
+                assert col == [scalar.coeffs.get(w, 0j) for w in tab.words]
+
+
+@pytest.mark.xfail(strict=True, reason="panel acceptance compares every word on one absolute "
+                   "scale; wide pairs need per-word error norms")
+def test_wide_pair_defect():
+    # A=E4, B=E6 at trunc 2: D(-2, 51) misses group-likeness by 2.0e-4 at
+    # (B, B), and its MDS1 gap to D(-2, 49) is 1.1e-4
+    h = h_pair()
+    d = ei.build_D(h, -2, 51, CFG)
+    assert d.is_grouplike().worst <= 1e-8
+    assert d.max_abs_diff(ei.build_D(h, -2, 49, CFG)) <= 1e-8

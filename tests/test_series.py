@@ -167,6 +167,15 @@ class TestGroupLike:
         assert s.coeff("a") * s.coeff("b") == 1
         assert s.coeff("ab") + s.coeff("ba") == 0
 
+    def test_relative_violation_divides_by_term_size(self):
+        s = TruncSeries(AB, 2, {(): 1, "a": 10, "b": 1, "ab": 4, "ba": 5}, COMPLEX)
+        assert s.is_grouplike().worst == 100
+        # (a, b): |10 - 9| / (10 + 4 + 5); (a, a): |100 - 0| / 100
+        rep = s.is_grouplike(1e-3, relative=True)
+        assert not rep.ok and rep.worst == 1 and rep.witness == ((0,), (0,))
+        small = TruncSeries(AB, 2, {(): 1, "a": 0.5, "aa": 0.125 + 1e-9}, COMPLEX)
+        assert small.is_grouplike(relative=True).worst == pytest.approx(2e-9)
+
     def test_product_and_inverse_closure(self):
         rng = random.Random(31)
         for _ in range(10):
