@@ -31,13 +31,20 @@ cusp term, the inverse and the two products are a few array operations),
 and so are the connection-form values of the bridges and the Chen
 transfer of a panel.  Products, the inverse and the transfer read the
 splits w = u v of every word from one table per (alphabet, trunc).
+Bisection batches its panels: the integrand runs once on the
+concatenated nodes of an interval and its two halves (later, of the two
+halves only), and each panel's transfer reads its own columns.
 
 Cusp limits RI(tau, i inf) are memoized per (assignment, tau, point,
 config): D(p, q), D(-q, p) and F(p, q) share their limits, and every
-build_D shares the chart tail at (1, 0).  Coefficients have even degree
-in (X, Y), so (X, Y) and (-X, -Y) share one entry.  ``clear_caches()``
-empties the memos and ``cache_info()`` reports their sizes and the
-cusp-limit hit and miss counts.
+build_D shares the chart tail at (1, 0).  The unit bridge steps
+I(i, i +- 1) are memoized per (assignment, direction, point, config), so
+pairs whose bridges pass through the same points share them.
+Coefficients have even degree in (X, Y), so (X, Y) and (-X, -Y) share one
+entry of either memo.  Form values are memoized one row per (form, node
+array).  ``clear_caches()`` empties the memos and ``cache_info()``
+reports their sizes and the cusp-limit and bridge-step hit and miss
+counts.
 """
 
 from collections import namedtuple
@@ -224,13 +231,17 @@ def _node_matrices(n):
     return got
 
 
-# Bounded memos: one sweep of the 110-pair grid at trunc 2 fills a few
-# thousand form values and under a hundred cusp limits, so neither evicts.
-_FORM_VALUES_CAP = 1 << 15
+# Bounded memos.  One sweep pass over half the 110-pair grid at trunc 2
+# fills 57 cusp limits, 65 unit bridge steps and 130 form rows, so none
+# of them evicts.
+_FORM_ROWS_CAP = 1 << 10
 _RI_LIMITS_CAP = 1 << 10
-_FORM_VALUES = {}
+_STEPS_CAP = 1 << 10
+_FORM_ROWS = {}
 _RI_LIMITS = {}
+_STEPS = {}
 _RI_COUNTS = {"hits": 0, "misses": 0}
+_STEP_COUNTS = {"hits": 0, "misses": 0}
 
 
 def _remember(cache, cap, key, value):
@@ -240,13 +251,27 @@ def _remember(cache, cap, key, value):
     cache[key] = value
 
 
-def _fval(form, z, tol=1e-16):
-    key = (form, z, tol)
-    v = _FORM_VALUES.get(key)
-    if v is None:
-        v = form_value(form, z, tol)
-        _remember(_FORM_VALUES, _FORM_VALUES_CAP, key, v)
-    return v
+def _memoized(cache, cap, counts, key, compute):
+    """cache[key], computed by ``compute()`` on a miss; counts hits and misses."""
+    got = cache.get(key)
+    if got is not None:
+        counts["hits"] += 1
+        return got
+    counts["misses"] += 1
+    got = compute()
+    _remember(cache, cap, key, got)
+    return got
+
+
+def _even_point(xy):
+    """(X, Y), or (-X, -Y) when that is larger, as complex numbers.  Every
+    coefficient has even degree in (X, Y), and negating the point negates
+    X - Y tau exactly, so both points give the same bytes and share one
+    memo entry."""
+    X, Y = complex(xy[0]), complex(xy[1])
+    if (X.real, X.imag, Y.real, Y.imag) >= (-X.real, -X.imag, -Y.real, -Y.imag):
+        return X, Y
+    return -X, -Y
 
 
 def _series_from(h, coeffs, trunc):
@@ -314,12 +339,17 @@ def _cmul(a, b):
 
 
 def _form_row(form, zs, X, Y, wt, tol, a0=0j):
-    """(form(z) - a0) (X - Y z)^wt at each node z, through the per-point memo.
+    """(form(z) - a0) (X - Y z)^wt at each node z.  The form values of one
+    node array are memoized as one row.
 
     Rounded like the scalar expression, since bridge coefficients cancel
     heavily: _cmul for the product, and np.power rather than **, whose
     fast path for squares fuses multiply-adds."""
-    f = np.array([_fval(form, z, tol) for z in zs.tolist()])
+    key = (form, tol, zs.tobytes())
+    f = _FORM_ROWS.get(key)
+    if f is None:
+        f = np.array([form_value(form, z, tol) for z in zs.tolist()])
+        _remember(_FORM_ROWS, _FORM_ROWS_CAP, key, f)
     return _cmul(f - a0, np.power(X - Y * zs, wt))
 
 
@@ -344,9 +374,17 @@ def _transfer_from_values(h, vals, cfg):
     return _series_from(h, dict(zip(tab.words, end.tolist())), cfg.trunc)
 
 
+def _transfers(h, vals, cfg):
+    """One Chen transfer per panel from node-axis values whose columns are
+    the nodes of consecutive panels, ``cfg.nodes`` columns each."""
+    n = cfg.nodes
+    return [_transfer_from_values(h, vals[:, k:k + n], cfg) for k in range(0, vals.shape[1], n)]
+
+
 def _omega_values(h, points, xy, jac, cfg):
     """Connection-form values on the node axis: row B holds
-    h(B)(z) (X - Y z)^w(B) jac at each node z."""
+    h(B)(z) (X - Y z)^w(B) jac at each node z (jac: a number, or one per
+    node)."""
     X, Y = complex(xy[0]), complex(xy[1])
     tab = _split_table(h.alphabet, cfg.trunc)
     zs = np.asarray(points, dtype=complex)
@@ -358,33 +396,37 @@ def _omega_values(h, points, xy, jac, cfg):
     return vals
 
 
-def _adaptive(panel, a, b, cfg, whole=None, depth=0):
-    """Chen transfer over [a, b] from the one-panel rule ``panel(a, b)``,
-    bisected until a panel agrees with the product of its two halves.
-    Each half is evaluated once: a rejected interval hands its halves down
-    as the ``whole`` of the recursive calls."""
-    if whole is None:
-        whole = panel(a, b)
+def _adaptive(panels, a, b, cfg, whole=None, depth=0):
+    """Chen transfer over [a, b], bisected until a panel agrees with the
+    product of its two halves.  The batched rule ``panels(ends)`` returns
+    one transfer per interval (a, b) of ``ends`` from one integrand call:
+    the root evaluates itself and its halves together, and a rejected
+    interval hands its halves down as the ``whole`` of the recursive
+    calls, which then evaluate only their own two halves."""
     mid = (a + b) / 2
-    left, right = panel(a, mid), panel(mid, b)
+    if whole is None:
+        whole, left, right = panels([(a, b), (a, mid), (mid, b)])
+    else:
+        left, right = panels([(a, mid), (mid, b)])
     comp = left * right
     if whole.max_abs_diff(comp) <= cfg.quad_tol * _series_scale(comp):
         return comp
     if depth >= cfg.max_depth:
         raise NonConvergence(f"panel refinement exhausted on [{a:.3g}, {b:.3g}]")
-    return (_adaptive(panel, a, mid, cfg, left, depth + 1)
-            * _adaptive(panel, mid, b, cfg, right, depth + 1))
+    return (_adaptive(panels, a, mid, cfg, left, depth + 1)
+            * _adaptive(panels, mid, b, cfg, right, depth + 1))
 
 
 def _chen_straight(h, z0, z1, xy, cfg):
     """Adaptive Chen transfer I(z0, z1) along the straight segment."""
     u, _, _ = _node_matrices(cfg.nodes)
 
-    def panel(a, b):
-        jac = b - a
-        return _transfer_from_values(h, _omega_values(h, a + jac * u, xy, jac, cfg), cfg)
+    def panels(ends):
+        zs = np.concatenate([a + (b - a) * u for a, b in ends])
+        jac = np.repeat([b - a for a, b in ends], cfg.nodes)
+        return _transfers(h, _omega_values(h, zs, xy, jac, cfg), cfg)
 
-    return _adaptive(panel, z0, z1, cfg)
+    return _adaptive(panels, z0, z1, cfg)
 
 
 def omega(h, tau, xy, trunc=2):
@@ -398,7 +440,7 @@ def omega(h, tau, xy, trunc=2):
         if len(word) > trunc:
             continue
         wt = h.alphabet.word_weight(word)
-        coeffs[word] = _fval(form, tau) * (X - Y * tau) ** wt
+        coeffs[word] = form_value(form, tau) * (X - Y * tau) ** wt
     return _series_from(h, coeffs, trunc)
 
 
@@ -429,22 +471,11 @@ def i_numeric(h, tau0, tau1, xy, cfg=IntegratorConfig()):
 def _ri_limit(h, tau, xy, cfg):
     """RI(tau, i inf) = lim I(tau, eps) I_inf(eps, tau), via the conjugated
     cuspidal form; heights double from t0 until the result is stable.
-    Memoized; every coefficient has even degree in (X, Y), so (X, Y) and
-    (-X, -Y) share one entry."""
+    Memoized; (X, Y) and (-X, -Y) share one entry (``_even_point``)."""
     tau = complex(tau)
     X, Y = complex(xy[0]), complex(xy[1])
-    if (X.real, X.imag, Y.real, Y.imag) >= (-X.real, -X.imag, -Y.real, -Y.imag):
-        key = (h, tau, X, Y, cfg)
-    else:
-        key = (h, tau, -X, -Y, cfg)
-    got = _RI_LIMITS.get(key)
-    if got is not None:
-        _RI_COUNTS["hits"] += 1
-        return got
-    _RI_COUNTS["misses"] += 1
-    got = _ri_limit_uncached(h, tau, X, Y, cfg)
-    _remember(_RI_LIMITS, _RI_LIMITS_CAP, key, got)
-    return got
+    return _memoized(_RI_LIMITS, _RI_LIMITS_CAP, _RI_COUNTS, (h, tau, *_even_point(xy), cfg),
+                     lambda: _ri_limit_uncached(h, tau, X, Y, cfg))
 
 
 def _theta(h, tau, X, Y, cfg):
@@ -474,13 +505,15 @@ def _ri_limit_uncached(h, tau, X, Y, cfg):
     theta = _theta(h, tau, X, Y, cfg)
     u, _, _ = _node_matrices(cfg.nodes)
 
-    def panel(a, b):
-        return _transfer_from_values(h, theta(tau.real + 1j * (a + (b - a) * u), 1j * (b - a)), cfg)
+    def panels(ends):
+        zs = np.concatenate([tau.real + 1j * (a + (b - a) * u) for a, b in ends])
+        jac = np.repeat([1j * (b - a) for a, b in ends], cfg.nodes)
+        return _transfers(h, theta(zs, jac), cfg)
 
     t = max(cfg.t0, 2.0 * tau.imag)
-    ri = _adaptive(panel, tau.imag, t, cfg)
+    ri = _adaptive(panels, tau.imag, t, cfg)
     while True:
-        step = _adaptive(panel, t, 2.0 * t, cfg)
+        step = _adaptive(panels, t, 2.0 * t, cfg)
         nxt = ri * step
         if nxt.max_abs_diff(ri) <= cfg.tol * _series_scale(nxt):
             return nxt
@@ -553,7 +586,9 @@ def sl2_word(m):
 
 def _bridge(h, mat, xy, cfg):
     """I(i, mat(i)) at the numeric point xy, as a product of unit horizontal
-    transfers at height one (S steps fix i and cost nothing)."""
+    transfers at height one (S steps fix i and cost nothing).  The unit
+    steps I(i, i +- 1) at each point are memoized; (X, Y) and (-X, -Y)
+    share one entry (``_even_point``)."""
     acc = TruncSeries.one(h.alphabet, cfg.trunc, COMPLEX)
     cur = _ID_MAT
     for kind, n in sl2_word(mat):
@@ -564,7 +599,8 @@ def _bridge(h, mat, xy, cfg):
         t_step = (1, step, 0, 1)
         for _ in range(abs(n)):
             v = _mat_apply_xy(_mat_inv(cur), xy)
-            acc = acc * _chen_straight(h, 1j, 1j + step, v, cfg)
+            acc = acc * _memoized(_STEPS, _STEPS_CAP, _STEP_COUNTS, (h, step, *_even_point(v), cfg),
+                                  lambda: _chen_straight(h, 1j, 1j + step, v, cfg))
             cur = _mat_mul(cur, t_step)
     return acc
 
@@ -680,14 +716,17 @@ def symbol_fn(h, cfg=IntegratorConfig()):
 
 
 def clear_caches():
-    """Empty the form-value and cusp-limit memos and reset their counters."""
-    _FORM_VALUES.clear()
-    _RI_LIMITS.clear()
-    _RI_COUNTS.update(hits=0, misses=0)
+    """Empty the form-row, cusp-limit and bridge-step memos and reset their
+    counters."""
+    for cache in (_FORM_ROWS, _RI_LIMITS, _STEPS):
+        cache.clear()
+    for counts in (_RI_COUNTS, _STEP_COUNTS):
+        counts.update(hits=0, misses=0)
 
 
 def cache_info():
-    """Sizes of the memos and the cusp-limit hit/miss counts since the last
-    ``clear_caches()``; deterministic, no timings."""
-    return {"form_values": len(_FORM_VALUES), "ri_limits": len(_RI_LIMITS),
-            "ri_hits": _RI_COUNTS["hits"], "ri_misses": _RI_COUNTS["misses"]}
+    """Sizes of the memos and the cusp-limit and bridge-step hit/miss counts
+    since the last ``clear_caches()``; deterministic, no timings."""
+    return {"form_rows": len(_FORM_ROWS), "ri_limits": len(_RI_LIMITS), "steps": len(_STEPS),
+            "ri_hits": _RI_COUNTS["hits"], "ri_misses": _RI_COUNTS["misses"],
+            "step_hits": _STEP_COUNTS["hits"], "step_misses": _STEP_COUNTS["misses"]}

@@ -385,7 +385,7 @@ class Decomposition:
         self._peeled = {}
 
     def _check_grouplike(self, series, pair):
-        rep = series.is_grouplike(self.tol)
+        rep = series.is_grouplike(self.tol, relative=True)
         if not rep.ok:
             raise NotShuffled(f"input is not shuffled at {pair}: violation {rep.worst:.3g} at {rep.witness}")
 

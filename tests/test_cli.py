@@ -95,6 +95,14 @@ class TestDecompose:
         assert "factor-mds[AB]" in checks
         assert all(r["pass"] for r in doc["rows"])
 
+    def test_delta_input_is_shuffled_relative_to_term_size(self, capsys):
+        # the peeled target at (-5, 3) for A=E4, B=Delta has a BB term near
+        # 1.8e9; its absolute shuffle gap 3.5e-6 is 5e-16 of the term size
+        code, out = run(capsys, "decompose", "--forms", "A=E4,B=Delta", "--depth", "2",
+                        "--seed", "465123", "--tol", "1e-8")
+        assert code == 0
+        assert all(r["pass"] for r in json.loads(out)["rows"])
+
 
 class TestGamma02:
     def test_delta_value(self, capsys):

@@ -451,9 +451,11 @@ class TestCuspLimitMemo:
         ei.build_D(h, 3, 2, CFG)
         ei.build_D(h, 3, 2, CFG)
         info = ei.cache_info()
-        assert info["form_values"] and info["ri_limits"] and info["ri_hits"]
+        assert info["form_rows"] and info["ri_limits"] and info["ri_hits"]
+        assert info["steps"] and info["step_hits"] and info["step_misses"]
         ei.clear_caches()
-        assert ei.cache_info() == {"form_values": 0, "ri_limits": 0, "ri_hits": 0, "ri_misses": 0}
+        assert ei.cache_info() == {"form_rows": 0, "ri_limits": 0, "steps": 0, "ri_hits": 0,
+                                   "ri_misses": 0, "step_hits": 0, "step_misses": 0}
 
     def test_reciprocity_triple_shares_three_limits(self):
         # points (q, p), (p, -q) and the chart tail's (1, 0)
@@ -469,18 +471,20 @@ class TestCuspLimitMemo:
     def test_caches_within_capacity(self, monkeypatch):
         h = h_pair()
         cfg = ei.IntegratorConfig(trunc=1)
+        caps = {"form_rows": "_FORM_ROWS_CAP", "ri_limits": "_RI_LIMITS_CAP", "steps": "_STEPS_CAP"}
         ei.clear_caches()
         want = [ei.build_D(h, p, q, cfg).dumps() for p, q in self.PAIRS]
         info = ei.cache_info()
-        assert info["form_values"] <= ei._FORM_VALUES_CAP
-        assert info["ri_limits"] <= ei._RI_LIMITS_CAP
-        monkeypatch.setattr(ei, "_FORM_VALUES_CAP", 40)
-        monkeypatch.setattr(ei, "_RI_LIMITS_CAP", 2)
+        assert all(info[size] <= getattr(ei, cap) for size, cap in caps.items())
+        low = {"form_rows": 4, "ri_limits": 2, "steps": 2}
+        assert all(info[size] > low[size] for size in caps)
+        for size, cap in caps.items():
+            monkeypatch.setattr(ei, cap, low[size])
         ei.clear_caches()
         got = [ei.build_D(h, p, q, cfg).dumps() for p, q in self.PAIRS]
         info = ei.cache_info()
         assert got == want
-        assert info["form_values"] == 40 and info["ri_limits"] == 2
+        assert {size: info[size] for size in caps} == low
         ei.clear_caches()
 
     def test_remember_evicts_oldest(self):
@@ -490,11 +494,73 @@ class TestCuspLimitMemo:
         assert cache == {2: -2, 3: -3, 4: -4}
 
 
+class TestBridgeSteps:
+    def test_warm_equals_cold(self):
+        h = h_pair()
+        pairs = [(7, 5), (-5, 7), (1, 9), (1, 8), (8, -9), (3, -7)]
+        cold = {}
+        for pq in pairs:
+            ei.clear_caches()
+            cold[pq] = ei.build_D(h, *pq, CFG).dumps()
+        ei.clear_caches()
+        for _ in range(2):
+            assert {pq: ei.build_D(h, *pq, CFG).dumps() for pq in pairs} == cold
+        assert ei.cache_info()["step_hits"] > ei.cache_info()["step_misses"]
+
+    @pytest.mark.parametrize("step", [1, -1])
+    @pytest.mark.parametrize("xy", [(1 + 0j, 0j), (3 + 0j, -2 + 0j), (-4 + 0j, 7 + 0j)])
+    def test_negated_point_same_bytes(self, step, xy):
+        h = h_pair()
+        mat = (1, step, 0, 1)
+        ei.clear_caches()
+        here = ei._bridge(h, mat, xy, CFG).dumps()
+        ei.clear_caches()
+        there = ei._bridge(h, mat, (-xy[0], -xy[1]), CFG).dumps()
+        assert here == there
+        assert here == ei._chen_straight(h, 1j, 1j + step, xy, CFG).dumps()
+        ei._bridge(h, mat, xy, CFG)
+        info = ei.cache_info()
+        assert (info["step_misses"], info["step_hits"], info["steps"]) == (1, 1, 1)
+
+    def test_neighbouring_pairs_share_steps(self):
+        h = h_pair()
+        ei.clear_caches()
+        want = ei.build_D(h, 1, 9, CFG).dumps()
+        ei.clear_caches()
+        ei.build_D(h, 1, 8, CFG)
+        first = ei.cache_info()
+        assert first["step_hits"] == 0
+        assert ei.build_D(h, 1, 9, CFG).dumps() == want
+        second = ei.cache_info()
+        assert second["step_hits"] > 0
+        assert second["steps"] == first["steps"] + second["step_misses"] - first["step_misses"]
+
+    def test_sweep_pass_counts(self, monkeypatch):
+        # one pass of the benchmark's sweep: the couples (p, q), (q, -p) of
+        # the grid 1 <= p <= 9, 1 <= |q| <= 9 with p <= q, each op computing
+        # D(p, q) and D(-q, p) through the memoized evaluator, F and E
+        calls = []
+        monkeypatch.setattr(ei, "form_value", lambda *args: calls.append(args) or mf.form_value(*args))
+        h = h_pair()
+        grid = [(p, q) for p in range(1, 10) for q in range(1, 10) if p <= q and math.gcd(p, q) == 1]
+        ei.clear_caches()
+        dh = ei.symbol_fn(h, CFG)
+        for p, q in [pq for p, q in grid for pq in ((p, q), (q, -p))]:
+            dh(p, q), dh(-q, p), ei.build_F(h, p, q, CFG), ei.build_E(h, p, q, CFG.trunc)
+        info = ei.cache_info()
+        assert info["step_hits"] + info["step_misses"] == 493
+        assert (info["step_misses"], info["steps"]) == (65, 65)
+        assert (info["ri_misses"], info["form_rows"], len(calls)) == (57, 130, 4320)
+        assert len(set(calls)) == len(calls)
+        ei.clear_caches()
+
+
 class TestAdaptive:
     @staticmethod
     def old_adaptive(panel, a, b, cfg, depth=0):
-        # the recursion before halves were handed down: each half is
-        # evaluated once by its parent and again as the child's whole
+        # the recursion before halves were handed down and panels batched:
+        # one integrand call per panel, and each half is evaluated once by
+        # its parent and again as the child's whole
         whole = panel(a, b)
         mid = (a + b) / 2
         comp = panel(a, mid) * panel(mid, b)
@@ -506,35 +572,63 @@ class TestAdaptive:
                 * TestAdaptive.old_adaptive(panel, mid, b, cfg, depth + 1))
 
     @staticmethod
-    def counting_panel(h, xy, cfg, calls):
+    def one_panel(h, xy, cfg, calls):
         u, _, _ = ei._node_matrices(cfg.nodes)
 
         def panel(a, b):
             calls[a, b] = calls.get((a, b), 0) + 1
             jac = b - a
-            pts = [a + jac * uj for uj in u]
-            return ei._transfer_from_values(h, ei._omega_values(h, pts, xy, jac, cfg), cfg)
+            return ei._transfer_from_values(h, ei._omega_values(h, a + jac * u, xy, jac, cfg), cfg)
 
         return panel
+
+    @staticmethod
+    def batched(h, xy, cfg, calls, batches):
+        u, _, _ = ei._node_matrices(cfg.nodes)
+
+        def panels(ends):
+            batches.append(len(ends))
+            for a, b in ends:
+                calls[a, b] = calls.get((a, b), 0) + 1
+            zs = np.concatenate([a + (b - a) * u for a, b in ends])
+            jac = np.repeat([b - a for a, b in ends], cfg.nodes)
+            return ei._transfers(h, ei._omega_values(h, zs, xy, jac, cfg), cfg)
+
+        return panels
 
     def test_each_panel_once_and_same_bytes(self):
         h = h_pair()
         xy = (7 + 0j, 5 + 0j)
         a, b = 0.2 + 0.6j, 1.5 + 1.2j
-        new_calls, old_calls = {}, {}
-        got = ei._adaptive(self.counting_panel(h, xy, CFG, new_calls), a, b, CFG)
-        want = self.old_adaptive(self.counting_panel(h, xy, CFG, old_calls), a, b, CFG)
+        new_calls, old_calls, batches = {}, {}, []
+        got = ei._adaptive(self.batched(h, xy, CFG, new_calls, batches), a, b, CFG)
+        want = self.old_adaptive(self.one_panel(h, xy, CFG, old_calls), a, b, CFG)
         assert got.dumps() == want.dumps()
         assert len(new_calls) > 3                      # the interval was bisected
         assert set(new_calls.values()) == {1}
         assert set(new_calls) == set(old_calls)
-        assert sum(old_calls.values()) > sum(new_calls.values())
+        assert batches[0] == 3 and set(batches[1:]) == {2}
+        assert sum(batches) == len(new_calls) < sum(old_calls.values())
+
+    def test_batched_cusp_integrand_matches_per_panel(self):
+        # Theta on concatenated nodes, sliced per panel, is Theta per panel
+        h = TestNodeAxis.ASSIGNMENTS["E4,E6,Delta"]()
+        for trunc in (1, 2, 3):
+            cfg = ei.IntegratorConfig(trunc=trunc)
+            u, _, _ = ei._node_matrices(cfg.nodes)
+            theta = ei._theta(h, 0.3 + 1.1j, 3 + 0j, -2 + 0j, cfg)
+            ends = [(1.1, 4.0), (1.1, 2.55), (2.55, 4.0)]
+            zs = np.concatenate([0.3 + 1j * (a + (b - a) * u) for a, b in ends])
+            batch = theta(zs, np.repeat([1j * (b - a) for a, b in ends], cfg.nodes))
+            for k, (a, b) in enumerate(ends):
+                one = theta(0.3 + 1j * (a + (b - a) * u), 1j * (b - a))
+                assert batch[:, k * cfg.nodes:(k + 1) * cfg.nodes].tobytes() == one.tobytes()
 
     def test_exhaustion_still_raises(self):
         h = h_pair()
         cfg = ei.IntegratorConfig(trunc=2, quad_tol=1e-30, max_depth=2)
         with pytest.raises(NonConvergence, match="panel refinement exhausted"):
-            ei._adaptive(self.counting_panel(h, (2 + 0j, 1 + 0j), cfg, {}), 0.5j, 1 + 2j, cfg)
+            ei._adaptive(self.batched(h, (2 + 0j, 1 + 0j), cfg, {}, []), 0.5j, 1 + 2j, cfg)
 
 
 def theta_reference(h, tau, xy, cfg, zs):
@@ -555,7 +649,7 @@ def theta_reference(h, tau, xy, cfg, zs):
     out, scales = [], []
     for z in zs.tolist():
         s_inf = series({w: ei._poly_eval(p, z) for w, p in polys.items()})
-        cusp = {w: ei._fval(f, z, cfg.fourier_tol) - complex(f.coeff(0)) for w, f in h.forms.items()}
+        cusp = {w: mf.form_value(f, z, cfg.fourier_tol) - complex(f.coeff(0)) for w, f in h.forms.items()}
         out.append(s_inf * series({w: c * (X - Y * z) ** wt[w] for w, c in cusp.items()})
                    * s_inf.inverse())
         s_abs = series({w: ei._poly_eval([abs(c) for c in p], abs(z)) for w, p in polys.items() if w})
