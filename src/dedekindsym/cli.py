@@ -15,12 +15,11 @@ import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from fractions import Fraction
 from math import gcd
 
 from . import contfrac, eichler, modforms, symbols
 from .errors import DedekindSymError, DomainError, NonConvergence
-from .series import COMPLEX, TruncSeries
+from .series import Alphabet, TruncSeries
 
 VERSION = "0.1.0"
 
@@ -152,8 +151,6 @@ def cmd_symbol(args):
 
 
 def _suite_bijection(args):
-    from .series import Alphabet
-
     ab = Alphabet.simple("ab")
     rows = []
     ok = True
@@ -173,8 +170,6 @@ def _suite_bijection(args):
 
 
 def _suite_shuffle(args):
-    from .series import Alphabet
-
     ab = Alphabet.simple("ab")
     rows = []
     ok = True
@@ -200,8 +195,6 @@ def _suite_shuffle(args):
 
 
 def _suite_axioms(args):
-    from .series import Alphabet
-
     ab = Alphabet.simple("ab")
     rows = []
     ok = True
@@ -259,6 +252,8 @@ _SUITES = {"bijection": _suite_bijection, "shuffle": _suite_shuffle, "axioms": _
 
 
 def cmd_verify(args):
+    if args.samples < 1:
+        raise DomainError(f"--samples must be at least 1, got {args.samples}")
     rows, ok = _SUITES[args.suite](args)
     doc = _document("verify", rows, seed=args.seed, tolerance=args.tol,
                     extra={"suite": args.suite})
@@ -267,6 +262,8 @@ def cmd_verify(args):
 
 
 def cmd_decompose(args):
+    if args.pq_samples < 1:
+        raise DomainError(f"--pq-samples must be at least 1, got {args.pq_samples}")
     h = _assignment(args)
     cfg = eichler.IntegratorConfig(trunc=args.depth)
     dh = eichler.symbol_fn(h, cfg)

@@ -30,7 +30,7 @@ all nodes at once (I_inf's polynomials by Horner on the node array, the
 cusp term, the inverse and the two products are a few array operations),
 and so are the connection-form values of the bridges and the Chen
 transfer of a panel.  Products, the inverse and the transfer read the
-splits w = u v of every word from one table per (alphabet, trunc).
+splits w = u v from the word table in ``series``, in TruncSeries row order.
 Bisection batches its panels: the integrand runs once on the
 concatenated nodes of an interval and its two halves (later, of the two
 halves only), and each panel's transfer reads its own columns.
@@ -47,17 +47,15 @@ reports their sizes and the cusp-limit and bridge-step hit and miss
 counts.
 """
 
-from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import comb, gcd
 
 import numpy as np
 
 from .errors import DomainError, NonConvergence
 from .modforms import _solve_unimodular, form_value
-from .series import COMPLEX, Alphabet, TruncSeries
+from .series import COMPLEX, Alphabet, TruncSeries, _split_table
 
 INF = float("inf")
 
@@ -206,7 +204,8 @@ def i_infinity(h, tau0, tau1, xy, trunc=2):
     path-independent; used by the cusp regularization.
     """
     polys = _i_inf_polys(h, complex(tau0), xy, trunc)
-    return _series_from(h, {w: _poly_eval(p, complex(tau1)) for w, p in polys.items()}, trunc)
+    return TruncSeries(h.alphabet, trunc, {w: _poly_eval(p, complex(tau1)) for w, p in polys.items()},
+                       COMPLEX)
 
 
 # ---------------------------------------------------------------------------
@@ -274,41 +273,13 @@ def _even_point(xy):
     return -X, -Y
 
 
-def _series_from(h, coeffs, trunc):
-    """Complex series from {index-tuple word: number}, numpy scalars included."""
-    return TruncSeries._trusted(h.alphabet, trunc, {w: complex(c) for w, c in coeffs.items()}, COMPLEX)
-
-
 def _series_scale(series):
     # panel acceptance is relative to the largest transfer coefficient
-    return max((abs(c) for w, c in series.coeffs.items() if w), default=0.0) + 1.0
+    return max(map(abs, series.vec[1:]), default=0.0) + 1.0
 
 
 # ---------------------------------------------------------------------------
 # Series on the node axis: one complex array per word, one column per node
-
-_SplitTable = namedtuple("_SplitTable", "words index groups")
-
-
-@lru_cache(maxsize=32)
-def _split_table(alphabet, trunc):
-    """Words of length <= trunc in canonical order (row 0 is the empty word),
-    their row numbers, and per length L = 1..trunc a group (lo, hi, U, V):
-    the words of length L are rows lo..hi-1, and row lo + j is split as
-    U[j, k] V[j, k] for k < L, which runs over every w = u v with v
-    nonempty, by |v| ascending."""
-    words = tuple(alphabet.iter_words(trunc))
-    index = {w: i for i, w in enumerate(words)}
-    groups, lo = [], 1
-    for length in range(1, trunc + 1):
-        hi = lo + len(alphabet) ** length
-        splits = [[(index[w[:length - k]], index[w[length - k:]]) for k in range(1, length + 1)]
-                  for w in words[lo:hi]]
-        U, V = np.moveaxis(np.array(splits), 2, 0)
-        groups.append((lo, hi, U, V))
-        lo = hi
-    return _SplitTable(words, index, tuple(groups))
-
 
 def _node_mul(tab, a, b):
     """Concatenation product of two node-axis series (rows: words of tab)."""
@@ -371,7 +342,7 @@ def _transfer_from_values(h, vals, cfg):
         # stacked matrix-vector products round like one S @ r per word
         M[lo:hi] = np.matmul(S, rhs[:, :, None])[:, :, 0]
         end[lo:hi] = np.matmul(rhs[:, None, :], w[:, None])[:, 0, 0]
-    return _series_from(h, dict(zip(tab.words, end.tolist())), cfg.trunc)
+    return TruncSeries._from_vec(h.alphabet, cfg.trunc, end.tolist())
 
 
 def _transfers(h, vals, cfg):
@@ -437,11 +408,9 @@ def omega(h, tau, xy, trunc=2):
     X, Y = complex(xy[0]), complex(xy[1])
     coeffs = {}
     for word, form in h.forms.items():
-        if len(word) > trunc:
-            continue
-        wt = h.alphabet.word_weight(word)
-        coeffs[word] = form_value(form, tau) * (X - Y * tau) ** wt
-    return _series_from(h, coeffs, trunc)
+        if len(word) <= trunc:
+            coeffs[word] = form_value(form, tau) * (X - Y * tau) ** h.alphabet.word_weight(word)
+    return TruncSeries(h.alphabet, trunc, coeffs, COMPLEX)
 
 
 def omega_inf(h, tau, xy, trunc=2):
@@ -452,7 +421,7 @@ def omega_inf(h, tau, xy, trunc=2):
     for word, a0 in h.constant_terms().items():
         if len(word) <= trunc:
             coeffs[word] = a0 * (X - Y * tau) ** h.alphabet.word_weight(word)
-    return _series_from(h, coeffs, trunc)
+    return TruncSeries(h.alphabet, trunc, coeffs, COMPLEX)
 
 
 def i_numeric(h, tau0, tau1, xy, cfg=IntegratorConfig()):
@@ -697,13 +666,7 @@ def build_F(h, p, q, cfg=IntegratorConfig()):
 def build_E(h, p, q, trunc=2):
     """exp(sum_letters A_i a_0(h(A_i)) / (p q)): the constant-term correction."""
     p, q = _validate_pair(p, q)
-    coeffs = {}
-    for i, name in enumerate(h.alphabet.names):
-        form = h.form((i,))
-        if form is not None:
-            a0 = complex(form.coeff(0))
-            if a0:
-                coeffs[(i,)] = a0 / (p * q)
+    coeffs = {w: a0 / (p * q) for w, a0 in h.constant_terms().items() if len(w) == 1}
     return TruncSeries(h.alphabet, trunc, coeffs, COMPLEX).exp()
 
 

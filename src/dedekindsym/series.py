@@ -1,20 +1,34 @@
 """Truncated non-commutative formal power series over a weighted alphabet.
 
 Elements live in the quotient of R<<A>> by words of length > N.  The
-coefficient ring R is either exact rationals (``fractions.Fraction``) or
-complex floats (Python ``complex``).
+coefficient ring R is either exact rationals or complex floats.
+
+Every series is dense: ``vec`` holds one coefficient per word of length
+<= N, in the order of the word table ``_split_table(alphabet, N)`` (by
+length, then lexicographic), so truncation is a prefix.  Complex series
+hold Python ``complex`` values, rational series Python ``int`` numerators
+over one denominator ``den`` > 0 in lowest terms, so ``==`` is value
+equality.  The table also lists the splits w = u v of every word, over
+which the product, the inverse, exp and log loop; the node axis of
+``eichler`` reads the same table.  ``coeffs`` is a read-only view
+{word: coefficient} of the nonzero entries, with ``Fraction`` values for
+rational series.
 
 Words are plain tuples of letter indices inside a series; the ``Word``
 wrapper carries the alphabet so that lengths, weights and concatenation
 can be validated at API boundaries.  Words and coefficients are checked
-only there: the public constructors, ``coeff`` and ``scale``.  Arithmetic
-on valid series builds its coefficient dicts directly.
+only there: the public constructors, ``coeff`` and ``scale``.
 """
 
 import itertools
 import json
 from collections import namedtuple
 from fractions import Fraction
+from functools import lru_cache
+from math import factorial, gcd, lcm
+from types import MappingProxyType
+
+import numpy as np
 
 from .errors import NotInvertible
 
@@ -160,29 +174,48 @@ def shuffle_words(u, v):
 
 GroupLikeness = namedtuple("GroupLikeness", "ok worst witness")
 
+_SplitTable = namedtuple("_SplitTable", "words index splits groups")
 
-_ZERO = {RATIONAL: Fraction(0), COMPLEX: 0j}
+
+@lru_cache(maxsize=32)
+def _split_table(alphabet, trunc):
+    """Words of length <= trunc in canonical order (row 0 is the empty word),
+    their row numbers, and their splits w = u v: ``splits[i]`` lists the
+    rows (u, v) of word i by |u| ascending.  For the node axis, ``groups``
+    holds per length L = 1..trunc a group (lo, hi, U, V): the words of length
+    L are rows lo..hi-1, and row lo + j is split as U[j, k] V[j, k] for
+    k < L, which runs over every w = u v with v nonempty, by |v| ascending."""
+    words = tuple(alphabet.iter_words(trunc))
+    index = {w: i for i, w in enumerate(words)}
+    splits = tuple(tuple((index[w[:k]], index[w[k:]]) for k in range(len(w) + 1)) for w in words)
+    groups, lo = [], 1
+    for length in range(1, trunc + 1):
+        hi = lo + len(alphabet) ** length
+        rows = np.array([s[length - 1::-1] for s in splits[lo:hi]], dtype=np.intp)
+        U, V = np.moveaxis(rows.reshape(hi - lo, length, 2), 2, 0)
+        groups.append((lo, hi, U, V))
+        lo = hi
+    return _SplitTable(words, index, splits, tuple(groups))
+
+
+_ZERO = {RATIONAL: 0, COMPLEX: 0j}
 
 
 def _coerce(kind, value):
     if kind == COMPLEX:
         return complex(value)
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    raise TypeError(f"rational series needs int/Fraction coefficients, got {type(value).__name__}")
+    if not isinstance(value, (int, Fraction)):
+        raise TypeError(f"rational series needs int/Fraction coefficients, got {type(value).__name__}")
+    return Fraction(value)
 
 
 class TruncSeries:
-    """Series 1-term map word -> coefficient, truncated at word length ``trunc``.
-
-    Absent words read as zero; arithmetic drops words longer than the
-    truncation and prunes exact zeros.  Instances are immutable by
-    convention: no method mutates ``coeffs`` after construction.
+    """A truncated series: the coefficient vector ``vec`` over the word table
+    of (alphabet, trunc), with rational numerators over ``den``.  Instances
+    are immutable by convention: no method mutates ``vec`` after construction.
     """
 
-    __slots__ = ("alphabet", "trunc", "kind", "coeffs")
+    __slots__ = ("alphabet", "trunc", "kind", "vec", "den")
 
     def __init__(self, alphabet, trunc, coeffs=None, kind=RATIONAL):
         if trunc < 0:
@@ -192,26 +225,29 @@ class TruncSeries:
         self.alphabet = alphabet
         self.trunc = int(trunc)
         self.kind = kind
+        index = _split_table(alphabet, self.trunc).index
         clean = {}
         for w, c in (coeffs or {}).items():
             w = alphabet.word(w)
-            if len(w) > self.trunc:
-                continue
-            c = _coerce(kind, c)
-            if c == 0:
-                continue
-            clean[w] = c
-        self.coeffs = clean
+            if len(w) <= self.trunc:
+                clean[index[w]] = _coerce(kind, c)
+        # lowest terms: each Fraction is, and den is the lcm of their denominators
+        self.den = lcm(*(c.denominator for c in clean.values())) if kind == RATIONAL else 1
+        self.vec = [_ZERO[kind]] * len(index)
+        for i, c in clean.items():
+            self.vec[i] = c if kind == COMPLEX else c.numerator * self.den // c.denominator
 
     @classmethod
-    def _trusted(cls, alphabet, trunc, coeffs, kind):
-        """Series from index-tuple words and coefficients already of ``kind``:
-        drops exact zeros and words longer than ``trunc``, checks nothing."""
+    def _from_vec(cls, alphabet, trunc, vec, kind=COMPLEX, den=1):
+        """Series from a vector over the word table, checking nothing; rational
+        numerators over ``den`` are brought to lowest terms, den > 0."""
         out = object.__new__(cls)
-        out.alphabet = alphabet
-        out.trunc = trunc
-        out.kind = kind
-        out.coeffs = {w: c for w, c in coeffs.items() if c and len(w) <= trunc}
+        if kind == RATIONAL:
+            g = gcd(den, *vec) if den > 0 else -gcd(den, *vec)
+            if g != 1:
+                vec = [n // g for n in vec]
+                den //= g
+        out.alphabet, out.trunc, out.kind, out.vec, out.den = alphabet, trunc, kind, vec, den
         return out
 
     @classmethod
@@ -227,15 +263,20 @@ class TruncSeries:
         return cls(alphabet, trunc, {word: coeff}, kind)
 
     def coeff(self, word):
-        return self.coeffs.get(self.alphabet.word(word), _ZERO[self.kind])
+        row = _split_table(self.alphabet, self.trunc).index.get(self.alphabet.word(word))
+        c = 0 if row is None else self.vec[row]
+        return Fraction(c, self.den) if self.kind == RATIONAL else complex(c)
 
     def items(self):
-        """(word tuple, coefficient) pairs in canonical order: by length, then lexicographic."""
-        return sorted(self.coeffs.items(), key=lambda kv: (len(kv[0]), kv[0]))
+        """Nonzero (word tuple, coefficient) pairs in canonical order: by length, then lexicographic."""
+        words = _split_table(self.alphabet, self.trunc).words
+        values = self.vec if self.kind == COMPLEX else [Fraction(n, self.den) for n in self.vec]
+        return [(w, c) for w, c in zip(words, values) if c]
 
-    def _like(self, coeffs, trunc=None):
-        return TruncSeries._trusted(self.alphabet, self.trunc if trunc is None else trunc,
-                                    coeffs, self.kind)
+    @property
+    def coeffs(self):
+        """Read-only map word tuple -> coefficient of the nonzero entries."""
+        return MappingProxyType(dict(self.items()))
 
     def _common(self, other):
         """Both operands over one alphabet and one kind (complex if they differ)."""
@@ -243,117 +284,116 @@ class TruncSeries:
             raise ValueError("alphabet mismatch")
         if self.kind == other.kind:
             return self, other
-        if self.kind == RATIONAL:
-            return self._to_complex(), other
-        return self, other._to_complex()
-
-    def _to_complex(self):
-        return TruncSeries._trusted(self.alphabet, self.trunc,
-                                    {w: complex(c) for w, c in self.coeffs.items()}, COMPLEX)
+        return tuple(s if s.kind == COMPLEX else
+                     TruncSeries._from_vec(s.alphabet, s.trunc, [complex(n / s.den) for n in s.vec])
+                     for s in (self, other))
 
     def __add__(self, other):
         a, b = self._common(other)
-        out = dict(a.coeffs)
-        for w, c in b.coeffs.items():
-            out[w] = out.get(w, 0) + c
-        return a._like(out, min(a.trunc, b.trunc))
+        trunc = min(a.trunc, b.trunc)
+        if a.kind == COMPLEX:
+            return TruncSeries._from_vec(a.alphabet, trunc, [x + y for x, y in zip(a.vec, b.vec)])
+        den = lcm(a.den, b.den)
+        fa, fb = den // a.den, den // b.den
+        return TruncSeries._from_vec(a.alphabet, trunc, [x * fa + y * fb for x, y in zip(a.vec, b.vec)],
+                                     RATIONAL, den)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return self._like({w: -c for w, c in self.coeffs.items()})
+        return TruncSeries._from_vec(self.alphabet, self.trunc, [-c for c in self.vec], self.kind, self.den)
 
     def scale(self, scalar):
-        return TruncSeries(self.alphabet, self.trunc,
-                           {w: c * scalar for w, c in self.coeffs.items()}, self.kind)
-
-    def _scaled(self, scalar):
-        return self._like({w: c * scalar for w, c in self.coeffs.items()})
+        if self.kind == COMPLEX:
+            return TruncSeries._from_vec(self.alphabet, self.trunc, [complex(c * scalar) for c in self.vec])
+        scalar = _coerce(RATIONAL, scalar)
+        return TruncSeries._from_vec(self.alphabet, self.trunc, [c * scalar.numerator for c in self.vec],
+                                     RATIONAL, self.den * scalar.denominator)
 
     def __mul__(self, other):
-        """Concatenation (Cauchy) product: (ST)^w = sum over splittings uv = w."""
+        """Concatenation (Cauchy) product: (ST)^w = sum over splittings uv = w,
+        by |u| ascending."""
         if not isinstance(other, TruncSeries):
             return self.scale(other)
         a, b = self._common(other)
         trunc = min(a.trunc, b.trunc)
-        out = {}
-        for u, cu in a.coeffs.items():
-            if len(u) > trunc:
-                continue
-            for v, cv in b.coeffs.items():
-                if len(u) + len(v) > trunc:
-                    continue
-                w = u + v
-                out[w] = out.get(w, 0) + cu * cv
-        return a._like(out, trunc)
+        x, y = a.vec, b.vec
+        out = []
+        for splits in _split_table(a.alphabet, trunc).splits:
+            acc = 0
+            for i, j in splits:
+                acc += x[i] * y[j]
+            out.append(acc)
+        return TruncSeries._from_vec(a.alphabet, trunc, out, a.kind, a.den * b.den)
 
     def __rmul__(self, scalar):
         return self.scale(scalar)
 
     def inverse(self):
-        """Geometric-series inverse; requires an invertible constant term."""
-        c0 = self.coeffs.get(())
-        if not c0:
+        """Inverse; requires an invertible constant term.  With n_w = den S_w
+        and c = n_∅, T_w = n_w c^(|w|-1) has constant term 1 and an inverse m
+        solved word length by word length, m_w = -sum over w = u v, v
+        nonempty, of m_u T_v; then (S^-1)_w = m_w den / c^(|w|+1).  For
+        rational series every step but the last division stays in integers."""
+        tab = _split_table(self.alphabet, self.trunc)
+        c = self.vec[0]
+        if not c:
             raise NotInvertible("constant term is zero")
-        inv0 = Fraction(1) / c0 if self.kind == RATIONAL else 1.0 / c0
-        # S = c0 (1 - X) with X supported in lengths >= 1
-        x = self._like({w: -c * inv0 for w, c in self.coeffs.items() if w})
-        acc = power = TruncSeries.one(self.alphabet, self.trunc, self.kind)
-        for _ in range(self.trunc):
-            power = power * x
-            if not power.coeffs:
-                break
-            acc = acc + power
-        return acc._scaled(inv0)
+        powers = [c ** k for k in range(self.trunc + 2)]
+        t = [n * powers[len(w) - 1] for w, n in zip(tab.words, self.vec)]   # t[0] is not read
+        m = [1]
+        for splits in tab.splits[1:]:
+            acc = 0
+            for i, j in splits[:-1]:
+                acc += m[i] * t[j]
+            m.append(-acc)
+        vec = [x * self.den * powers[self.trunc - len(w)] for w, x in zip(tab.words, m)]
+        if self.kind == COMPLEX:
+            return TruncSeries._from_vec(self.alphabet, self.trunc, [x / powers[-1] for x in vec])
+        return TruncSeries._from_vec(self.alphabet, self.trunc, vec, RATIONAL, powers[-1])
+
+    def _power_sum(self, acc, coef):
+        """acc + sum over n = 1..trunc of coef(n) S^n."""
+        power = TruncSeries.one(self.alphabet, self.trunc, self.kind)
+        for n in range(1, self.trunc + 1):
+            power = power * self
+            acc = acc + power.scale(coef(n))
+        return acc
 
     def exp(self):
         """exp(S) = sum S^n / n!; requires S^∅ = 0."""
-        if () in self.coeffs:
+        if self.vec[0]:
             raise ValueError("exp requires zero constant term")
-        acc = power = TruncSeries.one(self.alphabet, self.trunc, self.kind)
-        fact = 1
-        for n in range(1, self.trunc + 1):
-            power = power * self
-            fact *= n
-            if not power.coeffs:
-                break
-            acc = acc + power._scaled(Fraction(1, fact) if self.kind == RATIONAL else 1.0 / fact)
-        return acc
+        return self._power_sum(TruncSeries.one(self.alphabet, self.trunc, self.kind),
+                               lambda n: Fraction(1, factorial(n)))
 
     def log(self):
         """log(S) = sum (-1)^(n+1) (S-1)^n / n; requires S^∅ = 1."""
-        if self.coeffs.get(()) != 1:
+        if self.coeff(()) != 1:
             raise ValueError("log requires constant term 1")
-        x = self._like({w: c for w, c in self.coeffs.items() if w})
-        acc = TruncSeries.zero(self.alphabet, self.trunc, self.kind)
-        power = TruncSeries.one(self.alphabet, self.trunc, self.kind)
-        for n in range(1, self.trunc + 1):
-            power = power * x
-            if not power.coeffs:
-                break
-            coef = Fraction((-1) ** (n + 1), n) if self.kind == RATIONAL else ((-1) ** (n + 1)) / n
-            acc = acc + power._scaled(coef)
-        return acc
+        x = self - TruncSeries.one(self.alphabet, self.trunc, self.kind)
+        return x._power_sum(TruncSeries.zero(self.alphabet, self.trunc, self.kind),
+                            lambda n: Fraction((-1) ** (n + 1), n))
 
     def truncated(self, n):
-        return self._like(self.coeffs, min(self.trunc, n))
+        trunc = min(self.trunc, n)
+        rows = len(_split_table(self.alphabet, trunc).words)
+        return TruncSeries._from_vec(self.alphabet, trunc, self.vec[:rows], self.kind, self.den)
 
     def remap(self, alphabet, index_map):
         """Reindex letters into a superalphabet (index_map[i] = new index of letter i)."""
-        out = {tuple(index_map[i] for i in w): c for w, c in self.coeffs.items()}
-        return TruncSeries._trusted(alphabet, self.trunc, out, self.kind)
+        index = _split_table(alphabet, self.trunc).index
+        vec = [_ZERO[self.kind]] * len(index)
+        for w, c in zip(_split_table(self.alphabet, self.trunc).words, self.vec):
+            vec[index[tuple(index_map[i] for i in w)]] = c
+        return TruncSeries._from_vec(alphabet, self.trunc, vec, self.kind, self.den)
 
     def max_abs_diff(self, other):
         if self.alphabet != other.alphabet:
             raise ValueError("alphabet mismatch")
-        n = min(self.trunc, other.trunc)
-        worst = 0.0
-        for w in set(self.coeffs) | set(other.coeffs):
-            if len(w) > n:
-                continue
-            worst = max(worst, abs(complex(self.coeffs.get(w, 0)) - complex(other.coeffs.get(w, 0))))
-        return worst
+        a, b = (s.vec if s.kind == COMPLEX else [n / s.den for n in s.vec] for s in (self, other))
+        return max((abs(x - y) for x, y in zip(a, b)), default=0.0)
 
     def is_grouplike(self, tol=0, relative=False):
         """Check S^u S^v = sum_{w in Sh(u,v)} S^w for all u, v with l(u)+l(v) <= trunc.
@@ -363,9 +403,9 @@ class TruncSeries:
         violation is divided by the size of its terms, |S^u S^v| + sum |S^w|,
         taken at least 1.
         """
-        if self.coeffs.get(()) != 1:
-            raise ValueError("group-like test requires constant term 1")
         get, zero = self.coeffs.get, _ZERO[self.kind]
+        if get(()) != 1:
+            raise ValueError("group-like test requires constant term 1")
         worst = 0.0
         witness = None
         words = list(self.alphabet.iter_words(self.trunc - 1, min_len=1))
@@ -422,7 +462,7 @@ class TruncSeries:
     def __eq__(self, other):
         return (isinstance(other, TruncSeries) and self.alphabet == other.alphabet
                 and self.trunc == other.trunc and self.kind == other.kind
-                and self.coeffs == other.coeffs)
+                and self.den == other.den and self.vec == other.vec)
 
     def __repr__(self):
         terms = []

@@ -43,6 +43,10 @@ def sample_pairs(n, seed, bound=30, distinct=True):
     """Deterministic coprime pairs with p, q != 0 and |p|, |q| <= bound."""
     import random
 
+    if distinct:
+        available = sum(gcd(p, q) == 1 for p in range(1, bound + 1) for q in range(1, bound + 1)) * 4
+        if n > available:
+            raise ValueError(f"asked for {n} distinct pairs, but |p|, |q| <= {bound} holds only {available}")
     rng = random.Random(seed)
     out = []
     seen = set()
@@ -380,8 +384,7 @@ class Decomposition:
         self.target = target
         self.depth = depth
         self.tol = tol
-        self.words = [w for w in target.alphabet.iter_words(depth, min_len=1)]
-        self.words.sort(key=lambda w: (len(w), w))
+        self.words = list(target.alphabet.iter_words(depth, min_len=1))
         self._peeled = {}
 
     def _check_grouplike(self, series, pair):
@@ -423,12 +426,7 @@ class Decomposition:
     def residual(self, p, q):
         """Largest gap between the reconstruction and the target on words of
         length <= depth."""
-        t = self.target(p, q)
-        rec = self.reconstruction(p, q)
-        worst = 0.0
-        for w in self.words:
-            worst = max(worst, abs(complex(t.coeff(w)) - complex(rec.coeff(w))))
-        return worst
+        return self.target(p, q).truncated(self.depth).max_abs_diff(self.reconstruction(p, q))
 
 
 def decompose(m, depth, tol=1e-9):

@@ -78,6 +78,12 @@ class TestVerify:
         doc = json.loads(out)
         assert not all(r["pass"] for r in doc["rows"])
 
+    @pytest.mark.parametrize("suite, samples", [("bijection", "0"), ("axioms", "0"),
+                                                ("axioms", "3000")])
+    def test_sample_count_out_of_range_exits_2(self, capsys, suite, samples):
+        code, out = run(capsys, "verify", "--suite", suite, "--samples", samples)
+        assert code == 2 and not out
+
     def test_reciprocity_small(self, capsys):
         code, out = run(capsys, "verify", "--suite", "reciprocity-law",
                         "--weights", "4", "--pmax", "5")
@@ -94,6 +100,13 @@ class TestDecompose:
         assert "reconstruction-residual" in checks
         assert "factor-mds[AB]" in checks
         assert all(r["pass"] for r in doc["rows"])
+
+    @pytest.mark.parametrize("samples", ["0", "200"])
+    def test_pq_sample_count_out_of_range_exits_2(self, capsys, samples):
+        # |p|, |q| <= 6 holds 92 distinct coprime pairs
+        code, out = run(capsys, "decompose", "--forms", "A=E4", "--depth", "1",
+                        "--pq-samples", samples)
+        assert code == 2 and not out
 
     def test_delta_input_is_shuffled_relative_to_term_size(self, capsys):
         # the peeled target at (-5, 3) for A=E4, B=Delta has a BB term near

@@ -1,9 +1,11 @@
 import json
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dedekindsym.errors import NotInvertible
 from dedekindsym.series import (COMPLEX, RATIONAL, Alphabet, TruncSeries, Word,
@@ -281,3 +283,115 @@ class TestKinds:
         assert (s + t).coeffs == {(): 2}
         assert (s - s).coeffs == {}
         assert s.truncated(1).coeffs == {(): 1, (0,): 1}
+
+
+class TestRemapUnion:
+    def test_union_orders_letters_and_maps_indices(self):
+        x, y = Alphabet([("a", 2), ("c", 4)]), Alphabet([("b", 2), ("c", 4)])
+        big, mx, my = x.union(y)
+        assert big == Alphabet([("a", 2), ("c", 4), ("b", 2)])
+        assert mx == (0, 1) and my == (2, 1)
+
+    def test_union_conflicting_weight_raises(self):
+        with pytest.raises(ValueError, match="conflicting weights"):
+            Alphabet([("a", 2)]).union(Alphabet([("b", 2), ("a", 4)]))
+
+    @pytest.mark.parametrize("kind", [RATIONAL, COMPLEX])
+    def test_remap_moves_each_coefficient_to_the_mapped_word(self, kind):
+        y = Alphabet([("b", 2), ("c", 4)])
+        big, _, my = Alphabet([("a", 2), ("c", 4)]).union(y)
+        s = TruncSeries(y, 2, {(): 1, "b": Fraction(1, 3), "bc": -2, "cc": Fraction(5, 7)}, kind)
+        moved = s.remap(big, my)
+        assert moved.alphabet == big and moved.trunc == 2 and moved.kind == kind
+        assert moved.coeffs == {tuple(my[i] for i in w): c for w, c in s.items()}
+        assert moved.coeffs == {(): 1, (2,): s.coeff("b"), (2, 1): s.coeff("bc"),
+                                (1, 1): s.coeff("cc")}
+
+
+# Property tests: random rational series over 1-3 letters at truncation 0-4,
+# with constant terms other than 1, negative ones included.
+
+PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=None)
+CONSTANT = st.fractions(-4, 4, max_denominator=4).filter(bool)
+
+
+@st.composite
+def rational_series(draw, count, constant=CONSTANT, max_trunc=4):
+    """``count`` rational series over one drawn alphabet and truncation; a
+    third of the coefficients of nonempty words are zero."""
+    alphabet = Alphabet.simple("abc"[:draw(st.integers(1, 3))])
+    trunc = draw(st.integers(0, max_trunc))
+    rng = draw(st.randoms(use_true_random=False))
+    out = []
+    for _ in range(count):
+        coeffs = {w: Fraction(rng.randint(-6, 6) * (rng.random() < 2 / 3), rng.randint(1, 6))
+                  for w in alphabet.iter_words(trunc, min_len=1)}
+        coeffs[()] = draw(constant)
+        out.append(TruncSeries(alphabet, trunc, coeffs))
+    return out
+
+
+def canonical(s):
+    return s.den > 0 and gcd(s.den, *s.vec) == 1
+
+
+class TestProperties:
+    @PROPERTY
+    @given(rational_series(2))
+    def test_product_matches_brute_force(self, pair):
+        s, t = pair
+        assert (s * t).coeffs == brute_mul(s, t) and canonical(s * t)
+
+    @PROPERTY
+    @given(rational_series(3, max_trunc=3))
+    def test_product_is_associative(self, triple):
+        s, t, u = triple
+        assert (s * t) * u == s * (t * u)
+
+    @PROPERTY
+    @given(rational_series(1))
+    def test_inverse_both_sides(self, single):
+        s, = single
+        one = TruncSeries.one(s.alphabet, s.trunc)
+        inv = s.inverse()
+        assert canonical(inv) and s * inv == inv * s == one
+
+    @PROPERTY
+    @given(rational_series(1, constant=st.just(Fraction(0))))
+    def test_exp_log_round_trip(self, single):
+        body, = single
+        group = body.exp()
+        assert group.log() == body and group.log().exp() == group
+
+    @PROPERTY
+    @given(rational_series(2), st.integers(0, 4))
+    def test_truncation_commutes_with_product(self, pair, n):
+        s, t = pair
+        assert (s * t).truncated(n) == s.truncated(n) * t.truncated(n)
+
+    @PROPERTY
+    @given(rational_series(2))
+    def test_one_value_two_ways_is_equal(self, pair):
+        s, t = pair
+        back = (s + t) - t
+        assert back == s and canonical(back)
+        assert TruncSeries(s.alphabet, s.trunc, dict(s.coeffs)) == s
+        assert s.scale(Fraction(3, 2)).scale(Fraction(2, 3)) == s
+
+    @PROPERTY
+    @given(st.integers(1, 3), st.integers(0, 2), st.randoms(use_true_random=False))
+    def test_complex_product_rounds_like_the_scalar_loop(self, letters, trunc, rng):
+        ab = Alphabet.simple("abc"[:letters])
+
+        def value():
+            return complex(rng.uniform(-9, 9), rng.uniform(-9, 9)) if rng.random() < 0.8 else 0j
+
+        s, t = (TruncSeries(ab, trunc, {w: value() for w in ab.iter_words(trunc)}, COMPLEX)
+                for _ in range(2))
+        want = {}
+        for w in ab.iter_words(trunc):
+            acc = 0
+            for k in range(len(w) + 1):
+                acc += s.coeff(w[:k]) * t.coeff(w[k:])
+            want[w] = acc
+        assert (s * t).dumps() == TruncSeries(ab, trunc, want, COMPLEX).dumps()

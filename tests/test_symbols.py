@@ -50,6 +50,21 @@ class TestOrbitKey:
                 assert sy.orbit_key(p, q) == key
 
 
+class TestSamplePairs:
+    def test_distinct_coprime_in_the_box(self):
+        pairs = sy.sample_pairs(92, seed=3, bound=6)
+        assert len(set(pairs)) == 92
+        assert all(gcd(p, q) == 1 and 0 < abs(p) <= 6 and 0 < abs(q) <= 6 for p, q in pairs)
+
+    @pytest.mark.parametrize("n, bound, available", [(93, 6, 92), (3000, 30, 2220)])
+    def test_more_than_the_box_holds_raises(self, n, bound, available):
+        with pytest.raises(ValueError, match=f"only {available}"):
+            sy.sample_pairs(n, seed=0, bound=bound)
+
+    def test_repeats_allowed_when_not_distinct(self):
+        assert len(sy.sample_pairs(200, seed=0, bound=1, distinct=False)) == 200
+
+
 class TestRandomSymbol:
     def test_deterministic(self):
         d1 = sy.random_symbol(AB, 3, seed=9)
@@ -269,6 +284,16 @@ class TestBullet:
         assert fg.alphabet.names == ("a", "b")
         p, q = 3, 5
         assert fg(p, q).coeff((0,)) == fa(p, q).coeff((0,))
+
+    def test_merged_alphabets_match_the_union_alphabet(self):
+        # operands over "a" and "b" are remapped into "ab" before the product
+        f, g = scalar_rf(66), scalar_rf(67)
+        merged = sy.bullet(sy.embed_exp(f, "a", Alphabet.simple("a"), 3),
+                           sy.embed_exp(g, "b", Alphabet.simple("b"), 3))
+        direct = sy.bullet(sy.embed_exp(f, "a", AB, 3), sy.embed_exp(g, "b", AB, 3))
+        assert merged.alphabet == AB
+        for p, q in sy.sample_pairs(10, seed=66):
+            assert merged(p, q) == direct(p, q)
 
     def test_mrf_closure(self):
         fg = sy.bullet(self.F, self.G)
