@@ -24,37 +24,48 @@ acts on the numeric evaluation point (X, Y) linearly; bridges between
 charts are decomposed into unit horizontal segments at height one so that
 no quadrature ever runs near the real axis.
 
-Quadrature works on a node axis: a series over one panel's Gauss nodes is
-a (words, nodes) complex array, one row per word.  Theta is formed for
-all nodes at once (I_inf's polynomials by Horner on the node array, the
-cusp term, the inverse and the two products are a few array operations),
-and so are the connection-form values of the bridges and the Chen
-transfer of a panel.  Products, the inverse and the transfer read the
-splits w = u v from the word table in ``series``, in TruncSeries row order.
-Bisection batches its panels: the integrand runs once on the
-concatenated nodes of an interval and its two halves (later, of the two
-halves only), and each panel's transfer reads its own columns.
+Every Chen series here runs along a fixed path, and its coefficient of
+word B is a homogeneous polynomial of degree w(B) in (X, Y).  So each path
+is integrated once, for all points at once, on a monomial axis: a series
+is a (words, K) complex array, K = 1 + the largest word weight in the
+table, and entry k of word B is the coefficient of X^(w(B)-k) Y^k.  The
+connection form expands (X - Y z)^w as sum_k C(w, k) X^(w-k) (-Y)^k z^k,
+and products, the inverse and the Chen transfer convolve along k.  A
+series at a point (X, Y) is the sum of its entries times the monomials,
+whose powers are computed once per point.
 
-Cusp limits RI(tau, i inf) are memoized per (assignment, tau, point,
-config): D(p, q), D(-q, p) and F(p, q) share their limits, and every
-build_D shares the chart tail at (1, 0).  The unit bridge steps
-I(i, i +- 1) are memoized per (assignment, direction, point, config), so
-pairs whose bridges pass through the same points share them.
-Coefficients have even degree in (X, Y), so (X, Y) and (-X, -Y) share one
-entry of either memo.  Form values are memoized one row per (form, node
-array).  ``clear_caches()`` empties the memos and ``cache_info()``
-reports their sizes and the cusp-limit and bridge-step hit and miss
-counts.
+Quadrature works on a node axis: a series over one panel's Gauss nodes is
+a (words, K, nodes) array.  Theta is formed for all nodes at once (I_inf's
+polynomials by Horner on the node array, the cusp term f - a_0 from the
+Fourier coefficients n >= 1, the inverse and the two products are a few
+array operations), and so are the connection-form values of the segments
+and the Chen transfers of the panels.  Products, the inverse and the
+transfer read the splits w = u v from the word table in ``series``, in
+TruncSeries row order.  Bisection batches its panels: the integrand runs
+once on the concatenated nodes of an interval and its two halves (later,
+of the two halves only), and accepts a panel when it agrees with the
+product of its halves on the whole coefficient array.
+
+One bounded memo holds the series per (assignment, path, config): the
+cusp limit RI(tau, i inf) under the path (tau, INF) and the straight
+segment from z0 to z1 under (z0, z1).  Every build_D and build_F reads
+the cusp limit at i and the unit bridge steps I(i, i +- 1), so a sweep
+over many pairs runs three quadratures.  I_inf itself keeps its exact
+recursion at the numeric point.  ``clear_caches()`` empties the memo and
+``cache_info()`` reports its size, its hits and misses and the panels
+evaluated.
 """
 
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, gcd
 
 import numpy as np
 
 from .errors import DomainError, NonConvergence
-from .modforms import _solve_unimodular, form_value
+from .modforms import _solve_unimodular, form_cusp_value, form_value
 from .series import COMPLEX, Alphabet, TruncSeries, _split_table
 
 INF = float("inf")
@@ -132,22 +143,24 @@ class IntegratorConfig:
 
 
 # ---------------------------------------------------------------------------
-# Scalar polynomial helpers (coefficients are complex numbers)
+# Polynomials in a monomial index m and in t: lists of rows, entry [k][j]
+# holding the coefficient of m_k t^j
 
-def _poly_mul(u, v):
-    out = [0] * (len(u) + len(v) - 1)
-    for i, ui in enumerate(u):
-        if ui == 0:
-            continue
-        for j, vj in enumerate(v):
-            if vj == 0:
+def _poly2_addmul(acc, u, v):
+    """acc + u v."""
+    width = max(len(acc[0]), len(u[0]) + len(v[0]) - 1)
+    acc = ([row + [0] * (width - len(row)) for row in acc]
+           + [[0] * width for _ in range(len(u) + len(v) - 1 - len(acc))])
+    for i, urow in enumerate(u):
+        for j, c in enumerate(urow):
+            if c == 0:
                 continue
-            out[i + j] = out[i + j] + ui * vj
-    return out
-
-
-def _poly_antideriv(u):
-    return [0] + [c / (k + 1) for k, c in enumerate(u)]
+            for k, vrow in enumerate(v):
+                row = acc[i + k]
+                for m, d in enumerate(vrow):
+                    if d != 0:
+                        row[j + m] = row[j + m] + c * d
+    return acc
 
 
 def _poly_eval(u, x):
@@ -157,44 +170,41 @@ def _poly_eval(u, x):
     return acc
 
 
-def _xy_factor_poly(X, Y, w):
-    """(X - Y t)^w as a polynomial in t."""
-    return [comb(w, k) * X ** (w - k) * (-Y) ** k if k else X ** w for k in range(w + 1)]
+def _point_factor(X, Y):
+    """(X - Y t)^w at a numeric point: one row, m_0 = 1."""
+    return lambda w: [[comb(w, j) * X ** (w - j) * (-Y) ** j if j else X ** w for j in range(w + 1)]]
+
+
+def _monomial_factor(w):
+    """(X - Y t)^w on the monomial axis m_k = X^(w-k) Y^k: C(w, k) (-t)^k."""
+    return [[comb(w, k) * (-1) ** k if j == k else 0 for j in range(w + 1)] for k in range(w + 1)]
 
 
 # ---------------------------------------------------------------------------
 # Exact iterated integrals of the constant-term form
 
-def _i_inf_polys(h, tau0, xy, trunc):
-    """Per-word polynomials M_W(t) with I_inf(tau0, t) = sum M_W(t) W.
+def _i_inf_polys(h, tau0, factor, trunc):
+    """Per-word polynomials M_W with I_inf(tau0, t) = sum_W sum_{k,j} M_W[k][j] m_k t^j W.
 
-    Exact antiderivative recursion at the numeric point xy = (X, Y).
+    Exact antiderivative recursion; ``factor(w)`` is (X - Y t)^w in the same
+    form (``_point_factor`` or ``_monomial_factor``).  Words come in the
+    order of the word table.
     """
-    X, Y = complex(xy[0]), complex(xy[1])
     g = {}
     for w, a0 in h.constant_terms().items():
         if len(w) <= trunc and a0 != 0:
-            g[w] = [a0 * c for c in _xy_factor_poly(X, Y, h.alphabet.word_weight(w))]
-    polys = {(): [1.0 + 0j]}
+            g[w] = [[a0 * c for c in row] for row in factor(h.alphabet.word_weight(w))]
+    polys = {(): [[1.0 + 0j]]}
     for word in h.alphabet.iter_words(trunc, min_len=1):
-        rhs = [0]
+        rhs = [[0]]
         for k in range(1, len(word) + 1):
-            tail = word[len(word) - k:]
-            if tail in g and word[: len(word) - k] in polys:
-                rhs = _poly_add(rhs, _poly_mul(polys[word[: len(word) - k]], g[tail]))
-        prim = _poly_antideriv(rhs)
-        prim[0] = prim[0] - _poly_eval(prim, tau0)
+            if word[-k:] in g:
+                rhs = _poly2_addmul(rhs, polys[word[:-k]], g[word[-k:]])
+        prim = [[0] + [c / (j + 1) for j, c in enumerate(row)] for row in rhs]
+        for row in prim:
+            row[0] = -_poly_eval(row, tau0)
         polys[word] = prim
     return polys
-
-
-def _poly_add(u, v):
-    if len(u) < len(v):
-        u, v = v, u
-    out = list(u)
-    for k, c in enumerate(v):
-        out[k] = out[k] + c
-    return out
 
 
 def i_infinity(h, tau0, tau1, xy, trunc=2):
@@ -203,13 +213,13 @@ def i_infinity(h, tau0, tau1, xy, trunc=2):
     Polynomial in the endpoints, hence valid anywhere in the plane and
     path-independent; used by the cusp regularization.
     """
-    polys = _i_inf_polys(h, complex(tau0), xy, trunc)
-    return TruncSeries(h.alphabet, trunc, {w: _poly_eval(p, complex(tau1)) for w, p in polys.items()},
-                       COMPLEX)
+    polys = _i_inf_polys(h, complex(tau0), _point_factor(complex(xy[0]), complex(xy[1])), trunc)
+    tau1 = complex(tau1)
+    return TruncSeries._from_vec(h.alphabet, trunc, [_poly_eval(p[0], tau1) for p in polys.values()])
 
 
 # ---------------------------------------------------------------------------
-# Numeric Chen transfer along straight segments
+# Series with polynomial coefficients on the node axis
 
 _NODE_CACHE = {}
 
@@ -230,17 +240,197 @@ def _node_matrices(n):
     return got
 
 
-# Bounded memos.  One sweep pass over half the 110-pair grid at trunc 2
-# fills 57 cusp limits, 65 unit bridge steps and 130 form rows, so none
-# of them evicts.
-_FORM_ROWS_CAP = 1 << 10
-_RI_LIMITS_CAP = 1 << 10
-_STEPS_CAP = 1 << 10
-_FORM_ROWS = {}
-_RI_LIMITS = {}
-_STEPS = {}
-_RI_COUNTS = {"hits": 0, "misses": 0}
-_STEP_COUNTS = {"hits": 0, "misses": 0}
+_MonoTable = namedtuple("_MonoTable", "index groups exps")
+
+
+@lru_cache(maxsize=32)
+def _mono_table(alphabet, trunc):
+    """The word table of ``series`` for arrays with a monomial axis.
+
+    ``groups`` extends each split group (lo, hi, U, V) of words of length L
+    by the number of monomials that a prefix u (|u| < L) can carry,
+    1 + (L - 1) * (largest letter weight).  ``exps[B, k]`` is the exponent
+    w(B) - k of X in the monomial k of word B, negative where word B has no
+    such monomial; its K = 1 + (largest word weight) columns are the
+    monomial axis."""
+    tab = _split_table(alphabet, trunc)
+    weights = np.array([alphabet.word_weight(w) for w in tab.words])
+    top = max(alphabet.weights, default=0)
+    groups = tuple((lo, hi, U, V, 1 + length * top)
+                   for length, (lo, hi, U, V) in enumerate(tab.groups))
+    return _MonoTable(tab.index, groups, weights[:, None] - np.arange(weights.max() + 1))
+
+
+def _conv(x, y, top):
+    """x * y as polynomials along axis 2, the monomial axis, keeping K terms;
+    x has degree < top there."""
+    K = x.shape[2]
+    out = x[:, :, :1] * y
+    for j in range(1, min(top, K)):
+        out[:, :, j:] += x[:, :, j:j + 1] * y[:, :, :K - j]
+    return out
+
+
+def _node_mul(mt, a, b):
+    """Concatenation product of two series arrays (words, K, ...)."""
+    out = np.empty_like(a)
+    out[0] = a[0] * b[0, :1]
+    for lo, hi, U, V, top in mt.groups:
+        out[lo:hi] = a[lo:hi] * b[0, :1] + _conv(a[U], b[V], top).sum(axis=1)
+    return out
+
+
+def _node_inverse(mt, a):
+    """Inverse of a series array with constant term 1, word length by word
+    length: (a^-1)_w = -sum over w = u v, v nonempty, of (a^-1)_u a_v."""
+    out = np.zeros_like(a)
+    out[0, 0] = 1.0
+    for lo, hi, U, V, top in mt.groups:
+        out[lo:hi] = -_conv(out[U], a[V], top).sum(axis=1)
+    return out
+
+
+def _at_point(h, coef, xy, trunc):
+    """The (words, K) series ``coef`` at the numeric point xy = (X, Y): word
+    B reads sum_k coef[B, k] X^(w(B)-k) Y^k.  The powers are repeated
+    products, so (-X, -Y) gives the same bytes (every w(B) is even)."""
+    exps = _mono_table(h.alphabet, trunc).exps
+    X, Y = complex(xy[0]), complex(xy[1])
+    px, py = [1 + 0j], [1 + 0j]
+    for _ in range(exps.shape[1] - 1):
+        px.append(px[-1] * X)
+        py.append(py[-1] * Y)
+    mono = np.where(exps >= 0, np.array(px)[np.maximum(exps, 0)] * np.array(py), 0)
+    return TruncSeries._from_vec(h.alphabet, trunc, (coef * mono).sum(axis=1).tolist())
+
+
+def _form_rows(h, zs, value, cfg):
+    """The connection form on the node axis, (words, K, nodes): row B holds
+    value(h(B), z) (X - Y z)^w(B) = sum_k C(w, k) (-z)^k value(h(B), z) X^(w-k) Y^k
+    at each node z."""
+    mt = _mono_table(h.alphabet, cfg.trunc)
+    vals = np.zeros((*mt.exps.shape, len(zs)), dtype=complex)
+    for word, form in h.forms.items():
+        if len(word) <= cfg.trunc:
+            wt = h.alphabet.word_weight(word)
+            row = vals[mt.index[word]]
+            row[0] = [value(form, z, cfg.fourier_tol) for z in zs.tolist()]
+            for k in range(1, wt + 1):
+                row[k] = row[k - 1] * -zs
+            row[:wt + 1] *= np.array([comb(wt, k) for k in range(wt + 1)])[:, None]
+    return vals
+
+
+def _transfers(h, vals, cfg):
+    """Chen transfers of consecutive panels from node-axis 1-form values
+    (words, K, nodes) that already include the jacobian, ``cfg.nodes``
+    columns per panel: one (words, K) array per panel."""
+    _, w, S = _node_matrices(cfg.nodes)
+    mt = _mono_table(h.alphabet, cfg.trunc)
+    vals = vals.reshape(*vals.shape[:2], -1, cfg.nodes)
+    M = np.zeros_like(vals)
+    M[0, 0] = 1.0
+    end = np.zeros(vals.shape[:3], dtype=complex)
+    end[0, 0] = 1.0
+    for lo, hi, U, V, top in mt.groups:
+        rhs = _conv(M[U], vals[V], top).sum(axis=1)
+        # stacked matrix-vector products round like one S @ r per word,
+        # monomial and panel, so a panel's transfer does not depend on its batch
+        M[lo:hi] = np.matmul(S, rhs[..., None])[..., 0]
+        end[lo:hi] = np.matmul(rhs[..., None, :], w[:, None])[..., 0, 0]
+    _COUNTS["panels"] += end.shape[2]
+    return [end[:, :, p] for p in range(end.shape[2])]
+
+
+def _series_scale(coef):
+    # acceptance is relative to the largest coefficient of a nonempty word
+    return np.abs(coef[1:]).max(initial=0.0) + 1.0
+
+
+def _adaptive(panels, mt, a, b, cfg, whole=None, depth=0):
+    """Chen transfer over [a, b], bisected until a panel agrees with the
+    product of its two halves on every coefficient.  The batched rule
+    ``panels(ends)`` returns one transfer per interval (a, b) of ``ends``
+    from one integrand call: the root evaluates itself and its halves
+    together, and a rejected interval hands its halves down as the
+    ``whole`` of the recursive calls, which then evaluate only their own
+    two halves."""
+    mid = (a + b) / 2
+    if whole is None:
+        whole, left, right = panels([(a, b), (a, mid), (mid, b)])
+    else:
+        left, right = panels([(a, mid), (mid, b)])
+    comp = _node_mul(mt, left, right)
+    if np.abs(whole - comp).max() <= cfg.quad_tol * _series_scale(comp):
+        return comp
+    if depth >= cfg.max_depth:
+        raise NonConvergence(f"panel refinement exhausted on [{a:.3g}, {b:.3g}]")
+    return _node_mul(mt, _adaptive(panels, mt, a, mid, cfg, left, depth + 1),
+                     _adaptive(panels, mt, mid, b, cfg, right, depth + 1))
+
+
+def _segment_series(h, z0, z1, cfg):
+    """Adaptive Chen transfer I(z0, z1) along the straight segment, (words, K)."""
+    u, _, _ = _node_matrices(cfg.nodes)
+
+    def panels(ends):
+        zs = np.concatenate([a + (b - a) * u for a, b in ends])
+        jac = np.repeat([b - a for a, b in ends], cfg.nodes)
+        return _transfers(h, _form_rows(h, zs, form_value, cfg) * jac, cfg)
+
+    return _adaptive(panels, _mono_table(h.alphabet, cfg.trunc), z0, z1, cfg)
+
+
+def _theta(h, tau, cfg):
+    """The conjugated cuspidal form Theta = I_inf(tau, z) (Omega - Omega_inf)(z)
+    I_inf(z, tau) on the node axis: ``theta(zs, jac)`` is the (words, K, nodes)
+    array of Theta at the points zs, times jac."""
+    mt = _mono_table(h.alphabet, cfg.trunc)
+    polys = _i_inf_polys(h, tau, _monomial_factor, cfg.trunc)
+    coef = np.zeros((*mt.exps.shape, max(len(p[0]) for p in polys.values())), dtype=complex)
+    for w, p in polys.items():
+        coef[mt.index[w], :len(p), :len(p[0])] = p
+    columns = list(np.moveaxis(coef, 2, 0)[..., None])       # Horner runs on all words at once
+
+    def theta(zs, jac):
+        s_inf = _poly_eval(columns, zs)
+        cusp = _form_rows(h, zs, form_cusp_value, cfg)
+        return _node_mul(mt, _node_mul(mt, s_inf, cusp), _node_inverse(mt, s_inf)) * jac
+
+    return theta
+
+
+def _cusp_series(h, tau, cfg):
+    """RI(tau, i inf) = lim I(tau, eps) I_inf(eps, tau), via the conjugated
+    cuspidal form; heights double from t0 until the result is stable."""
+    mt = _mono_table(h.alphabet, cfg.trunc)
+    theta = _theta(h, tau, cfg)
+    u, _, _ = _node_matrices(cfg.nodes)
+
+    def panels(ends):
+        zs = np.concatenate([tau.real + 1j * (a + (b - a) * u) for a, b in ends])
+        jac = np.repeat([1j * (b - a) for a, b in ends], cfg.nodes)
+        return _transfers(h, theta(zs, jac), cfg)
+
+    t = max(cfg.t0, 2.0 * tau.imag)
+    ri = _adaptive(panels, mt, tau.imag, t, cfg)
+    while True:
+        nxt = _node_mul(mt, ri, _adaptive(panels, mt, t, 2.0 * t, cfg))
+        if np.abs(nxt - ri).max() <= cfg.tol * _series_scale(nxt):
+            return nxt
+        ri = nxt
+        t *= 2.0
+        if t > cfg.t_cap:
+            raise NonConvergence(f"height doubling did not stabilize below T = {cfg.t_cap}")
+
+
+# One bounded memo of path series, keyed by (assignment, path, config): the
+# cusp limit from tau under the path (tau, INF), the straight segment from
+# z0 to z1 under (z0, z1).  One sweep pass fills three entries: the cusp
+# limit at i and the unit bridge steps I(i, i +- 1).
+_PATHS_CAP = 256
+_PATHS = {}
+_COUNTS = {"hits": 0, "misses": 0, "panels": 0}
 
 
 def _remember(cache, cap, key, value):
@@ -250,154 +440,18 @@ def _remember(cache, cap, key, value):
     cache[key] = value
 
 
-def _memoized(cache, cap, counts, key, compute):
-    """cache[key], computed by ``compute()`` on a miss; counts hits and misses."""
-    got = cache.get(key)
+def _path_series(h, z0, z1, cfg):
+    """The (words, K) series of the path from z0 to z1 (INF: the cusp limit), memoized."""
+    key = (h, z0, z1, cfg)
+    got = _PATHS.get(key)
     if got is not None:
-        counts["hits"] += 1
+        _COUNTS["hits"] += 1
         return got
-    counts["misses"] += 1
-    got = compute()
-    _remember(cache, cap, key, got)
+    _COUNTS["misses"] += 1
+    got = _cusp_series(h, z0, cfg) if z1 == INF else _segment_series(h, z0, z1, cfg)
+    got.flags.writeable = False
+    _remember(_PATHS, _PATHS_CAP, key, got)
     return got
-
-
-def _even_point(xy):
-    """(X, Y), or (-X, -Y) when that is larger, as complex numbers.  Every
-    coefficient has even degree in (X, Y), and negating the point negates
-    X - Y tau exactly, so both points give the same bytes and share one
-    memo entry."""
-    X, Y = complex(xy[0]), complex(xy[1])
-    if (X.real, X.imag, Y.real, Y.imag) >= (-X.real, -X.imag, -Y.real, -Y.imag):
-        return X, Y
-    return -X, -Y
-
-
-def _series_scale(series):
-    # panel acceptance is relative to the largest transfer coefficient
-    return max(map(abs, series.vec[1:]), default=0.0) + 1.0
-
-
-# ---------------------------------------------------------------------------
-# Series on the node axis: one complex array per word, one column per node
-
-def _node_mul(tab, a, b):
-    """Concatenation product of two node-axis series (rows: words of tab)."""
-    out = np.empty_like(a)
-    out[0] = a[0] * b[0]
-    for lo, hi, U, V in tab.groups:
-        out[lo:hi] = a[lo:hi] * b[0] + (a[U] * b[V]).sum(axis=1)
-    return out
-
-
-def _node_inverse(tab, a):
-    """Inverse of a node-axis series with constant term 1, word length by
-    word length: (a^-1)_w = -sum over w = u v, v nonempty, of (a^-1)_u a_v."""
-    out = np.empty_like(a)
-    out[0] = 1.0
-    for lo, hi, U, V in tab.groups:
-        out[lo:hi] = -(out[U] * a[V]).sum(axis=1)
-    return out
-
-
-def _cmul(a, b):
-    """a * b rounded like Python's complex product (numpy's complex multiply
-    may fuse multiply-adds)."""
-    out = np.empty(np.broadcast(a, b).shape, dtype=complex)
-    out.real = a.real * b.real - a.imag * b.imag
-    out.imag = a.real * b.imag + a.imag * b.real
-    return out
-
-
-def _form_row(form, zs, X, Y, wt, tol, a0=0j):
-    """(form(z) - a0) (X - Y z)^wt at each node z.  The form values of one
-    node array are memoized as one row.
-
-    Rounded like the scalar expression, since bridge coefficients cancel
-    heavily: _cmul for the product, and np.power rather than **, whose
-    fast path for squares fuses multiply-adds."""
-    key = (form, tol, zs.tobytes())
-    f = _FORM_ROWS.get(key)
-    if f is None:
-        f = np.array([form_value(form, z, tol) for z in zs.tolist()])
-        _remember(_FORM_ROWS, _FORM_ROWS_CAP, key, f)
-    return _cmul(f - a0, np.power(X - Y * zs, wt))
-
-
-def _transfer_from_values(h, vals, cfg):
-    """Chen transfer of one panel from the node-axis 1-form values.
-
-    vals: complex array (words of ``_split_table``, nodes), already
-    including the d tau / d u jacobian.  Returns the transfer as a
-    TruncSeries.
-    """
-    _, w, S = _node_matrices(cfg.nodes)
-    tab = _split_table(h.alphabet, cfg.trunc)
-    M = np.empty_like(vals)
-    M[0] = 1.0
-    end = np.empty(len(tab.words), dtype=complex)
-    end[0] = 1.0
-    for lo, hi, U, V in tab.groups:
-        rhs = (M[U] * vals[V]).sum(axis=1)
-        # stacked matrix-vector products round like one S @ r per word
-        M[lo:hi] = np.matmul(S, rhs[:, :, None])[:, :, 0]
-        end[lo:hi] = np.matmul(rhs[:, None, :], w[:, None])[:, 0, 0]
-    return TruncSeries._from_vec(h.alphabet, cfg.trunc, end.tolist())
-
-
-def _transfers(h, vals, cfg):
-    """One Chen transfer per panel from node-axis values whose columns are
-    the nodes of consecutive panels, ``cfg.nodes`` columns each."""
-    n = cfg.nodes
-    return [_transfer_from_values(h, vals[:, k:k + n], cfg) for k in range(0, vals.shape[1], n)]
-
-
-def _omega_values(h, points, xy, jac, cfg):
-    """Connection-form values on the node axis: row B holds
-    h(B)(z) (X - Y z)^w(B) jac at each node z (jac: a number, or one per
-    node)."""
-    X, Y = complex(xy[0]), complex(xy[1])
-    tab = _split_table(h.alphabet, cfg.trunc)
-    zs = np.asarray(points, dtype=complex)
-    vals = np.zeros((len(tab.words), len(zs)), dtype=complex)
-    for word, form in h.forms.items():
-        if len(word) <= cfg.trunc:
-            wt = h.alphabet.word_weight(word)
-            vals[tab.index[word]] = _form_row(form, zs, X, Y, wt, cfg.fourier_tol) * jac
-    return vals
-
-
-def _adaptive(panels, a, b, cfg, whole=None, depth=0):
-    """Chen transfer over [a, b], bisected until a panel agrees with the
-    product of its two halves.  The batched rule ``panels(ends)`` returns
-    one transfer per interval (a, b) of ``ends`` from one integrand call:
-    the root evaluates itself and its halves together, and a rejected
-    interval hands its halves down as the ``whole`` of the recursive
-    calls, which then evaluate only their own two halves."""
-    mid = (a + b) / 2
-    if whole is None:
-        whole, left, right = panels([(a, b), (a, mid), (mid, b)])
-    else:
-        left, right = panels([(a, mid), (mid, b)])
-    comp = left * right
-    if whole.max_abs_diff(comp) <= cfg.quad_tol * _series_scale(comp):
-        return comp
-    if depth >= cfg.max_depth:
-        raise NonConvergence(f"panel refinement exhausted on [{a:.3g}, {b:.3g}]")
-    return (_adaptive(panels, a, mid, cfg, left, depth + 1)
-            * _adaptive(panels, mid, b, cfg, right, depth + 1))
-
-
-def _chen_straight(h, z0, z1, xy, cfg):
-    """Adaptive Chen transfer I(z0, z1) along the straight segment."""
-    u, _, _ = _node_matrices(cfg.nodes)
-
-    def panels(ends):
-        zs = np.concatenate([a + (b - a) * u for a, b in ends])
-        jac = np.repeat([b - a for a, b in ends], cfg.nodes)
-        return _transfers(h, _omega_values(h, zs, xy, jac, cfg), cfg)
-
-    return _adaptive(panels, z0, z1, cfg)
 
 
 def omega(h, tau, xy, trunc=2):
@@ -425,78 +479,30 @@ def omega_inf(h, tau, xy, trunc=2):
 
 
 def i_numeric(h, tau0, tau1, xy, cfg=IntegratorConfig()):
-    """Chen series I(tau0, tau1) along the straight segment, numeric (X, Y)."""
+    """Chen series I(tau0, tau1) along the straight segment, numeric (X, Y):
+    the segment's series, memoized per (assignment, path, config), at xy."""
     tau0, tau1 = complex(tau0), complex(tau1)
     if tau0.imag <= 0 or tau1.imag <= 0:
         raise ValueError("endpoints must lie in the open upper half-plane")
     if tau0 == tau1:
         return TruncSeries.one(h.alphabet, cfg.trunc, COMPLEX)
-    return _chen_straight(h, tau0, tau1, xy, cfg)
+    return _at_point(h, _path_series(h, tau0, tau1, cfg), xy, cfg.trunc)
 
 
 # ---------------------------------------------------------------------------
 # Regularization at the cusp i-infinity
 
-def _ri_limit(h, tau, xy, cfg):
-    """RI(tau, i inf) = lim I(tau, eps) I_inf(eps, tau), via the conjugated
-    cuspidal form; heights double from t0 until the result is stable.
-    Memoized; (X, Y) and (-X, -Y) share one entry (``_even_point``)."""
-    tau = complex(tau)
-    X, Y = complex(xy[0]), complex(xy[1])
-    return _memoized(_RI_LIMITS, _RI_LIMITS_CAP, _RI_COUNTS, (h, tau, *_even_point(xy), cfg),
-                     lambda: _ri_limit_uncached(h, tau, X, Y, cfg))
-
-
-def _theta(h, tau, X, Y, cfg):
-    """The conjugated cuspidal form Theta = I_inf(tau, z) (Omega - Omega_inf)(z)
-    I_inf(z, tau) on the node axis: ``theta(zs, jac)`` is the (words, nodes)
-    array of Theta at the points zs, times jac."""
-    tab = _split_table(h.alphabet, cfg.trunc)
-    polys = _i_inf_polys(h, tau, (X, Y), cfg.trunc)
-    coef = np.zeros((len(tab.words), max(map(len, polys.values()))), dtype=complex)
-    for w, p in polys.items():
-        coef[tab.index[w], :len(p)] = p
-    columns = list(coef.T[:, :, None])       # Horner runs on all words at once
-    cusp_rows = [(tab.index[w], f, h.alphabet.word_weight(w), complex(f.coeff(0)))
-                 for w, f in h.forms.items() if len(w) <= cfg.trunc]
-
-    def theta(zs, jac):
-        s_inf = _poly_eval(columns, zs)
-        cusp = np.zeros_like(s_inf)
-        for row, f, wt, a0 in cusp_rows:
-            cusp[row] = _form_row(f, zs, X, Y, wt, cfg.fourier_tol, a0)
-        return _node_mul(tab, _node_mul(tab, s_inf, cusp), _node_inverse(tab, s_inf)) * jac
-
-    return theta
-
-
-def _ri_limit_uncached(h, tau, X, Y, cfg):
-    theta = _theta(h, tau, X, Y, cfg)
-    u, _, _ = _node_matrices(cfg.nodes)
-
-    def panels(ends):
-        zs = np.concatenate([tau.real + 1j * (a + (b - a) * u) for a, b in ends])
-        jac = np.repeat([1j * (b - a) for a, b in ends], cfg.nodes)
-        return _transfers(h, theta(zs, jac), cfg)
-
-    t = max(cfg.t0, 2.0 * tau.imag)
-    ri = _adaptive(panels, tau.imag, t, cfg)
-    while True:
-        step = _adaptive(panels, t, 2.0 * t, cfg)
-        nxt = ri * step
-        if nxt.max_abs_diff(ri) <= cfg.tol * _series_scale(nxt):
-            return nxt
-        ri = nxt
-        t *= 2.0
-        if t > cfg.t_cap:
-            raise NonConvergence(f"height doubling did not stabilize below T = {cfg.t_cap}")
+def _ri_limit(h, tau, cfg):
+    """RI(tau, i inf) as a (words, K) series; memoized per (assignment, tau, config)."""
+    return _path_series(h, complex(tau), INF, cfg)
 
 
 def reg_to_cusp(h, tau, direction, xy, cfg=IntegratorConfig()):
     """I(tau, ->direction_inf): regularized integral from tau in the upper
     half-plane to the tangential base point at i-infinity."""
     direction = Fraction(direction)
-    return _ri_limit(h, tau, xy, cfg) * i_infinity(h, tau, float(direction), xy, cfg.trunc)
+    return (_at_point(h, _ri_limit(h, tau, cfg), xy, cfg.trunc)
+            * i_infinity(h, tau, float(direction), xy, cfg.trunc))
 
 
 # ---------------------------------------------------------------------------
@@ -555,9 +561,8 @@ def sl2_word(m):
 
 def _bridge(h, mat, xy, cfg):
     """I(i, mat(i)) at the numeric point xy, as a product of unit horizontal
-    transfers at height one (S steps fix i and cost nothing).  The unit
-    steps I(i, i +- 1) at each point are memoized; (X, Y) and (-X, -Y)
-    share one entry (``_even_point``)."""
+    transfers at height one (S steps fix i and cost nothing).  Each unit
+    step evaluates the series of I(i, i +- 1) at its point."""
     acc = TruncSeries.one(h.alphabet, cfg.trunc, COMPLEX)
     cur = _ID_MAT
     for kind, n in sl2_word(mat):
@@ -567,9 +572,7 @@ def _bridge(h, mat, xy, cfg):
         step = 1 if n > 0 else -1
         t_step = (1, step, 0, 1)
         for _ in range(abs(n)):
-            v = _mat_apply_xy(_mat_inv(cur), xy)
-            acc = acc * _memoized(_STEPS, _STEPS_CAP, _STEP_COUNTS, (h, step, *_even_point(v), cfg),
-                                  lambda: _chen_straight(h, 1j, 1j + step, v, cfg))
+            acc = acc * i_numeric(h, 1j, 1j + step, _mat_apply_xy(_mat_inv(cur), xy), cfg)
             cur = _mat_mul(cur, t_step)
     return acc
 
@@ -679,17 +682,13 @@ def symbol_fn(h, cfg=IntegratorConfig()):
 
 
 def clear_caches():
-    """Empty the form-row, cusp-limit and bridge-step memos and reset their
-    counters."""
-    for cache in (_FORM_ROWS, _RI_LIMITS, _STEPS):
-        cache.clear()
-    for counts in (_RI_COUNTS, _STEP_COUNTS):
-        counts.update(hits=0, misses=0)
+    """Empty the path-series memo and reset its counters."""
+    _PATHS.clear()
+    _COUNTS.update(hits=0, misses=0, panels=0)
 
 
 def cache_info():
-    """Sizes of the memos and the cusp-limit and bridge-step hit/miss counts
-    since the last ``clear_caches()``; deterministic, no timings."""
-    return {"form_rows": len(_FORM_ROWS), "ri_limits": len(_RI_LIMITS), "steps": len(_STEPS),
-            "ri_hits": _RI_COUNTS["hits"], "ri_misses": _RI_COUNTS["misses"],
-            "step_hits": _STEP_COUNTS["hits"], "step_misses": _STEP_COUNTS["misses"]}
+    """Deterministic counts, no timings: the series held by the path memo,
+    its hits and misses, and the quadrature panels evaluated since the last
+    ``clear_caches()``."""
+    return {"series": len(_PATHS), **_COUNTS}

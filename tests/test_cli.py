@@ -43,10 +43,12 @@ class TestSymbol:
         row = [r for r in doc["rows"] if r["word"] == "A"][0]
         assert abs(row["re"] - (1 / 240) / 15) < 1e-15
 
-    def test_not_grouplike_exits_3(self, capsys):
-        # the integrator stabilizes on a wrong D(-2, 51) at length 2 (2e-4
-        # off group-like at (B, B)); the command refuses to print it
-        code = main(["symbol", "--forms", "A=E4,B=E6", "--pq=-2,51", "--length", "2"])
+    @pytest.mark.parametrize("pq", ["-2,51", "1,100", "1,1000"])
+    def test_not_grouplike_exits_3(self, capsys, pq):
+        # build_D returns wrong series at these wide pairs at length 2
+        # (D(-2, 51) is 2e-4 off group-like at (B, B), D(1, 100) 5.7e-2);
+        # the command refuses to print them
+        code = main(["symbol", "--forms", "A=E4,B=E6", f"--pq={pq}", "--length", "2"])
         out, err = capsys.readouterr()
         assert code == 3 and not out and "not group-like" in err
 

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dedekindsym import eichler as ei
 from dedekindsym import modforms as mf
@@ -377,6 +379,19 @@ class TestTruncationThree:
         lhs = d * ei.build_E(h, p, q, 3) * ei.build_D(h, -q, p, cfg).inverse()
         assert lhs.max_abs_diff(ei.build_F(h, p, q, cfg)) < 1e-9
 
+    def test_grid_converges_grouplike_and_mds1(self):
+        # every D over the 110-pair grid: no NonConvergence, group-like
+        # relative to term size, and D(p, q) = D(p, p + q) (MDS1) where both
+        # pairs lie in the grid
+        h = h_pair()
+        cfg = ei.IntegratorConfig(trunc=3)
+        grid = [(p, q) for p in range(1, 10) for q in range(-9, 10) if q and math.gcd(p, q) == 1]
+        assert len(grid) == 110
+        d = {pq: ei.build_D(h, *pq, cfg) for pq in grid}
+        worst_group = max(s.is_grouplike(relative=True).worst for s in d.values())
+        worst_mds1 = max(relative_gap(d[p, q], d[p, p + q]) for p, q in grid if (p, p + q) in d)
+        assert worst_group <= 1e-8 and worst_mds1 <= 1e-8
+
 
 class TestSL2Word:
     def test_reconstruction(self):
@@ -394,6 +409,150 @@ class TestSL2Word:
                 gen = (1, n, 0, 1) if kind == "T" else (0, -1, 1, 0)
                 rebuilt = ei._mat_mul(rebuilt, gen)
             assert rebuilt == mat or rebuilt == tuple(-x for x in mat)
+
+
+class ScalarPointPath:
+    """The cusp limit and the unit bridge steps computed at one numeric point
+    (X, Y) on a (words, nodes) node axis, with the cusp term taken as
+    form_value - a0: the path the integrator took before its series carried
+    a monomial axis.  Test-only reference for the stored series."""
+
+    def __init__(self, h, xy, cfg):
+        self.h, self.cfg = h, cfg
+        self.X, self.Y = complex(xy[0]), complex(xy[1])
+        self.tab = ei._split_table(h.alphabet, cfg.trunc)
+        self.u, self.w, self.S = ei._node_matrices(cfg.nodes)
+
+    def mul(self, a, b):
+        out = np.empty_like(a)
+        out[0] = a[0] * b[0]
+        for lo, hi, U, V in self.tab.groups:
+            out[lo:hi] = a[lo:hi] * b[0] + (a[U] * b[V]).sum(axis=1)
+        return out
+
+    def inverse(self, a):
+        out = np.empty_like(a)
+        out[0] = 1.0
+        for lo, hi, U, V in self.tab.groups:
+            out[lo:hi] = -(out[U] * a[V]).sum(axis=1)
+        return out
+
+    def rows(self, zs, value):
+        vals = np.zeros((len(self.tab.words), len(zs)), dtype=complex)
+        for word, form in self.h.forms.items():
+            if len(word) <= self.cfg.trunc:
+                wt = self.h.alphabet.word_weight(word)
+                f = np.array([value(form, z) for z in zs.tolist()])
+                vals[self.tab.index[word]] = f * (self.X - self.Y * zs) ** wt
+        return vals
+
+    def transfer(self, vals):
+        M = np.empty_like(vals)
+        M[0] = 1.0
+        end = np.empty(len(self.tab.words), dtype=complex)
+        end[0] = 1.0
+        for lo, hi, U, V in self.tab.groups:
+            rhs = (M[U] * vals[V]).sum(axis=1)
+            M[lo:hi] = rhs @ self.S.T
+            end[lo:hi] = rhs @ self.w
+        return TruncSeries._from_vec(self.h.alphabet, self.cfg.trunc, end.tolist())
+
+    def adaptive(self, panel, a, b, depth=0):
+        whole, mid = panel(a, b), (a + b) / 2
+        comp = panel(a, mid) * panel(mid, b)
+        if whole.max_abs_diff(comp) <= self.cfg.quad_tol * (max(map(abs, comp.vec[1:])) + 1.0):
+            return comp
+        if depth >= self.cfg.max_depth:
+            raise NonConvergence("panel refinement exhausted")
+        return self.adaptive(panel, a, mid, depth + 1) * self.adaptive(panel, mid, b, depth + 1)
+
+    def unit_step(self, step):
+        def panel(a, b):
+            return self.transfer(self.rows(a + (b - a) * self.u, mf.form_value) * (b - a))
+
+        return self.adaptive(panel, 1j, 1j + step)
+
+    def cusp_limit(self, tau):
+        h, cfg = self.h, self.cfg
+        polys = ei._i_inf_polys(h, tau, ei._point_factor(self.X, self.Y), cfg.trunc)
+        coef = np.zeros((len(self.tab.words), max(len(p[0]) for p in polys.values())), dtype=complex)
+        for w, p in polys.items():
+            coef[self.tab.index[w], :len(p[0])] = p[0]
+
+        def cusp_value(form, z):
+            return mf.form_value(form, z, cfg.fourier_tol) - complex(form.coeff(0))
+
+        def panel(a, b):
+            zs = tau.real + 1j * (a + (b - a) * self.u)
+            s_inf = ei._poly_eval(list(coef.T[:, :, None]), zs)
+            theta = self.mul(self.mul(s_inf, self.rows(zs, cusp_value)), self.inverse(s_inf))
+            return self.transfer(theta * 1j * (b - a))
+
+        t = max(cfg.t0, 2.0 * tau.imag)
+        ri = self.adaptive(panel, tau.imag, t)
+        while True:
+            nxt = ri * self.adaptive(panel, t, 2.0 * t)
+            if nxt.max_abs_diff(ri) <= cfg.tol * (max(map(abs, nxt.vec[1:])) + 1.0):
+                return nxt
+            ri, t = nxt, 2.0 * t
+            if t > cfg.t_cap:
+                raise NonConvergence("height doubling did not stabilize")
+
+
+def relative_gap(got, want):
+    """max |got - want| over the words, relative to max(1, largest |want|)."""
+    return got.max_abs_diff(want) / max(1.0, max(map(abs, want.vec)))
+
+
+def stored_series(h, cfg):
+    """The three fixed-path series: the cusp limit at i and the unit steps I(i, i +- 1)."""
+    return {"cusp": ei._ri_limit(h, 1j, cfg), "+1": ei._path_series(h, 1j, 1 + 1j, cfg),
+            "-1": ei._path_series(h, 1j, -1 + 1j, cfg)}
+
+
+class TestPathSeries:
+    POINTS = [(1, 0), (3, 2), (51, -2), (-5, 7)]
+    CASES = [("E4,E6", 1), ("E4,E6", 2), ("E4,E6", 3), ("E4,Delta", 1), ("E4,Delta", 2)]
+    ASSIGNMENTS = {"E4,E6": h_pair,
+                   "E4,Delta": lambda: ei.HAssignment.letters({"A": mf.eisenstein(4),
+                                                               "B": mf.delta_form()})}
+
+    @pytest.mark.parametrize("name, trunc", CASES)
+    def test_matches_scalar_point_reference(self, name, trunc):
+        # tolerance fixed before the comparison was run: 1e-11 of max(1, largest coefficient)
+        h = self.ASSIGNMENTS[name]()
+        cfg = ei.IntegratorConfig(trunc=trunc)
+        stored = stored_series(h, cfg)
+        compared = 0
+        for xy in self.POINTS:
+            ref = ScalarPointPath(h, xy, cfg)
+            for label, old in (("cusp", lambda: ref.cusp_limit(1j)), ("+1", lambda: ref.unit_step(1)),
+                               ("-1", lambda: ref.unit_step(-1))):
+                try:
+                    want = old()
+                except NonConvergence:
+                    continue        # the scalar-point path stalls at some trunc-3 points
+                got = ei._at_point(h, stored[label], xy, trunc)
+                assert relative_gap(got, want) <= 1e-11, (xy, label)
+                compared += 1
+        assert compared >= 10
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(st.sampled_from(CASES[:2] + CASES[3:]), st.integers(-60, 60), st.integers(-60, 60),
+           st.sampled_from([2.0, -3.0, 0.5, 1.5 - 0.5j]))
+    def test_homogeneous_in_the_point(self, case, X, Y, lam):
+        # word B at (lam X, lam Y) is lam^w(B) times word B at (X, Y), to
+        # rounding of the terms' absolute values; at lam = -1 the bytes agree
+        name, trunc = case
+        h = self.ASSIGNMENTS[name]()
+        weights = [h.alphabet.word_weight(w) for w in ei._split_table(h.alphabet, trunc).words]
+        for coef in stored_series(h, ei.IntegratorConfig(trunc=trunc)).values():
+            here = ei._at_point(h, coef, (X, Y), trunc)
+            assert ei._at_point(h, coef, (-X, -Y), trunc).dumps() == here.dumps()
+            there = ei._at_point(h, coef, (lam * X, lam * Y), trunc)
+            size = ei._at_point(h, np.abs(coef), (abs(lam * X), abs(lam * Y)), trunc)
+            for w, a, b, s in zip(weights, here.vec, there.vec, size.vec):
+                assert abs(b - lam ** w * a) <= 1e-13 * s.real
 
 
 class TestCuspLimitMemo:
@@ -420,71 +579,65 @@ class TestCuspLimitMemo:
         for _ in range(2):
             warm = {pq: [build(*pq).dumps() for build in builders] for pq in self.PAIRS}
             assert warm == cold
-        assert ei.cache_info()["ri_hits"] > ei.cache_info()["ri_misses"]
+        assert ei.cache_info()["hits"] > ei.cache_info()["misses"]
 
     @pytest.mark.parametrize("tau, xy", [(1j, (3 + 0j, 2 + 0j)), (1j, (1 + 0j, 0j)),
                                          (0.3 + 1.1j, (-2 + 0j, 5 + 0j))])
     def test_negated_point_same_bytes(self, tau, xy):
+        # coefficients have even degree in (X, Y): one stored series gives
+        # the same bytes at (X, Y) and (-X, -Y)
         h = h_pair()
         ei.clear_caches()
-        here = ei._ri_limit(h, tau, xy, CFG).dumps()
-        ei.clear_caches()
-        there = ei._ri_limit(h, tau, (-xy[0], -xy[1]), CFG).dumps()
+        here = ei.reg_to_cusp(h, tau, Fraction(1, 3), xy, CFG).dumps()
+        there = ei.reg_to_cusp(h, tau, Fraction(1, 3), (-xy[0], -xy[1]), CFG).dumps()
         assert here == there
-        assert ei.cache_info()["ri_misses"] == 1
-        ei._ri_limit(h, tau, xy, CFG)
-        assert ei.cache_info()["ri_hits"] == 1
+        info = ei.cache_info()
+        assert (info["misses"], info["hits"], info["series"]) == (1, 1, 1)
 
     def test_config_change_misses(self):
         h = h_pair()
         ei.clear_caches()
-        xy = (3 + 0j, 2 + 0j)
-        ei._ri_limit(h, 1j, xy, CFG)
-        ei._ri_limit(h, 1j, xy, ei.IntegratorConfig(trunc=1))
-        ei._ri_limit(h, 1j, xy, ei.IntegratorConfig(trunc=2, tol=1e-9))
-        assert ei.cache_info()["ri_misses"] == 3 and ei.cache_info()["ri_hits"] == 0
-        ei._ri_limit(h, 1j, xy, ei.IntegratorConfig(trunc=1))
-        assert ei.cache_info()["ri_hits"] == 1
+        ei._ri_limit(h, 1j, CFG)
+        ei._ri_limit(h, 1j, ei.IntegratorConfig(trunc=1))
+        ei._ri_limit(h, 1j, ei.IntegratorConfig(trunc=2, tol=1e-9))
+        assert ei.cache_info()["misses"] == 3 and ei.cache_info()["hits"] == 0
+        ei._ri_limit(h, 1j, ei.IntegratorConfig(trunc=1))
+        assert ei.cache_info()["hits"] == 1
 
     def test_clear_caches_resets(self):
         h = h_pair()
         ei.build_D(h, 3, 2, CFG)
         ei.build_D(h, 3, 2, CFG)
         info = ei.cache_info()
-        assert info["form_rows"] and info["ri_limits"] and info["ri_hits"]
-        assert info["steps"] and info["step_hits"] and info["step_misses"]
+        assert info["series"] and info["hits"] and info["misses"] and info["panels"]
         ei.clear_caches()
-        assert ei.cache_info() == {"form_rows": 0, "ri_limits": 0, "steps": 0, "ri_hits": 0,
-                                   "ri_misses": 0, "step_hits": 0, "step_misses": 0}
+        assert ei.cache_info() == {"series": 0, "hits": 0, "misses": 0, "panels": 0}
 
-    def test_reciprocity_triple_shares_three_limits(self):
-        # points (q, p), (p, -q) and the chart tail's (1, 0)
+    def test_reciprocity_triple_shares_three_series(self):
+        # D(p, q), D(-q, p) and F(p, q) evaluate one cusp-limit series at
+        # (q, p), (p, -q) and the chart tail's (1, 0), and their bridges the
+        # two unit-step series
         h = h_pair()
         p, q = 3, 2
         ei.clear_caches()
         ei.build_D(h, p, q, CFG)
         ei.build_D(h, -q, p, CFG)
         ei.build_F(h, p, q, CFG)
+        assert {key[1:3] for key in ei._PATHS} == {(1j, INF), (1j, 1 + 1j), (1j, -1 + 1j)}
         info = ei.cache_info()
-        assert (info["ri_misses"], info["ri_hits"], info["ri_limits"]) == (3, 3, 3)
+        assert (info["misses"], info["series"]) == (3, 3) and info["hits"] > 3
 
     def test_caches_within_capacity(self, monkeypatch):
         h = h_pair()
         cfg = ei.IntegratorConfig(trunc=1)
-        caps = {"form_rows": "_FORM_ROWS_CAP", "ri_limits": "_RI_LIMITS_CAP", "steps": "_STEPS_CAP"}
         ei.clear_caches()
         want = [ei.build_D(h, p, q, cfg).dumps() for p, q in self.PAIRS]
-        info = ei.cache_info()
-        assert all(info[size] <= getattr(ei, cap) for size, cap in caps.items())
-        low = {"form_rows": 4, "ri_limits": 2, "steps": 2}
-        assert all(info[size] > low[size] for size in caps)
-        for size, cap in caps.items():
-            monkeypatch.setattr(ei, cap, low[size])
+        assert 1 < ei.cache_info()["series"] <= ei._PATHS_CAP
+        monkeypatch.setattr(ei, "_PATHS_CAP", 1)
         ei.clear_caches()
         got = [ei.build_D(h, p, q, cfg).dumps() for p, q in self.PAIRS]
-        info = ei.cache_info()
         assert got == want
-        assert {size: info[size] for size in caps} == low
+        assert ei.cache_info()["series"] == 1
         ei.clear_caches()
 
     def test_remember_evicts_oldest(self):
@@ -505,7 +658,7 @@ class TestBridgeSteps:
         ei.clear_caches()
         for _ in range(2):
             assert {pq: ei.build_D(h, *pq, CFG).dumps() for pq in pairs} == cold
-        assert ei.cache_info()["step_hits"] > ei.cache_info()["step_misses"]
+        assert ei.cache_info()["hits"] > ei.cache_info()["misses"]
 
     @pytest.mark.parametrize("step", [1, -1])
     @pytest.mark.parametrize("xy", [(1 + 0j, 0j), (3 + 0j, -2 + 0j), (-4 + 0j, 7 + 0j)])
@@ -513,14 +666,14 @@ class TestBridgeSteps:
         h = h_pair()
         mat = (1, step, 0, 1)
         ei.clear_caches()
-        here = ei._bridge(h, mat, xy, CFG).dumps()
+        here = ei._bridge(h, mat, xy, CFG)
         ei.clear_caches()
-        there = ei._bridge(h, mat, (-xy[0], -xy[1]), CFG).dumps()
-        assert here == there
-        assert here == ei._chen_straight(h, 1j, 1j + step, xy, CFG).dumps()
+        there = ei._bridge(h, mat, (-xy[0], -xy[1]), CFG)
+        assert here.dumps() == there.dumps()
+        assert relative_gap(here, ScalarPointPath(h, xy, CFG).unit_step(step)) <= 1e-11
         ei._bridge(h, mat, xy, CFG)
         info = ei.cache_info()
-        assert (info["step_misses"], info["step_hits"], info["steps"]) == (1, 1, 1)
+        assert (info["misses"], info["hits"], info["series"]) == (1, 1, 1)
 
     def test_neighbouring_pairs_share_steps(self):
         h = h_pair()
@@ -529,16 +682,16 @@ class TestBridgeSteps:
         ei.clear_caches()
         ei.build_D(h, 1, 8, CFG)
         first = ei.cache_info()
-        assert first["step_hits"] == 0
         assert ei.build_D(h, 1, 9, CFG).dumps() == want
         second = ei.cache_info()
-        assert second["step_hits"] > 0
-        assert second["steps"] == first["steps"] + second["step_misses"] - first["step_misses"]
+        assert second["misses"] == first["misses"] and second["hits"] > first["hits"]
+        assert second["panels"] == first["panels"]
 
     def test_sweep_pass_counts(self, monkeypatch):
         # one pass of the benchmark's sweep: the couples (p, q), (q, -p) of
         # the grid 1 <= p <= 9, 1 <= |q| <= 9 with p <= q, each op computing
-        # D(p, q) and D(-q, p) through the memoized evaluator, F and E
+        # D(p, q) and D(-q, p) through the memoized evaluator, F and E.  It
+        # runs three quadratures: the cusp limit at i and the steps I(i, i +- 1).
         calls = []
         monkeypatch.setattr(ei, "form_value", lambda *args: calls.append(args) or mf.form_value(*args))
         h = h_pair()
@@ -548,42 +701,41 @@ class TestBridgeSteps:
         for p, q in [pq for p, q in grid for pq in ((p, q), (q, -p))]:
             dh(p, q), dh(-q, p), ei.build_F(h, p, q, CFG), ei.build_E(h, p, q, CFG.trunc)
         info = ei.cache_info()
-        assert info["step_hits"] + info["step_misses"] == 493
-        assert (info["step_misses"], info["steps"]) == (65, 65)
-        assert (info["ri_misses"], info["form_rows"], len(calls)) == (57, 130, 4320)
-        assert len(set(calls)) == len(calls)
+        assert {key[1:3] for key in ei._PATHS} == {(1j, INF), (1j, 1 + 1j), (1j, -1 + 1j)}
+        assert (info["misses"], info["series"], info["panels"]) == (3, 3, 15)
+        assert len(calls) == 192   # the two steps: 3 panels of 16 nodes, 2 forms
         ei.clear_caches()
 
 
 class TestAdaptive:
     @staticmethod
-    def old_adaptive(panel, a, b, cfg, depth=0):
+    def old_adaptive(panel, mt, a, b, cfg, depth=0):
         # the recursion before halves were handed down and panels batched:
         # one integrand call per panel, and each half is evaluated once by
         # its parent and again as the child's whole
         whole = panel(a, b)
         mid = (a + b) / 2
-        comp = panel(a, mid) * panel(mid, b)
-        if whole.max_abs_diff(comp) <= cfg.quad_tol * ei._series_scale(comp):
+        comp = ei._node_mul(mt, panel(a, mid), panel(mid, b))
+        if np.abs(whole - comp).max() <= cfg.quad_tol * ei._series_scale(comp):
             return comp
         if depth >= cfg.max_depth:
             raise NonConvergence(f"panel refinement exhausted on [{a:.3g}, {b:.3g}]")
-        return (TestAdaptive.old_adaptive(panel, a, mid, cfg, depth + 1)
-                * TestAdaptive.old_adaptive(panel, mid, b, cfg, depth + 1))
+        return ei._node_mul(mt, TestAdaptive.old_adaptive(panel, mt, a, mid, cfg, depth + 1),
+                            TestAdaptive.old_adaptive(panel, mt, mid, b, cfg, depth + 1))
 
     @staticmethod
-    def one_panel(h, xy, cfg, calls):
+    def one_panel(h, cfg, calls):
         u, _, _ = ei._node_matrices(cfg.nodes)
 
         def panel(a, b):
             calls[a, b] = calls.get((a, b), 0) + 1
             jac = b - a
-            return ei._transfer_from_values(h, ei._omega_values(h, a + jac * u, xy, jac, cfg), cfg)
+            return ei._transfers(h, ei._form_rows(h, a + jac * u, mf.form_value, cfg) * jac, cfg)[0]
 
         return panel
 
     @staticmethod
-    def batched(h, xy, cfg, calls, batches):
+    def batched(h, cfg, calls, batches):
         u, _, _ = ei._node_matrices(cfg.nodes)
 
         def panels(ends):
@@ -592,18 +744,18 @@ class TestAdaptive:
                 calls[a, b] = calls.get((a, b), 0) + 1
             zs = np.concatenate([a + (b - a) * u for a, b in ends])
             jac = np.repeat([b - a for a, b in ends], cfg.nodes)
-            return ei._transfers(h, ei._omega_values(h, zs, xy, jac, cfg), cfg)
+            return ei._transfers(h, ei._form_rows(h, zs, mf.form_value, cfg) * jac, cfg)
 
         return panels
 
     def test_each_panel_once_and_same_bytes(self):
         h = h_pair()
-        xy = (7 + 0j, 5 + 0j)
-        a, b = 0.2 + 0.6j, 1.5 + 1.2j
+        mt = ei._mono_table(h.alphabet, CFG.trunc)
+        a, b = 0.2 + 0.6j, 2.5 + 1.2j
         new_calls, old_calls, batches = {}, {}, []
-        got = ei._adaptive(self.batched(h, xy, CFG, new_calls, batches), a, b, CFG)
-        want = self.old_adaptive(self.one_panel(h, xy, CFG, old_calls), a, b, CFG)
-        assert got.dumps() == want.dumps()
+        got = ei._adaptive(self.batched(h, CFG, new_calls, batches), mt, a, b, CFG)
+        want = self.old_adaptive(self.one_panel(h, CFG, old_calls), mt, a, b, CFG)
+        assert got.tobytes() == want.tobytes()
         assert len(new_calls) > 3                      # the interval was bisected
         assert set(new_calls.values()) == {1}
         assert set(new_calls) == set(old_calls)
@@ -616,30 +768,40 @@ class TestAdaptive:
         for trunc in (1, 2, 3):
             cfg = ei.IntegratorConfig(trunc=trunc)
             u, _, _ = ei._node_matrices(cfg.nodes)
-            theta = ei._theta(h, 0.3 + 1.1j, 3 + 0j, -2 + 0j, cfg)
+            theta = ei._theta(h, 0.3 + 1.1j, cfg)
             ends = [(1.1, 4.0), (1.1, 2.55), (2.55, 4.0)]
             zs = np.concatenate([0.3 + 1j * (a + (b - a) * u) for a, b in ends])
             batch = theta(zs, np.repeat([1j * (b - a) for a, b in ends], cfg.nodes))
             for k, (a, b) in enumerate(ends):
                 one = theta(0.3 + 1j * (a + (b - a) * u), 1j * (b - a))
-                assert batch[:, k * cfg.nodes:(k + 1) * cfg.nodes].tobytes() == one.tobytes()
+                assert batch[..., k * cfg.nodes:(k + 1) * cfg.nodes].tobytes() == one.tobytes()
 
     def test_exhaustion_still_raises(self):
         h = h_pair()
         cfg = ei.IntegratorConfig(trunc=2, quad_tol=1e-30, max_depth=2)
+        mt = ei._mono_table(h.alphabet, cfg.trunc)
         with pytest.raises(NonConvergence, match="panel refinement exhausted"):
-            ei._adaptive(self.batched(h, (2 + 0j, 1 + 0j), cfg, {}, []), 0.5j, 1 + 2j, cfg)
+            ei._adaptive(self.batched(h, cfg, {}, []), mt, 0.5j, 1 + 2j, cfg)
+
+
+def at_point(h, arr, xy, trunc):
+    """A node-axis array (words, K, nodes) at the numeric point xy: (words, nodes)."""
+    exps = ei._mono_table(h.alphabet, trunc).exps
+    X, Y = complex(xy[0]), complex(xy[1])
+    mono = np.array([[X ** e * Y ** k if e >= 0 else 0 for k, e in enumerate(row)] for row in exps.tolist()])
+    return (arr * mono[:, :, None]).sum(axis=1)
 
 
 def theta_reference(h, tau, xy, cfg, zs):
-    """Theta node by node as series, s_inf * cusp * s_inf^-1: the conjugation
-    the cusp limit ran before it moved to the node axis.
+    """Theta node by node as series, s_inf * cusp * s_inf^-1, at one numeric
+    point: the conjugation the cusp limit ran before it moved to the node
+    axis.
 
     Also returns, per node, the scale to which floating point determines
     each word: the same computation with every coefficient, power and sum
     term replaced by its absolute value."""
     X, Y = complex(xy[0]), complex(xy[1])
-    polys = ei._i_inf_polys(h, tau, (X, Y), cfg.trunc)
+    polys = {w: p[0] for w, p in ei._i_inf_polys(h, tau, ei._point_factor(X, Y), cfg.trunc).items()}
     wt = {w: h.alphabet.word_weight(w) for w in h.forms}
     one = TruncSeries.one(h.alphabet, cfg.trunc, COMPLEX)
 
@@ -649,7 +811,7 @@ def theta_reference(h, tau, xy, cfg, zs):
     out, scales = [], []
     for z in zs.tolist():
         s_inf = series({w: ei._poly_eval(p, z) for w, p in polys.items()})
-        cusp = {w: mf.form_value(f, z, cfg.fourier_tol) - complex(f.coeff(0)) for w, f in h.forms.items()}
+        cusp = {w: mf.form_cusp_value(f, z, cfg.fourier_tol) for w, f in h.forms.items()}
         out.append(s_inf * series({w: c * (X - Y * z) ** wt[w] for w, c in cusp.items()})
                    * s_inf.inverse())
         s_abs = series({w: ei._poly_eval([abs(c) for c in p], abs(z)) for w, p in polys.items() if w})
@@ -694,7 +856,7 @@ class TestNodeAxis:
             for tau, xy, (a, b) in [(1j, (1, 0), (1.0, 4.0)), (1j, (51, -2), (4.0, 8.0)),
                                     (1j, (3, 2), (1.0, 2.0)), (0.3 + 1.1j, (-5, 7), (1.1, 2.2))]:
                 zs = tau.real + 1j * (a + (b - a) * u)
-                got = ei._theta(h, tau, complex(xy[0]), complex(xy[1]), cfg)(zs, 1.0)
+                got = at_point(h, ei._theta(h, tau, cfg)(zs, 1.0), xy, trunc)
                 want, scales = theta_reference(h, tau, xy, cfg, zs)
                 for word, row in tab.index.items():
                     ref = np.array([s.coeffs.get(word, 0j) for s in want])
@@ -702,38 +864,55 @@ class TestNodeAxis:
                     assert np.all(np.abs(got[row] - ref) <= 1e-14 * scale), (nodes, xy, word)
 
     def test_transfer_matches_per_word_loop(self):
-        # the Chen transfer rounds exactly like one matrix-vector product per word
+        # the Chen transfer against one convolution and one matrix-vector
+        # product per word; the sums run in another order, so the bound is
+        # 1e-14 of the largest coefficient, fixed beforehand
         h = self.ASSIGNMENTS["E4,E6,Delta"]()
         for trunc in (1, 2, 3):
             cfg = ei.IntegratorConfig(trunc=trunc)
             u, w, S = ei._node_matrices(cfg.nodes)
             words = list(h.alphabet.iter_words(trunc))
-            for xy, a, b in [((7, 5), 0.2 + 0.6j, 1.5 + 1.2j), ((1, 0), 1j, 1 + 1j)]:
-                vals = ei._omega_values(h, a + (b - a) * u, xy, b - a, cfg)
-                M, end = {(): np.ones(cfg.nodes, dtype=complex)}, {(): 1.0}
+            for a, b in [(0.2 + 0.6j, 1.5 + 1.2j), (1j, 1 + 1j)]:
+                vals = ei._form_rows(h, a + (b - a) * u, mf.form_value, cfg) * (b - a)
+                K = vals.shape[1]
+                first = np.zeros((K, cfg.nodes), dtype=complex)
+                first[0] = 1.0
+                M, end = {(): first}, [first[:, 0]]
                 for word in words[1:]:
-                    rhs = np.zeros(cfg.nodes, dtype=complex)
+                    rhs = np.zeros((K, cfg.nodes), dtype=complex)
                     for k in range(1, len(word) + 1):
-                        rhs += M[word[:len(word) - k]] * vals[words.index(word[len(word) - k:])]
-                    M[word], end[word] = S @ rhs, w @ rhs
-                want = TruncSeries(h.alphabet, trunc, end, COMPLEX)
-                assert ei._transfer_from_values(h, vals, cfg).dumps() == want.dumps()
+                        left, right = M[word[:len(word) - k]], vals[words.index(word[len(word) - k:])]
+                        for i in range(K):
+                            for j in range(K - i):
+                                rhs[i + j] += left[i] * right[j]
+                    M[word] = rhs @ S.T
+                    end.append(rhs @ w)
+                want = np.array(end)
+                got = ei._transfers(h, vals, cfg)[0]
+                assert np.abs(got - want).max() <= 1e-14 * max(1.0, np.abs(want).max())
 
     def test_omega_values_match_scalar_omega(self):
-        # the node-axis rows round exactly like the scalar connection form
+        # the node-axis connection form at a point against the scalar one, to
+        # 1e-14 of the terms' absolute values |f(z)| (|X| + |Y| |z|)^w
         h = self.ASSIGNMENTS["E4,E6,Delta"]()
         tab = ei._split_table(h.alphabet, 2)
         u, _, _ = ei._node_matrices(16)
+        pts = 0.2 + 0.9j + (1 + 0.5j) * u
+        rows = ei._form_rows(h, pts, mf.form_value, CFG)
         for xy in [(1, 0), (-3, 2), (5, -7), (2.5 - 1j, 0.5j)]:
-            pts = 0.2 + 0.9j + (1 + 0.5j) * u
-            got = ei._omega_values(h, pts, xy, 1.0, CFG)
+            got = at_point(h, rows, xy, 2)
             for z, col in zip(pts.tolist(), got.T.tolist()):
                 scalar = ei.omega(h, z, xy, 2)
-                assert col == [scalar.coeffs.get(w, 0j) for w in tab.words]
+                for word, form in h.forms.items():
+                    size = abs(mf.form_value(form, z)) * (abs(xy[0]) + abs(xy[1]) * abs(z)) ** (
+                        h.alphabet.word_weight(word))
+                    assert abs(col[tab.index[word]] - scalar.coeff(word)) <= 1e-14 * size
+                assert all(col[tab.index[w]] == 0 for w in tab.words if w not in h.forms)
 
 
-@pytest.mark.xfail(strict=True, reason="panel acceptance compares every word on one absolute "
-                   "scale; wide pairs need per-word error norms")
+@pytest.mark.xfail(strict=True, reason="build_D's bridge/chart path: the product of unit steps "
+                   "along a wide pair's generator word loses group-likeness, while F(-2, 51), "
+                   "which has no bridge, is group-like to 2e-14")
 def test_wide_pair_defect():
     # A=E4, B=E6 at trunc 2: D(-2, 51) misses group-likeness by 2.0e-4 at
     # (B, B), and its MDS1 gap to D(-2, 49) is 1.1e-4
