@@ -505,9 +505,11 @@ def relative_gap(got, want):
 
 
 def stored_series(h, cfg):
-    """The three fixed-path series: the cusp limit at i and the unit steps I(i, i +- 1)."""
-    return {"cusp": ei._ri_limit(h, 1j, cfg), "+1": ei._path_series(h, 1j, 1 + 1j, cfg),
-            "-1": ei._path_series(h, 1j, -1 + 1j, cfg)}
+    """The three fixed-path series with their centers: the cusp limit at i
+    and the unit steps I(i, i +- 1)."""
+    return {"cusp": (ei._ri_limit(h, 1j, cfg), 1j),
+            "+1": (ei._path_series(h, 1j, 1 + 1j, cfg), 0.5 + 1j),
+            "-1": (ei._path_series(h, 1j, -1 + 1j, cfg), -0.5 + 1j)}
 
 
 class TestPathSeries:
@@ -532,7 +534,8 @@ class TestPathSeries:
                     want = old()
                 except NonConvergence:
                     continue        # the scalar-point path stalls at some trunc-3 points
-                got = ei._at_point(h, stored[label], xy, trunc)
+                coef, c = stored[label]
+                got = ei._at_point(h, coef, xy, trunc, c)
                 assert relative_gap(got, want) <= 1e-11, (xy, label)
                 compared += 1
         assert compared >= 10
@@ -546,13 +549,27 @@ class TestPathSeries:
         name, trunc = case
         h = self.ASSIGNMENTS[name]()
         weights = [h.alphabet.word_weight(w) for w in ei._split_table(h.alphabet, trunc).words]
-        for coef in stored_series(h, ei.IntegratorConfig(trunc=trunc)).values():
-            here = ei._at_point(h, coef, (X, Y), trunc)
-            assert ei._at_point(h, coef, (-X, -Y), trunc).dumps() == here.dumps()
-            there = ei._at_point(h, coef, (lam * X, lam * Y), trunc)
-            size = ei._at_point(h, np.abs(coef), (abs(lam * X), abs(lam * Y)), trunc)
+        for coef, c in stored_series(h, ei.IntegratorConfig(trunc=trunc)).values():
+            here = ei._at_point(h, coef, (X, Y), trunc, c)
+            assert ei._at_point(h, coef, (-X, -Y), trunc, c).dumps() == here.dumps()
+            there = ei._at_point(h, coef, (lam * X, lam * Y), trunc, c)
+            size = ei._at_point(h, np.abs(coef), (abs(lam * (X - c * Y)), abs(lam * Y)), trunc, 0)
             for w, a, b, s in zip(weights, here.vec, there.vec, size.vec):
                 assert abs(b - lam ** w * a) <= 1e-13 * s.real
+
+
+    def test_delta_pairs_grouplike_and_mds1(self):
+        # E4/Delta at trunc 2, where the weight-20 word BB gives the monomial
+        # sums the most room to cancel.  Bounds fixed beforehand: relative
+        # group-likeness <= 1e-11 and MDS1 gap <= 2e-8 of max(1, largest
+        # coefficient); the per-point quadrature gave at worst 3.0e-12 and
+        # 7.9e-9, uncentered series 1.4e-10 and 1.5e-7, all at (3, 5)
+        h = self.ASSIGNMENTS["E4,Delta"]()
+        cfg = ei.IntegratorConfig(trunc=2)
+        for p, q in [(1, 3), (3, 5), (5, 8), (-5, 3), (7, -2)]:
+            d = ei.build_D(h, p, q, cfg)
+            assert d.is_grouplike(relative=True).worst <= 1e-11, (p, q)
+            assert relative_gap(d, ei.build_D(h, p, p + q, cfg)) <= 2e-8, (p, q)
 
 
 class TestCuspLimitMemo:
@@ -703,7 +720,7 @@ class TestBridgeSteps:
         info = ei.cache_info()
         assert {key[1:3] for key in ei._PATHS} == {(1j, INF), (1j, 1 + 1j), (1j, -1 + 1j)}
         assert (info["misses"], info["series"], info["panels"]) == (3, 3, 15)
-        assert len(calls) == 192   # the two steps: 3 panels of 16 nodes, 2 forms
+        assert len(set(calls)) == len(calls) == 192   # the two steps: 3 panels of 16 nodes, 2 forms
         ei.clear_caches()
 
 
@@ -730,7 +747,7 @@ class TestAdaptive:
         def panel(a, b):
             calls[a, b] = calls.get((a, b), 0) + 1
             jac = b - a
-            return ei._transfers(h, ei._form_rows(h, a + jac * u, mf.form_value, cfg) * jac, cfg)[0]
+            return ei._transfers(h, ei._form_rows(h, a + jac * u, mf.form_value, cfg, 0) * jac, cfg)[0]
 
         return panel
 
@@ -744,7 +761,7 @@ class TestAdaptive:
                 calls[a, b] = calls.get((a, b), 0) + 1
             zs = np.concatenate([a + (b - a) * u for a, b in ends])
             jac = np.repeat([b - a for a, b in ends], cfg.nodes)
-            return ei._transfers(h, ei._form_rows(h, zs, mf.form_value, cfg) * jac, cfg)
+            return ei._transfers(h, ei._form_rows(h, zs, mf.form_value, cfg, 0) * jac, cfg)
 
         return panels
 
@@ -784,10 +801,12 @@ class TestAdaptive:
             ei._adaptive(self.batched(h, cfg, {}, []), mt, 0.5j, 1 + 2j, cfg)
 
 
-def at_point(h, arr, xy, trunc):
-    """A node-axis array (words, K, nodes) at the numeric point xy: (words, nodes)."""
+def at_point(h, arr, xy, trunc, center):
+    """A node-axis array (words, K, nodes) centered at c, at the numeric point
+    xy: (words, nodes)."""
     exps = ei._mono_table(h.alphabet, trunc).exps
-    X, Y = complex(xy[0]), complex(xy[1])
+    Y = complex(xy[1])
+    X = complex(xy[0]) - center * Y
     mono = np.array([[X ** e * Y ** k if e >= 0 else 0 for k, e in enumerate(row)] for row in exps.tolist()])
     return (arr * mono[:, :, None]).sum(axis=1)
 
@@ -856,7 +875,7 @@ class TestNodeAxis:
             for tau, xy, (a, b) in [(1j, (1, 0), (1.0, 4.0)), (1j, (51, -2), (4.0, 8.0)),
                                     (1j, (3, 2), (1.0, 2.0)), (0.3 + 1.1j, (-5, 7), (1.1, 2.2))]:
                 zs = tau.real + 1j * (a + (b - a) * u)
-                got = at_point(h, ei._theta(h, tau, cfg)(zs, 1.0), xy, trunc)
+                got = at_point(h, ei._theta(h, tau, cfg)(zs, 1.0), xy, trunc, tau)
                 want, scales = theta_reference(h, tau, xy, cfg, zs)
                 for word, row in tab.index.items():
                     ref = np.array([s.coeffs.get(word, 0j) for s in want])
@@ -873,7 +892,7 @@ class TestNodeAxis:
             u, w, S = ei._node_matrices(cfg.nodes)
             words = list(h.alphabet.iter_words(trunc))
             for a, b in [(0.2 + 0.6j, 1.5 + 1.2j), (1j, 1 + 1j)]:
-                vals = ei._form_rows(h, a + (b - a) * u, mf.form_value, cfg) * (b - a)
+                vals = ei._form_rows(h, a + (b - a) * u, mf.form_value, cfg, 0) * (b - a)
                 K = vals.shape[1]
                 first = np.zeros((K, cfg.nodes), dtype=complex)
                 first[0] = 1.0
@@ -891,20 +910,22 @@ class TestNodeAxis:
                 got = ei._transfers(h, vals, cfg)[0]
                 assert np.abs(got - want).max() <= 1e-14 * max(1.0, np.abs(want).max())
 
-    def test_omega_values_match_scalar_omega(self):
+    @pytest.mark.parametrize("center", [0, 0.7 + 1.15j])
+    def test_omega_values_match_scalar_omega(self, center):
         # the node-axis connection form at a point against the scalar one, to
-        # 1e-14 of the terms' absolute values |f(z)| (|X| + |Y| |z|)^w
+        # 1e-14 of the terms' absolute values |f(z)| (|X - c Y| + |Y| |z - c|)^w
         h = self.ASSIGNMENTS["E4,E6,Delta"]()
         tab = ei._split_table(h.alphabet, 2)
         u, _, _ = ei._node_matrices(16)
         pts = 0.2 + 0.9j + (1 + 0.5j) * u
-        rows = ei._form_rows(h, pts, mf.form_value, CFG)
+        rows = ei._form_rows(h, pts, mf.form_value, CFG, center)
         for xy in [(1, 0), (-3, 2), (5, -7), (2.5 - 1j, 0.5j)]:
-            got = at_point(h, rows, xy, 2)
+            got = at_point(h, rows, xy, 2, center)
+            X, Y = xy
             for z, col in zip(pts.tolist(), got.T.tolist()):
                 scalar = ei.omega(h, z, xy, 2)
                 for word, form in h.forms.items():
-                    size = abs(mf.form_value(form, z)) * (abs(xy[0]) + abs(xy[1]) * abs(z)) ** (
+                    size = abs(mf.form_value(form, z)) * (abs(X - center * Y) + abs(Y) * abs(z - center)) ** (
                         h.alphabet.word_weight(word))
                     assert abs(col[tab.index[word]] - scalar.coeff(word)) <= 1e-14 * size
                 assert all(col[tab.index[w]] == 0 for w in tab.words if w not in h.forms)
