@@ -53,10 +53,20 @@ One bounded memo holds the series per (assignment, path, config): the
 cusp limit RI(tau, i inf) under the path (tau, INF) and the straight
 segment from z0 to z1 under (z0, z1).  Every build_D and build_F reads
 the cusp limit at i and the unit bridge steps I(i, i +- 1), so a sweep
-over many pairs runs three quadratures.  I_inf itself keeps its exact
-recursion at the numeric point.  ``clear_caches()`` empties the memo and
-``cache_info()`` reports its size, its hits and misses and the panels
-evaluated.
+over many pairs runs three quadratures.  ``clear_caches()`` empties the
+memo and ``cache_info()`` reports its size, its hits and misses and the
+panels evaluated.
+
+I_inf needs no quadrature.  Its antiderivative recursion runs once per
+(assignment, truncation) on a monomial axis, and the result is stored as
+two polynomial arrays that no point, direction or center enters.  Theta
+reads the forward path I_inf(tau, z) from one; reg_to_cusp reads
+I_inf(tau, s) from the other, in the monomials
+(X - s Y)^(w-k) (X - tau Y)^k (tau - s)^n of the values of X - Y z at the
+two ends.  Where build_D and build_F regularize, X - s Y = 0 (each word of
+I_inf is then one monomial) or Y = 0 (both end values are X).  Only the
+public ``i_infinity``, which takes any two endpoints, runs the recursion
+at the numeric point.
 """
 
 from collections import namedtuple
@@ -309,6 +319,65 @@ def _at_point(h, coef, xy, trunc, center):
     return TruncSeries._from_vec(h.alphabet, trunc, (coef * mono).sum(axis=1).tolist())
 
 
+_IInfPaths = namedtuple("_IInfPaths", "forward reverse")
+
+
+@lru_cache(maxsize=32)
+def _i_inf_paths(h, trunc):
+    """I_inf along the constant-term paths as polynomial arrays.
+
+    ``forward`` is I_inf(c, c + t) centered at c, (words, K, J): entry
+    [B, k, j] is the coefficient of (X - c Y)^(w(B)-k) Y^k t^j.  In these
+    monomials Omega_inf(c + t) reads sum_B a_0(h(B)) (X - c Y - Y t)^w(B), so
+    the array does not depend on c.
+
+    ``reverse`` is I_inf(tau, s) between any two points, (words, K, trunc + 1):
+    entry [B, k, n] is the coefficient of m_k t^n, with t = tau - s and
+    m_k = (X - s Y)^(w(B)-k) (X - tau Y)^k the monomials of the values of
+    X - Y z at the two ends.  As a function of t, the path reads
+    J' = -Omega_inf J; Omega_inf(tau) B reads a_0(h(B)) (X - tau Y)^w(B),
+    which shifts k, and since Y t = (X - s Y) - (X - tau Y),
+    d/dt (m_k t^N) = t^(N-1) ((k + N) m_k - k m_(k-1)).  So each t^N solves
+    by back substitution from the top monomial, with positive weights: for
+    letter-only assignments the entries of one word and one n share their
+    sign, and neither building nor evaluating them cancels."""
+    mt = _mono_table(h.alphabet, trunc)
+    polys = _i_inf_polys(h, 0j, _monomial_factor, trunc)
+    forward = np.zeros((*mt.exps.shape, max(len(p[0]) for p in polys.values())), dtype=complex)
+    for w, p in polys.items():
+        forward[mt.index[w], :len(p), :len(p[0])] = p
+    weight = h.alphabet.word_weight
+    a0 = {w: c for w, c in h.constant_terms().items() if len(w) <= trunc and c != 0}
+    reverse = np.zeros((*mt.exps.shape, trunc + 1), dtype=complex)
+    reverse[0, 0, 0] = 1.0
+    for word in h.alphabet.iter_words(trunc, min_len=1):
+        rhs = np.zeros(reverse.shape[1:], dtype=complex)       # -(Omega_inf J) of the word
+        for k in range(1, len(word) + 1):
+            if word[:k] in a0:
+                shift = weight(word[:k])
+                rhs[shift:] -= a0[word[:k]] * reverse[mt.index[word[k:]], :rhs.shape[0] - shift]
+        row = reverse[mt.index[word]]
+        for n in range(trunc):
+            above = 0j
+            for k in range(weight(word), -1, -1):
+                above = row[k, n + 1] = (rhs[k, n] + (k + 1) * above) / (k + n + 1)
+    forward.flags.writeable = reverse.flags.writeable = False
+    return _IInfPaths(forward, reverse)
+
+
+def _i_inf_at(h, tau, s, xy, trunc):
+    """I_inf(tau, s) at the numeric point xy from the stored ``reverse``
+    array: word B reads sum_{k,n} R[B, k, n] (X - s Y)^(w-k) (X - tau Y)^k
+    (tau - s)^n.  Where X - s Y = 0 each word reads one monomial."""
+    reverse = _i_inf_paths(h, trunc).reverse
+    X, Y = complex(xy[0]), complex(xy[1])
+    t = tau - s
+    powers = [1 + 0j]
+    for _ in range(trunc):
+        powers.append(powers[-1] * t)
+    return _at_point(h, reverse @ np.array(powers), (X - s * Y, X - tau * Y), trunc, 0)
+
+
 def _form_rows(h, zs, value, cfg, center):
     """The connection form on the node axis centered at c, (words, K, nodes):
     row B holds value(h(B), z) (X - Y z)^w(B) at each node z, that is
@@ -391,14 +460,11 @@ def _segment_series(h, z0, z1, cfg):
 def _theta(h, tau, cfg):
     """The conjugated cuspidal form Theta = I_inf(tau, z) (Omega - Omega_inf)(z)
     I_inf(z, tau) on the node axis, centered at tau: ``theta(zs, jac)`` is the
-    (words, K, nodes) array of Theta at the points zs, times jac.  In the
-    variable z - tau, I_inf(tau, z) is the recursion started at 0."""
+    (words, K, nodes) array of Theta at the points zs, times jac.  I_inf(tau, z)
+    is the stored forward path at t = z - tau."""
     mt = _mono_table(h.alphabet, cfg.trunc)
-    polys = _i_inf_polys(h, 0j, _monomial_factor, cfg.trunc)
-    coef = np.zeros((*mt.exps.shape, max(len(p[0]) for p in polys.values())), dtype=complex)
-    for w, p in polys.items():
-        coef[mt.index[w], :len(p), :len(p[0])] = p
-    columns = list(np.moveaxis(coef, 2, 0)[..., None])       # Horner runs on all words at once
+    forward = _i_inf_paths(h, cfg.trunc).forward
+    columns = list(np.moveaxis(forward, 2, 0)[..., None])       # Horner runs on all words at once
 
     def theta(zs, jac):
         s_inf = _poly_eval(columns, zs - tau)
@@ -514,11 +580,14 @@ def _ri_limit(h, tau, cfg):
 
 def reg_to_cusp(h, tau, direction, xy, cfg=IntegratorConfig()):
     """I(tau, ->direction_inf): regularized integral from tau in the upper
-    half-plane to the tangential base point at i-infinity."""
+    half-plane to the tangential base point at i-infinity, at the numeric
+    point xy: RI(tau, i inf) I_inf(tau, direction), both read at xy from
+    stored polynomial arrays (the cusp limit centered at tau, I_inf in the
+    values of X - Y z at tau and at the direction)."""
     direction = Fraction(direction)
     tau = complex(tau)
     return (_at_point(h, _ri_limit(h, tau, cfg), xy, cfg.trunc, tau)
-            * i_infinity(h, tau, float(direction), xy, cfg.trunc))
+            * _i_inf_at(h, tau, float(direction), xy, cfg.trunc))
 
 
 # ---------------------------------------------------------------------------

@@ -354,11 +354,14 @@ class TruncSeries:
         return TruncSeries._from_vec(self.alphabet, self.trunc, vec, RATIONAL, powers[-1])
 
     def _power_sum(self, acc, coef):
-        """acc + sum over n = 1..trunc of coef(n) S^n."""
+        """acc + sum over n = 1..trunc of coef(n) S^n; ``coef(n)`` is a
+        Fraction, applied to a complex series as the nearest float (the
+        value a complex-by-Fraction product rounds it to anyway)."""
         power = TruncSeries.one(self.alphabet, self.trunc, self.kind)
         for n in range(1, self.trunc + 1):
             power = power * self
-            acc = acc + power.scale(coef(n))
+            c = coef(n)
+            acc = acc + power.scale(c if self.kind == RATIONAL else float(c))
         return acc
 
     def exp(self):

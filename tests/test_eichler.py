@@ -1,7 +1,9 @@
 import cmath
+import itertools
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -197,6 +199,133 @@ class TestRegToCusp:
         r1 = ei.reg_to_cusp(h, 1j, Fraction(1, 2), xy, CFG)
         bridge = ei.i_infinity(h, 0.0, 0.5, xy, 2)
         assert (r0 * bridge).max_abs_diff(r1) < 1e-11
+
+
+def i_inf_mpmath(h, tau, s, xy, trunc, dps=30):
+    """I_inf(tau, s) at the numeric point xy to ``dps`` digits, as the list of
+    its coefficients over the word table: the forward antiderivative
+    recursion of I' = I Omega_inf in the variable of the path, started at
+    tau, with the point, the constant terms and s exact."""
+    with mpmath.workdps(dps):
+        X, Y, tau = mpmath.mpc(xy[0]), mpmath.mpc(xy[1]), mpmath.mpc(tau)
+        s = mpmath.mpf(s.numerator) / s.denominator
+
+        def value(u, z):
+            acc = mpmath.mpc(0)
+            for c in reversed(u):
+                acc = acc * z + c
+            return acc
+
+        steps = {}
+        for w, form in h.forms.items():
+            a0, wt = form.coeff(0), h.alphabet.word_weight(w)
+            if a0 and len(w) <= trunc:
+                a0 = mpmath.mpf(a0.numerator) / a0.denominator
+                steps[w] = [a0 * math.comb(wt, j) * X ** (wt - j) * (-Y) ** j for j in range(wt + 1)]
+        polys, out = {(): [mpmath.mpc(1)]}, [1 + 0j]
+        for word in h.alphabet.iter_words(trunc, min_len=1):
+            rhs = []
+            for k in range(1, len(word) + 1):
+                if word[-k:] in steps:
+                    u, v = polys[word[:-k]], steps[word[-k:]]
+                    prod = [mpmath.fsum(u[i] * v[j - i] for i in range(len(u)) if 0 <= j - i < len(v))
+                            for j in range(len(u) + len(v) - 1)]
+                    rhs = [a + b for a, b in itertools.zip_longest(rhs, prod, fillvalue=0)]
+            prim = [mpmath.mpc(0)] + [c / (j + 1) for j, c in enumerate(rhs)]
+            prim[0] = -value(prim, tau)
+            polys[word] = prim
+            out.append(complex(value(prim, s)))
+    return out
+
+
+SIGNED_GRID = [(p, q) for p in range(-9, 10) for q in range(-9, 10) if p and q and math.gcd(p, q) == 1]
+
+
+class TestIInfPaths:
+    """I_inf(tau, s) from the stored reversed constant-term path, the factor
+    that reg_to_cusp multiplies the cusp limit by."""
+
+    ASSIGNMENTS = {"E4,E6": h_pair,
+                   "A=E4,AA=E6": lambda: ei.HAssignment(Alphabet([("A", 2)]),
+                                                        {"A": mf.eisenstein(4), "AA": mf.eisenstein(6)}),
+                   "E4,E6,Delta": lambda: ei.HAssignment.letters(
+                       {"A": mf.eisenstein(4), "B": mf.eisenstein(6), "C": mf.delta_form()})}
+
+    @staticmethod
+    def build_points(h, monkeypatch):
+        """Every (tau, direction, xy) at which build_D and build_F call
+        reg_to_cusp over the signed grid (the points do not depend on the
+        truncation)."""
+        seen = {}
+
+        def record(h, tau, direction, xy, cfg):
+            seen[complex(tau), Fraction(direction), tuple(map(complex, xy))] = None
+            return TruncSeries.one(h.alphabet, cfg.trunc, COMPLEX)
+
+        with monkeypatch.context() as m:
+            m.setattr(ei, "reg_to_cusp", record)
+            cfg = ei.IntegratorConfig(trunc=1)
+            for p, q in SIGNED_GRID:
+                ei.build_D(h, p, q, cfg)
+                ei.build_F(h, p, q, cfg)
+        return list(seen)
+
+    @pytest.mark.parametrize("name", ["E4,E6", "A=E4,AA=E6"])
+    def test_build_points_match_mpmath(self, name, monkeypatch):
+        # at each point X - s Y = 0 (the heads and the F tails) or Y = 0 (the
+        # D tails).  Bound fixed beforehand: 1e-14 of max(1, largest
+        # coefficient); the per-point recursion of i_infinity reaches 7.9e-14
+        # at trunc 2 and 1.5e-12 at trunc 3
+        h = self.ASSIGNMENTS[name]()
+        points = self.build_points(h, monkeypatch)
+        assert len(points) > len(SIGNED_GRID)
+        for tau, s, xy in points:
+            X, Y = (Fraction(int(v.real)) for v in xy)
+            assert xy == (X, Y) and (X - s * Y == 0 or Y == 0)
+            want = i_inf_mpmath(h, tau, s, xy, 3)
+            for trunc in (1, 2, 3):
+                got = ei._i_inf_at(h, tau, float(s), xy, trunc)
+                ref = TruncSeries._from_vec(h.alphabet, trunc, want[:len(got.vec)])
+                assert relative_gap(got, ref) <= 1e-14, (tau, s, xy, trunc)
+
+    @pytest.mark.parametrize("name", sorted(ASSIGNMENTS))
+    def test_generic_points(self, name):
+        # points where neither endpoint form X - s Y, X - tau Y vanishes.
+        # Bounds fixed beforehand, of max(1, largest coefficient): 1e-13
+        # against mpmath, 1e-12 against the per-point recursion of i_infinity
+        h = self.ASSIGNMENTS[name]()
+        for tau, s, xy in itertools.product(
+                [1j, 0.3 + 1.1j, -0.7 + 2j], [Fraction(0), Fraction(1, 3), Fraction(-5, 2), Fraction(7)],
+                [(3, 2), (-5, 7), (1.5 - 0.5j, 2 + 1j), (1, 0)]):
+            want = i_inf_mpmath(h, tau, s, xy, 3)
+            for trunc in (1, 2, 3):
+                got = ei._i_inf_at(h, tau, float(s), xy, trunc)
+                ref = TruncSeries._from_vec(h.alphabet, trunc, want[:len(got.vec)])
+                assert relative_gap(got, ref) <= 1e-13, (tau, s, xy, trunc)
+                per_point = ei.i_infinity(h, tau, float(s), xy, trunc)
+                assert relative_gap(got, per_point) <= 1e-12, (tau, s, xy, trunc)
+
+    @pytest.mark.parametrize("trunc", [1, 2, 3])
+    def test_reverse_entries_share_sign(self, trunc):
+        # for letters only, each (word, power of t) slice of the stored
+        # reversed path is real and of one sign: its sums cancel only as
+        # much as the two end values X - s Y, X - tau Y make them
+        reverse = ei._i_inf_paths(h_pair(), trunc).reverse
+        assert np.all(reverse.imag == 0)
+        for row in np.moveaxis(reverse.real, 2, 1).reshape(-1, reverse.shape[1]):
+            assert np.all(row >= 0) or np.all(row <= 0)
+
+    def test_signed_grid_grouplike_and_mds(self):
+        # A=E4, B=E6 at trunc 2 over every coprime pair in [-9, 9]^2: relative
+        # group-likeness and the MDS1 (D(p, q) = D(p, p + q)) and MDS2
+        # (D(p, q) = D(-p, -q)) gaps of max(1, largest coefficient), bounds
+        # fixed beforehand at 1e-12.  With I_inf rebuilt at each point the
+        # worst were 7.7e-12 and 3.4e-12; from the stored path, 2.1e-13 and 1.3e-13
+        h = h_pair()
+        d = {pq: ei.build_D(h, *pq, CFG) for pq in SIGNED_GRID}
+        assert max(s.is_grouplike(relative=True).worst for s in d.values()) <= 1e-12
+        assert max(relative_gap(d[p, q], d[p, p + q]) for p, q in SIGNED_GRID if (p, p + q) in d) <= 1e-12
+        assert max(relative_gap(d[p, q], d[-p, -q]) for p, q in SIGNED_GRID) <= 1e-12
 
 
 class TestPullback:

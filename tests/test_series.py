@@ -1,7 +1,7 @@
 import json
 import random
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, factorial, gcd
 
 import pytest
 from hypothesis import given, settings
@@ -395,3 +395,31 @@ class TestProperties:
                 acc += s.coeff(w[:k]) * t.coeff(w[k:])
             want[w] = acc
         assert (s * t).dumps() == TruncSeries(ab, trunc, want, COMPLEX).dumps()
+
+    @PROPERTY
+    @given(st.integers(1, 3), st.integers(0, 3), st.randoms(use_true_random=False))
+    def test_complex_exp_log_round_like_fraction_scaling(self, letters, trunc, rng):
+        # exp and log scale a complex series by the float nearest 1/n! and
+        # (-1)^(n+1)/n; the reference loop scales by the Fraction itself, and
+        # the bytes (signed zeros included) must agree
+        ab = Alphabet.simple("abc"[:letters])
+
+        def value():
+            return complex(rng.uniform(-9, 9), rng.uniform(-9, 9)) if rng.random() < 0.8 else 0j
+
+        def power_sum(x, acc, coef):
+            power = TruncSeries.one(ab, trunc, COMPLEX)
+            for n in range(1, trunc + 1):
+                power = power * x
+                acc = acc + TruncSeries(ab, trunc, {w: c * coef(n) for w, c in
+                                                    zip(ab.iter_words(trunc), power.vec)}, COMPLEX)
+            return acc
+
+        body = TruncSeries(ab, trunc, {w: value() for w in ab.iter_words(trunc, min_len=1)}, COMPLEX)
+        one = TruncSeries.one(ab, trunc, COMPLEX)
+        group = one + body
+        want_exp = power_sum(body, one, lambda n: Fraction(1, factorial(n)))
+        want_log = power_sum(group - one, TruncSeries.zero(ab, trunc, COMPLEX),
+                             lambda n: Fraction((-1) ** (n + 1), n))
+        assert repr(body.exp().vec) == repr(want_exp.vec)
+        assert repr(group.log().vec) == repr(want_log.vec)
