@@ -331,16 +331,16 @@ def _i_inf_paths(h, trunc):
     monomials Omega_inf(c + t) reads sum_B a_0(h(B)) (X - c Y - Y t)^w(B), so
     the array does not depend on c.
 
-    ``reverse`` is I_inf(tau, s) between any two points, (words, K, trunc + 1):
-    entry [B, k, n] is the coefficient of m_k t^n, with t = tau - s and
-    m_k = (X - s Y)^(w(B)-k) (X - tau Y)^k the monomials of the values of
-    X - Y z at the two ends.  As a function of t, the path reads
-    J' = -Omega_inf J; Omega_inf(tau) B reads a_0(h(B)) (X - tau Y)^w(B),
-    which shifts k, and since Y t = (X - s Y) - (X - tau Y),
-    d/dt (m_k t^N) = t^(N-1) ((k + N) m_k - k m_(k-1)).  So each t^N solves
-    by back substitution from the top monomial, with positive weights: for
-    letter-only assignments the entries of one word and one n share their
-    sign, and neither building nor evaluating them cancels."""
+    ``reverse`` is I_inf(tau, s) for any two points, (words, K, trunc + 1):
+    entry [B, k, n] is the coefficient of m_k t^n, where t = tau - s and
+    m_k = (X - s Y)^(w(B)-k) (X - tau Y)^k is built from the values of
+    X - Y z at the two ends.  J(t) = I_inf(s + t, s) solves J' = -Omega_inf J,
+    whose word B, a_0(h(B)) (X - tau Y)^w(B), shifts k; and as
+    Y t = (X - s Y) - (X - tau Y), d/dt (m_k t^N) = t^(N-1) ((k + N) m_k - k m_(k-1)).
+    So the coefficients of t^N follow by back substitution from the top
+    monomial, with positive weights.  For letter-only assignments the
+    entries of one word and one n therefore share their sign, and neither
+    building nor evaluating them cancels."""
     mt = _mono_table(h.alphabet, trunc)
     polys = _i_inf_polys(h, 0j, _monomial_factor, trunc)
     forward = np.zeros((*mt.exps.shape, max(len(p[0]) for p in polys.values())), dtype=complex)
