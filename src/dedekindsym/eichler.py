@@ -53,9 +53,15 @@ One bounded memo holds the series per (assignment, path, config): the
 cusp limit RI(tau, i inf) under the path (tau, INF) and the straight
 segment from z0 to z1 under (z0, z1).  Every build_D and build_F reads
 the cusp limit at i and the unit bridge steps I(i, i +- 1), so a sweep
-over many pairs runs three quadratures.  ``clear_caches()`` empties the
-memo and ``cache_info()`` reports its size, its hits and misses and the
-panels evaluated.
+over many pairs runs three quadratures.  A second bounded memo holds
+series evaluated at a point: each regularized end of reg_to_cusp (the
+ends of F(p, q) are the heads of D(p, q) and D(-q, p)), and the running
+product of each bridge after every unit step, keyed by the prefix of its
+SL2(Z) word (the bridges of build_D all start at the chart point (1, 0)).
+Points are keyed up to sign, and a miss runs the operations that it
+would run without the memo, so no output depends on what was evaluated
+before.  ``clear_caches()`` empties both memos and ``cache_info()``
+reports their sizes, hits and misses and the panels evaluated.
 
 I_inf needs no quadrature.  Its antiderivative recursion runs once per
 (assignment, truncation) on a monomial axis, and the result is stored as
@@ -64,9 +70,8 @@ reads the forward path I_inf(tau, z) from one; reg_to_cusp reads
 I_inf(tau, s) from the other, in the monomials
 (X - s Y)^(w-k) (X - tau Y)^k (tau - s)^n of the values of X - Y z at the
 two ends.  Where build_D and build_F regularize, X - s Y = 0 (each word of
-I_inf is then one monomial) or Y = 0 (both end values are X).  Only the
-public ``i_infinity``, which takes any two endpoints, runs the recursion
-at the numeric point.
+I_inf is then one monomial) or Y = 0 (both end values are X).  The public
+``i_infinity``, which takes any two endpoints, reads the same array.
 """
 
 from collections import namedtuple
@@ -183,11 +188,6 @@ def _poly_eval(u, x):
     return acc
 
 
-def _point_factor(X, Y):
-    """(X - Y t)^w at a numeric point: one row, m_0 = 1."""
-    return lambda w: [[comb(w, j) * X ** (w - j) * (-Y) ** j if j else X ** w for j in range(w + 1)]]
-
-
 def _monomial_factor(w):
     """(X - Y t)^w on the monomial axis m_k = X^(w-k) Y^k: C(w, k) (-t)^k."""
     return [[comb(w, k) * (-1) ** k if j == k else 0 for j in range(w + 1)] for k in range(w + 1)]
@@ -200,7 +200,7 @@ def _i_inf_polys(h, tau0, factor, trunc):
     """Per-word polynomials M_W with I_inf(tau0, t) = sum_W sum_{k,j} M_W[k][j] m_k t^j W.
 
     Exact antiderivative recursion; ``factor(w)`` is (X - Y t)^w in the same
-    form (``_point_factor`` or ``_monomial_factor``).  Words come in the
+    form (``_monomial_factor``: on the monomial axis).  Words come in the
     order of the word table.
     """
     g = {}
@@ -224,11 +224,10 @@ def i_infinity(h, tau0, tau1, xy, trunc=2):
     """I_inf(tau0, tau1): iterated integrals of the constant-term form.
 
     Polynomial in the endpoints, hence valid anywhere in the plane and
-    path-independent; used by the cusp regularization.
+    path-independent; read at xy from the stored reversed path, as the
+    cusp regularization reads it.
     """
-    polys = _i_inf_polys(h, complex(tau0), _point_factor(complex(xy[0]), complex(xy[1])), trunc)
-    tau1 = complex(tau1)
-    return TruncSeries._from_vec(h.alphabet, trunc, [_poly_eval(p[0], tau1) for p in polys.values()])
+    return _i_inf_at(h, complex(tau0), complex(tau1), xy, trunc)
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +252,7 @@ def _node_matrices(n):
     return got
 
 
-_MonoTable = namedtuple("_MonoTable", "index groups exps")
+_MonoTable = namedtuple("_MonoTable", "index groups exps xpow mask")
 
 
 @lru_cache(maxsize=32)
@@ -265,13 +264,15 @@ def _mono_table(alphabet, trunc):
     1 + (L - 1) * (largest letter weight).  ``exps[B, k]`` is the exponent
     w(B) - k of X in the monomial k of word B, negative where word B has no
     such monomial; its K = 1 + (largest word weight) columns are the
-    monomial axis."""
+    monomial axis.  ``mask`` marks the monomials that exist, and ``xpow``
+    is ``exps`` clipped at 0, the index of the power of X to gather."""
     tab = _split_table(alphabet, trunc)
     weights = np.array([alphabet.word_weight(w) for w in tab.words])
     top = max(alphabet.weights, default=0)
     groups = tuple((lo, hi, U, V, 1 + length * top)
                    for length, (lo, hi, U, V) in enumerate(tab.groups))
-    return _MonoTable(tab.index, groups, weights[:, None] - np.arange(weights.max() + 1))
+    exps = weights[:, None] - np.arange(weights.max() + 1)
+    return _MonoTable(tab.index, groups, exps, np.maximum(exps, 0), exps >= 0)
 
 
 def _conv(x, y, top):
@@ -308,14 +309,14 @@ def _at_point(h, coef, xy, trunc, center):
     xy = (X, Y): word B reads sum_k coef[B, k] (X - c Y)^(w(B)-k) Y^k.  The
     powers are repeated products, so (-X, -Y) gives the same bytes (every
     w(B) is even)."""
-    exps = _mono_table(h.alphabet, trunc).exps
+    mt = _mono_table(h.alphabet, trunc)
     Y = complex(xy[1])
     X = complex(xy[0]) - center * Y
     px, py = [1 + 0j], [1 + 0j]
-    for _ in range(exps.shape[1] - 1):
+    for _ in range(mt.exps.shape[1] - 1):
         px.append(px[-1] * X)
         py.append(py[-1] * Y)
-    mono = np.where(exps >= 0, np.array(px)[np.maximum(exps, 0)] * np.array(py), 0)
+    mono = np.where(mt.mask, np.array(px)[mt.xpow] * np.array(py), 0)
     return TruncSeries._from_vec(h.alphabet, trunc, (coef * mono).sum(axis=1).tolist())
 
 
@@ -505,7 +506,14 @@ def _cusp_series(h, tau, cfg):
 # limit at i and the unit bridge steps I(i, i +- 1).
 _PATHS_CAP = 256
 _PATHS = {}
-_COUNTS = {"hits": 0, "misses": 0, "panels": 0}
+# One bounded memo of those series evaluated at a point (TruncSeries): a
+# regularized end of reg_to_cusp under (assignment, tau, direction, point,
+# config), the running product of _bridge after a unit step under
+# (assignment, point, word prefix, config).  Points are keyed up to sign.
+# One sweep pass fills 165 entries.
+_VALUES_CAP = 1024
+_VALUES = {}
+_COUNTS = {"hits": 0, "misses": 0, "panels": 0, "value_hits": 0, "value_misses": 0}
 
 
 def _remember(cache, cap, key, value):
@@ -513,6 +521,26 @@ def _remember(cache, cap, key, value):
     if len(cache) >= cap:
         del cache[next(iter(cache))]
     cache[key] = value
+
+
+def _value(key, compute):
+    """The evaluated series memoized under key; ``compute()`` on a miss."""
+    got = _VALUES.get(key)
+    if got is None:
+        _COUNTS["value_misses"] += 1
+        got = compute()
+        _remember(_VALUES, _VALUES_CAP, key, got)
+    else:
+        _COUNTS["value_hits"] += 1
+    return got
+
+
+def _unsigned(xy):
+    """The point xy = (X, Y) up to sign, as a memo key: every coefficient is
+    even in (X, Y), and a series read at (-X, -Y) has the bytes it has at
+    (X, Y)."""
+    X, Y = complex(xy[0]), complex(xy[1])
+    return (-X, -Y) if (Y.real, Y.imag, X.real, X.imag) < (0, 0, 0, 0) else (X, Y)
 
 
 def _center(z0, z1):
@@ -583,11 +611,14 @@ def reg_to_cusp(h, tau, direction, xy, cfg=IntegratorConfig()):
     half-plane to the tangential base point at i-infinity, at the numeric
     point xy: RI(tau, i inf) I_inf(tau, direction), both read at xy from
     stored polynomial arrays (the cusp limit centered at tau, I_inf in the
-    values of X - Y z at tau and at the direction)."""
+    values of X - Y z at tau and at the direction).  The product is
+    memoized per (assignment, tau, direction, xy up to sign, config): the
+    two ends of F(p, q) are the heads of D(p, q) and D(-q, p)."""
     direction = Fraction(direction)
     tau = complex(tau)
-    return (_at_point(h, _ri_limit(h, tau, cfg), xy, cfg.trunc, tau)
-            * _i_inf_at(h, tau, float(direction), xy, cfg.trunc))
+    return _value((h, tau, direction, _unsigned(xy), cfg),
+                  lambda: _at_point(h, _ri_limit(h, tau, cfg), xy, cfg.trunc, tau)
+                  * _i_inf_at(h, tau, float(direction), xy, cfg.trunc))
 
 
 # ---------------------------------------------------------------------------
@@ -647,17 +678,25 @@ def sl2_word(m):
 def _bridge(h, mat, xy, cfg):
     """I(i, mat(i)) at the numeric point xy, as a product of unit horizontal
     transfers at height one (S steps fix i and cost nothing).  Each unit
-    step evaluates the series of I(i, i +- 1) at its point."""
+    step evaluates the series of I(i, i +- 1) at its point.  The running
+    product after each unit step is memoized per (assignment, xy up to
+    sign, prefix of the word of mat run so far, config), so the bridges of
+    build_D, which all start at the chart point (1, 0), share their common
+    prefixes.  A prefix, unlike the point that it reaches, fixes the
+    products taken, so a value does not depend on which word stored it."""
+    word = sl2_word(mat)
+    point = _unsigned(xy)
     acc = TruncSeries.one(h.alphabet, cfg.trunc, COMPLEX)
     cur = _ID_MAT
-    for kind, n in sl2_word(mat):
+    for i, (kind, n) in enumerate(word):
         if kind == "S":
             cur = _mat_mul(cur, _S_MAT)
             continue
         step = 1 if n > 0 else -1
         t_step = (1, step, 0, 1)
-        for _ in range(abs(n)):
-            acc = acc * i_numeric(h, 1j, 1j + step, _mat_apply_xy(_mat_inv(cur), xy), cfg)
+        for j in range(1, abs(n) + 1):
+            acc = _value((h, point, (*word[:i], ("T", j * step)), cfg),
+                         lambda: acc * i_numeric(h, 1j, 1j + step, _mat_apply_xy(_mat_inv(cur), xy), cfg))
             cur = _mat_mul(cur, t_step)
     return acc
 
@@ -767,13 +806,15 @@ def symbol_fn(h, cfg=IntegratorConfig()):
 
 
 def clear_caches():
-    """Empty the path-series memo and reset its counters."""
+    """Empty the path-series and value memos and reset their counters."""
     _PATHS.clear()
-    _COUNTS.update(hits=0, misses=0, panels=0)
+    _VALUES.clear()
+    _COUNTS.update(dict.fromkeys(_COUNTS, 0))
 
 
 def cache_info():
     """Deterministic counts, no timings: the series held by the path memo,
-    its hits and misses, and the quadrature panels evaluated since the last
+    its hits and misses, the quadrature panels evaluated, and the values
+    held by the value memo with its hits and misses, since the last
     ``clear_caches()``."""
-    return {"series": len(_PATHS), **_COUNTS}
+    return {"series": len(_PATHS), "values": len(_VALUES), **_COUNTS}

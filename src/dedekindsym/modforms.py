@@ -146,13 +146,14 @@ class ModularFormSpec:
     supported on even q-powers).
     """
 
-    __slots__ = ("kind", "weight", "name", "_cache")
+    __slots__ = ("kind", "weight", "name", "_cache", "_floats")
 
     def __init__(self, kind, weight, name):
         self.kind = kind
         self.weight = weight
         self.name = name
         self._cache = {}
+        self._floats = []       # float(coeff(n)) for n < len, extended by _fourier_sum
 
     def __eq__(self, other):
         return isinstance(other, ModularFormSpec) and (self.kind, self.weight) == (other.kind, other.weight)
@@ -254,10 +255,15 @@ def _fourier_sum(form, z, tol=1e-16, cap=600, cusp_only=False):
     qn = 1.0 + 0j
     total = 0j if cusp_only else complex(form.coeff(0))
     absq = abs(q)
+    floats = form._floats
     for n in range(1, cap + 1):
         qn *= q
-        a = float(form.coeff(n))
-        total += a * qn
+        if n >= len(floats):
+            # doubled on demand up to cap; replaced whole, so a reader never
+            # sees a half-extended list
+            floats = floats + [float(form.coeff(m)) for m in range(len(floats), min(2 * n, cap) + 1)]
+            form._floats = floats
+        total += floats[n] * qn
         # crude tail bound: coefficients grow at most like n^(weight)
         if (n ** form.weight) * absq ** n / (1.0 - absq) < tol:
             return total

@@ -1,6 +1,7 @@
 import cmath
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import mpmath
@@ -201,6 +202,25 @@ class TestRegToCusp:
         assert (r0 * bridge).max_abs_diff(r1) < 1e-11
 
 
+def point_factor(X, Y):
+    """(X - Y t)^w at a numeric point, as ei._i_inf_polys takes it: one row, m_0 = 1."""
+    return lambda w: [[math.comb(w, j) * X ** (w - j) * (-Y) ** j if j else X ** w for j in range(w + 1)]]
+
+
+def i_inf_polys_at(h, tau0, xy, trunc):
+    """I_inf(tau0, t) at the numeric point xy, one polynomial in t per word
+    in word-table order: the antiderivative recursion run at the point, as
+    i_infinity and the cusp limit ran it before I_inf was stored."""
+    polys = ei._i_inf_polys(h, complex(tau0), point_factor(complex(xy[0]), complex(xy[1])), trunc)
+    return {w: p[0] for w, p in polys.items()}
+
+
+def i_inf_per_point(h, tau0, tau1, xy, trunc):
+    """I_inf(tau0, tau1) at xy from the per-point recursion."""
+    polys = i_inf_polys_at(h, tau0, xy, trunc)
+    return TruncSeries._from_vec(h.alphabet, trunc, [ei._poly_eval(p, complex(tau1)) for p in polys.values()])
+
+
 def i_inf_mpmath(h, tau, s, xy, trunc, dps=30):
     """I_inf(tau, s) at the numeric point xy to ``dps`` digits, as the list of
     its coefficients over the word table: the forward antiderivative
@@ -274,8 +294,8 @@ class TestIInfPaths:
     def test_build_points_match_mpmath(self, name, monkeypatch):
         # at each point X - s Y = 0 (the heads and the F tails) or Y = 0 (the
         # D tails).  Bound fixed beforehand: 1e-14 of max(1, largest
-        # coefficient); the per-point recursion of i_infinity reaches 7.9e-14
-        # at trunc 2 and 1.5e-12 at trunc 3
+        # coefficient); the per-point recursion (i_inf_per_point) reaches
+        # 7.9e-14 at trunc 2 and 1.5e-12 at trunc 3
         h = self.ASSIGNMENTS[name]()
         points = self.build_points(h, monkeypatch)
         assert len(points) > len(SIGNED_GRID)
@@ -292,7 +312,8 @@ class TestIInfPaths:
     def test_generic_points(self, name):
         # points where neither endpoint form X - s Y, X - tau Y vanishes.
         # Bounds fixed beforehand, of max(1, largest coefficient): 1e-13
-        # against mpmath, 1e-12 against the per-point recursion of i_infinity
+        # against mpmath, for the stored array and for the public
+        # i_infinity, which reads it; 1e-12 against the per-point recursion
         h = self.ASSIGNMENTS[name]()
         for tau, s, xy in itertools.product(
                 [1j, 0.3 + 1.1j, -0.7 + 2j], [Fraction(0), Fraction(1, 3), Fraction(-5, 2), Fraction(7)],
@@ -302,7 +323,8 @@ class TestIInfPaths:
                 got = ei._i_inf_at(h, tau, float(s), xy, trunc)
                 ref = TruncSeries._from_vec(h.alphabet, trunc, want[:len(got.vec)])
                 assert relative_gap(got, ref) <= 1e-13, (tau, s, xy, trunc)
-                per_point = ei.i_infinity(h, tau, float(s), xy, trunc)
+                assert relative_gap(ei.i_infinity(h, tau, s, xy, trunc), ref) <= 1e-13, (tau, s, xy, trunc)
+                per_point = i_inf_per_point(h, tau, float(s), xy, trunc)
                 assert relative_gap(got, per_point) <= 1e-12, (tau, s, xy, trunc)
 
     @pytest.mark.parametrize("trunc", [1, 2, 3])
@@ -603,10 +625,10 @@ class ScalarPointPath:
 
     def cusp_limit(self, tau):
         h, cfg = self.h, self.cfg
-        polys = ei._i_inf_polys(h, tau, ei._point_factor(self.X, self.Y), cfg.trunc)
-        coef = np.zeros((len(self.tab.words), max(len(p[0]) for p in polys.values())), dtype=complex)
+        polys = i_inf_polys_at(h, tau, (self.X, self.Y), cfg.trunc)
+        coef = np.zeros((len(self.tab.words), max(map(len, polys.values()))), dtype=complex)
         for w, p in polys.items():
-            coef[self.tab.index[w], :len(p[0])] = p[0]
+            coef[self.tab.index[w], :len(p)] = p
 
         def cusp_value(form, z):
             return mf.form_value(form, z, cfg.fourier_tol) - complex(form.coeff(0))
@@ -731,10 +753,12 @@ class TestCuspLimitMemo:
                                          (0.3 + 1.1j, (-2 + 0j, 5 + 0j))])
     def test_negated_point_same_bytes(self, tau, xy):
         # coefficients have even degree in (X, Y): one stored series gives
-        # the same bytes at (X, Y) and (-X, -Y)
+        # the same bytes at (X, Y) and (-X, -Y).  The value memo is emptied
+        # in between, else its entry for the point up to sign would answer
         h = h_pair()
         ei.clear_caches()
         here = ei.reg_to_cusp(h, tau, Fraction(1, 3), xy, CFG).dumps()
+        ei._VALUES.clear()
         there = ei.reg_to_cusp(h, tau, Fraction(1, 3), (-xy[0], -xy[1]), CFG).dumps()
         assert here == there
         info = ei.cache_info()
@@ -755,9 +779,10 @@ class TestCuspLimitMemo:
         ei.build_D(h, 3, 2, CFG)
         ei.build_D(h, 3, 2, CFG)
         info = ei.cache_info()
-        assert info["series"] and info["hits"] and info["misses"] and info["panels"]
+        assert all(info.values())
         ei.clear_caches()
-        assert ei.cache_info() == {"series": 0, "hits": 0, "misses": 0, "panels": 0}
+        assert ei.cache_info() == {"series": 0, "hits": 0, "misses": 0, "panels": 0,
+                                   "values": 0, "value_hits": 0, "value_misses": 0}
 
     def test_reciprocity_triple_shares_three_series(self):
         # D(p, q), D(-q, p) and F(p, q) evaluate one cusp-limit series at
@@ -817,6 +842,7 @@ class TestBridgeSteps:
         there = ei._bridge(h, mat, (-xy[0], -xy[1]), CFG)
         assert here.dumps() == there.dumps()
         assert relative_gap(here, ScalarPointPath(h, xy, CFG).unit_step(step)) <= 1e-11
+        ei._VALUES.clear()          # so the step reads the stored unit-step series again
         ei._bridge(h, mat, xy, CFG)
         info = ei.cache_info()
         assert (info["misses"], info["hits"], info["series"]) == (1, 1, 1)
@@ -838,6 +864,9 @@ class TestBridgeSteps:
         # the grid 1 <= p <= 9, 1 <= |q| <= 9 with p <= q, each op computing
         # D(p, q) and D(-q, p) through the memoized evaluator, F and E.  It
         # runs three quadratures: the cusp limit at i and the steps I(i, i +- 1).
+        # It evaluates 91 distinct regularized ends (the ends of F(p, q) are
+        # the heads of D(p, q) and D(-q, p)) and 74 distinct bridge prefixes
+        # (every bridge of build_D starts at the chart point (1, 0)).
         calls = []
         monkeypatch.setattr(ei, "form_value", lambda *args: calls.append(args) or mf.form_value(*args))
         h = h_pair()
@@ -850,6 +879,64 @@ class TestBridgeSteps:
         assert {key[1:3] for key in ei._PATHS} == {(1j, INF), (1j, 1 + 1j), (1j, -1 + 1j)}
         assert (info["misses"], info["series"], info["panels"]) == (3, 3, 15)
         assert len(set(calls)) == len(calls) == 192   # the two steps: 3 panels of 16 nodes, 2 forms
+        assert (info["values"], info["value_misses"]) == (165, 165)
+        assert sum(len(key) == 5 for key in ei._VALUES) == 91     # (h, tau, direction, point, cfg)
+        ei.clear_caches()
+
+
+class TestValueMemo:
+    """The memo of evaluated series (regularized ends and bridge prefixes)
+    changes no bytes: not the order of the pairs, not a cold start, not
+    eviction."""
+
+    CONFIGS = {"E4,E6": h_pair,
+               "E4,Delta": lambda: ei.HAssignment.letters({"A": mf.eisenstein(4), "B": mf.delta_form()})}
+
+    @staticmethod
+    def grid_bytes(h, cfg, order, clear=lambda: None):
+        build = TestCuspLimitMemo.builders(h, cfg)
+        out = {}
+        for pq in order:
+            clear()
+            out[pq] = [b(*pq).dumps() for b in build]
+        return out
+
+    @pytest.mark.parametrize("name, trunc", [("E4,E6", 1), ("E4,E6", 2), ("E4,E6", 3), ("E4,Delta", 2)])
+    def test_signed_grid_order_and_cold_start(self, name, trunc):
+        # D, F and full_integral over the signed grid: two shuffled orders from
+        # cleared caches, every pair with the value memo emptied before it, and
+        # every 11th pair with both memos emptied give the same bytes
+        h, cfg = self.CONFIGS[name](), ei.IntegratorConfig(trunc=trunc)
+        orders = [random.Random(seed).sample(SIGNED_GRID, len(SIGNED_GRID)) for seed in (1, 2)]
+        ei.clear_caches()
+        first = self.grid_bytes(h, cfg, orders[0])
+        ei.clear_caches()
+        assert self.grid_bytes(h, cfg, orders[1]) == first
+        assert self.grid_bytes(h, cfg, SIGNED_GRID, ei._VALUES.clear) == first
+        cold = self.grid_bytes(h, cfg, SIGNED_GRID[::11], ei.clear_caches)
+        assert cold == {pq: first[pq] for pq in SIGNED_GRID[::11]}
+        ei.clear_caches()
+
+    def test_capacity_one_same_bytes(self, monkeypatch):
+        h, cfg = h_pair(), CFG
+        ei.clear_caches()
+        want = self.grid_bytes(h, cfg, SIGNED_GRID)
+        assert 1 < ei.cache_info()["values"] <= ei._VALUES_CAP
+        monkeypatch.setattr(ei, "_VALUES_CAP", 1)
+        ei.clear_caches()
+        assert self.grid_bytes(h, cfg, SIGNED_GRID) == want
+        assert ei.cache_info()["values"] == 1
+        ei.clear_caches()
+
+    def test_point_keyed_up_to_sign(self):
+        # D(-2, 3) reads its head at (3, -2); that end at (-3, 2) is the same entry
+        h = h_pair()
+        ei.clear_caches()
+        ei.build_D(h, -2, 3, CFG)
+        misses = ei.cache_info()["value_misses"]
+        ei.reg_to_cusp(h, 1j, Fraction(-3, 2), (-3, 2), CFG)
+        ei.reg_to_cusp(h, 1j, Fraction(-3, 2), (3, -2), CFG)
+        assert ei.cache_info()["value_misses"] == misses
         ei.clear_caches()
 
 
@@ -949,7 +1036,7 @@ def theta_reference(h, tau, xy, cfg, zs):
     each word: the same computation with every coefficient, power and sum
     term replaced by its absolute value."""
     X, Y = complex(xy[0]), complex(xy[1])
-    polys = {w: p[0] for w, p in ei._i_inf_polys(h, tau, ei._point_factor(X, Y), cfg.trunc).items()}
+    polys = i_inf_polys_at(h, tau, (X, Y), cfg.trunc)
     wt = {w: h.alphabet.word_weight(w) for w in h.forms}
     one = TruncSeries.one(h.alphabet, cfg.trunc, COMPLEX)
 
