@@ -88,25 +88,33 @@ def tails(s):
     return out
 
 
-def canonical(p, q):
-    """The unique sequence with evaluate -> (p, q) and a_i >= 2 for i >= 1.
+def canonical_tails(p, q):
+    """The tails (p_i, q_i) of the canonical sequence of q/p, i = 0..n, top
+    first and one at a time: tail i+1 is (a_i p_i - q_i, p_i) with
+    a_i = ceil(q_i/p_i), and the last tail is the first with p_i = 1.
 
     Requires gcd(p, q) = 1 and p >= 1 (callers canonicalize the sign of the
-    pair first).  Integers q/p come out as the single entry [q/p].
+    pair first); checked when the first tail is drawn.
     """
     p, q = int(p), int(q)
     if p <= 0:
         raise ValueError("canonical continued fractions need p >= 1")
     if gcd(p, q) != 1:
         raise ValueError("(p, q) must be coprime")
-    entries = []
     while True:
-        a = -((-q) // p)  # ceil(q/p)
-        entries.append(a)
-        if a * p == q:
-            return CFSeq(entries)
+        yield CoprimePair(p, q)
+        if p == 1:
+            return
         # remainder x = 1/(a - q/p) = p/(a p - q), a value > 1
-        p, q = a * p - q, p
+        p, q = -((-q) // p) * p - q, p
+
+
+def canonical(p, q):
+    """The unique sequence with evaluate -> (p, q) and a_i >= 2 for i >= 1,
+    a_i = ceil(q_i/p_i) over the tails of ``canonical_tails``.  Integers q/p
+    come out as the single entry [q/p].
+    """
+    return CFSeq(-((-qi) // pi) for pi, qi in canonical_tails(p, q))
 
 
 def _checked(entries):

@@ -84,7 +84,7 @@ import numpy as np
 
 from .errors import DomainError, NonConvergence
 from .modforms import _solve_unimodular, form_cusp_value, form_value
-from .series import COMPLEX, Alphabet, TruncSeries, _split_table
+from .series import COMPLEX, Alphabet, TruncSeries, _remember, _split_table
 
 INF = float("inf")
 
@@ -514,13 +514,6 @@ _PATHS = {}
 _VALUES_CAP = 1024
 _VALUES = {}
 _COUNTS = {"hits": 0, "misses": 0, "panels": 0, "value_hits": 0, "value_misses": 0}
-
-
-def _remember(cache, cap, key, value):
-    """Store key -> value, evicting the oldest entry once ``cap`` is reached."""
-    if len(cache) >= cap:
-        del cache[next(iter(cache))]
-    cache[key] = value
 
 
 def _value(key, compute):

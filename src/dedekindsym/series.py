@@ -198,6 +198,13 @@ def _split_table(alphabet, trunc):
     return _SplitTable(words, index, splits, tuple(groups))
 
 
+def _remember(cache, cap, key, value):
+    """Store key -> value, evicting the oldest entry once ``cap`` is reached."""
+    if len(cache) >= cap:
+        del cache[next(iter(cache))]
+    cache[key] = value
+
+
 _ZERO = {RATIONAL: 0, COMPLEX: 0j}
 
 
@@ -261,6 +268,23 @@ class TruncSeries:
     @classmethod
     def term(cls, alphabet, trunc, word, coeff, kind=RATIONAL):
         return cls(alphabet, trunc, {word: coeff}, kind)
+
+    @classmethod
+    def exp_term(cls, alphabet, trunc, word, coeff, kind=RATIONAL):
+        """exp(c w) = sum over k of c^k / k! w^k for a nonempty word w, with
+        the bytes of ``term(...).exp()``: c^k is taken by repeated products
+        and 1/k! is applied to a complex coefficient as its nearest float."""
+        w = alphabet.word(word)
+        if not w:
+            raise ValueError("exp_term needs a nonempty word")
+        c = _coerce(kind, coeff)
+        terms, ck = {}, 1
+        for k in range(trunc // len(w) + 1):
+            s = Fraction(1, factorial(k))
+            # + 0j turns a zero part -0.0 into 0.0, as exp's sums do
+            terms[w * k] = ck * s if kind == RATIONAL else ck * float(s) + 0j
+            ck = ck * c
+        return cls(alphabet, trunc, terms, kind)
 
     def coeff(self, word):
         row = _split_table(self.alphabet, self.trunc).index.get(self.alphabet.word(word))

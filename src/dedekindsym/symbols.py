@@ -15,7 +15,7 @@ from math import gcd
 
 from . import contfrac
 from .errors import DomainError, NotShuffled
-from .series import RATIONAL, TruncSeries
+from .series import RATIONAL, TruncSeries, _remember
 
 # ---------------------------------------------------------------------------
 # Orbits of the defining relations
@@ -65,12 +65,20 @@ def sample_pairs(n, seed, bound=30, distinct=True):
 # ---------------------------------------------------------------------------
 # Evaluator objects
 
+# Values per evaluator memo, oldest evicted first.  delta at a pair whose
+# continued fraction has n proper tails stores up to n of them; over all
+# pairs with |p|, |q| <= 50 of the exact benchmark (seed 1) no memo holds
+# more than 173.
+_MEMO_CAP = 1 << 12
+
+
 class _SeriesFn:
     """Memoized map (p, q) -> TruncSeries with constant term 1.
 
     memo: "literal" caches by the pair itself and "sign" folds
     (p,q) ~ (-p,-q).  Only functions whose axioms hold by construction
     should use the folded mode, else axiom verification would be vacuous.
+    The memo keeps at most ``_MEMO_CAP`` values.
     """
 
     __slots__ = ("_func", "alphabet", "trunc", "kind", "almost", "memo_mode", "_memo", "name")
@@ -103,7 +111,7 @@ class _SeriesFn:
             val = self._func(p, q)
             if val.coeff(()) != 1:
                 raise ValueError(f"{type(self).__name__} evaluation must have constant term 1")
-            self._memo[key] = val
+            _remember(self._memo, _MEMO_CAP, key, val)
         return val
 
 
@@ -151,11 +159,20 @@ def delta(f):
 
     Uses the unique continued-fraction representation with a_i >= 2 for
     i >= 1: the value at (p, q) is the ordered product of F(p_i, q_i)^(-1)
-    over the proper tails.  Integer values of q/p short-circuit to 1, and
-    negative integers to F(1,1)^(-1) (F(1,1) = 1 is not available on the
-    almost domain).
+    over the proper tails t_1, ..., t_n.  Integer values of q/p short-circuit
+    to 1, and negative integers to F(1,1)^(-1) (F(1,1) = 1 is not available
+    on the almost domain).
+
+    The canonical sequence of t_i is the tail of that of (p, q), so
+    D(t_i) = F(t_(i+1))^(-1) D(t_(i+1)) and D(t_n) = 1.  A memo miss walks
+    the tails down to the first one already memoized (or to t_n), then fills
+    the memo back up, one inverse and one product per new tail.  Exact
+    products associate, so every value is the left-to-right product's, to
+    the byte.  Complex F keeps the left-to-right product: floating-point
+    products do not associate.
     """
     one = TruncSeries.one(f.alphabet, f.trunc, f.kind)
+    memo = {}
 
     def ev(p, q):
         if p < 0:
@@ -164,14 +181,26 @@ def delta(f):
             if q >= 1:
                 return one
             return f(1, 1).inverse()
-        seq = contfrac.canonical(p, q)
-        acc = one
-        for pi, qi in contfrac.tails(seq)[1:]:
-            acc = acc * f(pi, qi).inverse()
-        return acc
+        if f.kind != RATIONAL:
+            return delta_full(f, contfrac.canonical(p, q))
+        tails = contfrac.canonical_tails(p, q)
+        next(tails)  # t_0 = (p, q), the memo miss itself
+        path, acc = [], one
+        for t in tails:
+            path.append(t)
+            if t in memo:
+                acc = memo[t]
+                break
+        for i in range(len(path) - 1, 0, -1):
+            acc = f(*path[i]).inverse() * acc
+            _remember(memo, _MEMO_CAP, path[i - 1], acc)
+        return f(*path[0]).inverse() * acc
 
-    return SymbolFn(ev, f.alphabet, f.trunc, f.kind, almost=True,
-                    memo="sign", name=f"delta({f.name})", normalized=True)
+    d = SymbolFn(ev, f.alphabet, f.trunc, f.kind, almost=True,
+                 memo="sign", name=f"delta({f.name})", normalized=True)
+    # ev binds the memo, never d: d -> ev -> d would be a reference cycle
+    d._memo = memo
+    return d
 
 
 def delta_full(f, rep):
@@ -218,7 +247,7 @@ def embed_exp(f, letter, alphabet, trunc, kind=RATIONAL, almost=True):
     idx = (alphabet.index(letter),)
 
     def ev(p, q):
-        return TruncSeries.term(alphabet, trunc, idx, f(p, q), kind).exp()
+        return TruncSeries.exp_term(alphabet, trunc, idx, f(p, q), kind)
 
     return RecipFn(ev, alphabet, trunc, kind, almost, name=f"exp({letter})")
 
@@ -228,7 +257,7 @@ def embed_exp_symbol(d, letter, alphabet, trunc, kind=RATIONAL, almost=True):
     idx = (alphabet.index(letter),)
 
     def ev(p, q):
-        return TruncSeries.term(alphabet, trunc, idx, d(p, q), kind).exp()
+        return TruncSeries.exp_term(alphabet, trunc, idx, d(p, q), kind)
 
     return SymbolFn(ev, alphabet, trunc, kind, almost, name=f"exp({letter})")
 
@@ -402,7 +431,7 @@ class Decomposition:
             for w in self.words:
                 c = t.coeff(w) - current.coeff(w)
                 cs[w] = c
-                current = current * TruncSeries.term(t.alphabet, self.target.trunc, w, c, t.kind).exp()
+                current = current * TruncSeries.exp_term(t.alphabet, self.target.trunc, w, c, t.kind)
             got = (cs, current)
             self._peeled[(p, q)] = got
         return got

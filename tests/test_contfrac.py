@@ -107,6 +107,7 @@ class TestCanonical:
                 seq = cf.canonical(p, q)
                 assert seq.is_canonical()
                 assert cf.evaluate(seq) == (p, q)
+                assert list(cf.canonical_tails(p, q)) == cf.tails(seq)
 
     def test_idempotent(self):
         seq = cf.canonical(17, 53)

@@ -219,7 +219,27 @@ class TestExpLog:
         out = s.exp().log()
         assert out.coeff("a") == 2 and out.coeff("b") == Fraction(-1, 3)
 
+    def test_exp_term_bytes_match_exp(self):
+        # exp_term builds exp(c w) in closed form; scaling c^k by the float
+        # nearest 1/k!, as exp does, is what keeps complex bytes equal
+        # (c**k / k! is not), and real c < 0 gives c^2 an imaginary part -0.0
+        rng = random.Random(19)
+        xy = Alphabet((("x", 2), ("y", 4)))
+        for trunc in range(1, 5):
+            words = list(xy.iter_words(trunc, min_len=1))
+            for _ in range(60):
+                w = rng.choice(words)
+                r = Fraction(rng.randint(-30, 30), rng.randint(1, 30))
+                z = complex(rng.uniform(-5, 5), rng.uniform(-5, 5))
+                for c, kind in ((r, RATIONAL), (z, COMPLEX), (complex(-abs(z)), COMPLEX),
+                                (complex(0, z.imag), COMPLEX)):
+                    want = TruncSeries.term(xy, trunc, w, c, kind).exp()
+                    got = TruncSeries.exp_term(xy, trunc, w, c, kind)
+                    assert got.dumps() == want.dumps() and got == want
+
     def test_preconditions(self):
+        with pytest.raises(ValueError):
+            TruncSeries.exp_term(AB, 2, (), 1)
         with pytest.raises(ValueError):
             TruncSeries.one(AB, 2).exp()
         with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import gc
 import random
 from fractions import Fraction
 from math import gcd
@@ -203,6 +204,100 @@ class TestDeltaFull:
         assert sy.delta_full(self.fr, seq) == want
 
 
+def scalar_rf(seed):
+    return sy.scalar_psi(sy.random_scalar_symbol(seed))
+
+
+def corrupted_rf(seed):
+    """A shuffled function plus the word ab: not a reciprocity function."""
+    base = sy.from_components({"a": scalar_rf(seed), "b": scalar_rf(seed + 1)}, AB, 3)
+    return sy.RecipFn(lambda p, q: base(p, q) + TruncSeries.term(AB, 3, "ab", 1), AB, 3)
+
+
+class TestDeltaTails:
+    """delta by its tail recursion against the left-to-right product."""
+
+    PAIRS = ([(p, q) for p in range(2, 14) for q in range(-20, 21) if gcd(p, q) == 1]
+             + [(50, 1), (50, 49), (34, 55), (49, -50), (37, -8)])
+
+    @staticmethod
+    def functions():
+        return {"psi": sy.psi(sy.random_symbol(AB, 3, seed=121)),
+                "shuffled": sy.from_components({"a": scalar_rf(122), "b": scalar_rf(123)}, AB, 3),
+                "corrupted": corrupted_rf(124)}
+
+    @pytest.mark.parametrize("name", ["psi", "shuffled", "corrupted"])
+    def test_matches_left_to_right_product(self, name):
+        f = self.functions()[name]
+        want = {pq: sy.delta_full(f, cf.canonical(*pq)).dumps() for pq in self.PAIRS}
+        signed = [(s * p, s * q) for p, q in self.PAIRS for s in (1, -1)]
+        for seed in (125, 126):
+            random.Random(seed).shuffle(signed)
+            warm = sy.delta(f)
+            for i, (p, q) in enumerate(signed):
+                ref = want[(abs(p), q if p > 0 else -q)]
+                assert warm(p, q).dumps() == ref
+                if i % 5 == 0:
+                    assert sy.delta(f)(p, q).dumps() == ref
+
+    def test_memo_cap_of_one_gives_the_same_values(self, monkeypatch):
+        def values():
+            f = corrupted_rf(127)
+            fns = (sy.delta(f), sy.bullet(f, sy.embed_exp(scalar_rf(129), "b", AB, 3)),
+                   sy.bullet_inverse(f))
+            return [g(p, q).dumps() for p, q in self.PAIRS[::9] for g in fns], fns
+
+        want, _ = values()
+        monkeypatch.setattr(sy, "_MEMO_CAP", 1)
+        got, fns = values()
+        assert got == want
+        assert all(len(g._memo) == 1 for g in fns)
+
+    def test_one_inverse_per_new_tail(self, monkeypatch):
+        a = Alphabet.simple("a")
+        f = sy.RecipFn(lambda p, q: TruncSeries.exp_term(a, 2, "a", Fraction(p, q)), a, 2)
+        asked, inverses = [], [0]
+        call, inverse = sy.RecipFn.__call__, TruncSeries.inverse
+
+        def counted_call(self, p, q):
+            asked.append((p, q))
+            return call(self, p, q)
+
+        def counted_inverse(self):
+            inverses[0] += 1
+            return inverse(self)
+
+        monkeypatch.setattr(sy.RecipFn, "__call__", counted_call)
+        monkeypatch.setattr(TruncSeries, "inverse", counted_inverse)
+        d = sy.delta(f)
+        # 1/3000 = <1, 2, ..., 2>: proper tails (2999, 3000), ..., (1, 2), far
+        # deeper than the recursion limit
+        d(3000, 1)
+        assert sorted(asked) == [(j, j + 1) for j in range(1, 3000)]
+        assert inverses[0] == 2999 and len(d._memo) == 2999
+        # <5, 3, 2, ..., 2> joins those tails at <2, ..., 2> = (2990, 2991):
+        # two new values, D at the pair and at its first tail
+        asked.clear()
+        inverses[0] = 0
+        p, q = cf.evaluate([5, 3] + [2] * 2990)
+        got = d(p, q)
+        assert asked == [(2990, 2991), cf.evaluate([3] + [2] * 2990)]
+        assert inverses[0] == 2
+        assert got == sy.delta_full(f, cf.canonical(p, q))
+
+    def test_no_reference_cycle(self):
+        f = sy.psi(sy.random_symbol(AB, 3, seed=128))
+        gc.collect()
+        gc.disable()
+        try:
+            d = sy.delta(f)
+            d(50, 1)
+            del d
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+
 class TestNormalize:
     def test_already_normalized(self):
         d = sy.delta(sy.psi(sy.random_symbol(AB, 3, seed=51)))
@@ -221,10 +316,6 @@ class TestNormalize:
         f, fn = sy.psi(d), sy.psi(sy.normalize(d))
         for p, q in sy.sample_pairs(10, seed=55):
             assert f(p, q) == fn(p, q)
-
-
-def scalar_rf(seed):
-    return sy.scalar_psi(sy.random_scalar_symbol(seed))
 
 
 class TestBullet:
