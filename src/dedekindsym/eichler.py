@@ -18,11 +18,13 @@ equation RI' = RI * Theta with the conjugated cuspidal form
 
     Theta(eps) = I_inf(tau, eps) (Omega - Omega_inf)(eps) I_inf(eps, tau)
 
-whose coefficients decay like exp(-2 pi Im eps).  Rational cusps are
-reached through the unimodular change of chart gamma(inf) = cusp, which
-acts on the numeric evaluation point (X, Y) linearly; bridges between
-charts are decomposed into unit horizontal segments at height one so that
-no quadrature ever runs near the real axis.
+whose coefficients decay like exp(-2 pi Im eps).  build_D and build_F
+need no other path: F(p, q) is two ends of the cusp limit at i, and D is
+fixed by F through the continued fraction of q/p (the recursion in
+build_D), from D(1, 1), two more such ends.  full_integral reaches a
+rational cusp through the unimodular change of chart gamma(inf) = cusp,
+which acts on the numeric evaluation point (X, Y) linearly, and joins
+the chart to i by a straight segment.
 
 Every Chen series here runs along a fixed path, and its coefficient of
 word B is a homogeneous polynomial of degree w(B) in (X, Y).  So each path
@@ -52,16 +54,14 @@ product of its halves on the whole coefficient array.
 One bounded memo holds the series per (assignment, path, config): the
 cusp limit RI(tau, i inf) under the path (tau, INF) and the straight
 segment from z0 to z1 under (z0, z1).  Every build_D and build_F reads
-the cusp limit at i and the unit bridge steps I(i, i +- 1), so a sweep
-over many pairs runs three quadratures.  A second bounded memo holds
-series evaluated at a point: each regularized end of reg_to_cusp (the
-ends of F(p, q) are the heads of D(p, q) and D(-q, p)), and the running
-product of each bridge after every unit step, keyed by the prefix of its
-SL2(Z) word (the bridges of build_D all start at the chart point (1, 0)).
-Points are keyed up to sign, and a miss runs the operations that it
-would run without the memo, so no output depends on what was evaluated
-before.  ``clear_caches()`` empties both memos and ``cache_info()``
-reports their sizes, hits and misses and the panels evaluated.
+only the cusp limit at i, so a sweep over many pairs runs one
+quadrature.  A second bounded memo holds series evaluated at a point:
+each regularized end of reg_to_cusp, with points keyed up to sign, and
+D at each reduced pair of its recursion.  A miss runs the operations
+that it would run without the memo, so no output depends on what was
+evaluated before.  ``clear_caches()`` empties both memos and
+``cache_info()`` reports their sizes, hits and misses and the panels
+evaluated.
 
 I_inf needs no quadrature.  Its antiderivative recursion runs once per
 (assignment, truncation) on a monomial axis, and the result is stored as
@@ -87,10 +87,6 @@ from .modforms import _solve_unimodular, form_cusp_value, form_value
 from .series import COMPLEX, Alphabet, TruncSeries, _remember, _split_table
 
 INF = float("inf")
-
-_S_MAT = (0, -1, 1, 0)
-_ID_MAT = (1, 0, 0, 1)
-
 
 # ---------------------------------------------------------------------------
 # Assignments of modular forms to words
@@ -502,15 +498,15 @@ def _cusp_series(h, tau, cfg):
 
 # One bounded memo of path series, keyed by (assignment, path, config): the
 # cusp limit from tau under the path (tau, INF), the straight segment from
-# z0 to z1 under (z0, z1).  One sweep pass fills three entries: the cusp
-# limit at i and the unit bridge steps I(i, i +- 1).
+# z0 to z1 under (z0, z1).  One sweep pass fills one entry: the cusp limit
+# at i.
 _PATHS_CAP = 256
 _PATHS = {}
-# One bounded memo of those series evaluated at a point (TruncSeries): a
+# One bounded memo of series evaluated at a point (TruncSeries): a
 # regularized end of reg_to_cusp under (assignment, tau, direction, point,
-# config), the running product of _bridge after a unit step under
-# (assignment, point, word prefix, config).  Points are keyed up to sign.
-# One sweep pass fills 165 entries.
+# config), with the point keyed up to sign, and D at a reduced pair of
+# build_D's recursion under (assignment, (p, q), config).  One sweep pass
+# fills 113 entries: 84 ends and 29 values of D.
 _VALUES_CAP = 1024
 _VALUES = {}
 _COUNTS = {"hits": 0, "misses": 0, "panels": 0, "value_hits": 0, "value_misses": 0}
@@ -606,7 +602,7 @@ def reg_to_cusp(h, tau, direction, xy, cfg=IntegratorConfig()):
     stored polynomial arrays (the cusp limit centered at tau, I_inf in the
     values of X - Y z at tau and at the direction).  The product is
     memoized per (assignment, tau, direction, xy up to sign, config): the
-    two ends of F(p, q) are the heads of D(p, q) and D(-q, p)."""
+    two ends of F(p, q) are those of F(-q, p)."""
     direction = Fraction(direction)
     tau = complex(tau)
     return _value((h, tau, direction, _unsigned(xy), cfg),
@@ -616,12 +612,6 @@ def reg_to_cusp(h, tau, direction, xy, cfg=IntegratorConfig()):
 
 # ---------------------------------------------------------------------------
 # Charts at rational cusps
-
-def _mat_mul(m, n):
-    a, b, c, d = m
-    e, f, g, k = n
-    return (a * e + b * g, a * f + b * k, c * e + d * g, c * f + d * k)
-
 
 def _mat_inv(m):
     a, b, c, d = m
@@ -648,52 +638,6 @@ def _mat_mobius(m, z):
     return (a * z + b) / den
 
 
-def sl2_word(m):
-    """Decompose an SL2(Z) matrix as T^{n1} S T^{n2} S ... T^{nk} up to sign.
-
-    Both generators act trivially on our even-weight coefficients when
-    negated, so the sign is irrelevant to the integrals.
-    """
-    a, b, c, d = m
-    if a * d - b * c != 1:
-        raise ValueError("matrix must have determinant 1")
-    out = []
-    while c != 0:
-        n = round(Fraction(a, c))
-        out.append(("T", n))
-        out.append(("S", 0))
-        # m = T^n S m'  =>  m' = S^{-1} T^{-n} m
-        a, b, c, d = c, d, n * c - a, n * d - b
-    out.append(("T", a * b))
-    return out
-
-
-def _bridge(h, mat, xy, cfg):
-    """I(i, mat(i)) at the numeric point xy, as a product of unit horizontal
-    transfers at height one (S steps fix i and cost nothing).  Each unit
-    step evaluates the series of I(i, i +- 1) at its point.  The running
-    product after each unit step is memoized per (assignment, xy up to
-    sign, prefix of the word of mat run so far, config), so the bridges of
-    build_D, which all start at the chart point (1, 0), share their common
-    prefixes.  A prefix, unlike the point that it reaches, fixes the
-    products taken, so a value does not depend on which word stored it."""
-    word = sl2_word(mat)
-    point = _unsigned(xy)
-    acc = TruncSeries.one(h.alphabet, cfg.trunc, COMPLEX)
-    cur = _ID_MAT
-    for i, (kind, n) in enumerate(word):
-        if kind == "S":
-            cur = _mat_mul(cur, _S_MAT)
-            continue
-        step = 1 if n > 0 else -1
-        t_step = (1, step, 0, 1)
-        for j in range(1, abs(n) + 1):
-            acc = _value((h, point, (*word[:i], ("T", j * step)), cfg),
-                         lambda: acc * i_numeric(h, 1j, 1j + step, _mat_apply_xy(_mat_inv(cur), xy), cfg))
-            cur = _mat_mul(cur, t_step)
-    return acc
-
-
 def _piece_to_tangential(h, tau1, tb, xy, cfg):
     """I(tau1, tb) at the numeric point xy = (X, Y)."""
     loc = tb.direction
@@ -712,7 +656,7 @@ def _gamma_for_cusp(cn, cd):
 def _piece_via_chart(h, tau1, gam, direction, xy, cfg):
     # I(tau1, ->direction_cusp) = I(sigma, ->u_inf) at gamma^{-1} xy, where
     # sigma = gamma^{-1} tau1 and u = gamma^{-1} direction; the leg from
-    # sigma to the chart anchor i goes through the generator bridge.
+    # sigma to the chart anchor i is a straight segment.
     inv = _mat_inv(gam)
     u = _mat_mobius(inv, direction)
     if u == INF:
@@ -722,9 +666,6 @@ def _piece_via_chart(h, tau1, gam, direction, xy, cfg):
     sigma = _mat_mobius(inv, complex(tau1))
     if abs(sigma - 1j) < 1e-15:
         head = TruncSeries.one(h.alphabet, cfg.trunc, COMPLEX)
-    elif complex(tau1) == 1j:
-        # sigma = gamma^{-1}(i): reach the anchor through generator bridges
-        head = _bridge(h, inv, v, cfg).inverse()
     else:
         head = i_numeric(h, sigma, 1j, v, cfg)
     return head * tail
@@ -751,30 +692,55 @@ def _validate_pair(p, q):
     return p, q
 
 
+def _reduced(p, q):
+    """(p, q) moved by the sign and translation axioms, D(p, q) = D(-p, -q) =
+    D(p, p + q), to p > 0 and -p/2 <= q < p/2; at p = 1 to (1, 1) or (1, -1),
+    as no translation crosses q = 0."""
+    if p < 0:
+        p, q = -p, -q
+    if p == 1:
+        return 1, 1 if q > 0 else -1
+    return p, (q + p // 2) % p - p // 2
+
+
 def build_D(h, p, q, cfg=IntegratorConfig()):
     """The symbol series: I from ->(q/p) at i-infinity to ->inf at q/p, at (X,Y)=(q,p).
 
-    The cusp-side piece is computed entirely in the chart gamma(inf) = q/p
-    with gamma = [[q, r], [p, s]], where the numeric point pulls back to
-    (1, 0) exactly.
+    D is fixed by its reciprocity function: at a reduced pair (p, q) other
+    than (1, 1), D(p, q) = F(p, q) D(-q, p) E(p, q)^-1, and (-q, p) reduces
+    to a pair with a smaller first entry, so the recursion ends at (1, 1)
+    in O(log p) steps.  There T^-1 and the chart S, which fixes i, give
+    D(1, 1) = I(->0 at i inf, i) I(i, ->inf at 0): the end
+    I(i, ->0 at i inf) read at (0, 1), inverted, times the same end read
+    at (1, 0).
+
+    Each reduced pair's D is memoized in the value memo.  A miss walks the
+    pairs down to the first memoized one, or to (1, 1), and fills the memo
+    back up, one step per pair; each step takes the products in the same
+    order, so no value depends on what was memoized before.
     """
-    p, q = _validate_pair(p, q)
-    xy = (complex(q), complex(p))
-    head = reg_to_cusp(h, 1j, Fraction(q, p), xy, cfg)
-    r, s = _solve_unimodular(q, p)
-    gam_inv = (s, -r, -p, q)
-    u = Fraction(-s, p)
-    chart_xy = (1.0 + 0j, 0j)
-    bridge = _bridge(h, gam_inv, chart_xy, cfg)
-    tail = reg_to_cusp(h, 1j, u, chart_xy, cfg)
-    return head.inverse() * bridge.inverse() * tail
+    path = [_reduced(*_validate_pair(p, q))]
+    while path[-1] != (1, 1) and (h, path[-1], cfg) not in _VALUES:
+        p, q = path[-1]
+        path.append(_reduced(-q, p))
+    acc = None
+    for p, q in reversed(path):
+        acc = _value((h, (p, q), cfg), lambda: _recursion_step(h, p, q, acc, cfg))
+    return acc
+
+
+def _recursion_step(h, p, q, below, cfg):
+    """D at the reduced pair (p, q) from D below it, D(-q, p)."""
+    if (p, q) == (1, 1):
+        return reg_to_cusp(h, 1j, 0, (0, 1), cfg).inverse() * reg_to_cusp(h, 1j, 0, (1, 0), cfg)
+    return build_F(h, p, q, cfg) * below * build_E(h, p, q, cfg.trunc).inverse()
 
 
 def build_F(h, p, q, cfg=IntegratorConfig()):
     """The reciprocity series: I from ->(q/p) at i-infinity to ->(q/p) at 0.
 
-    The cusp-zero chart is gamma = S, which fixes the anchor i, so no
-    bridge is needed; the numeric point pulls back to (p, -q).
+    The cusp-zero chart is gamma = S, which fixes the anchor i; the
+    numeric point pulls back to (p, -q).
     """
     p, q = _validate_pair(p, q)
     xy = (complex(q), complex(p))

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from dedekindsym import eichler
 from dedekindsym.cli import main
+from dedekindsym.series import COMPLEX, TruncSeries
 
 
 def run(capsys, *argv):
@@ -44,13 +46,25 @@ class TestSymbol:
         assert abs(row["re"] - (1 / 240) / 15) < 1e-15
 
     @pytest.mark.parametrize("pq", ["-2,51", "1,100", "1,1000"])
-    def test_not_grouplike_exits_3(self, capsys, pq):
-        # build_D returns wrong series at these wide pairs at length 2
-        # (D(-2, 51) is 2e-4 off group-like at (B, B), D(1, 100) 5.7e-2);
-        # the command refuses to print them
+    def test_not_grouplike_exits_3(self, capsys, monkeypatch, pq):
+        # a D off group-like by 1e-3 at (B, B): the command refuses to print it
+        build_D = eichler.build_D
+
+        def perturbed(h, p, q, cfg):
+            return build_D(h, p, q, cfg) + TruncSeries(h.alphabet, cfg.trunc, {(1, 1): 1e-3}, COMPLEX)
+
+        monkeypatch.setattr(eichler, "build_D", perturbed)
         code = main(["symbol", "--forms", "A=E4,B=E6", f"--pq={pq}", "--length", "2"])
         out, err = capsys.readouterr()
         assert code == 3 and not out and "not group-like" in err
+
+    @pytest.mark.parametrize("argv", [["--forms", "A=E4,B=E6", "--pq=-2,51", "--length", "2"],
+                                      ["--forms", "A=E4,B=E6", "--pq=1,100", "--length", "2"],
+                                      ["--forms", "A=E4,B=E6", "--pq=1,1000", "--length", "2"],
+                                      ["--forms", "A=Delta", "--pq=1,7", "--length", "3"]])
+    def test_wide_pairs_exit_0(self, capsys, argv):
+        code, out = run(capsys, "symbol", *argv)
+        assert code == 0 and json.loads(out)["rows"]
 
     def test_csv_format(self, capsys):
         code, out = run(capsys, "symbol", "--forms", "A=E4", "--pq", "3,5",

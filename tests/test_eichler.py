@@ -259,6 +259,9 @@ def i_inf_mpmath(h, tau, s, xy, trunc, dps=30):
 
 
 SIGNED_GRID = [(p, q) for p in range(-9, 10) for q in range(-9, 10) if p and q and math.gcd(p, q) == 1]
+# pairs with large or many continued-fraction entries
+WIDE_PAIRS = [(1, 100), (1, 1000), (-2, 51), (89, 144), (3, -28), (377, 610), (9973, 10007),
+              (7, 16), (1, 9), (1, 7)]
 
 
 class TestIInfPaths:
@@ -351,7 +354,7 @@ class TestIInfPaths:
 
 
 class TestPullback:
-    # The chart rule that _bridge relies on:
+    # The chart rule that full_integral's charts rely on:
     # I(gamma a, gamma b) at xy equals I(a, b) at gamma^-1 xy.
     A, B = 0.3 + 1.1j, -0.4 + 0.9j
     XY = (2.0, 3.0)
@@ -380,12 +383,15 @@ class TestPullback:
 
 class TestFullIntegral:
     def test_matches_build_D(self):
+        # the integral through the chart at q/p and a segment to i, against
+        # D by its recursion from D(1, 1), over the signed grid at trunc 2.
+        # Bound fixed beforehand: 1e-12 of max(1, largest coefficient)
         h = h_pair()
-        p, q = 3, 2
-        tb0 = ei.TangentialBasePoint(Fraction(q, p), INF)
-        tb1 = ei.TangentialBasePoint(INF, Fraction(q, p))
-        fi = ei.full_integral(h, tb0, tb1, (p, q), CFG)
-        assert fi.max_abs_diff(ei.build_D(h, p, q, CFG)) < 1e-12
+        for p, q in SIGNED_GRID:
+            tb0 = ei.TangentialBasePoint(Fraction(q, p), INF)
+            tb1 = ei.TangentialBasePoint(INF, Fraction(q, p))
+            fi = ei.full_integral(h, tb0, tb1, (p, q), CFG)
+            assert relative_gap(fi, ei.build_D(h, p, q, CFG)) <= 1e-12, (p, q)
 
     def test_matches_build_F_through_cusp_zero_chart(self):
         h = h_pair()
@@ -422,21 +428,6 @@ class TestFullIntegral:
         rhs = ei.reg_to_cusp(h, -0.7 + 1.1j, Fraction(-2, 3), (X, Y), CFG)
         assert lhs.max_abs_diff(rhs) < 1e-9
 
-    def test_gamma_choice_independence(self):
-        h = h_pair()
-        p, q = 3, 2
-        r, s = mf._solve_unimodular(q, p)
-
-        def build_with(r1, s1):
-            assert q * s1 - p * r1 == 1
-            head = ei.reg_to_cusp(h, 1j, Fraction(q, p), (complex(q), complex(p)), CFG)
-            chart = (1.0 + 0j, 0j)
-            bridge = ei._bridge(h, (s1, -r1, -p, q), chart, CFG)
-            tail = ei.reg_to_cusp(h, 1j, Fraction(-s1, p), chart, CFG)
-            return head.inverse() * bridge.inverse() * tail
-
-        assert build_with(r, s).max_abs_diff(build_with(r + q, s + p)) < 1e-11
-
 
 class TestBuilders:
     def test_E_components(self):
@@ -464,13 +455,16 @@ class TestBuilders:
 
     def test_delta_length1_orientation(self):
         # build_D runs from i-infinity down to the cusp; the closed form runs
-        # up from the cusp, so the two agree after the orientation constant -1
+        # up from the cusp, so the two agree after the orientation constant -1.
+        # The wide pairs need the closed form's Fourier cap raised; at
+        # (9973, 10007) it does not converge.  Bound fixed beforehand: 1e-12
+        # of max(1, |closed form|)
         h = h_delta()
         cfg = ei.IntegratorConfig(trunc=1)
-        for p, q in [(2, 3), (3, 2), (1, 2)]:
+        for p, q in [(2, 3), (3, 2), (1, 2)] + [pq for pq in WIDE_PAIRS if pq != (9973, 10007)]:
             b = ei.build_D(h, p, q, cfg).coeff((0,))
-            c = mf.dedekind_symbol_length1(mf.delta_form(), p, q)
-            assert abs(-b - c) < 1e-10
+            c = mf.dedekind_symbol_length1(mf.delta_form(), p, q, cap=20000)
+            assert abs(-b - c) <= 1e-12 * max(1.0, abs(c)), (p, q)
 
     def test_domain_errors(self):
         h = h_pair()
@@ -544,29 +538,12 @@ class TestTruncationThree:
         assert worst_group <= 1e-8 and worst_mds1 <= 1e-8
 
 
-class TestSL2Word:
-    def test_reconstruction(self):
-        import random
-
-        rng = random.Random(3)
-        for _ in range(30):
-            mat = (1, 0, 0, 1)
-            for _ in range(rng.randint(1, 6)):
-                which = rng.choice(["T", "S"])
-                step = (1, rng.randint(-3, 3), 0, 1) if which == "T" else (0, -1, 1, 0)
-                mat = ei._mat_mul(mat, step)
-            rebuilt = (1, 0, 0, 1)
-            for kind, n in ei.sl2_word(mat):
-                gen = (1, n, 0, 1) if kind == "T" else (0, -1, 1, 0)
-                rebuilt = ei._mat_mul(rebuilt, gen)
-            assert rebuilt == mat or rebuilt == tuple(-x for x in mat)
-
-
 class ScalarPointPath:
-    """The cusp limit and the unit bridge steps computed at one numeric point
-    (X, Y) on a (words, nodes) node axis, with the cusp term taken as
-    form_value - a0: the path the integrator took before its series carried
-    a monomial axis.  Test-only reference for the stored series."""
+    """The cusp limit and the unit steps I(i, i +- 1) computed at one
+    numeric point (X, Y) on a (words, nodes) node axis, with the cusp term
+    taken as form_value - a0: the path the integrator took before its
+    series carried a monomial axis.  Test-only reference for the stored
+    series."""
 
     def __init__(self, h, xy, cfg):
         self.h, self.cfg = h, cfg
@@ -784,29 +761,32 @@ class TestCuspLimitMemo:
         assert ei.cache_info() == {"series": 0, "hits": 0, "misses": 0, "panels": 0,
                                    "values": 0, "value_hits": 0, "value_misses": 0}
 
-    def test_reciprocity_triple_shares_three_series(self):
-        # D(p, q), D(-q, p) and F(p, q) evaluate one cusp-limit series at
-        # (q, p), (p, -q) and the chart tail's (1, 0), and their bridges the
-        # two unit-step series
+    def test_reciprocity_triple_shares_one_series(self):
+        # D(p, q), D(-q, p) and F(p, q) evaluate one cusp-limit series: F at
+        # (q, p) and (p, -q), D through F at its reduced pairs and through
+        # the two ends of D(1, 1) at (0, 1) and (1, 0)
         h = h_pair()
         p, q = 3, 2
         ei.clear_caches()
         ei.build_D(h, p, q, CFG)
         ei.build_D(h, -q, p, CFG)
         ei.build_F(h, p, q, CFG)
-        assert {key[1:3] for key in ei._PATHS} == {(1j, INF), (1j, 1 + 1j), (1j, -1 + 1j)}
+        assert {key[1:3] for key in ei._PATHS} == {(1j, INF)}
         info = ei.cache_info()
-        assert (info["misses"], info["series"]) == (3, 3) and info["hits"] > 3
+        assert (info["misses"], info["series"]) == (1, 1) and info["hits"] > 3
 
     def test_caches_within_capacity(self, monkeypatch):
+        # D and F read the cusp limit at i, full_integral also a segment per
+        # chart, so at capacity one every builder evicts the other's series
         h = h_pair()
         cfg = ei.IntegratorConfig(trunc=1)
+        builders = self.builders(h, cfg)
         ei.clear_caches()
-        want = [ei.build_D(h, p, q, cfg).dumps() for p, q in self.PAIRS]
+        want = [build(p, q).dumps() for p, q in self.PAIRS for build in builders]
         assert 1 < ei.cache_info()["series"] <= ei._PATHS_CAP
         monkeypatch.setattr(ei, "_PATHS_CAP", 1)
         ei.clear_caches()
-        got = [ei.build_D(h, p, q, cfg).dumps() for p, q in self.PAIRS]
+        got = [build(p, q).dumps() for p, q in self.PAIRS for build in builders]
         assert got == want
         assert ei.cache_info()["series"] == 1
         ei.clear_caches()
@@ -819,6 +799,9 @@ class TestCuspLimitMemo:
 
 
 class TestBridgeSteps:
+    """The unit steps I(i, i +- 1) from i_numeric's stored segments, and the
+    memo counts of one sweep pass of D by its recursion."""
+
     def test_warm_equals_cold(self):
         h = h_pair()
         pairs = [(7, 5), (-5, 7), (1, 9), (1, 8), (8, -9), (3, -7)]
@@ -834,39 +817,23 @@ class TestBridgeSteps:
     @pytest.mark.parametrize("step", [1, -1])
     @pytest.mark.parametrize("xy", [(1 + 0j, 0j), (3 + 0j, -2 + 0j), (-4 + 0j, 7 + 0j)])
     def test_negated_point_same_bytes(self, step, xy):
+        # one stored segment, read at (X, Y) and then at (-X, -Y)
         h = h_pair()
-        mat = (1, step, 0, 1)
         ei.clear_caches()
-        here = ei._bridge(h, mat, xy, CFG)
-        ei.clear_caches()
-        there = ei._bridge(h, mat, (-xy[0], -xy[1]), CFG)
+        here = ei.i_numeric(h, 1j, 1j + step, xy, CFG)
+        there = ei.i_numeric(h, 1j, 1j + step, (-xy[0], -xy[1]), CFG)
         assert here.dumps() == there.dumps()
         assert relative_gap(here, ScalarPointPath(h, xy, CFG).unit_step(step)) <= 1e-11
-        ei._VALUES.clear()          # so the step reads the stored unit-step series again
-        ei._bridge(h, mat, xy, CFG)
         info = ei.cache_info()
         assert (info["misses"], info["hits"], info["series"]) == (1, 1, 1)
-
-    def test_neighbouring_pairs_share_steps(self):
-        h = h_pair()
-        ei.clear_caches()
-        want = ei.build_D(h, 1, 9, CFG).dumps()
-        ei.clear_caches()
-        ei.build_D(h, 1, 8, CFG)
-        first = ei.cache_info()
-        assert ei.build_D(h, 1, 9, CFG).dumps() == want
-        second = ei.cache_info()
-        assert second["misses"] == first["misses"] and second["hits"] > first["hits"]
-        assert second["panels"] == first["panels"]
 
     def test_sweep_pass_counts(self, monkeypatch):
         # one pass of the benchmark's sweep: the couples (p, q), (q, -p) of
         # the grid 1 <= p <= 9, 1 <= |q| <= 9 with p <= q, each op computing
         # D(p, q) and D(-q, p) through the memoized evaluator, F and E.  It
-        # runs three quadratures: the cusp limit at i and the steps I(i, i +- 1).
-        # It evaluates 91 distinct regularized ends (the ends of F(p, q) are
-        # the heads of D(p, q) and D(-q, p)) and 74 distinct bridge prefixes
-        # (every bridge of build_D starts at the chart point (1, 0)).
+        # runs one quadrature, the cusp limit at i, and no form_value call.
+        # It evaluates 84 distinct regularized ends (the ends of F(p, q) are
+        # those of F(-q, p)) and D at the 29 reduced pairs with p <= 9.
         calls = []
         monkeypatch.setattr(ei, "form_value", lambda *args: calls.append(args) or mf.form_value(*args))
         h = h_pair()
@@ -876,18 +843,21 @@ class TestBridgeSteps:
         for p, q in [pq for p, q in grid for pq in ((p, q), (q, -p))]:
             dh(p, q), dh(-q, p), ei.build_F(h, p, q, CFG), ei.build_E(h, p, q, CFG.trunc)
         info = ei.cache_info()
-        assert {key[1:3] for key in ei._PATHS} == {(1j, INF), (1j, 1 + 1j), (1j, -1 + 1j)}
-        assert (info["misses"], info["series"], info["panels"]) == (3, 3, 15)
-        assert len(set(calls)) == len(calls) == 192   # the two steps: 3 panels of 16 nodes, 2 forms
-        assert (info["values"], info["value_misses"]) == (165, 165)
-        assert sum(len(key) == 5 for key in ei._VALUES) == 91     # (h, tau, direction, point, cfg)
+        assert {key[1:3] for key in ei._PATHS} == {(1j, INF)}
+        assert (info["misses"], info["series"], info["panels"]) == (1, 1, 9)
+        assert calls == []
+        assert (info["values"], info["value_misses"]) == (113, 113)
+        assert sum(len(key) == 5 for key in ei._VALUES) == 84     # (h, tau, direction, point, cfg)
+        reduced = {ei._reduced(p, q) for p in range(1, 10) for q in range(-9, 10) if q and math.gcd(p, q) == 1}
+        assert {key[1] for key in ei._VALUES if len(key) == 3} == reduced   # (h, (p, q), cfg)
+        assert len(reduced) == 29
         ei.clear_caches()
 
 
 class TestValueMemo:
-    """The memo of evaluated series (regularized ends and bridge prefixes)
-    changes no bytes: not the order of the pairs, not a cold start, not
-    eviction."""
+    """The memo of evaluated series (regularized ends and D at reduced
+    pairs) changes no bytes: not the order of the pairs, not a cold start,
+    not eviction."""
 
     CONFIGS = {"E4,E6": h_pair,
                "E4,Delta": lambda: ei.HAssignment.letters({"A": mf.eisenstein(4), "B": mf.delta_form()})}
@@ -929,13 +899,17 @@ class TestValueMemo:
         ei.clear_caches()
 
     def test_point_keyed_up_to_sign(self):
-        # D(-2, 3) reads its head at (3, -2); that end at (-3, 2) is the same entry
+        # D(-2, 3) reduces to (2, -1) and reads F(2, -1), whose head is the
+        # end at (-1, 2) toward -1/2; that end at (1, -2) is the same entry,
+        # and D at every pair that reduces to (2, -1) is one entry
         h = h_pair()
         ei.clear_caches()
         ei.build_D(h, -2, 3, CFG)
         misses = ei.cache_info()["value_misses"]
-        ei.reg_to_cusp(h, 1j, Fraction(-3, 2), (-3, 2), CFG)
-        ei.reg_to_cusp(h, 1j, Fraction(-3, 2), (3, -2), CFG)
+        ei.reg_to_cusp(h, 1j, Fraction(-1, 2), (-1, 2), CFG)
+        ei.reg_to_cusp(h, 1j, Fraction(-1, 2), (1, -2), CFG)
+        for p, q in [(2, -1), (-2, 1), (2, 1), (-2, -3), (2, 9)]:
+            ei.build_D(h, p, q, CFG)
         assert ei.cache_info()["value_misses"] == misses
         ei.clear_caches()
 
@@ -1147,13 +1121,18 @@ class TestNodeAxis:
                     assert all(col[tab.index[w]] == 0 for w in tab.words if w not in h.forms)
 
 
-@pytest.mark.xfail(strict=True, reason="build_D's bridge/chart path: the product of unit steps "
-                   "along a wide pair's generator word loses group-likeness, while F(-2, 51), "
-                   "which has no bridge, is group-like to 2e-14")
-def test_wide_pair_defect():
-    # A=E4, B=E6 at trunc 2: D(-2, 51) misses group-likeness by 2.0e-4 at
-    # (B, B), and its MDS1 gap to D(-2, 49) is 1.1e-4
-    h = h_pair()
-    d = ei.build_D(h, -2, 51, CFG)
-    assert d.is_grouplike().worst <= 1e-8
-    assert d.max_abs_diff(ei.build_D(h, -2, 49, CFG)) <= 1e-8
+class TestWidePairs:
+    """D at the wide pairs, in five settings of forms and truncation."""
+
+    SETTINGS = {"E4,E6-2": (h_pair, 2), "E4,E6-3": (h_pair, 3),
+                "E4,Delta-2": (TestPathSeries.ASSIGNMENTS["E4,Delta"], 2),
+                "Delta-3": (h_delta, 3),
+                "E6-3": (lambda: ei.HAssignment.letters({"A": mf.eisenstein(6)}), 3)}
+
+    @pytest.mark.parametrize("setting", sorted(SETTINGS))
+    def test_grouplike(self, setting):
+        # bound fixed beforehand: relative group-likeness 1e-10
+        make, trunc = self.SETTINGS[setting]
+        h, cfg = make(), ei.IntegratorConfig(trunc=trunc)
+        for p, q in WIDE_PAIRS:
+            assert ei.build_D(h, p, q, cfg).is_grouplike(relative=True).worst <= 1e-10, (p, q)
