@@ -131,15 +131,15 @@ def _series_rows(series, p, q):
 def cmd_symbol(args):
     h = _assignment(args)
     p, q = _parse_pq(args.pq)
-    cfg = eichler.IntegratorConfig(trunc=args.length, tol=args.tol)
+    cfg = eichler.IntegratorConfig(trunc=args.length)
     if args.which == "D":
         series = eichler.build_D(h, p, q, cfg)
     elif args.which == "F":
         series = eichler.build_F(h, p, q, cfg)
     else:
         series = eichler.build_E(h, p, q, args.length)
-    # the integrator can stabilize on a wrong series at wide pairs; refuse
-    # to print one that misses group-likeness
+    # every D, F and E is group-like and nothing in their computation
+    # enforces it, so a gap exposes rounding or a defect: refuse to print it
     gap = series.is_grouplike(relative=True)
     if gap.worst > args.tol:
         u, v = (h.alphabet.word_name(w) for w in gap.witness)

@@ -11,51 +11,55 @@ value at the cusp i-infinity with direction datum s is
 
     I(tau, s at inf) = lim_{eps -> i inf} I(tau, eps) I_inf(eps, s),
 
-where I_inf uses the constant Fourier terms only.  The limit is computed
-without catastrophic cancellation by propagating RI(tau, eps) =
-I(tau, eps) I_inf(eps, tau), which satisfies the ordinary differential
-equation RI' = RI * Theta with the conjugated cuspidal form
-
-    Theta(eps) = I_inf(tau, eps) (Omega - Omega_inf)(eps) I_inf(eps, tau)
-
-whose coefficients decay like exp(-2 pi Im eps).  build_D and build_F
-need no other path: F(p, q) is two ends of the cusp limit at i, and D is
-fixed by F through the continued fraction of q/p (the recursion in
-build_D), from D(1, 1), two more such ends.  full_integral reaches a
-rational cusp through the unimodular change of chart gamma(inf) = cusp,
-which acts on the numeric evaluation point (X, Y) linearly, and joins
-the chart to i by a straight segment.
+where I_inf uses the constant Fourier terms only.  The cusp limit
+RI(tau, i inf) = lim_{eps -> i inf} I(tau, eps) I_inf(eps, tau) needs no
+quadrature.  G(s) = I(tau, tau + s) solves G' = G Omega(tau + s), and each
+coefficient of Omega(tau + s) is a polynomial in s times e^(2 pi i n s),
+so word by word G is an exponential polynomial sum_n P_n(s) e^(2 pi i n s).
+Its words follow from the shorter ones by closed-form primitives: s^j
+integrates to s^(j+1)/(j+1) at n = 0, and s^j e^(cs), c = 2 pi i n, to
+e^(cs) sum_m (-1)^m j!/(j-m)! s^(j-m)/c^(m+1) at n >= 1, which vanishes at
+i inf; G(0) = 1 fixes the constant of P_0.  The terms n >= 1 vanish at
+i inf, so P_0(s) I_inf(tau + s, tau) is a polynomial in s with a finite
+limit, hence a constant: RI(tau, i inf) is P_0(0).  The sum stops at an
+index N fixed a priori from the forms, the word lengths, Im tau and
+``fourier_tol`` (``_cutoff``).  build_D and build_F need no other path:
+F(p, q) is two ends of the cusp limit at i, and D is fixed by F through
+the continued fraction of q/p (the recursion in build_D), from D(1, 1),
+two more such ends.  full_integral reaches a rational cusp through the
+unimodular change of chart gamma(inf) = cusp, which acts on the numeric
+evaluation point (X, Y) linearly, and joins the chart to i by a straight
+segment, integrated by quadrature.
 
 Every Chen series here runs along a fixed path, and its coefficient of
 word B is a homogeneous polynomial of degree w(B) in (X, Y).  So each path
-is integrated once, for all points at once, on a monomial axis: a series
+is computed once, for all points at once, on a monomial axis: a series
 is a (words, K) complex array, K = 1 + the largest word weight in the
 table, and entry k of word B is the coefficient of (X - c Y)^(w(B)-k) Y^k.
 The center c is the start of a cusp path and the midpoint of a segment;
 with c = 0 the monomial sums of the weight-20 words of E4/Delta cancel to
 three digits at points such as (5, 3).  The connection form expands
-(X - Y z)^w as sum_k C(w, k) (X - c Y)^(w-k) Y^k (c - z)^k, and products,
-the inverse and the Chen transfer convolve along k.  A series at a point
-(X, Y) is the sum of its entries times the monomials, whose powers are
-computed once per point.
+(X - Y z)^w as sum_k C(w, k) (X - c Y)^(w-k) Y^k (c - z)^k, and products
+and the Chen transfer convolve along k.  A series at a point (X, Y) is
+the sum of its entries times the monomials, whose powers are computed
+once per point.  The cusp limit carries two more axes while it is built,
+the Fourier index n and the power of s: a product with Omega(tau + s) is
+a convolution along n and a shift of k and the power of s together.
 
-Quadrature works on a node axis: a series over one panel's Gauss nodes is
-a (words, K, nodes) array.  Theta is formed for all nodes at once (I_inf's
-polynomials by Horner on the node array, the cusp term f - a_0 from the
-Fourier coefficients n >= 1, the inverse and the two products are a few
-array operations), and so are the connection-form values of the segments
-and the Chen transfers of the panels.  Products, the inverse and the
-transfer read the splits w = u v from the word table in ``series``, in
-TruncSeries row order.  Bisection batches its panels: the integrand runs
-once on the concatenated nodes of an interval and its two halves (later,
-of the two halves only), and accepts a panel when it agrees with the
-product of its halves on the whole coefficient array.
+A segment is integrated on a node axis: a series over one panel's Gauss
+nodes is a (words, K, nodes) array.  The connection-form values and the
+Chen transfers of the panels are formed for all nodes at once, reading
+the splits w = u v from the word table in ``series``, in TruncSeries row
+order.  Bisection batches its panels: the integrand runs once on the
+concatenated nodes of an interval and its two halves (later, of the two
+halves only), and accepts a panel when it agrees with the product of its
+halves on the whole coefficient array.
 
 One bounded memo holds the series per (assignment, path, config): the
 cusp limit RI(tau, i inf) under the path (tau, INF) and the straight
 segment from z0 to z1 under (z0, z1).  Every build_D and build_F reads
-only the cusp limit at i, so a sweep over many pairs runs one
-quadrature.  A second bounded memo holds series evaluated at a point:
+only the cusp limit at i, so a sweep over many pairs builds one series.
+A second bounded memo holds series evaluated at a point:
 each regularized end of reg_to_cusp, with points keyed up to sign, and
 D at each reduced pair of its recursion.  A miss runs the operations
 that it would run without the memo, so no output depends on what was
@@ -63,11 +67,10 @@ evaluated before.  ``clear_caches()`` empties both memos and
 ``cache_info()`` reports their sizes, hits and misses and the panels
 evaluated.
 
-I_inf needs no quadrature.  Its antiderivative recursion runs once per
-(assignment, truncation) on a monomial axis, and the result is stored as
-two polynomial arrays that no point, direction or center enters.  Theta
-reads the forward path I_inf(tau, z) from one; reg_to_cusp reads
-I_inf(tau, s) from the other, in the monomials
+I_inf needs no quadrature either.  Its antiderivative recursion runs once
+per (assignment, truncation) on a monomial axis, and the result is stored
+as a polynomial array that no point, direction or center enters.
+reg_to_cusp reads I_inf(tau, s) from it, in the monomials
 (X - s Y)^(w-k) (X - tau Y)^k (tau - s)^n of the values of X - Y z at the
 two ends.  Where build_D and build_F regularize, X - s Y = 0 (each word of
 I_inf is then one monomial) or Y = 0 (both end values are X).  The public
@@ -78,12 +81,12 @@ from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd
+from math import ceil, comb, factorial, gcd, log, pi
 
 import numpy as np
 
 from .errors import DomainError, NonConvergence
-from .modforms import _solve_unimodular, form_cusp_value, form_value
+from .modforms import _solve_unimodular, form_value
 from .series import COMPLEX, Alphabet, TruncSeries, _remember, _split_table
 
 INF = float("inf")
@@ -147,74 +150,14 @@ class TangentialBasePoint:
 @dataclass(frozen=True)
 class IntegratorConfig:
     trunc: int = 2
-    tol: float = 1e-10          # acceptance tolerance for the height doubling
-    quad_tol: float = 5e-13     # panel acceptance tolerance
-    t0: float = 4.0
-    t_cap: float = 64.0
+    quad_tol: float = 5e-13     # panel acceptance tolerance of the segments
     nodes: int = 16
     max_depth: int = 12
-    fourier_tol: float = 1e-16
-
-
-# ---------------------------------------------------------------------------
-# Polynomials in a monomial index m and in t: lists of rows, entry [k][j]
-# holding the coefficient of m_k t^j
-
-def _poly2_addmul(acc, u, v):
-    """acc + u v."""
-    width = max(len(acc[0]), len(u[0]) + len(v[0]) - 1)
-    acc = ([row + [0] * (width - len(row)) for row in acc]
-           + [[0] * width for _ in range(len(u) + len(v) - 1 - len(acc))])
-    for i, urow in enumerate(u):
-        for j, c in enumerate(urow):
-            if c == 0:
-                continue
-            for k, vrow in enumerate(v):
-                row = acc[i + k]
-                for m, d in enumerate(vrow):
-                    if d != 0:
-                        row[j + m] = row[j + m] + c * d
-    return acc
-
-
-def _poly_eval(u, x):
-    acc = 0
-    for c in reversed(u):
-        acc = acc * x + c
-    return acc
-
-
-def _monomial_factor(w):
-    """(X - Y t)^w on the monomial axis m_k = X^(w-k) Y^k: C(w, k) (-t)^k."""
-    return [[comb(w, k) * (-1) ** k if j == k else 0 for j in range(w + 1)] for k in range(w + 1)]
+    fourier_tol: float = 1e-16  # Fourier tail bound of form values and of the cusp limit
 
 
 # ---------------------------------------------------------------------------
 # Exact iterated integrals of the constant-term form
-
-def _i_inf_polys(h, tau0, factor, trunc):
-    """Per-word polynomials M_W with I_inf(tau0, t) = sum_W sum_{k,j} M_W[k][j] m_k t^j W.
-
-    Exact antiderivative recursion; ``factor(w)`` is (X - Y t)^w in the same
-    form (``_monomial_factor``: on the monomial axis).  Words come in the
-    order of the word table.
-    """
-    g = {}
-    for w, a0 in h.constant_terms().items():
-        if len(w) <= trunc and a0 != 0:
-            g[w] = [[a0 * c for c in row] for row in factor(h.alphabet.word_weight(w))]
-    polys = {(): [[1.0 + 0j]]}
-    for word in h.alphabet.iter_words(trunc, min_len=1):
-        rhs = [[0]]
-        for k in range(1, len(word) + 1):
-            if word[-k:] in g:
-                rhs = _poly2_addmul(rhs, polys[word[:-k]], g[word[-k:]])
-        prim = [[0] + [c / (j + 1) for j, c in enumerate(row)] for row in rhs]
-        for row in prim:
-            row[0] = -_poly_eval(row, tau0)
-        polys[word] = prim
-    return polys
-
 
 def i_infinity(h, tau0, tau1, xy, trunc=2):
     """I_inf(tau0, tau1): iterated integrals of the constant-term form.
@@ -290,16 +233,6 @@ def _node_mul(mt, a, b):
     return out
 
 
-def _node_inverse(mt, a):
-    """Inverse of a series array with constant term 1, word length by word
-    length: (a^-1)_w = -sum over w = u v, v nonempty, of (a^-1)_u a_v."""
-    out = np.zeros_like(a)
-    out[0, 0] = 1.0
-    for lo, hi, U, V, top in mt.groups:
-        out[lo:hi] = -_conv(out[U], a[V], top).sum(axis=1)
-    return out
-
-
 def _at_point(h, coef, xy, trunc, center):
     """The (words, K) series ``coef`` centered at c, at the numeric point
     xy = (X, Y): word B reads sum_k coef[B, k] (X - c Y)^(w(B)-k) Y^k.  The
@@ -316,20 +249,12 @@ def _at_point(h, coef, xy, trunc, center):
     return TruncSeries._from_vec(h.alphabet, trunc, (coef * mono).sum(axis=1).tolist())
 
 
-_IInfPaths = namedtuple("_IInfPaths", "forward reverse")
-
-
 @lru_cache(maxsize=32)
 def _i_inf_paths(h, trunc):
-    """I_inf along the constant-term paths as polynomial arrays.
+    """I_inf(tau, s) for any two points as a polynomial array.
 
-    ``forward`` is I_inf(c, c + t) centered at c, (words, K, J): entry
-    [B, k, j] is the coefficient of (X - c Y)^(w(B)-k) Y^k t^j.  In these
-    monomials Omega_inf(c + t) reads sum_B a_0(h(B)) (X - c Y - Y t)^w(B), so
-    the array does not depend on c.
-
-    ``reverse`` is I_inf(tau, s) for any two points, (words, K, trunc + 1):
-    entry [B, k, n] is the coefficient of m_k t^n, where t = tau - s and
+    The array is (words, K, trunc + 1): entry [B, k, n] is the
+    coefficient of m_k t^n, where t = tau - s and
     m_k = (X - s Y)^(w(B)-k) (X - tau Y)^k is built from the values of
     X - Y z at the two ends.  J(t) = I_inf(s + t, s) solves J' = -Omega_inf J,
     whose word B, a_0(h(B)) (X - tau Y)^w(B), shifts k; and as
@@ -339,10 +264,6 @@ def _i_inf_paths(h, trunc):
     entries of one word and one n therefore share their sign, and neither
     building nor evaluating them cancels."""
     mt = _mono_table(h.alphabet, trunc)
-    polys = _i_inf_polys(h, 0j, _monomial_factor, trunc)
-    forward = np.zeros((*mt.exps.shape, max(len(p[0]) for p in polys.values())), dtype=complex)
-    for w, p in polys.items():
-        forward[mt.index[w], :len(p), :len(p[0])] = p
     weight = h.alphabet.word_weight
     a0 = {w: c for w, c in h.constant_terms().items() if len(w) <= trunc and c != 0}
     reverse = np.zeros((*mt.exps.shape, trunc + 1), dtype=complex)
@@ -358,15 +279,16 @@ def _i_inf_paths(h, trunc):
             above = 0j
             for k in range(weight(word), -1, -1):
                 above = row[k, n + 1] = (rhs[k, n] + (k + 1) * above) / (k + n + 1)
-    forward.flags.writeable = reverse.flags.writeable = False
-    return _IInfPaths(forward, reverse)
+    reverse.flags.writeable = False
+    return reverse
 
 
 def _i_inf_at(h, tau, s, xy, trunc):
-    """I_inf(tau, s) at the numeric point xy from the stored ``reverse``
-    array: word B reads sum_{k,n} R[B, k, n] (X - s Y)^(w-k) (X - tau Y)^k
-    (tau - s)^n.  Where X - s Y = 0 each word reads one monomial."""
-    reverse = _i_inf_paths(h, trunc).reverse
+    """I_inf(tau, s) at the numeric point xy from the stored array R of
+    ``_i_inf_paths``: word B reads sum_{k,n} R[B, k, n] (X - s Y)^(w-k)
+    (X - tau Y)^k (tau - s)^n.  Where X - s Y = 0 each word reads one
+    monomial."""
+    reverse = _i_inf_paths(h, trunc)
     X, Y = complex(xy[0]), complex(xy[1])
     t = tau - s
     powers = [1 + 0j]
@@ -375,17 +297,17 @@ def _i_inf_at(h, tau, s, xy, trunc):
     return _at_point(h, reverse @ np.array(powers), (X - s * Y, X - tau * Y), trunc, 0)
 
 
-def _form_rows(h, zs, value, cfg, center):
+def _form_rows(h, zs, cfg, center):
     """The connection form on the node axis centered at c, (words, K, nodes):
-    row B holds value(h(B), z) (X - Y z)^w(B) at each node z, that is
-    sum_k C(w, k) (c - z)^k value(h(B), z) (X - c Y)^(w-k) Y^k."""
+    row B holds h(B)(z) (X - Y z)^w(B) at each node z, that is
+    sum_k C(w, k) (c - z)^k h(B)(z) (X - c Y)^(w-k) Y^k."""
     mt = _mono_table(h.alphabet, cfg.trunc)
     vals = np.zeros((*mt.exps.shape, len(zs)), dtype=complex)
     for word, form in h.forms.items():
         if len(word) <= cfg.trunc:
             wt = h.alphabet.word_weight(word)
             row = vals[mt.index[word]]
-            row[0] = [value(form, z, cfg.fourier_tol) for z in zs.tolist()]
+            row[0] = [form_value(form, z, cfg.fourier_tol) for z in zs.tolist()]
             for k in range(1, wt + 1):
                 row[k] = row[k - 1] * (center - zs)
             row[:wt + 1] *= np.array([comb(wt, k) for k in range(wt + 1)])[:, None]
@@ -449,57 +371,116 @@ def _segment_series(h, z0, z1, cfg):
     def panels(ends):
         zs = np.concatenate([a + (b - a) * u for a, b in ends])
         jac = np.repeat([b - a for a, b in ends], cfg.nodes)
-        return _transfers(h, _form_rows(h, zs, form_value, cfg, center) * jac, cfg)
+        return _transfers(h, _form_rows(h, zs, cfg, center) * jac, cfg)
 
     return _adaptive(panels, _mono_table(h.alphabet, cfg.trunc), z0, z1, cfg)
 
 
-def _theta(h, tau, cfg):
-    """The conjugated cuspidal form Theta = I_inf(tau, z) (Omega - Omega_inf)(z)
-    I_inf(z, tau) on the node axis, centered at tau: ``theta(zs, jac)`` is the
-    (words, K, nodes) array of Theta at the points zs, times jac.  I_inf(tau, z)
-    is the stored forward path at t = z - tau."""
-    mt = _mono_table(h.alphabet, cfg.trunc)
-    forward = _i_inf_paths(h, cfg.trunc).forward
-    columns = list(np.moveaxis(forward, 2, 0)[..., None])       # Horner runs on all words at once
+# ---------------------------------------------------------------------------
+# The cusp limit as a finite Fourier sum
 
-    def theta(zs, jac):
-        s_inf = _poly_eval(columns, zs - tau)
-        cusp = _form_rows(h, zs, form_cusp_value, cfg, tau)
-        return _node_mul(mt, _node_mul(mt, s_inf, cusp), _node_inverse(mt, s_inf)) * jac
+_CUTOFF_CAP = 128
 
-    return theta
+
+def _growth(h, trunc):
+    """The exponent E with which the Fourier coefficients of the words grow,
+    like n^E at index n: the largest, over the words and their
+    factorizations into assigned words, of the sum of k - 1 per Eisenstein
+    series and (k + 1)/2 per cusp form of weight k, plus |word| - 1 for the
+    ways to split n among the factors."""
+    best = {(): 0.0}
+    for word in h.alphabet.iter_words(trunc, min_len=1):
+        for k in range(1, len(word) + 1):
+            form = h.forms.get(word[-k:])
+            if form is not None and word[:-k] in best:
+                e = best[word[:-k]] + ((form.weight + 1) / 2 if form.is_cusp else form.weight - 1)
+                best[word] = max(best.get(word, e), e)
+    return max((e + len(w) - 1 for w, e in best.items() if w), default=0.0)
+
+
+def _cutoff(h, tau, cfg):
+    """The Fourier cutoff N at tau, fixed a priori: every term past N, at
+    most n^E exp(-2 pi n Im tau) with E from ``_growth``, is below
+    ``cfg.fourier_tol``.  N is the root of n = (E log n - log tol) /
+    (2 pi Im tau) past the terms' peak, reached by iterating from the peak."""
+    E, y = _growth(h, cfg.trunc), tau.imag
+    peak = max(1.0, E / (2 * pi * y))
+    n = peak
+    for _ in range(64):
+        n = max(peak, (E * log(n) - log(cfg.fourier_tol)) / (2 * pi * y))
+    n = ceil(n)
+    if n > _CUTOFF_CAP:
+        raise NonConvergence(f"the cusp limit at Im tau = {y:.3g} needs N = {n} Fourier terms, "
+                             f"more than {_CUTOFF_CAP}")
+    return n
+
+
+@lru_cache(maxsize=8)
+def _primitive_factors(N, J):
+    """The primitives of s^j e^(cs), c = 2 pi i n, that vanish at i inf, as
+    two (N, J) arrays over n = 1..N: the primitive is e^(cs) sum_m (-1)^m
+    j!/(j-m)! s^(j-m)/c^(m+1), and its coefficient of s^i e^(cs) factors as
+    up[n, i] down[n, j], with up = (-c)^i/i! and down = (-1)^j j!/c^(j+1)."""
+    n, j = np.arange(1, N + 1)[:, None], np.arange(J)
+    fact = np.array([float(factorial(k)) for k in range(J)])
+    size = (2 * pi * n) ** j                    # |c|^j; the powers of i come from tables, exact
+    up = size * np.array([1, -1j, -1, 1j])[j % 4] / fact
+    down = fact / (size * 2 * pi * n) * np.array([-1j, 1, 1j, -1])[j % 4]
+    return up, down
 
 
 def _cusp_series(h, tau, cfg):
-    """RI(tau, i inf) = lim I(tau, eps) I_inf(eps, tau), via the conjugated
-    cuspidal form, centered at tau; heights double from t0 until the result
-    is stable."""
+    """RI(tau, i inf) as a (words, K) series centered at tau: the constant
+    terms P_w(0) of the exponential polynomial G(s) = I(tau, tau + s),
+    built word by word from G' = G Omega(tau + s) (see the module
+    docstring).  G_w is an array over the Fourier index n <= N, the power
+    j <= w(w) + |w| of s and the monomial k <= w(w)."""
+    if tau.imag <= 0:
+        raise ValueError("tau must lie in the upper half-plane")
+    N = _cutoff(h, tau, cfg)
     mt = _mono_table(h.alphabet, cfg.trunc)
-    theta = _theta(h, tau, cfg)
-    u, _, _ = _node_matrices(cfg.nodes)
-
-    def panels(ends):
-        zs = np.concatenate([tau.real + 1j * (a + (b - a) * u) for a, b in ends])
-        jac = np.repeat([1j * (b - a) for a, b in ends], cfg.nodes)
-        return _transfers(h, theta(zs, jac), cfg)
-
-    t = max(cfg.t0, 2.0 * tau.imag)
-    ri = _adaptive(panels, mt, tau.imag, t, cfg)
-    while True:
-        nxt = _node_mul(mt, ri, _adaptive(panels, mt, t, 2.0 * t, cfg))
-        if np.abs(nxt - ri).max() <= cfg.tol * _series_scale(nxt):
-            return nxt
-        ri = nxt
-        t *= 2.0
-        if t > cfg.t_cap:
-            raise NonConvergence(f"height doubling did not stabilize below T = {cfg.t_cap}")
+    up, down = _primitive_factors(N, mt.exps.shape[1] + cfg.trunc)
+    qn = np.exp(2j * pi * tau * np.arange(N + 1))
+    weight = h.alphabet.word_weight
+    steps = {}
+    for word, form in h.forms.items():
+        if len(word) <= cfg.trunc:
+            # Omega_B(tau + s) = sum_n a_n q^n e^(cs) sum_k C(w, k) (-s)^k m_k: a
+            # convolution along n and a diagonal shift of (j, k)
+            f = np.array([float(form.coeff(n)) for n in range(N + 1)]) * qn
+            steps[word] = f, [(-1) ** k * comb(weight(word), k) for k in range(weight(word) + 1)]
+    G = {(): np.zeros((N + 1, 1, 1), dtype=complex)}
+    G[()][0, 0, 0] = 1.0
+    out = np.zeros(mt.exps.shape, dtype=complex)
+    out[0, 0] = 1.0
+    for word in h.alphabet.iter_words(cfg.trunc, min_len=1):
+        wt = weight(word)
+        rhs = np.zeros((N + 1, wt + len(word) + 1, wt + 1), dtype=complex)   # (G Omega)_w
+        for k in range(1, len(word) + 1):
+            if word[-k:] in steps:
+                f, binom = steps[word[-k:]]
+                prefix = G[word[:-k]]
+                conv = np.zeros_like(prefix)
+                for n in np.flatnonzero(f):
+                    conv[n:] += f[n] * prefix[:N + 1 - n]
+                pj, pk = prefix.shape[1:]
+                for d, b in enumerate(binom):
+                    rhs[:, d:d + pj, d:d + pk] += b * conv
+        J = rhs.shape[1]
+        g = np.zeros_like(rhs)
+        g[0, 1:] = rhs[0, :-1] / np.arange(1, J)[:, None]       # s^j -> s^(j+1)/(j+1)
+        # s^j e^(cs) -> sum_{i <= j} up_i down_j s^i e^(cs): a cumulative sum from the top
+        g[1:] = up[:, :J, None] * np.cumsum((down[:, :J, None] * rhs[1:])[:, ::-1], axis=1)[:, ::-1]
+        g[0, 0] = -g[1:, 0].sum(axis=0)                          # G_w(0) = 0
+        out[mt.index[word], :wt + 1] = g[0, 0]
+        G[word] = g
+    return out
 
 
 # One bounded memo of path series, keyed by (assignment, path, config): the
-# cusp limit from tau under the path (tau, INF), the straight segment from
-# z0 to z1 under (z0, z1).  One sweep pass fills one entry: the cusp limit
-# at i.
+# cusp limit from tau under the path (tau, INF), a Fourier sum, and the
+# straight segment from z0 to z1 under (z0, z1), a quadrature.  One sweep
+# pass fills one entry, the cusp limit at i, and evaluates no panel.
 _PATHS_CAP = 256
 _PATHS = {}
 # One bounded memo of series evaluated at a point (TruncSeries): a
@@ -533,8 +514,9 @@ def _unsigned(xy):
 
 
 def _center(z0, z1):
-    """Where the series of the path from z0 to z1 is centered: the start of
-    the cusp path (Theta is largest there), the midpoint of a segment."""
+    """Where the series of the path from z0 to z1 is centered: the start tau
+    of the cusp path, where G(s) = I(tau, tau + s) starts, the midpoint of
+    a segment."""
     return z0 if z1 == INF else (z0 + z1) / 2
 
 

@@ -167,9 +167,9 @@ def delta(f):
     D(t_i) = F(t_(i+1))^(-1) D(t_(i+1)) and D(t_n) = 1.  A memo miss walks
     the tails down to the first one already memoized (or to t_n), then fills
     the memo back up, one inverse and one product per new tail.  Exact
-    products associate, so every value is the left-to-right product's, to
-    the byte.  Complex F keeps the left-to-right product: floating-point
-    products do not associate.
+    products associate, so an exact value is the left-to-right product's,
+    to the byte; a complex value is the same product associated from the
+    right, and agrees with it to rounding.
     """
     one = TruncSeries.one(f.alphabet, f.trunc, f.kind)
     memo = {}
@@ -181,8 +181,6 @@ def delta(f):
             if q >= 1:
                 return one
             return f(1, 1).inverse()
-        if f.kind != RATIONAL:
-            return delta_full(f, contfrac.canonical(p, q))
         tails = contfrac.canonical_tails(p, q)
         next(tails)  # t_0 = (p, q), the memo miss itself
         path, acc = [], one

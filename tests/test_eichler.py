@@ -202,23 +202,46 @@ class TestRegToCusp:
         assert (r0 * bridge).max_abs_diff(r1) < 1e-11
 
 
-def point_factor(X, Y):
-    """(X - Y t)^w at a numeric point, as ei._i_inf_polys takes it: one row, m_0 = 1."""
-    return lambda w: [[math.comb(w, j) * X ** (w - j) * (-Y) ** j if j else X ** w for j in range(w + 1)]]
+def poly_eval(u, x):
+    acc = 0
+    for c in reversed(u):
+        acc = acc * x + c
+    return acc
 
 
 def i_inf_polys_at(h, tau0, xy, trunc):
     """I_inf(tau0, t) at the numeric point xy, one polynomial in t per word
-    in word-table order: the antiderivative recursion run at the point, as
-    i_infinity and the cusp limit ran it before I_inf was stored."""
-    polys = ei._i_inf_polys(h, complex(tau0), point_factor(complex(xy[0]), complex(xy[1])), trunc)
-    return {w: p[0] for w, p in polys.items()}
+    in word-table order: the antiderivative recursion of I' = I Omega_inf
+    run at the point, as i_infinity and the cusp limit ran it before I_inf
+    was stored."""
+    X, Y = complex(xy[0]), complex(xy[1])
+    steps = {}
+    for w, a0 in h.constant_terms().items():
+        if len(w) <= trunc and a0 != 0:
+            wt = h.alphabet.word_weight(w)
+            steps[w] = [a0 * (math.comb(wt, j) * X ** (wt - j) * (-Y) ** j if j else X ** wt)
+                        for j in range(wt + 1)]
+    polys = {(): [1.0 + 0j]}
+    for word in h.alphabet.iter_words(trunc, min_len=1):
+        rhs = [0]
+        for k in range(1, len(word) + 1):
+            if word[-k:] in steps:
+                u, v = polys[word[:-k]], steps[word[-k:]]
+                rhs += [0] * (len(u) + len(v) - 1 - len(rhs))
+                for j, c in enumerate(u):
+                    for m, d in enumerate(v):
+                        if c != 0 and d != 0:
+                            rhs[j + m] = rhs[j + m] + c * d
+        prim = [0] + [c / (j + 1) for j, c in enumerate(rhs)]
+        prim[0] = -poly_eval(prim, complex(tau0))
+        polys[word] = prim
+    return polys
 
 
 def i_inf_per_point(h, tau0, tau1, xy, trunc):
     """I_inf(tau0, tau1) at xy from the per-point recursion."""
     polys = i_inf_polys_at(h, tau0, xy, trunc)
-    return TruncSeries._from_vec(h.alphabet, trunc, [ei._poly_eval(p, complex(tau1)) for p in polys.values()])
+    return TruncSeries._from_vec(h.alphabet, trunc, [poly_eval(p, complex(tau1)) for p in polys.values()])
 
 
 def i_inf_mpmath(h, tau, s, xy, trunc, dps=30):
@@ -335,7 +358,7 @@ class TestIInfPaths:
         # for letters only, each (word, power of t) slice of the stored
         # reversed path is real and of one sign: its sums cancel only as
         # much as the two end values X - s Y, X - tau Y make them
-        reverse = ei._i_inf_paths(h_pair(), trunc).reverse
+        reverse = ei._i_inf_paths(h_pair(), trunc)
         assert np.all(reverse.imag == 0)
         for row in np.moveaxis(reverse.real, 2, 1).reshape(-1, reverse.shape[1]):
             assert np.all(row >= 0) or np.all(row <= 0)
@@ -542,8 +565,11 @@ class ScalarPointPath:
     """The cusp limit and the unit steps I(i, i +- 1) computed at one
     numeric point (X, Y) on a (words, nodes) node axis, with the cusp term
     taken as form_value - a0: the path the integrator took before its
-    series carried a monomial axis.  Test-only reference for the stored
-    series."""
+    series carried a monomial axis, and the cusp limit by the conjugated
+    cuspidal form with heights doubling from T0 to T_CAP until two values
+    agree to TOL.  Test-only reference for the stored series."""
+
+    T0, T_CAP, TOL = 4.0, 64.0, 1e-10
 
     def __init__(self, h, xy, cfg):
         self.h, self.cfg = h, cfg
@@ -612,18 +638,20 @@ class ScalarPointPath:
 
         def panel(a, b):
             zs = tau.real + 1j * (a + (b - a) * self.u)
-            s_inf = ei._poly_eval(list(coef.T[:, :, None]), zs)
+            s_inf = 0
+            for col in coef.T[::-1]:
+                s_inf = s_inf * zs + col[:, None]
             theta = self.mul(self.mul(s_inf, self.rows(zs, cusp_value)), self.inverse(s_inf))
             return self.transfer(theta * 1j * (b - a))
 
-        t = max(cfg.t0, 2.0 * tau.imag)
+        t = max(self.T0, 2.0 * tau.imag)
         ri = self.adaptive(panel, tau.imag, t)
         while True:
             nxt = ri * self.adaptive(panel, t, 2.0 * t)
-            if nxt.max_abs_diff(ri) <= cfg.tol * (max(map(abs, nxt.vec[1:])) + 1.0):
+            if nxt.max_abs_diff(ri) <= self.TOL * (max(map(abs, nxt.vec[1:])) + 1.0):
                 return nxt
             ri, t = nxt, 2.0 * t
-            if t > cfg.t_cap:
+            if t > self.T_CAP:
                 raise NonConvergence("height doubling did not stabilize")
 
 
@@ -700,6 +728,102 @@ class TestPathSeries:
             assert relative_gap(d, ei.build_D(h, p, p + q, cfg)) <= 2e-8, (p, q)
 
 
+def cusp_limit_mpmath(h, tau, xy, trunc, N=24, dps=30):
+    """RI(tau, i inf) at the numeric point xy to ``dps`` digits, as the list
+    of its coefficients over the word table.  G(s) = I(tau, tau + s) is
+    built word by word, from G' = G Omega(tau + s), as sums over n <= N of
+    polynomials in s times e^(2 pi i n s), held as {(n, j): coefficient of
+    s^j e^(2 pi i n s)}, with closed-form primitives; the limit of word w
+    is the constant term of its n = 0 polynomial."""
+    with mpmath.workdps(dps):
+        X, Y, tau = mpmath.mpc(xy[0]), mpmath.mpc(xy[1]), mpmath.mpc(tau)
+        steps = {}
+        for w, form in h.forms.items():
+            if len(w) <= trunc:
+                wt = h.alphabet.word_weight(w)
+                fourier = [mpmath.mpf(form.coeff(n).numerator) / form.coeff(n).denominator
+                           * mpmath.exp(2j * mpmath.pi * n * tau) for n in range(N + 1)]
+                binomial = [math.comb(wt, j) * (X - Y * tau) ** (wt - j) * (-Y) ** j for j in range(wt + 1)]
+                steps[w] = fourier, binomial
+        G, out = {(): {(0, 0): mpmath.mpc(1)}}, [1 + 0j]
+        for word in h.alphabet.iter_words(trunc, min_len=1):
+            rhs = {}
+            for k in range(1, len(word) + 1):
+                if word[-k:] not in steps:
+                    continue
+                fourier, binomial = steps[word[-k:]]
+                for (n, j), c in G[word[:-k]].items():
+                    for m in range(N + 1 - n):
+                        cm = c * fourier[m]
+                        for i, b in enumerate(binomial):
+                            rhs[n + m, j + i] = rhs.get((n + m, j + i), 0) + cm * b
+            g = {}
+            for (n, j), c in rhs.items():
+                if n == 0:
+                    g[0, j + 1] = g.get((0, j + 1), 0) + c / (j + 1)
+                    continue
+                # e^(cs) sum_m (-1)^m j!/(j-m)! s^(j-m)/c^(m+1), zero at i inf
+                cn = 2j * mpmath.pi * n
+                term = c / cn
+                for i in range(j, -1, -1):
+                    g[n, i] = g.get((n, i), 0) + term
+                    term *= -i / cn
+            g[0, 0] = -mpmath.fsum(c for (n, j), c in g.items() if j == 0 and n > 0)
+            G[word] = g
+            out.append(complex(g[0, 0]))
+    return out
+
+
+class TestCuspFourierSum:
+    """The cusp limit RI(tau, i inf) as a finite Fourier sum."""
+
+    POINTS = [(1, 0), (3, 2), (51, -2), (-5, 7)]
+    SETTINGS = {"E4,E6-1": (h_pair, 1), "E4,E6-2": (h_pair, 2), "E4,E6-3": (h_pair, 3),
+                "E4,Delta-2": (TestPathSeries.ASSIGNMENTS["E4,Delta"], 2), "Delta-3": (h_delta, 3)}
+
+    @pytest.mark.parametrize("setting", sorted(SETTINGS))
+    def test_matches_mpmath(self, setting):
+        # the stored series at i, read at each point, against the same sums
+        # at the point to 30 digits with N = 24.  Bound fixed beforehand:
+        # 1e-14 of max(1, largest coefficient); trunc 3 at (1, 0) and (51, -2)
+        make, trunc = self.SETTINGS[setting]
+        h, cfg = make(), ei.IntegratorConfig(trunc=trunc)
+        coef = ei._ri_limit(h, 1j, cfg)
+        for xy in self.POINTS[::2] if trunc == 3 else self.POINTS:
+            got = ei._at_point(h, coef, xy, trunc, 1j)
+            want = TruncSeries._from_vec(h.alphabet, trunc, cusp_limit_mpmath(h, 1j, xy, trunc))
+            assert relative_gap(got, want) <= 1e-14, xy
+
+    @pytest.mark.parametrize("tau", [1j, 0.3 + 1.1j, 0.5j])
+    @pytest.mark.parametrize("setting", ["E4,E6-3", "E4,Delta-2", "Delta-3"])
+    def test_cutoff_converged(self, setting, tau, monkeypatch):
+        # eight more Fourier terms than the a priori cutoff change no word
+        # by more than 1e-15 of max(1, largest coefficient), at each point
+        make, trunc = self.SETTINGS[setting]
+        h, cfg = make(), ei.IntegratorConfig(trunc=trunc)
+        cutoff = ei._cutoff
+        base = ei._cusp_series(h, tau, cfg)
+        monkeypatch.setattr(ei, "_cutoff", lambda *args: cutoff(*args) + 8)
+        more = ei._cusp_series(h, tau, cfg)
+        for xy in self.POINTS:
+            want = ei._at_point(h, more, xy, trunc, tau)
+            assert relative_gap(ei._at_point(h, base, xy, trunc, tau), want) <= 1e-15, xy
+
+    def test_trunc3_grid_grouplike(self):
+        # E4/E6 at trunc 3 over the signed grid and three wide pairs.
+        # Bound fixed beforehand: relative group-likeness 1e-13
+        h, cfg = h_pair(), ei.IntegratorConfig(trunc=3)
+        for p, q in SIGNED_GRID + [(-2, 51), (89, 144), (1, 1000)]:
+            assert ei.build_D(h, p, q, cfg).is_grouplike(relative=True).worst <= 1e-13, (p, q)
+
+    def test_cutoff_over_cap_raises(self):
+        h = h_pair()
+        with pytest.raises(NonConvergence, match=r"Im tau = 0\.02 needs N = \d+ "):
+            ei.reg_to_cusp(h, 0.3 + 0.02j, Fraction(0), (2, 1), CFG)
+        with pytest.raises(ValueError):
+            ei.reg_to_cusp(h, 0.3 - 1j, Fraction(0), (2, 1), CFG)
+
+
 class TestCuspLimitMemo:
     PAIRS = [(7, 5), (-5, 7), (1, 9), (5, -1)]
 
@@ -746,7 +870,7 @@ class TestCuspLimitMemo:
         ei.clear_caches()
         ei._ri_limit(h, 1j, CFG)
         ei._ri_limit(h, 1j, ei.IntegratorConfig(trunc=1))
-        ei._ri_limit(h, 1j, ei.IntegratorConfig(trunc=2, tol=1e-9))
+        ei._ri_limit(h, 1j, ei.IntegratorConfig(trunc=2, fourier_tol=1e-15))
         assert ei.cache_info()["misses"] == 3 and ei.cache_info()["hits"] == 0
         ei._ri_limit(h, 1j, ei.IntegratorConfig(trunc=1))
         assert ei.cache_info()["hits"] == 1
@@ -756,7 +880,8 @@ class TestCuspLimitMemo:
         ei.build_D(h, 3, 2, CFG)
         ei.build_D(h, 3, 2, CFG)
         info = ei.cache_info()
-        assert all(info.values())
+        assert info["panels"] == 0            # the cusp limit needs no quadrature
+        assert all(v for k, v in info.items() if k != "panels")
         ei.clear_caches()
         assert ei.cache_info() == {"series": 0, "hits": 0, "misses": 0, "panels": 0,
                                    "values": 0, "value_hits": 0, "value_misses": 0}
@@ -831,7 +956,8 @@ class TestBridgeSteps:
         # one pass of the benchmark's sweep: the couples (p, q), (q, -p) of
         # the grid 1 <= p <= 9, 1 <= |q| <= 9 with p <= q, each op computing
         # D(p, q) and D(-q, p) through the memoized evaluator, F and E.  It
-        # runs one quadrature, the cusp limit at i, and no form_value call.
+        # builds one series, the cusp limit at i, with no quadrature panel
+        # and no form_value call.
         # It evaluates 84 distinct regularized ends (the ends of F(p, q) are
         # those of F(-q, p)) and D at the 29 reduced pairs with p <= 9.
         calls = []
@@ -844,7 +970,7 @@ class TestBridgeSteps:
             dh(p, q), dh(-q, p), ei.build_F(h, p, q, CFG), ei.build_E(h, p, q, CFG.trunc)
         info = ei.cache_info()
         assert {key[1:3] for key in ei._PATHS} == {(1j, INF)}
-        assert (info["misses"], info["series"], info["panels"]) == (1, 1, 9)
+        assert (info["misses"], info["series"], info["panels"]) == (1, 1, 0)
         assert calls == []
         assert (info["values"], info["value_misses"]) == (113, 113)
         assert sum(len(key) == 5 for key in ei._VALUES) == 84     # (h, tau, direction, point, cfg)
@@ -937,7 +1063,7 @@ class TestAdaptive:
         def panel(a, b):
             calls[a, b] = calls.get((a, b), 0) + 1
             jac = b - a
-            return ei._transfers(h, ei._form_rows(h, a + jac * u, mf.form_value, cfg, 0) * jac, cfg)[0]
+            return ei._transfers(h, ei._form_rows(h, a + jac * u, cfg, 0) * jac, cfg)[0]
 
         return panel
 
@@ -951,7 +1077,7 @@ class TestAdaptive:
                 calls[a, b] = calls.get((a, b), 0) + 1
             zs = np.concatenate([a + (b - a) * u for a, b in ends])
             jac = np.repeat([b - a for a, b in ends], cfg.nodes)
-            return ei._transfers(h, ei._form_rows(h, zs, mf.form_value, cfg, 0) * jac, cfg)
+            return ei._transfers(h, ei._form_rows(h, zs, cfg, 0) * jac, cfg)
 
         return panels
 
@@ -969,20 +1095,6 @@ class TestAdaptive:
         assert batches[0] == 3 and set(batches[1:]) == {2}
         assert sum(batches) == len(new_calls) < sum(old_calls.values())
 
-    def test_batched_cusp_integrand_matches_per_panel(self):
-        # Theta on concatenated nodes, sliced per panel, is Theta per panel
-        h = TestNodeAxis.ASSIGNMENTS["E4,E6,Delta"]()
-        for trunc in (1, 2, 3):
-            cfg = ei.IntegratorConfig(trunc=trunc)
-            u, _, _ = ei._node_matrices(cfg.nodes)
-            theta = ei._theta(h, 0.3 + 1.1j, cfg)
-            ends = [(1.1, 4.0), (1.1, 2.55), (2.55, 4.0)]
-            zs = np.concatenate([0.3 + 1j * (a + (b - a) * u) for a, b in ends])
-            batch = theta(zs, np.repeat([1j * (b - a) for a, b in ends], cfg.nodes))
-            for k, (a, b) in enumerate(ends):
-                one = theta(0.3 + 1j * (a + (b - a) * u), 1j * (b - a))
-                assert batch[..., k * cfg.nodes:(k + 1) * cfg.nodes].tobytes() == one.tobytes()
-
     def test_exhaustion_still_raises(self):
         h = h_pair()
         cfg = ei.IntegratorConfig(trunc=2, quad_tol=1e-30, max_depth=2)
@@ -999,35 +1111,6 @@ def at_point(h, arr, xy, trunc, center):
     X = complex(xy[0]) - center * Y
     mono = np.array([[X ** e * Y ** k if e >= 0 else 0 for k, e in enumerate(row)] for row in exps.tolist()])
     return (arr * mono[:, :, None]).sum(axis=1)
-
-
-def theta_reference(h, tau, xy, cfg, zs):
-    """Theta node by node as series, s_inf * cusp * s_inf^-1, at one numeric
-    point: the conjugation the cusp limit ran before it moved to the node
-    axis.
-
-    Also returns, per node, the scale to which floating point determines
-    each word: the same computation with every coefficient, power and sum
-    term replaced by its absolute value."""
-    X, Y = complex(xy[0]), complex(xy[1])
-    polys = i_inf_polys_at(h, tau, (X, Y), cfg.trunc)
-    wt = {w: h.alphabet.word_weight(w) for w in h.forms}
-    one = TruncSeries.one(h.alphabet, cfg.trunc, COMPLEX)
-
-    def series(coeffs):
-        return TruncSeries(h.alphabet, cfg.trunc, coeffs, COMPLEX)
-
-    out, scales = [], []
-    for z in zs.tolist():
-        s_inf = series({w: ei._poly_eval(p, z) for w, p in polys.items()})
-        cusp = {w: mf.form_cusp_value(f, z, cfg.fourier_tol) for w, f in h.forms.items()}
-        out.append(s_inf * series({w: c * (X - Y * z) ** wt[w] for w, c in cusp.items()})
-                   * s_inf.inverse())
-        s_abs = series({w: ei._poly_eval([abs(c) for c in p], abs(z)) for w, p in polys.items() if w})
-        inv_abs = (one - s_abs).inverse()
-        c_abs = series({w: abs(c) * (abs(X) + abs(Y) * abs(z)) ** wt[w] for w, c in cusp.items()})
-        scales.append((one + s_abs) * c_abs * inv_abs)
-    return out, scales
 
 
 class TestNodeAxis:
@@ -1054,24 +1137,6 @@ class TestNodeAxis:
         assert sorted(listed) == sorted(want) and len(set(listed)) == len(listed)
         assert all(len(w) <= trunc and u + v == w and v for w, u, v in listed)
 
-    @pytest.mark.parametrize("name", sorted(ASSIGNMENTS))
-    @pytest.mark.parametrize("trunc", [1, 2, 3])
-    def test_theta_matches_series_conjugation(self, name, trunc):
-        h = self.ASSIGNMENTS[name]()
-        for nodes in (8, 16, 24):
-            cfg = ei.IntegratorConfig(trunc=trunc, nodes=nodes)
-            tab = ei._split_table(h.alphabet, trunc)
-            u, _, _ = ei._node_matrices(nodes)
-            for tau, xy, (a, b) in [(1j, (1, 0), (1.0, 4.0)), (1j, (51, -2), (4.0, 8.0)),
-                                    (1j, (3, 2), (1.0, 2.0)), (0.3 + 1.1j, (-5, 7), (1.1, 2.2))]:
-                zs = tau.real + 1j * (a + (b - a) * u)
-                got = at_point(h, ei._theta(h, tau, cfg)(zs, 1.0), xy, trunc, tau)
-                want, scales = theta_reference(h, tau, xy, cfg, zs)
-                for word, row in tab.index.items():
-                    ref = np.array([s.coeffs.get(word, 0j) for s in want])
-                    scale = np.array([s.coeffs.get(word, 0j) for s in scales]).real
-                    assert np.all(np.abs(got[row] - ref) <= 1e-14 * scale), (nodes, xy, word)
-
     def test_transfer_matches_per_word_loop(self):
         # the Chen transfer against one convolution and one matrix-vector
         # product per word; the sums run in another order, so the bound is
@@ -1082,7 +1147,7 @@ class TestNodeAxis:
             u, w, S = ei._node_matrices(cfg.nodes)
             words = list(h.alphabet.iter_words(trunc))
             for a, b in [(0.2 + 0.6j, 1.5 + 1.2j), (1j, 1 + 1j)]:
-                vals = ei._form_rows(h, a + (b - a) * u, mf.form_value, cfg, 0) * (b - a)
+                vals = ei._form_rows(h, a + (b - a) * u, cfg, 0) * (b - a)
                 K = vals.shape[1]
                 first = np.zeros((K, cfg.nodes), dtype=complex)
                 first[0] = 1.0
@@ -1109,7 +1174,7 @@ class TestNodeAxis:
         u, _, _ = ei._node_matrices(16)
         pts = 0.2 + 0.9j + (1 + 0.5j) * u
         for center in (0, 0.7 + 1.15j):
-            rows = ei._form_rows(h, pts, mf.form_value, CFG, center)
+            rows = ei._form_rows(h, pts, CFG, center)
             for X, Y in [(1, 0), (-3, 2), (5, -7), (2.5 - 1j, 0.5j)]:
                 got = at_point(h, rows, (X, Y), 2, center)
                 for z, col in zip(pts.tolist(), got.T.tolist()):

@@ -45,6 +45,35 @@ class TestCoefficients:
         assert mf.delta_coeff(6) == mf.delta_coeff(2) * mf.delta_coeff(3)
         assert mf.delta_coeff(10) == mf.delta_coeff(2) * mf.delta_coeff(5)
 
+    def test_eta24_matches_dense_product(self):
+        # the power recurrence against prod (1 - q^m)^24 expanded factor by
+        # factor and raised to the 24th power by dense products, to q^400
+        n_max = 400
+        e = [1] + [0] * n_max
+        for m in range(1, n_max + 1):
+            for n in range(n_max, m - 1, -1):
+                e[n] -= e[n - m]
+
+        def mul(u, v):
+            out = [0] * (n_max + 1)
+            for i, a in enumerate(u):
+                for j, b in enumerate(v[:n_max + 1 - i]):
+                    out[i + j] += a * b
+            return out
+
+        e2 = mul(e, e)
+        e8 = mul(mul(e2, e2), mul(e2, e2))
+        assert mf._eta24(n_max) == mul(mul(e8, e8), e8)
+
+    def test_tau_congruence_mod_691(self):
+        # Ramanujan: tau(n) = sigma_11(n) (mod 691)
+        assert all((mf.delta_coeff(n) - mf.sigma(11, n)) % 691 == 0 for n in range(1, 3001))
+
+    def test_tau_at_prime_squares(self):
+        # Hecke: tau(p^2) = tau(p)^2 - p^11
+        for p in [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]:
+            assert mf.delta_coeff(p * p) == mf.delta_coeff(p) ** 2 - p ** 11
+
     def test_gamma02_coeffs(self):
         f = mf.eisenstein_gamma02(4)
         assert f.coeff(0) == Fraction(1, 240)

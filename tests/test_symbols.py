@@ -6,6 +6,8 @@ from math import gcd
 import pytest
 
 from dedekindsym import contfrac as cf
+from dedekindsym import eichler as ei
+from dedekindsym import modforms as mf
 from dedekindsym import symbols as sy
 from dedekindsym.errors import DomainError, NotShuffled
 from dedekindsym.series import Alphabet, TruncSeries
@@ -239,6 +241,18 @@ class TestDeltaTails:
                 assert warm(p, q).dumps() == ref
                 if i % 5 == 0:
                     assert sy.delta(f)(p, q).dumps() == ref
+
+    def test_complex_matches_left_to_right_product(self):
+        # complex F takes the tail recursion too, whose products associate
+        # from the right: psi of D for E4, E6 at trunc 2 over the signed grid.
+        # Bound fixed beforehand: 1e-12 of max(1, largest coefficient)
+        h = ei.HAssignment.letters({"A": mf.eisenstein(4), "B": mf.eisenstein(6)})
+        f = sy.psi(ei.symbol_fn(h, ei.IntegratorConfig(trunc=2)))
+        d = sy.delta(f)
+        grid = [(p, q) for p in range(-9, 10) for q in range(-9, 10) if abs(p) > 1 and q and gcd(p, q) == 1]
+        for p, q in grid:
+            want = sy.delta_full(f, cf.canonical(*((p, q) if p > 0 else (-p, -q))))
+            assert d(p, q).max_abs_diff(want) <= 1e-12 * max(1.0, max(map(abs, want.vec))), (p, q)
 
     def test_memo_cap_of_one_gives_the_same_values(self, monkeypatch):
         def values():
