@@ -382,19 +382,47 @@ def _solve_unimodular(q, p):
     return best[1]
 
 
-def fourier_cutoff(form, height, tol, cap=400):
-    """Smallest n with the remaining Fourier tail below tol; NonConvergence past cap."""
-    decay = math.exp(-TWO_PI * height)
+# The default ceiling of fourier_cutoff: Delta's first 20,000 coefficients
+# take about a second to build.
+_FOURIER_CAP = 20000
+
+
+def fourier_cutoff(form, height, tol, cap=_FOURIER_CAP):
+    """Smallest n with the remaining Fourier tail below tol; NonConvergence
+    when n is above cap.
+
+    The tail past n is bounded by t(n) = 2 (n+1)^E x^(n+1) / (1 - x), with
+    x = exp(-2 pi height) and the coefficients growing like n^E.  t falls
+    monotonically once n + 1 passes its peak E / (2 pi height), so n is
+    solved from the height: iterate n + 1 = (E log(n+1) - log(tol (1-x)/2))
+    / (2 pi height) from the peak (as ``eichler._cutoff`` does), then step
+    to the smallest integer n past the peak with t(n) < tol.
+    """
+    y = TWO_PI * height
+    decay = math.exp(-y)
     # |sigma_{2k-1}(n)| <= zeta(2k-1) n^(2k-1); |tau(n)| <= d(n) n^(11/2) <= n^(13/2)
     bound_exp = 6.5 if form.is_cusp else form.weight - 1
-    for n in range(1, cap + 1):
-        t = 2.0 * (n + 1) ** bound_exp * decay ** (n + 1) / (1.0 - decay)
-        if t < tol:
-            return n
-    raise NonConvergence(f"Fourier cutoff above cap {cap} at height {height:.4g}")
+
+    def tail(n):
+        return 2.0 * (n + 1) ** bound_exp * decay ** (n + 1) / (1.0 - decay)
+
+    level = math.log(2.0 / (1.0 - decay) / tol)
+    peak = max(1.0, bound_exp / y)
+    m = peak
+    for _ in range(64):
+        m = max(peak, (bound_exp * math.log(m) + level) / y)
+    lo = max(1, math.floor(peak))
+    n = max(lo, math.ceil(m) - 2)
+    while n > lo and tail(n - 1) < tol:
+        n -= 1
+    while tail(n) >= tol:
+        n += 1
+    if n > cap:
+        raise NonConvergence(f"Fourier cutoff n = {n} above the cap {cap} at height {height:.4g}")
+    return n
 
 
-def dedekind_symbol_length1(form, p, q, height=None, tol=1e-12, cap=400):
+def dedekind_symbol_length1(form, p, q, height=None, tol=1e-12, cap=_FOURIER_CAP):
     """Regularized period integral of a level-one form against (p tau - q)^(w).
 
     Three pieces: the cuspidal integral up from tau0 = q/p + i*height, the

@@ -271,20 +271,31 @@ class TruncSeries:
 
     @classmethod
     def exp_term(cls, alphabet, trunc, word, coeff, kind=RATIONAL):
-        """exp(c w) = sum over k of c^k / k! w^k for a nonempty word w, with
-        the bytes of ``term(...).exp()``: c^k is taken by repeated products
-        and 1/k! is applied to a complex coefficient as its nearest float."""
+        """exp(c w) = sum over k <= K = trunc // |w| of c^k / k! w^k for a
+        nonempty word w, with the bytes of ``term(...).exp()``.  A rational
+        c = a/b gives numerators a^k b^(K-k) K!/k! over b^K K!; a complex c^k
+        is taken by repeated products, and 1/k! is applied as its nearest
+        float."""
         w = alphabet.word(word)
         if not w:
             raise ValueError("exp_term needs a nonempty word")
+        if trunc < 0 or kind not in _ZERO:
+            raise ValueError(f"exp_term needs trunc >= 0 and a known kind, got {trunc}, {kind!r}")
         c = _coerce(kind, coeff)
-        terms, ck = {}, 1
-        for k in range(trunc // len(w) + 1):
-            s = Fraction(1, factorial(k))
+        K = trunc // len(w)
+        index = _split_table(alphabet, trunc).index
+        vec = [_ZERO[kind]] * len(index)
+        if kind == RATIONAL:
+            a, b, fk = c.numerator, c.denominator, factorial(K)
+            for k in range(K + 1):
+                vec[index[w * k]] = a ** k * b ** (K - k) * (fk // factorial(k))
+            return cls._from_vec(alphabet, trunc, vec, RATIONAL, b ** K * fk)
+        ck = 1
+        for k in range(K + 1):
             # + 0j turns a zero part -0.0 into 0.0, as exp's sums do
-            terms[w * k] = ck * s if kind == RATIONAL else ck * float(s) + 0j
+            vec[index[w * k]] = ck * float(Fraction(1, factorial(k))) + 0j
             ck = ck * c
-        return cls(alphabet, trunc, terms, kind)
+        return cls._from_vec(alphabet, trunc, vec)
 
     def coeff(self, word):
         row = _split_table(self.alphabet, self.trunc).index.get(self.alphabet.word(word))

@@ -9,6 +9,7 @@ exponentials of scalar factors, one word at a time.
 """
 
 import hashlib
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -65,10 +66,9 @@ def sample_pairs(n, seed, bound=30, distinct=True):
 # ---------------------------------------------------------------------------
 # Evaluator objects
 
-# Values per evaluator memo, oldest evicted first.  delta at a pair whose
-# continued fraction has n proper tails stores up to n of them; over all
-# pairs with |p|, |q| <= 50 of the exact benchmark (seed 1) no memo holds
-# more than 173.
+# Values per memo, oldest evicted first.  delta at a pair whose continued
+# fraction has n proper tails stores up to n of them; over all pairs with
+# |p|, |q| <= 50 of the exact benchmark (seed 1) no memo holds more than 166.
 _MEMO_CAP = 1 << 12
 
 
@@ -81,7 +81,8 @@ class _SeriesFn:
     The memo keeps at most ``_MEMO_CAP`` values.
     """
 
-    __slots__ = ("_func", "alphabet", "trunc", "kind", "almost", "memo_mode", "_memo", "name")
+    __slots__ = ("_func", "alphabet", "trunc", "kind", "almost", "memo_mode", "_memo", "name",
+                 "__weakref__")
 
     def __init__(self, func, alphabet, trunc, kind=RATIONAL, almost=True,
                  memo="literal", name=""):
@@ -109,7 +110,7 @@ class _SeriesFn:
         val = self._memo.get(key)
         if val is None:
             val = self._func(p, q)
-            if val.coeff(()) != 1:
+            if val.vec[0] != val.den:
                 raise ValueError(f"{type(self).__name__} evaluation must have constant term 1")
             _remember(self._memo, _MEMO_CAP, key, val)
         return val
@@ -154,6 +155,48 @@ def psi(d):
                    d.alphabet, d.trunc, d.kind, d.almost, name=f"psi({d.name})")
 
 
+# Per reciprocity function F, the memos of its normalized symbol D =
+# delta(F): D^(-1) at the continued-fraction tails and at asked pairs, and
+# D at asked pairs, both keyed with p > 0.  F is held weakly and the memos
+# hold series only, so every delta, bullet and bullet_inverse of one F
+# shares one walk, and the memos go with F.
+_DELTA_MEMOS = weakref.WeakKeyDictionary()
+
+
+def _delta_fns(f):
+    """Evaluators of D = delta(F) and of D^(-1), on F's shared memos."""
+    memos = _DELTA_MEMOS.get(f)
+    if memos is None:
+        memos = _DELTA_MEMOS[f] = ({}, {})
+    inv_memo, d_memo = memos
+    one = TruncSeries.one(f.alphabet, f.trunc, f.kind)
+
+    def walk(p, q):
+        if p < 0:
+            p, q = -p, -q
+        if p == 1:
+            return one if q >= 1 else f(1, 1)
+        tails = contfrac.canonical_tails(p, q)
+        next(tails)  # t_0 = (p, q), the memo miss itself
+        path, acc = [], one
+        for t in tails:
+            path.append(t)
+            if t in inv_memo:
+                acc = inv_memo[t]
+                break
+        for i in range(len(path) - 1, 0, -1):
+            acc = acc * f(*path[i])
+            _remember(inv_memo, _MEMO_CAP, path[i - 1], acc)
+        return acc * f(*path[0])
+
+    d_inv = _SeriesFn(walk, f.alphabet, f.trunc, f.kind, almost=True, memo="sign")
+    d = SymbolFn(lambda p, q: d_inv(p, q).inverse(), f.alphabet, f.trunc, f.kind,
+                 almost=True, memo="sign", name=f"delta({f.name})", normalized=True)
+    # the closures bind F and the memos, never d or d_inv: no reference cycle
+    d_inv._memo, d._memo = inv_memo, d_memo
+    return d, d_inv
+
+
 def delta(f):
     """Normalized almost Dedekind symbol of an almost reciprocity function.
 
@@ -163,42 +206,19 @@ def delta(f):
     to 1, and negative integers to F(1,1)^(-1) (F(1,1) = 1 is not available
     on the almost domain).
 
-    The canonical sequence of t_i is the tail of that of (p, q), so
-    D(t_i) = F(t_(i+1))^(-1) D(t_(i+1)) and D(t_n) = 1.  A memo miss walks
-    the tails down to the first one already memoized (or to t_n), then fills
-    the memo back up, one inverse and one product per new tail.  Exact
-    products associate, so an exact value is the left-to-right product's,
-    to the byte; a complex value is the same product associated from the
-    right, and agrees with it to rounding.
+    The canonical sequence of t_i is the tail of that of (p, q), so the
+    inverse D^(-1)(t_i) = D^(-1)(t_(i+1)) F(t_(i+1)), with D^(-1)(t_n) = 1.
+    A memo miss walks the tails down to the first one already memoized (or
+    to t_n), then fills the memo of D^(-1) back up, one product and no
+    inverse per new tail; D at an asked pair is one inverse of D^(-1) there.
+    Both memos belong to F, held weakly, and are shared by every delta,
+    ``bullet`` and ``bullet_inverse`` of F.  Exact inverses and products
+    are unique in lowest terms, so an exact value is the left-to-right
+    product's, to the byte; a complex value is the inverse of the product
+    of the F(t_i) and agrees with it to rounding (1e-12 of the largest
+    coefficient, for psi of D for E4, E6 at trunc 2 over the signed 9-grid).
     """
-    one = TruncSeries.one(f.alphabet, f.trunc, f.kind)
-    memo = {}
-
-    def ev(p, q):
-        if p < 0:
-            p, q = -p, -q
-        if p == 1:
-            if q >= 1:
-                return one
-            return f(1, 1).inverse()
-        tails = contfrac.canonical_tails(p, q)
-        next(tails)  # t_0 = (p, q), the memo miss itself
-        path, acc = [], one
-        for t in tails:
-            path.append(t)
-            if t in memo:
-                acc = memo[t]
-                break
-        for i in range(len(path) - 1, 0, -1):
-            acc = f(*path[i]).inverse() * acc
-            _remember(memo, _MEMO_CAP, path[i - 1], acc)
-        return f(*path[0]).inverse() * acc
-
-    d = SymbolFn(ev, f.alphabet, f.trunc, f.kind, almost=True,
-                 memo="sign", name=f"delta({f.name})", normalized=True)
-    # ev binds the memo, never d: d -> ev -> d would be a reference cycle
-    d._memo = memo
-    return d
+    return _delta_fns(f)[0]
 
 
 def delta_full(f, rep):
@@ -224,18 +244,23 @@ def normalize(d):
 
 def bullet(f, g):
     """Product of reciprocity functions through their normalized symbols:
-    (F * G)(p,q) = D(p,q) G(p,q) D^(-1)(-q,p) with D = delta(F)."""
+    (F * G)(p,q) = D(p,q) G(p,q) D^(-1)(-q,p) with D = delta(F).  D^(-1) is
+    read from the tail walk of ``delta``, which builds it by products, and
+    D is one inverse of it per asked pair; both memos are F's, held weakly
+    and shared with every other delta of F."""
     f, g = _merge(f, g)
-    d = delta(f)
-    return RecipFn(lambda p, q: d(p, q) * g(p, q) * d(-q, p).inverse(),
+    d, d_inv = _delta_fns(f)
+    return RecipFn(lambda p, q: d(p, q) * g(p, q) * d_inv(-q, p),
                    f.alphabet, min(f.trunc, g.trunc), f.kind,
                    almost=f.almost or g.almost, name=f"({f.name} . {g.name})")
 
 
 def bullet_inverse(f):
-    """Inverse under the product: D^(-1)(p,q) D(-q,p) with D = delta(F)."""
-    d = delta(f)
-    return RecipFn(lambda p, q: d(p, q).inverse() * d(-q, p),
+    """Inverse under the product: D^(-1)(p,q) D(-q,p) with D = delta(F),
+    both read from F's shared memos (see ``delta``): no inverse beyond the
+    one per asked pair that D costs."""
+    d, d_inv = _delta_fns(f)
+    return RecipFn(lambda p, q: d_inv(p, q) * d(-q, p),
                    f.alphabet, f.trunc, f.kind, f.almost, name=f"inv({f.name})")
 
 
@@ -362,12 +387,18 @@ def random_symbol(alphabet, trunc, seed):
     """Seeded symbol with an independent rational coefficient per
     (orbit, word); deterministic in the seed."""
 
+    by_orbit = {}
+
     def ev(p, q):
         key = orbit_key(p, q)
-        coeffs = {(): Fraction(1)}
-        for w in alphabet.iter_words(trunc, min_len=1):
-            coeffs[w] = _hash_fraction(seed, key, w)
-        return TruncSeries(alphabet, trunc, coeffs, RATIONAL)
+        val = by_orbit.get(key)
+        if val is None:
+            coeffs = {(): Fraction(1)}
+            for w in alphabet.iter_words(trunc, min_len=1):
+                coeffs[w] = _hash_fraction(seed, key, w)
+            val = TruncSeries(alphabet, trunc, coeffs, RATIONAL)
+            _remember(by_orbit, _MEMO_CAP, key, val)
+        return val
 
     return SymbolFn(ev, alphabet, trunc, RATIONAL, almost=True, name=f"random({seed})")
 

@@ -154,6 +154,12 @@ class TestTable:
         want = [(p, q) for p in range(1, 7) for q in range(1, p + 1) if gcd(p, q) == 1]
         assert [(r["p"], r["q"]) for r in doc["rows"]] == want
 
+    def test_wide_pairs_exit_zero(self, capsys):
+        # pmax 60 reaches the height 1/46 that a fixed Fourier cap of 400
+        # could not
+        code, out = run(capsys, "table", "--forms", "A=E4", "--pmax", "60")
+        assert code == 0 and len(json.loads(out)["rows"]) == 1102
+
     def test_deterministic_bytes(self, capsys):
         _, out1 = run(capsys, "table", "--forms", "A=E4", "--pmax", "5")
         _, out2 = run(capsys, "table", "--forms", "A=E4", "--pmax", "5")

@@ -6,6 +6,7 @@ from math import gcd
 import numpy as np
 import pytest
 
+from dedekindsym import eichler as ei
 from dedekindsym import modforms as mf
 from dedekindsym.errors import DomainError, NonConvergence
 
@@ -193,6 +194,38 @@ class TestLengthOneSymbol:
                 assert abs(f + mf.psi_length1(form, -q, p)) < 1e-8
                 if p + q:
                     assert abs(mf.psi_length1(form, p, p + q) + mf.psi_length1(form, p + q, q) - f) < 1e-8
+
+    def test_wide_pairs_converge_at_the_defaults(self):
+        # the Fourier cutoff is solved from the height (a fixed cap of 400
+        # raised at both pairs); checked against an explicit cap of 20000
+        # and against build_D at trunc 1, an independent path (orientation
+        # constant -1).  Bound fixed beforehand: 1e-12 of max(1, |value|)
+        form = mf.eisenstein(4)
+        h = ei.HAssignment.letters({"A": form})
+        for p, q in ((55, 89), (89, 144)):
+            got = mf.dedekind_symbol_length1(form, p, q)
+            scale = max(1.0, abs(got))
+            assert abs(got - mf.dedekind_symbol_length1(form, p, q, cap=20000)) <= 1e-12 * scale
+            b = ei.build_D(h, p, q, ei.IntegratorConfig(trunc=1)).coeff((0,))
+            assert abs(got + b) <= 1e-12 * scale, (p, q)
+
+    @pytest.mark.parametrize("form", [mf.eisenstein(4), mf.eisenstein(12), mf.delta_form()])
+    def test_cutoff_is_the_first_index_with_a_small_tail(self, form):
+        # the tail bound rises to its peak and then falls; solving past the
+        # peak gives the first n of a scan from 1 at every height tried
+        bound_exp = 6.5 if form.is_cusp else form.weight - 1
+        for height in [1 / p for p in range(1, 61)] + [0.37, 0.866, 2.5]:
+            decay = math.exp(-2 * math.pi * height)
+            n = 1
+            while 2.0 * (n + 1) ** bound_exp * decay ** (n + 1) / (1.0 - decay) >= 1e-15:
+                n += 1
+            assert mf.fourier_cutoff(form, height, 1e-15) == n, height
+
+    def test_cutoff_above_the_cap_raises(self):
+        with pytest.raises(NonConvergence, match=r"n = \d+ above the cap 20000 at height 0.0001"):
+            mf.fourier_cutoff(mf.delta_form(), 1e-4, 1e-15)
+        with pytest.raises(NonConvergence, match="above the cap 400"):
+            mf.dedekind_symbol_length1(mf.eisenstein(4), 89, 144, cap=400)
 
     def test_domain(self):
         with pytest.raises(DomainError):

@@ -4,6 +4,8 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dedekindsym import contfrac as cf
 from dedekindsym import eichler as ei
@@ -240,7 +242,9 @@ class TestDeltaTails:
                 ref = want[(abs(p), q if p > 0 else -q)]
                 assert warm(p, q).dumps() == ref
                 if i % 5 == 0:
-                    assert sy.delta(f)(p, q).dumps() == ref
+                    # delta of f shares f's memos, so a cold walk needs a
+                    # fresh function: the same one, built again from its seeds
+                    assert sy.delta(self.functions()[name])(p, q).dumps() == ref
 
     def test_complex_matches_left_to_right_product(self):
         # complex F takes the tail recursion too, whose products associate
@@ -267,37 +271,76 @@ class TestDeltaTails:
         assert got == want
         assert all(len(g._memo) == 1 for g in fns)
 
-    def test_one_inverse_per_new_tail(self, monkeypatch):
+    def test_one_product_per_new_tail(self, monkeypatch):
         a = Alphabet.simple("a")
         f = sy.RecipFn(lambda p, q: TruncSeries.exp_term(a, 2, "a", Fraction(p, q)), a, 2)
-        asked, inverses = [], [0]
-        call, inverse = sy.RecipFn.__call__, TruncSeries.inverse
+        asked, counts = [], {"mul": 0, "inverse": 0}
+        call, mul, inverse = sy.RecipFn.__call__, TruncSeries.__mul__, TruncSeries.inverse
 
         def counted_call(self, p, q):
             asked.append((p, q))
             return call(self, p, q)
 
+        def counted_mul(self, other):
+            counts["mul"] += 1
+            return mul(self, other)
+
         def counted_inverse(self):
-            inverses[0] += 1
+            counts["inverse"] += 1
             return inverse(self)
 
         monkeypatch.setattr(sy.RecipFn, "__call__", counted_call)
+        monkeypatch.setattr(TruncSeries, "__mul__", counted_mul)
         monkeypatch.setattr(TruncSeries, "inverse", counted_inverse)
         d = sy.delta(f)
         # 1/3000 = <1, 2, ..., 2>: proper tails (2999, 3000), ..., (1, 2), far
-        # deeper than the recursion limit
+        # deeper than the recursion limit; D^(-1) takes one product per tail,
+        # and D one inverse, at the asked pair only
         d(3000, 1)
         assert sorted(asked) == [(j, j + 1) for j in range(1, 3000)]
-        assert inverses[0] == 2999 and len(d._memo) == 2999
+        assert counts == {"mul": 2999, "inverse": 1}
+        inv_memo, d_memo = sy._DELTA_MEMOS[f]
+        assert len(inv_memo) == 2999 and d._memo is d_memo and len(d_memo) == 1
         # <5, 3, 2, ..., 2> joins those tails at <2, ..., 2> = (2990, 2991):
-        # two new values, D at the pair and at its first tail
+        # D^(-1) at the pair and at its first tail, then one inverse
         asked.clear()
-        inverses[0] = 0
+        counts.update(mul=0, inverse=0)
         p, q = cf.evaluate([5, 3] + [2] * 2990)
         got = d(p, q)
         assert asked == [(2990, 2991), cf.evaluate([3] + [2] * 2990)]
-        assert inverses[0] == 2
+        assert counts == {"mul": 2, "inverse": 1}
+        monkeypatch.undo()
         assert got == sy.delta_full(f, cf.canonical(p, q))
+
+    def test_one_walk_per_function(self, monkeypatch):
+        # two deltas, a bullet and a bullet inverse of one F share one walk:
+        # F is asked once per tail t_i (i < n) of the points they evaluate,
+        # (p, q) and (-q, p), for the value D^(-1)(t_i) = D^(-1)(t_(i+1)) F(t_(i+1)),
+        # and at (1, 1) once per negative integer q/p, whose D^(-1) is F(1, 1)
+        f = corrupted_rf(130)
+        asked = []
+        call = sy.RecipFn.__call__
+
+        def counted_call(self, p, q):
+            if self is f:
+                asked.append((p, q))
+            return call(self, p, q)
+
+        monkeypatch.setattr(sy.RecipFn, "__call__", counted_call)
+        fns = (sy.delta(f), sy.delta(f), sy.bullet(f, sy.embed_exp(scalar_rf(131), "b", AB, 3)),
+               sy.bullet_inverse(f))
+        pairs = self.PAIRS[::7]
+        for p, q in pairs:
+            for g in fns:
+                g(p, q)
+        tails = set()
+        for p, q in pairs + [(-q, p) for p, q in pairs]:
+            p, q = (p, q) if p > 0 else (-p, -q)
+            if p == 1:
+                tails.update([(p, q)] if q < 0 else [])
+            else:
+                tails.update(t for t in cf.canonical_tails(p, q) if t.p > 1)
+        assert len(asked) == len(tails)
 
     def test_no_reference_cycle(self):
         f = sy.psi(sy.random_symbol(AB, 3, seed=128))
@@ -308,6 +351,21 @@ class TestDeltaTails:
             d(50, 1)
             del d
             assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_memos_go_with_the_function(self):
+        gc.collect()
+        gc.disable()
+        try:
+            f = sy.psi(sy.random_symbol(AB, 3, seed=132))
+            fns = (sy.delta(f), sy.bullet(f, f), sy.bullet_inverse(f))
+            for g in fns:
+                g(50, 1)
+            held = len(sy._DELTA_MEMOS)
+            assert f in sy._DELTA_MEMOS
+            del f, fns, g
+            assert len(sy._DELTA_MEMOS) == held - 1
         finally:
             gc.enable()
 
@@ -422,6 +480,49 @@ class TestBullet:
             assert all(val.coeff(w) == 0 for w in AB.iter_words(1, min_len=1))
             for w in AB.iter_words(2, min_len=2):
                 assert val.coeff(w) == f(p, q).coeff(w) + g(p, q).coeff(w)
+
+
+# Property tests: the bullet algebra on one-letter exponentials over ab at
+# trunc 3, at random coprime pairs.  The minus continued fraction of
+# (p, p - 1) has p tails, so |p|, |q| stay small enough to walk quickly.
+
+PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=None)
+PAIR = (st.tuples(st.integers(-500, 500), st.integers(-500, 500))
+        .filter(lambda pq: pq[0] * pq[1] != 0 and gcd(*pq) == 1))
+SEED = st.integers(0, 10 ** 6)
+LETTER = st.sampled_from("ab")
+
+
+def exponential(seed, letter):
+    return sy.embed_exp(scalar_rf(seed), letter, AB, 3)
+
+
+class TestBulletProperties:
+    @PROPERTY
+    @given(st.lists(st.tuples(SEED, LETTER), min_size=3, max_size=3), PAIR)
+    def test_associative(self, factors, pq):
+        f, g, h = (exponential(*x) for x in factors)
+        assert sy.bullet(sy.bullet(f, g), h)(*pq) == sy.bullet(f, sy.bullet(g, h))(*pq)
+
+    @PROPERTY
+    @given(SEED, LETTER, PAIR)
+    def test_unit_on_both_sides(self, seed, letter, pq):
+        f = exponential(seed, letter)
+        unit = sy.RecipFn(lambda p, q: one(), AB, 3)
+        assert sy.bullet(unit, f)(*pq) == f(*pq) == sy.bullet(f, unit)(*pq)
+
+    @PROPERTY
+    @given(SEED, LETTER, PAIR)
+    def test_inverse_on_both_sides(self, seed, letter, pq):
+        f = exponential(seed, letter)
+        fi = sy.bullet_inverse(f)
+        assert sy.bullet(f, fi)(*pq) == one() == sy.bullet(fi, f)(*pq)
+
+    @PROPERTY
+    @given(SEED, PAIR)
+    def test_delta_of_psi_is_normalize(self, seed, pq):
+        d = sy.random_symbol(AB, 3, seed)
+        assert sy.delta(sy.psi(d))(*pq) == sy.normalize(d)(*pq)
 
 
 class TestFromComponents:
