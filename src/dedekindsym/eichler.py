@@ -715,7 +715,7 @@ def _recursion_step(h, p, q, below, cfg):
     """D at the reduced pair (p, q) from D below it, D(-q, p)."""
     if (p, q) == (1, 1):
         return reg_to_cusp(h, 1j, 0, (0, 1), cfg).inverse() * reg_to_cusp(h, 1j, 0, (1, 0), cfg)
-    return build_F(h, p, q, cfg) * below * build_E(h, p, q, cfg.trunc).inverse()
+    return build_F(h, p, q, cfg) * below * build_E(h, -p, q, cfg.trunc)
 
 
 def build_F(h, p, q, cfg=IntegratorConfig()):
@@ -732,10 +732,24 @@ def build_F(h, p, q, cfg=IntegratorConfig()):
 
 
 def build_E(h, p, q, trunc=2):
-    """exp(sum_letters A_i a_0(h(A_i)) / (p q)): the constant-term correction."""
+    """exp(sum_letters A_i a_0(h(A_i)) / (p q)): the constant-term correction.
+
+    It is an exponential of letters, so its word A_i1 ... A_ik reads
+    c_i1 ... c_ik / k!, c_i = a_0(h(A_i)) / (p q), with the product taken
+    left to right and 1/k! as its nearest float: the bytes of ``exp``'s
+    power sum.  Every c_i changes sign with p, so E(p, q)^-1 = E(-p, q).
+    """
     p, q = _validate_pair(p, q)
-    coeffs = {w: a0 / (p * q) for w, a0 in h.constant_terms().items() if len(w) == 1}
-    return TruncSeries(h.alphabet, trunc, coeffs, COMPLEX).exp()
+    c = [0j] * len(h.alphabet)
+    for w, a0 in h.constant_terms().items():
+        if len(w) == 1:
+            c[w[0]] = a0 / (p * q)
+    level, vec = [1], [1.0 + 0j]
+    for k in range(1, trunc + 1):
+        level = [x * ci for x in level for ci in c]
+        inv_fact = 1 / factorial(k)
+        vec += [x * inv_fact + 0j for x in level]
+    return TruncSeries._from_vec(h.alphabet, trunc, vec)
 
 
 def symbol_fn(h, cfg=IntegratorConfig()):

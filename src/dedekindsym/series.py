@@ -8,9 +8,10 @@ Every series is dense: ``vec`` holds one coefficient per word of length
 length, then lexicographic), so truncation is a prefix.  Complex series
 hold Python ``complex`` values, rational series Python ``int`` numerators
 over one denominator ``den`` > 0 in lowest terms, so ``==`` is value
-equality.  The table also lists the splits w = u v of every word, over
-which the product, the inverse, exp and log loop; the node axis of
-``eichler`` reads the same table.  ``coeffs`` is a read-only view
+equality.  The table also carries two kernels compiled once from the
+splits w = u v of every word, one straight-line sum per word: the
+product, through which exp and log run, and the inverse.  The node axis
+of ``eichler`` reads the same table.  ``coeffs`` is a read-only view
 {word: coefficient} of the nonzero entries, with ``Fraction`` values for
 rational series.
 
@@ -174,17 +175,22 @@ def shuffle_words(u, v):
 
 GroupLikeness = namedtuple("GroupLikeness", "ok worst witness")
 
-_SplitTable = namedtuple("_SplitTable", "words index splits groups")
+_SplitTable = namedtuple("_SplitTable", "words index groups mul inv")
 
 
 @lru_cache(maxsize=32)
 def _split_table(alphabet, trunc):
     """Words of length <= trunc in canonical order (row 0 is the empty word),
-    their row numbers, and their splits w = u v: ``splits[i]`` lists the
-    rows (u, v) of word i by |u| ascending.  For the node axis, ``groups``
-    holds per length L = 1..trunc a group (lo, hi, U, V): the words of length
-    L are rows lo..hi-1, and row lo + j is split as U[j, k] V[j, k] for
-    k < L, which runs over every w = u v with v nonempty, by |v| ascending."""
+    their row numbers, and two kernels compiled from the splits w = u v of
+    every word, by |u| ascending: ``mul(x, y)`` is the product vector
+    sum x_u y_v, and ``inv(t)``, for t with t_∅ = 1, the inverse vector
+    m_w = -sum m_u t_v over the splits with v nonempty.  Each is one
+    straight-line sum per word that starts at the int 0, so it rounds, and
+    signs its zeros, as a loop accumulating from 0 would.  For the node
+    axis, ``groups`` holds per length L = 1..trunc a group (lo, hi, U, V):
+    the words of length L are rows lo..hi-1, and row lo + j is split as
+    U[j, k] V[j, k] for k < L, which runs over every w = u v with v
+    nonempty, by |v| ascending."""
     words = tuple(alphabet.iter_words(trunc))
     index = {w: i for i, w in enumerate(words)}
     splits = tuple(tuple((index[w[:k]], index[w[k:]]) for k in range(len(w) + 1)) for w in words)
@@ -195,7 +201,18 @@ def _split_table(alphabet, trunc):
         U, V = np.moveaxis(rows.reshape(hi - lo, length, 2), 2, 0)
         groups.append((lo, hi, U, V))
         lo = hi
-    return _SplitTable(words, index, splits, tuple(groups))
+
+    def from_0(terms):
+        return " + ".join(["0", *terms])
+
+    products = ", ".join(from_0(f"x[{i}] * y[{j}]" for i, j in s) for s in splits)
+    solve = "".join(f"    m{w} = -({from_0(f'm{i} * t[{j}]' for i, j in s[:-1])})\n"
+                    for w, s in enumerate(splits[1:], 1))
+    names = ", ".join(f"m{w}" for w in range(len(words)))
+    kernels = {}
+    exec(f"def mul(x, y):\n    return [{products}]\n"
+         f"def inv(t):\n    m0 = 1\n{solve}    return [{names}]\n", kernels)
+    return _SplitTable(words, index, tuple(groups), kernels["mul"], kernels["inv"])
 
 
 def _remember(cache, cap, key, value):
@@ -315,7 +332,7 @@ class TruncSeries:
 
     def _common(self, other):
         """Both operands over one alphabet and one kind (complex if they differ)."""
-        if self.alphabet != other.alphabet:
+        if self.alphabet is not other.alphabet and self.alphabet != other.alphabet:
             raise ValueError("alphabet mismatch")
         if self.kind == other.kind:
             return self, other
@@ -353,13 +370,7 @@ class TruncSeries:
             return self.scale(other)
         a, b = self._common(other)
         trunc = min(a.trunc, b.trunc)
-        x, y = a.vec, b.vec
-        out = []
-        for splits in _split_table(a.alphabet, trunc).splits:
-            acc = 0
-            for i, j in splits:
-                acc += x[i] * y[j]
-            out.append(acc)
+        out = _split_table(a.alphabet, trunc).mul(a.vec, b.vec)
         return TruncSeries._from_vec(a.alphabet, trunc, out, a.kind, a.den * b.den)
 
     def __rmul__(self, scalar):
@@ -367,22 +378,18 @@ class TruncSeries:
 
     def inverse(self):
         """Inverse; requires an invertible constant term.  With n_w = den S_w
-        and c = n_∅, T_w = n_w c^(|w|-1) has constant term 1 and an inverse m
-        solved word length by word length, m_w = -sum over w = u v, v
-        nonempty, of m_u T_v; then (S^-1)_w = m_w den / c^(|w|+1).  For
-        rational series every step but the last division stays in integers."""
+        and c = n_∅, T_w = n_w c^(|w|-1) has constant term 1 and an inverse
+        m, m_w = -sum over w = u v, v nonempty, of m_u T_v, which the word
+        table's kernel ``inv`` solves word length by word length; then
+        (S^-1)_w = m_w den / c^(|w|+1).  For rational series every step but
+        the last division stays in integers."""
         tab = _split_table(self.alphabet, self.trunc)
         c = self.vec[0]
         if not c:
             raise NotInvertible("constant term is zero")
         powers = [c ** k for k in range(self.trunc + 2)]
         t = [n * powers[len(w) - 1] for w, n in zip(tab.words, self.vec)]   # t[0] is not read
-        m = [1]
-        for splits in tab.splits[1:]:
-            acc = 0
-            for i, j in splits[:-1]:
-                acc += m[i] * t[j]
-            m.append(-acc)
+        m = tab.inv(t)
         vec = [x * self.den * powers[self.trunc - len(w)] for w, x in zip(tab.words, m)]
         if self.kind == COMPLEX:
             return TruncSeries._from_vec(self.alphabet, self.trunc, [x / powers[-1] for x in vec])

@@ -8,7 +8,6 @@ of reciprocity functions, and ``decompose`` peels a shuffled function into
 exponentials of scalar factors, one word at a time.
 """
 
-import hashlib
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
@@ -377,6 +376,8 @@ def verify_mrf(f, samples):
 # Random generation (orbit-keyed, so the symbol axioms hold by construction)
 
 def _hash_fraction(seed, key, word):
+    import hashlib   # here, so that importing the package does not load OpenSSL
+
     h = hashlib.sha256(f"{seed}|{key}|{word}".encode()).digest()
     num = int.from_bytes(h[:4], "big") % 19 - 9
     den = int.from_bytes(h[4:8], "big") % 9 + 1

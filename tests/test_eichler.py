@@ -30,6 +30,10 @@ def h_e4():
     return ei.HAssignment.letters({"A": mf.eisenstein(4)})
 
 
+def h_e4_delta():
+    return ei.HAssignment.letters({"A": mf.eisenstein(4), "B": mf.delta_form()})
+
+
 def h_delta():
     return ei.HAssignment.letters({"A": mf.delta_form()})
 
@@ -522,6 +526,53 @@ class TestBuilders:
         survivors_m = fit_m.prune(1e-8).coeffs
         assert set(survivors_m) == homogeneous | {(-1, -1)}
         assert abs(survivors_m[(-1, -1)] + 1 / 240) < 1e-8  # -a_0(E4): orientation -1
+
+
+def power_sum_E(h, p, q, trunc):
+    """E(p, q) as the power sum of ``exp`` over the letters' a_0 / (p q)."""
+    coeffs = {w: a0 / (p * q) for w, a0 in h.constant_terms().items() if len(w) == 1}
+    return TruncSeries(h.alphabet, trunc, coeffs, COMPLEX).exp()
+
+
+class TestClosedFormE:
+    """build_E word by word, and E(p, q)^-1 = E(-p, q) in the recursion of D."""
+
+    SETTINGS = [(h_pair, 1), (h_pair, 2), (h_pair, 3), (h_e4_delta, 2), (h_delta, 3)]
+
+    @pytest.mark.parametrize("make", [h_pair, h_e4_delta])
+    def test_bytes_of_the_power_sum(self, make):
+        h = make()
+        for trunc in range(1, 6):
+            for p, q in SIGNED_GRID:
+                assert repr(ei.build_E(h, p, q, trunc).vec) == repr(power_sum_E(h, p, q, trunc).vec)
+
+    def test_E_of_minus_p_is_the_inverse(self):
+        h = ei.HAssignment.letters({"A": mf.eisenstein(4), "B": mf.eisenstein(6), "C": mf.delta_form()})
+        for trunc in (2, 4):
+            one = TruncSeries.one(h.alphabet, trunc, COMPLEX)
+            for p, q in SIGNED_GRID:
+                e, e_inv = ei.build_E(h, p, q, trunc), ei.build_E(h, -p, q, trunc)
+                assert max((e_inv * e).max_abs_diff(one), (e * e_inv).max_abs_diff(one)) <= 1e-15
+
+    def test_D_keeps_the_bytes_of_the_inverted_power_sum(self, monkeypatch):
+        # the recursion step as it was, with E^-1 the inverse of exp's power
+        # sum, on the signed 9-grid and four wide pairs: no byte of D moves
+        def inverted_power_sum_step(h, p, q, below, cfg):
+            if (p, q) == (1, 1):
+                return ei.reg_to_cusp(h, 1j, 0, (0, 1), cfg).inverse() * ei.reg_to_cusp(h, 1j, 0, (1, 0), cfg)
+            return ei.build_F(h, p, q, cfg) * below * power_sum_E(h, p, q, cfg.trunc).inverse()
+
+        pairs = SIGNED_GRID + [(-2, 51), (89, 144), (1, 1000), (34, 55)]
+        for make, trunc in self.SETTINGS:
+            h, cfg = make(), ei.IntegratorConfig(trunc=trunc)
+            ei.clear_caches()
+            got = [repr(ei.build_D(h, p, q, cfg).vec) for p, q in pairs]
+            with monkeypatch.context() as m:
+                m.setattr(ei, "_recursion_step", inverted_power_sum_step)
+                ei.clear_caches()
+                want = [repr(ei.build_D(h, p, q, cfg).vec) for p, q in pairs]
+            assert got == want
+        ei.clear_caches()
 
 
 class TestOmegaInf:

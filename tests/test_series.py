@@ -131,6 +131,82 @@ class TestInverse:
             TruncSeries(AB, 2, {"a": 1}).inverse()
 
 
+def loop_tables(alphabet, trunc):
+    """Rows of the word table and the splits of each word, by |u| ascending."""
+    words = list(alphabet.iter_words(trunc))
+    index = {w: i for i, w in enumerate(words)}
+    return words, [[(index[w[:k]], index[w[k:]]) for k in range(len(w) + 1)] for w in words]
+
+
+def loop_mul(s, t):
+    """The product by nested split loops, each sum accumulated from 0."""
+    trunc = min(s.trunc, t.trunc)
+    out = []
+    for splits in loop_tables(s.alphabet, trunc)[1]:
+        acc = 0
+        for i, j in splits:
+            acc += s.vec[i] * t.vec[j]
+        out.append(acc)
+    return TruncSeries._from_vec(s.alphabet, trunc, out, s.kind, s.den * t.den)
+
+
+def loop_inverse(s):
+    """``TruncSeries.inverse`` with its word-length solve as nested split loops."""
+    words, table = loop_tables(s.alphabet, s.trunc)
+    c = s.vec[0]
+    powers = [c ** k for k in range(s.trunc + 2)]
+    t = [n * powers[len(w) - 1] for w, n in zip(words, s.vec)]
+    m = [1]
+    for splits in table[1:]:
+        acc = 0
+        for i, j in splits[:-1]:
+            acc += m[i] * t[j]
+        m.append(-acc)
+    vec = [x * s.den * powers[s.trunc - len(w)] for w, x in zip(words, m)]
+    if s.kind == COMPLEX:
+        return TruncSeries._from_vec(s.alphabet, s.trunc, [x / powers[-1] for x in vec])
+    return TruncSeries._from_vec(s.alphabet, s.trunc, vec, RATIONAL, powers[-1])
+
+
+def kernel_series(rng, alphabet, trunc, kind):
+    """A series whose entries include zeros: exact ones, and complex 0.0
+    and -0.0 in either part; the constant term is nonzero."""
+    if kind == RATIONAL:
+        pick = lambda: Fraction(rng.randint(-6, 6) * (rng.random() < 2 / 3), rng.randint(1, 6))
+    else:
+        zeros = [0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)]
+        pick = lambda: (rng.choice(zeros) if rng.random() < 0.3 else
+                        complex(rng.uniform(-9, 9), rng.choice([rng.uniform(-9, 9), 0.0, -0.0])))
+    coeffs = {w: pick() for w in alphabet.iter_words(trunc, min_len=1)}
+    coeffs[()] = rng.choice([Fraction(-3, 2), Fraction(1), Fraction(2, 3)]) if kind == RATIONAL else \
+        complex(rng.uniform(0.5, 2) * rng.choice([1, -1]), rng.choice([0.0, -0.0, rng.uniform(-1, 1)]))
+    return TruncSeries(alphabet, trunc, coeffs, kind)
+
+
+class TestKernels:
+    """The word table's compiled product and inverse against the split loops,
+    byte for byte (``repr`` of the vector, so signed zeros count)."""
+
+    @pytest.mark.parametrize("letters", [1, 2, 3])
+    @pytest.mark.parametrize("trunc", [0, 1, 2, 3, 4])
+    @pytest.mark.parametrize("kind", [RATIONAL, COMPLEX])
+    def test_product_and_inverse_match_the_split_loops(self, letters, trunc, kind):
+        rng = random.Random(100 * letters + trunc)
+        ab = Alphabet.simple("abc"[:letters])
+        for _ in range(12):
+            s, t = (kernel_series(rng, ab, trunc, kind) for _ in range(2))
+            for got, want in ((s * t, loop_mul(s, t)), (s.inverse(), loop_inverse(s))):
+                assert repr(got.vec) == repr(want.vec) and got.den == want.den
+
+    def test_product_over_two_truncations(self):
+        rng = random.Random(7)
+        ab = Alphabet.simple("ab")
+        for kind in (RATIONAL, COMPLEX):
+            s, t = kernel_series(rng, ab, 4, kind), kernel_series(rng, ab, 2, kind)
+            for got, want in ((s * t, loop_mul(s, t)), (t * s, loop_mul(t, s))):
+                assert got.trunc == 2 and repr(got.vec) == repr(want.vec)
+
+
 class TestShuffle:
     def test_two_letters(self):
         out = shuffle_words((0,), (1,))

@@ -1,7 +1,11 @@
 import gc
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -93,6 +97,15 @@ class TestRandomSymbol:
             d(1, 0)
         with pytest.raises(DomainError):
             d(2, 4)
+
+    def test_importing_the_package_leaves_hashlib_unloaded(self):
+        # only the seeded coefficients hash; OpenSSL's _hashlib costs a
+        # process that never hashes about 3.5 MB of memory
+        src = str(Path(sy.__file__).resolve().parents[1])
+        code = "import sys, dedekindsym; sys.exit('_hashlib' in sys.modules)"
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src})
+        assert run.returncode == 0, run.stderr or "_hashlib was loaded"
 
 
 class TestPsi:
