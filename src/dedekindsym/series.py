@@ -3,14 +3,17 @@
 Elements live in the quotient of R<<A>> by words of length > N.  The
 coefficient ring R is either exact rationals or complex floats.
 
-Every series is dense: ``vec`` holds one coefficient per word of length
-<= N, in the order of the word table ``_split_table(alphabet, N)`` (by
-length, then lexicographic), so truncation is a prefix.  Complex series
-hold Python ``complex`` values, rational series Python ``int`` numerators
-over one denominator ``den`` > 0 in lowest terms, so ``==`` is value
-equality.  The table also carries two kernels compiled once from the
-splits w = u v of every word, one straight-line sum per word: the
-product, through which exp and log run, and the inverse.  The node axis
+Every series is dense: ``vec`` is a tuple of one coefficient per word of
+length <= N, in the order of the word table ``_split_table(alphabet, N)``
+(by length, then lexicographic), so truncation is a prefix.  Complex
+series hold Python ``complex`` values, rational series Python ``int``
+numerators over one denominator ``den`` > 0 in lowest terms, so ``==`` is
+value equality.  A tuple of ints or complex values holds no reference the
+garbage collector must follow, so it drops out of the collector's lists at
+the first collection it meets, and memos keep the pair ``(vec, den)``.
+The table also carries two kernels compiled once from the splits w = u v
+of every word, one straight-line sum per word: the product, through which
+exp and log run, and the inverse.  The node axis
 of ``eichler`` reads the same table.  ``coeffs`` is a read-only view
 {word: coefficient} of the nonzero entries, with ``Fraction`` values for
 rational series.
@@ -40,7 +43,7 @@ COMPLEX = "complex"
 class Alphabet:
     """Ordered set of symbols, each carrying an even weight >= 2."""
 
-    __slots__ = ("names", "weights", "_index")
+    __slots__ = ("names", "weights", "_index", "_hash")
 
     def __init__(self, symbols):
         symbols = tuple((str(n), int(w)) for n, w in symbols)
@@ -54,6 +57,7 @@ class Alphabet:
         self.names = names
         self.weights = weights
         self._index = {n: i for i, n in enumerate(names)}
+        self._hash = hash((names, weights))
 
     @classmethod
     def simple(cls, names, weight=2):
@@ -67,7 +71,7 @@ class Alphabet:
         return isinstance(other, Alphabet) and self.names == other.names and self.weights == other.weights
 
     def __hash__(self):
-        return hash((self.names, self.weights))
+        return self._hash
 
     def __repr__(self):
         return "Alphabet(%s)" % ", ".join(f"{n}:{w}" for n, w in zip(self.names, self.weights))
@@ -183,14 +187,14 @@ def _split_table(alphabet, trunc):
     """Words of length <= trunc in canonical order (row 0 is the empty word),
     their row numbers, and two kernels compiled from the splits w = u v of
     every word, by |u| ascending: ``mul(x, y)`` is the product vector
-    sum x_u y_v, and ``inv(t)``, for t with t_∅ = 1, the inverse vector
-    m_w = -sum m_u t_v over the splits with v nonempty.  Each is one
-    straight-line sum per word that starts at the int 0, so it rounds, and
-    signs its zeros, as a loop accumulating from 0 would.  For the node
-    axis, ``groups`` holds per length L = 1..trunc a group (lo, hi, U, V):
-    the words of length L are rows lo..hi-1, and row lo + j is split as
-    U[j, k] V[j, k] for k < L, which runs over every w = u v with v
-    nonempty, by |v| ascending."""
+    sum x_u y_v, and ``inv(s, den, exact)`` is the pair (vector, denominator)
+    of the inverse of the series s / den (see ``TruncSeries.inverse``).  Each
+    is one straight-line sum per word that starts at the int 0, so it
+    rounds, and signs its zeros, as a loop accumulating from 0 would; both
+    return tuples.  For the node axis, ``groups`` holds per length
+    L = 1..trunc a group (lo, hi, U, V): the words of length L are rows
+    lo..hi-1, and row lo + j is split as U[j, k] V[j, k] for k < L, which
+    runs over every w = u v with v nonempty, by |v| ascending."""
     words = tuple(alphabet.iter_words(trunc))
     index = {w: i for i, w in enumerate(words)}
     splits = tuple(tuple((index[w[:k]], index[w[k:]]) for k in range(len(w) + 1)) for w in words)
@@ -205,14 +209,29 @@ def _split_table(alphabet, trunc):
     def from_0(terms):
         return " + ".join(["0", *terms])
 
-    products = ", ".join(from_0(f"x[{i}] * y[{j}]" for i, j in s) for s in splits)
-    solve = "".join(f"    m{w} = -({from_0(f'm{i} * t[{j}]' for i, j in s[:-1])})\n"
+    products = "".join(from_0(f"x[{i}] * y[{j}]" for i, j in s) + ", " for s in splits)
+    powers = "".join(f"    c{k} = c ** {k}\n" for k in range(trunc + 2))
+    scaled = "".join(f"    t{j} = s[{j}] * c{len(w) - 1}\n" for j, w in enumerate(words[1:], 1))
+    solve = "".join(f"    m{w} = -({from_0(f'm{i} * t{j}' for i, j in s[:-1])})\n"
                     for w, s in enumerate(splits[1:], 1))
-    names = ", ".join(f"m{w}" for w in range(len(words)))
+    out = [f"m{w} * den * c{trunc - len(word)}" for w, word in enumerate(words)]
     kernels = {}
-    exec(f"def mul(x, y):\n    return [{products}]\n"
-         f"def inv(t):\n    m0 = 1\n{solve}    return [{names}]\n", kernels)
+    exec(f"def mul(x, y):\n    return ({products})\n"
+         f"def inv(s, den, exact):\n    c = s[0]\n{powers}{scaled}    m0 = 1\n{solve}"
+         f"    if exact:\n        return ({''.join(x + ', ' for x in out)}), c{trunc + 1}\n"
+         f"    return ({''.join(f'{x} / c{trunc + 1}, ' for x in out)}), 1\n", kernels)
     return _SplitTable(words, index, tuple(groups), kernels["mul"], kernels["inv"])
+
+
+@lru_cache(maxsize=32)
+def _shuffle_table(alphabet, trunc):
+    """The pairs (u, v) of nonempty words with u <= v and |u| + |v| <= trunc,
+    in the order ``is_grouplike`` tests them: (u, v, row of u, row of v,
+    rows of the shuffles of u and v in ``shuffle_words`` order)."""
+    index = _split_table(alphabet, trunc).index
+    words = list(alphabet.iter_words(trunc - 1, min_len=1))
+    return tuple((u, v, index[u], index[v], tuple(index[w] for w in _shuffle_tuples(u, v)))
+                 for u in words for v in words if u <= v and len(u) + len(v) <= trunc)
 
 
 def _remember(cache, cap, key, value):
@@ -257,20 +276,29 @@ class TruncSeries:
                 clean[index[w]] = _coerce(kind, c)
         # lowest terms: each Fraction is, and den is the lcm of their denominators
         self.den = lcm(*(c.denominator for c in clean.values())) if kind == RATIONAL else 1
-        self.vec = [_ZERO[kind]] * len(index)
+        vec = [_ZERO[kind]] * len(index)
         for i, c in clean.items():
-            self.vec[i] = c if kind == COMPLEX else c.numerator * self.den // c.denominator
+            vec[i] = c if kind == COMPLEX else c.numerator * self.den // c.denominator
+        self.vec = tuple(vec)
 
     @classmethod
     def _from_vec(cls, alphabet, trunc, vec, kind=COMPLEX, den=1):
         """Series from a vector over the word table, checking nothing; rational
         numerators over ``den`` are brought to lowest terms, den > 0."""
-        out = object.__new__(cls)
         if kind == RATIONAL:
             g = gcd(den, *vec) if den > 0 else -gcd(den, *vec)
             if g != 1:
                 vec = [n // g for n in vec]
                 den //= g
+        out = object.__new__(cls)
+        out.alphabet, out.trunc, out.kind, out.vec, out.den = alphabet, trunc, kind, tuple(vec), den
+        return out
+
+    @classmethod
+    def _packed(cls, alphabet, trunc, kind, vec, den):
+        """Series from the ``(vec, den)`` of another series over the same word
+        table: a tuple, rational numerators in lowest terms; nothing checked."""
+        out = object.__new__(cls)
         out.alphabet, out.trunc, out.kind, out.vec, out.den = alphabet, trunc, kind, vec, den
         return out
 
@@ -379,21 +407,15 @@ class TruncSeries:
     def inverse(self):
         """Inverse; requires an invertible constant term.  With n_w = den S_w
         and c = n_∅, T_w = n_w c^(|w|-1) has constant term 1 and an inverse
-        m, m_w = -sum over w = u v, v nonempty, of m_u T_v, which the word
-        table's kernel ``inv`` solves word length by word length; then
-        (S^-1)_w = m_w den / c^(|w|+1).  For rational series every step but
-        the last division stays in integers."""
-        tab = _split_table(self.alphabet, self.trunc)
-        c = self.vec[0]
-        if not c:
+        m, m_w = -sum over w = u v, v nonempty, of m_u T_v; then
+        (S^-1)_w = m_w den c^(N-|w|) / c^(N+1).  The word table's kernel
+        ``inv`` runs all of it, word length by word length, with the powers
+        c^k taken as ``c ** k``; for rational series it stops before the
+        division and returns the numerators over c^(N+1), all in integers."""
+        if not self.vec[0]:
             raise NotInvertible("constant term is zero")
-        powers = [c ** k for k in range(self.trunc + 2)]
-        t = [n * powers[len(w) - 1] for w, n in zip(tab.words, self.vec)]   # t[0] is not read
-        m = tab.inv(t)
-        vec = [x * self.den * powers[self.trunc - len(w)] for w, x in zip(tab.words, m)]
-        if self.kind == COMPLEX:
-            return TruncSeries._from_vec(self.alphabet, self.trunc, [x / powers[-1] for x in vec])
-        return TruncSeries._from_vec(self.alphabet, self.trunc, vec, RATIONAL, powers[-1])
+        vec, den = _split_table(self.alphabet, self.trunc).inv(self.vec, self.den, self.kind == RATIONAL)
+        return TruncSeries._from_vec(self.alphabet, self.trunc, vec, self.kind, den)
 
     def _power_sum(self, acc, coef):
         """acc + sum over n = 1..trunc of coef(n) S^n; ``coef(n)`` is a
@@ -446,26 +468,32 @@ class TruncSeries:
         Exact for rational coefficients (tol ignored); returns the worst
         violation and a witness pair of words.  With ``relative`` each
         violation is divided by the size of its terms, |S^u S^v| + sum |S^w|,
-        taken at least 1.
+        taken at least 1.  A rational series compares numerators,
+        n_u n_v = den sum n_w, and reads its violations as ``Fraction``s only
+        when one of them fails.
         """
-        get, zero = self.coeffs.get, _ZERO[self.kind]
-        if get(()) != 1:
+        vec, den, zero = self.vec, self.den, _ZERO[self.kind]
+        if vec[0] != den:
             raise ValueError("group-like test requires constant term 1")
+        table = _shuffle_table(self.alphabet, self.trunc)
+        if self.kind == RATIONAL:
+            for _, _, i, j, rows in table:
+                if vec[i] * vec[j] != den * sum([vec[k] for k in rows]):
+                    break
+            else:
+                return GroupLikeness(True, 0.0, None)
+            vec = [Fraction(n, den) for n in vec]
         worst = 0.0
         witness = None
-        words = list(self.alphabet.iter_words(self.trunc - 1, min_len=1))
-        for u in words:
-            for v in words:
-                if u > v or len(u) + len(v) > self.trunc:
-                    continue
-                lhs = get(u, zero) * get(v, zero)
-                terms = [get(w, zero) for w in _shuffle_tuples(u, v)]
-                viol = abs(complex(lhs) - complex(sum(terms, start=zero)))
-                if relative:
-                    viol /= max(1.0, abs(lhs) + sum(abs(t) for t in terms))
-                if viol > worst:
-                    worst = viol
-                    witness = (u, v)
+        for u, v, i, j, rows in table:
+            lhs = vec[i] * vec[j]
+            terms = [vec[k] for k in rows]
+            viol = abs(complex(lhs) - complex(sum(terms, start=zero)))
+            if relative:
+                viol /= max(1.0, abs(lhs) + sum(abs(t) for t in terms))
+            if viol > worst:
+                worst = viol
+                witness = (u, v)
         if self.kind == RATIONAL:
             return GroupLikeness(worst == 0, worst, witness)
         return GroupLikeness(worst <= tol, worst, witness)

@@ -11,11 +11,12 @@ exponentials of scalar factors, one word at a time.
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from functools import lru_cache
+from math import gcd, lcm
 
 from . import contfrac
 from .errors import DomainError, NotShuffled
-from .series import RATIONAL, TruncSeries, _remember
+from .series import RATIONAL, TruncSeries, _remember, _split_table
 
 # ---------------------------------------------------------------------------
 # Orbits of the defining relations
@@ -77,7 +78,12 @@ class _SeriesFn:
     memo: "literal" caches by the pair itself and "sign" folds
     (p,q) ~ (-p,-q).  Only functions whose axioms hold by construction
     should use the folded mode, else axiom verification would be vacuous.
-    The memo keeps at most ``_MEMO_CAP`` values.
+    The memo keeps at most ``_MEMO_CAP`` values, each as the pair
+    ``(vec, den)`` of the series, which the collector need not follow.
+
+    ``__call__`` checks the pair; ``_at`` skips the check, for pairs
+    derived from one that was checked (the closures of ``psi``, ``delta``,
+    ``normalize`` and ``bullet``).
     """
 
     __slots__ = ("_func", "alphabet", "trunc", "kind", "almost", "memo_mode", "_memo", "name",
@@ -94,24 +100,28 @@ class _SeriesFn:
         self._memo = {}
         self.name = name
 
-    def _key(self, p, q):
-        if self.memo_mode == "sign":
-            return (p, q) if p > 0 or (p == 0 and q > 0) else (-p, -q)
-        return (p, q)
-
     def __call__(self, p, q):
         p, q = int(p), int(q)
         if gcd(p, q) != 1:
             raise DomainError(f"({p}, {q}) is not coprime")
         if self.almost and p * q == 0:
             raise DomainError(f"almost functions are undefined at ({p}, {q})")
-        key = self._key(p, q)
-        val = self._memo.get(key)
-        if val is None:
-            val = self._func(p, q)
-            if val.vec[0] != val.den:
-                raise ValueError(f"{type(self).__name__} evaluation must have constant term 1")
-            _remember(self._memo, _MEMO_CAP, key, val)
+        return self._at(p, q)
+
+    def _at(self, p, q):
+        """The value at a pair of ints in the function's domain, unchecked."""
+        key = (p, q) if self.memo_mode == "literal" or p > 0 or (p == 0 and q > 0) else (-p, -q)
+        hit = self._memo.get(key)
+        if hit is not None:
+            return TruncSeries._packed(self.alphabet, self.trunc, self.kind, *hit)
+        val = self._func(p, q)
+        if val.vec[0] != val.den:
+            raise ValueError(f"{type(self).__name__} evaluation must have constant term 1")
+        if (val.trunc != self.trunc or val.kind != self.kind
+                or val.alphabet is not self.alphabet and val.alphabet != self.alphabet):
+            raise ValueError(f"{type(self).__name__} evaluation must be a {self.kind} series over "
+                             f"{self.alphabet!r} truncated at {self.trunc}")
+        _remember(self._memo, _MEMO_CAP, key, (val.vec, val.den))
         return val
 
 
@@ -133,7 +143,7 @@ class RecipFn(_SeriesFn):
 
 
 def _remap_fn(fn, cls, alphabet, index_map, **flags):
-    return cls(lambda p, q: fn(p, q).remap(alphabet, index_map),
+    return cls(lambda p, q: fn._at(p, q).remap(alphabet, index_map),
                alphabet, fn.trunc, fn.kind, fn.almost, **flags)
 
 
@@ -150,15 +160,15 @@ def _merge(f, g):
 
 def psi(d):
     """Associated function F(p,q) = D(p,q) D(-q,p)^(-1) of a symbol."""
-    return RecipFn(lambda p, q: d(p, q) * d(-q, p).inverse(),
+    return RecipFn(lambda p, q: d._at(p, q) * d._at(-q, p).inverse(),
                    d.alphabet, d.trunc, d.kind, d.almost, name=f"psi({d.name})")
 
 
 # Per reciprocity function F, the memos of its normalized symbol D =
 # delta(F): D^(-1) at the continued-fraction tails and at asked pairs, and
-# D at asked pairs, both keyed with p > 0.  F is held weakly and the memos
-# hold series only, so every delta, bullet and bullet_inverse of one F
-# shares one walk, and the memos go with F.
+# D at asked pairs, both keyed by plain (p, q) tuples with p > 0.  F is held
+# weakly and the memos hold (vec, den) pairs only, so every delta, bullet
+# and bullet_inverse of one F shares one walk, and the memos go with F.
 _DELTA_MEMOS = weakref.WeakKeyDictionary()
 
 
@@ -174,22 +184,23 @@ def _delta_fns(f):
         if p < 0:
             p, q = -p, -q
         if p == 1:
-            return one if q >= 1 else f(1, 1)
+            return one if q >= 1 else f._at(1, 1)
         tails = contfrac.canonical_tails(p, q)
         next(tails)  # t_0 = (p, q), the memo miss itself
         path, acc = [], one
-        for t in tails:
+        for t in map(tuple, tails):
             path.append(t)
-            if t in inv_memo:
-                acc = inv_memo[t]
+            hit = inv_memo.get(t)
+            if hit is not None:
+                acc = TruncSeries._packed(f.alphabet, f.trunc, f.kind, *hit)
                 break
         for i in range(len(path) - 1, 0, -1):
-            acc = acc * f(*path[i])
-            _remember(inv_memo, _MEMO_CAP, path[i - 1], acc)
-        return acc * f(*path[0])
+            acc = acc * f._at(*path[i])
+            _remember(inv_memo, _MEMO_CAP, path[i - 1], (acc.vec, acc.den))
+        return acc * f._at(*path[0])
 
     d_inv = _SeriesFn(walk, f.alphabet, f.trunc, f.kind, almost=True, memo="sign")
-    d = SymbolFn(lambda p, q: d_inv(p, q).inverse(), f.alphabet, f.trunc, f.kind,
+    d = SymbolFn(lambda p, q: d_inv._at(p, q).inverse(), f.alphabet, f.trunc, f.kind,
                  almost=True, memo="sign", name=f"delta({f.name})", normalized=True)
     # the closures bind F and the memos, never d or d_inv: no reference cycle
     d_inv._memo, d._memo = inv_memo, d_memo
@@ -233,7 +244,7 @@ def delta_full(f, rep):
 def normalize(d):
     """The unique normalized symbol with the same associated function."""
     const_inv = d(1, 1).inverse()
-    return SymbolFn(lambda p, q: d(p, q) * const_inv,
+    return SymbolFn(lambda p, q: d._at(p, q) * const_inv,
                     d.alphabet, d.trunc, d.kind, d.almost,
                     name=f"normalize({d.name})", normalized=True)
 
@@ -246,21 +257,22 @@ def bullet(f, g):
     (F * G)(p,q) = D(p,q) G(p,q) D^(-1)(-q,p) with D = delta(F).  D^(-1) is
     read from the tail walk of ``delta``, which builds it by products, and
     D is one inverse of it per asked pair; both memos are F's, held weakly
-    and shared with every other delta of F."""
+    and shared with every other delta of F.  Like D, the product is an
+    almost function."""
     f, g = _merge(f, g)
     d, d_inv = _delta_fns(f)
-    return RecipFn(lambda p, q: d(p, q) * g(p, q) * d_inv(-q, p),
+    return RecipFn(lambda p, q: d._at(p, q) * g._at(p, q) * d_inv._at(-q, p),
                    f.alphabet, min(f.trunc, g.trunc), f.kind,
-                   almost=f.almost or g.almost, name=f"({f.name} . {g.name})")
+                   almost=True, name=f"({f.name} . {g.name})")
 
 
 def bullet_inverse(f):
     """Inverse under the product: D^(-1)(p,q) D(-q,p) with D = delta(F),
     both read from F's shared memos (see ``delta``): no inverse beyond the
-    one per asked pair that D costs."""
+    one per asked pair that D costs.  Like D, it is an almost function."""
     d, d_inv = _delta_fns(f)
-    return RecipFn(lambda p, q: d_inv(p, q) * d(-q, p),
-                   f.alphabet, f.trunc, f.kind, f.almost, name=f"inv({f.name})")
+    return RecipFn(lambda p, q: d_inv._at(p, q) * d._at(-q, p),
+                   f.alphabet, f.trunc, f.kind, almost=True, name=f"inv({f.name})")
 
 
 def embed_exp(f, letter, alphabet, trunc, kind=RATIONAL, almost=True):
@@ -347,16 +359,18 @@ def _series_rows(axiom, lhs, rhs, pair, alphabet, rows):
 
 
 def verify_mds(d, samples):
-    """Componentwise worst violations of the two symbol axioms at the samples.
+    """Componentwise worst violations of the two symbol axioms at the samples:
+    MDS1, translation D(p, q) = D(p, p + q), and MDS2, sign
+    D(p, -q) = D(-p, q).
 
     The translation axiom is skipped at pairs with p + q = 0, where the
     almost axioms leave it undefined.
     """
     rows = []
     for p, q in samples:
-        _series_rows("MDS1", d(p, -q), d(-p, q), (p, q), d.alphabet, rows)
+        _series_rows("MDS2", d(p, -q), d(-p, q), (p, q), d.alphabet, rows)
         if p + q != 0:
-            _series_rows("MDS2", d(p, q), d(p, p + q), (p, q), d.alphabet, rows)
+            _series_rows("MDS1", d(p, q), d(p, p + q), (p, q), d.alphabet, rows)
     return VerifyReport(rows, exact=d.kind == RATIONAL)
 
 
@@ -375,30 +389,51 @@ def verify_mrf(f, samples):
 # ---------------------------------------------------------------------------
 # Random generation (orbit-keyed, so the symbol axioms hold by construction)
 
+def _digest_ratio(digest):
+    """The seeded coefficient (num, den), not reduced, of a SHA-256 digest."""
+    return int.from_bytes(digest[:4], "big") % 19 - 9, int.from_bytes(digest[4:8], "big") % 9 + 1
+
+
 def _hash_fraction(seed, key, word):
     import hashlib   # here, so that importing the package does not load OpenSSL
 
-    h = hashlib.sha256(f"{seed}|{key}|{word}".encode()).digest()
-    num = int.from_bytes(h[:4], "big") % 19 - 9
-    den = int.from_bytes(h[4:8], "big") % 9 + 1
-    return Fraction(num, den)
+    return Fraction(*_digest_ratio(hashlib.sha256(f"{seed}|{key}|{word}".encode()).digest()))
+
+
+@lru_cache(maxsize=32)
+def _word_bytes(alphabet, trunc):
+    """The text of each nonempty word's index tuple, in word-table order."""
+    return tuple(str(w).encode() for w in _split_table(alphabet, trunc).words[1:])
 
 
 def random_symbol(alphabet, trunc, seed):
     """Seeded symbol with an independent rational coefficient per
-    (orbit, word); deterministic in the seed."""
+    (orbit, word): the ``_hash_fraction`` of (seed, orbit key, word),
+    hashed from the digest state of the shared prefix and written straight
+    into one integer vector over the lcm of the denominators; deterministic
+    in the seed."""
+    import hashlib
 
+    words = _word_bytes(alphabet, trunc)
     by_orbit = {}
 
     def ev(p, q):
         key = orbit_key(p, q)
-        val = by_orbit.get(key)
-        if val is None:
-            coeffs = {(): Fraction(1)}
-            for w in alphabet.iter_words(trunc, min_len=1):
-                coeffs[w] = _hash_fraction(seed, key, w)
-            val = TruncSeries(alphabet, trunc, coeffs, RATIONAL)
-            _remember(by_orbit, _MEMO_CAP, key, val)
+        hit = by_orbit.get(key)
+        if hit is not None:
+            return TruncSeries._packed(alphabet, trunc, RATIONAL, *hit)
+        prefix = hashlib.sha256(f"{seed}|{key}|".encode())
+        ratios = []
+        for word in words:
+            h = prefix.copy()
+            h.update(word)
+            num, den = _digest_ratio(h.digest())
+            g = gcd(num, den)
+            ratios.append((num // g, den // g))
+        den = lcm(*(d for _, d in ratios))
+        val = TruncSeries._from_vec(alphabet, trunc, (den, *(n * (den // d) for n, d in ratios)),
+                                    RATIONAL, den)
+        _remember(by_orbit, _MEMO_CAP, key, (val.vec, val.den))
         return val
 
     return SymbolFn(ev, alphabet, trunc, RATIONAL, almost=True, name=f"random({seed})")

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from dedekindsym.errors import NotInvertible
 from dedekindsym.series import (COMPLEX, RATIONAL, Alphabet, TruncSeries, Word,
-                                concat, shuffle_words)
+                                _split_table, concat, shuffle_words)
 
 AB = Alphabet.simple("ab")
 
@@ -150,8 +150,9 @@ def loop_mul(s, t):
     return TruncSeries._from_vec(s.alphabet, trunc, out, s.kind, s.den * t.den)
 
 
-def loop_inverse(s):
-    """``TruncSeries.inverse`` with its word-length solve as nested split loops."""
+def loop_inverse_vector(s):
+    """The inverse's (vector, denominator) before reduction: the word-length
+    solve as nested split loops, scaled by list comprehensions."""
     words, table = loop_tables(s.alphabet, s.trunc)
     c = s.vec[0]
     powers = [c ** k for k in range(s.trunc + 2)]
@@ -164,8 +165,14 @@ def loop_inverse(s):
         m.append(-acc)
     vec = [x * s.den * powers[s.trunc - len(w)] for w, x in zip(words, m)]
     if s.kind == COMPLEX:
-        return TruncSeries._from_vec(s.alphabet, s.trunc, [x / powers[-1] for x in vec])
-    return TruncSeries._from_vec(s.alphabet, s.trunc, vec, RATIONAL, powers[-1])
+        return [x / powers[-1] for x in vec], 1
+    return vec, powers[-1]
+
+
+def loop_inverse(s):
+    """``TruncSeries.inverse`` with its word-length solve as nested split loops."""
+    vec, den = loop_inverse_vector(s)
+    return TruncSeries._from_vec(s.alphabet, s.trunc, vec, s.kind, den)
 
 
 def kernel_series(rng, alphabet, trunc, kind):
@@ -197,6 +204,21 @@ class TestKernels:
             s, t = (kernel_series(rng, ab, trunc, kind) for _ in range(2))
             for got, want in ((s * t, loop_mul(s, t)), (s.inverse(), loop_inverse(s))):
                 assert repr(got.vec) == repr(want.vec) and got.den == want.den
+
+    @pytest.mark.parametrize("letters", [1, 2, 3])
+    @pytest.mark.parametrize("kind", [RATIONAL, COMPLEX])
+    def test_inverse_kernel_scales_as_the_list_comprehensions(self, letters, kind):
+        # the kernel scales by c^(|w|-1) before the solve and by den c^(N-|w|)
+        # (and, complex, / c^(N+1)) after it, in the list comprehensions' order
+        rng = random.Random(10 * letters + (kind == COMPLEX))
+        ab = Alphabet.simple("abc"[:letters])
+        for trunc in range(5):
+            tab = _split_table(ab, trunc)
+            for _ in range(6):
+                s = kernel_series(rng, ab, trunc, kind)
+                vec, den = tab.inv(s.vec, s.den, kind == RATIONAL)
+                want, want_den = loop_inverse_vector(s)
+                assert type(vec) is tuple and repr(list(vec)) == repr(want) and den == want_den
 
     def test_product_over_two_truncations(self):
         rng = random.Random(7)
@@ -253,6 +275,39 @@ class TestGroupLike:
         assert not rep.ok and rep.worst == 1 and rep.witness == ((0,), (0,))
         small = TruncSeries(AB, 2, {(): 1, "a": 0.5, "aa": 0.125 + 1e-9}, COMPLEX)
         assert small.is_grouplike(relative=True).worst == pytest.approx(2e-9)
+
+    def test_matches_the_coefficient_loop(self):
+        # the report, witness and worst included, against the loop over the
+        # coefficient map and the shuffles of each pair, rational and complex
+        def loop_report(s, relative):
+            get, zero = s.coeffs.get, 0 if s.kind == RATIONAL else 0j
+            worst, witness = 0.0, None
+            words = list(s.alphabet.iter_words(s.trunc - 1, min_len=1))
+            for u in words:
+                for v in words:
+                    if u > v or len(u) + len(v) > s.trunc:
+                        continue
+                    lhs = get(u, zero) * get(v, zero)
+                    terms = [get(w, zero) for w in shuffle_words(u, v)]
+                    viol = abs(complex(lhs) - complex(sum(terms, start=zero)))
+                    if relative:
+                        viol /= max(1.0, abs(lhs) + sum(abs(t) for t in terms))
+                    if viol > worst:
+                        worst, witness = viol, (u, v)
+            return worst, witness
+
+        rng = random.Random(32)
+        for kind in (RATIONAL, COMPLEX):
+            for trunc in (1, 2, 3, 4):
+                for _ in range(8):
+                    gen = {w: Fraction(rng.randint(-4, 4), rng.randint(1, 4)) for w in ("a", "b", "ab")}
+                    s = TruncSeries(AB, trunc, gen, kind).exp()
+                    if rng.random() < 0.7:
+                        w = rng.choice(list(AB.iter_words(trunc, min_len=1)))
+                        s = s + TruncSeries.term(AB, trunc, w, Fraction(rng.randint(1, 5), 7), kind)
+                    for relative in (False, True):
+                        rep = s.is_grouplike(1e-12, relative=relative)
+                        assert (rep.worst, rep.witness) == loop_report(s, relative)
 
     def test_product_and_inverse_closure(self):
         rng = random.Random(31)

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import os
 import random
 import subprocess
@@ -16,7 +17,7 @@ from dedekindsym import eichler as ei
 from dedekindsym import modforms as mf
 from dedekindsym import symbols as sy
 from dedekindsym.errors import DomainError, NotShuffled
-from dedekindsym.series import Alphabet, TruncSeries
+from dedekindsym.series import RATIONAL, Alphabet, TruncSeries
 
 AB = Alphabet.simple("ab")
 
@@ -33,7 +34,7 @@ class TestOrbitKey:
         assert sy.orbit_key(5, 13) == (5, 3)
 
     def test_mds_relations(self):
-        # MDS1 as a relation: (p, -q) and (-p, q) share a key
+        # MDS2 as a relation: (p, -q) and (-p, q) share a key
         rng = random.Random(6)
         for _ in range(200):
             p, q = rng.randint(-40, 40), rng.randint(-40, 40)
@@ -74,7 +75,34 @@ class TestSamplePairs:
         assert len(sy.sample_pairs(200, seed=0, bound=1, distinct=False)) == 200
 
 
+def fraction_random_symbol(alphabet, trunc, seed, key):
+    """random_symbol's value on the orbit ``key`` as one hashed Fraction per
+    word, through the public constructor."""
+    coeffs = {(): Fraction(1)}
+    for w in alphabet.iter_words(trunc, min_len=1):
+        h = hashlib.sha256(f"{seed}|{key}|{w}".encode()).digest()
+        coeffs[w] = Fraction(int.from_bytes(h[:4], "big") % 19 - 9, int.from_bytes(h[4:8], "big") % 9 + 1)
+    return TruncSeries(alphabet, trunc, coeffs, RATIONAL)
+
+
+SIGNED_12 = [(p, q) for p in range(-12, 13) for q in range(-12, 13) if p and q and gcd(p, q) == 1]
+
+
 class TestRandomSymbol:
+    @pytest.mark.parametrize("letters", ["a", "ab", "abc"])
+    @pytest.mark.parametrize("trunc", [2, 3, 4])
+    def test_matches_one_fraction_per_word(self, letters, trunc):
+        alphabet = Alphabet.simple(letters)
+        for seed in (0, 9, 123456789):
+            d, want = sy.random_symbol(alphabet, trunc, seed), {}
+            for p, q in SIGNED_12:
+                key = sy.orbit_key(p, q)
+                if key not in want:
+                    want[key] = fraction_random_symbol(alphabet, trunc, seed, key)
+                got = d(p, q)
+                assert repr(list(got.vec)) == repr(list(want[key].vec)) and got.den == want[key].den
+                assert got.dumps() == want[key].dumps()
+
     def test_deterministic(self):
         d1 = sy.random_symbol(AB, 3, seed=9)
         d2 = sy.random_symbol(AB, 3, seed=9)
@@ -288,11 +316,12 @@ class TestDeltaTails:
         a = Alphabet.simple("a")
         f = sy.RecipFn(lambda p, q: TruncSeries.exp_term(a, 2, "a", Fraction(p, q)), a, 2)
         asked, counts = [], {"mul": 0, "inverse": 0}
-        call, mul, inverse = sy.RecipFn.__call__, TruncSeries.__mul__, TruncSeries.inverse
+        at, mul, inverse = sy.RecipFn._at, TruncSeries.__mul__, TruncSeries.inverse
 
-        def counted_call(self, p, q):
+        # the walk asks F for its tails on the unchecked path
+        def counted_at(self, p, q):
             asked.append((p, q))
-            return call(self, p, q)
+            return at(self, p, q)
 
         def counted_mul(self, other):
             counts["mul"] += 1
@@ -302,7 +331,7 @@ class TestDeltaTails:
             counts["inverse"] += 1
             return inverse(self)
 
-        monkeypatch.setattr(sy.RecipFn, "__call__", counted_call)
+        monkeypatch.setattr(sy.RecipFn, "_at", counted_at)
         monkeypatch.setattr(TruncSeries, "__mul__", counted_mul)
         monkeypatch.setattr(TruncSeries, "inverse", counted_inverse)
         d = sy.delta(f)
@@ -332,14 +361,14 @@ class TestDeltaTails:
         # and at (1, 1) once per negative integer q/p, whose D^(-1) is F(1, 1)
         f = corrupted_rf(130)
         asked = []
-        call = sy.RecipFn.__call__
+        at = sy.RecipFn._at
 
-        def counted_call(self, p, q):
+        def counted_at(self, p, q):
             if self is f:
                 asked.append((p, q))
-            return call(self, p, q)
+            return at(self, p, q)
 
-        monkeypatch.setattr(sy.RecipFn, "__call__", counted_call)
+        monkeypatch.setattr(sy.RecipFn, "_at", counted_at)
         fns = (sy.delta(f), sy.delta(f), sy.bullet(f, sy.embed_exp(scalar_rf(131), "b", AB, 3)),
                sy.bullet_inverse(f))
         pairs = self.PAIRS[::7]
@@ -366,6 +395,27 @@ class TestDeltaTails:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+    def test_memo_entries_are_untracked(self):
+        # keys are (p, q) tuples and values (vec, den) tuples of ints, so the
+        # collector drops them from its lists; a tuple goes only after its
+        # items have, hence a second collection for the nested pair
+        f = sy.psi(sy.random_symbol(AB, 3, seed=133))
+        g = sy.embed_exp(scalar_rf(134), "b", AB, 3)
+        r = sy.random_symbol(AB, 3, seed=135)
+        fns = (sy.delta(f), sy.bullet(f, g), sy.bullet_inverse(f))
+        for p, q in self.PAIRS[::5]:
+            r(p, q)
+            for fn in fns:
+                fn(p, q)
+        by_orbit = r._func.__closure__[r._func.__code__.co_freevars.index("by_orbit")].cell_contents
+        memos = [*sy._DELTA_MEMOS[f], *(fn._memo for fn in fns), r._memo, by_orbit]
+        assert all(memos) and any(len(m) > 100 for m in memos)
+        gc.collect()
+        gc.collect()
+        tracked = [x for m in memos for key, value in m.items()
+                   for x in (key, value, value[0]) if gc.is_tracked(x)]
+        assert tracked == []
 
     def test_memos_go_with_the_function(self):
         gc.collect()
@@ -450,6 +500,17 @@ class TestBullet:
         fi = sy.bullet_inverse(sy.embed_exp(f, "a", AB, 3))
         for p, q in self.pairs:
             assert fi(p, q) == TruncSeries.term(AB, 3, "a", -f(p, q)).exp()
+
+    def test_product_of_functions_on_all_of_u_is_almost(self):
+        # D = delta(F) is undefined at pq = 0, so the product is too, and its
+        # own check raises before the unchecked path sees the pair
+        a = Alphabet.simple("a")
+        f, g = (sy.embed_exp(sy.power_difference_rf(m), "a", a, 3, almost=False) for m in (1, 2))
+        for fn in (sy.bullet(f, g), sy.bullet_inverse(f)):
+            assert fn.almost
+            for pq in ((1, 0), (0, 1)):
+                with pytest.raises(DomainError):
+                    fn(*pq)
 
     def test_alphabet_union(self):
         xa = Alphabet.simple("a")
