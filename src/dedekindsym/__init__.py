@@ -10,8 +10,8 @@ from .errors import (DedekindSymError, DivisionByZeroTail, DomainError,
 from .modforms import (LaurentPoly, ModularFormSpec, bernoulli, delta_form,
                        dedekind_symbol_length1, eisenstein, eisenstein_gamma02,
                        eisenstein_L, gamma02_D, gamma02_delta, gamma02_F,
-                       hurwitz_zeta, laurent_fit, polylog,
-                       reciprocity_law_check, s2_s3, sigma, zeta)
+                       laurent_fit, polylog, reciprocity_law_check, sigma,
+                       zeta)
 from .series import Alphabet, TruncSeries, Word, concat, shuffle_words
 from .symbols import (RecipFn, SymbolFn, bullet, bullet_inverse, decompose,
                       delta, delta_full, embed_exp, embed_exp_symbol,

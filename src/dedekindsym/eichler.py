@@ -26,46 +26,36 @@ index N fixed a priori from the forms, the word lengths, Im tau and
 ``fourier_tol`` (``_cutoff``).  build_D and build_F need no other path:
 F(p, q) is two ends of the cusp limit at i, and D is fixed by F through
 the continued fraction of q/p (the recursion in build_D), from D(1, 1),
-two more such ends.  full_integral reaches a rational cusp through the
-unimodular change of chart gamma(inf) = cusp, which acts on the numeric
-evaluation point (X, Y) linearly, and joins the chart to i by a straight
-segment, integrated by quadrature.
+two more such ends.  full_integral reaches a finite cusp a/c through the
+unimodular change of chart gamma(inf) = a/c, which acts on the numeric
+evaluation point (X, Y) linearly.  Its anchor a/c + i/|c| and the anchor
+pulled back by gamma both sit at height 1/|c|, so each of its two pieces
+is one regularized end at i inf.  So is each factor of i_numeric: I(a, b)
+= I(a, ->s at inf) I(b, ->s at inf)^-1, as the factors I_inf cancel.
 
 Every Chen series here runs along a fixed path, and its coefficient of
 word B is a homogeneous polynomial of degree w(B) in (X, Y).  So each path
 is computed once, for all points at once, on a monomial axis: a series
 is a (words, K) complex array, K = 1 + the largest word weight in the
 table, and entry k of word B is the coefficient of (X - c Y)^(w(B)-k) Y^k.
-The center c is the start of a cusp path and the midpoint of a segment;
-with c = 0 the monomial sums of the weight-20 words of E4/Delta cancel to
-three digits at points such as (5, 3).  The connection form expands
-(X - Y z)^w as sum_k C(w, k) (X - c Y)^(w-k) Y^k (c - z)^k, and products
-and the Chen transfer convolve along k.  A series at a point (X, Y) is
-the sum of its entries times the monomials, whose powers are computed
+The center c is the start tau of the cusp path; with c = 0 the monomial
+sums of the weight-20 words of E4/Delta cancel to three digits at points
+such as (5, 3).  The connection form expands (X - Y z)^w as
+sum_k C(w, k) (X - c Y)^(w-k) Y^k (c - z)^k.  A series at a point (X, Y)
+is the sum of its entries times the monomials, whose powers are computed
 once per point.  The cusp limit carries two more axes while it is built,
 the Fourier index n and the power of s: a product with Omega(tau + s) is
 a convolution along n and a shift of k and the power of s together.
 
-A segment is integrated on a node axis: a series over one panel's Gauss
-nodes is a (words, K, nodes) array.  The connection-form values and the
-Chen transfers of the panels are formed for all nodes at once, reading
-the splits w = u v from the word table in ``series``, in TruncSeries row
-order.  Bisection batches its panels: the integrand runs once on the
-concatenated nodes of an interval and its two halves (later, of the two
-halves only), and accepts a panel when it agrees with the product of its
-halves on the whole coefficient array.
-
-One bounded memo holds the series per (assignment, path, config): the
-cusp limit RI(tau, i inf) under the path (tau, INF) and the straight
-segment from z0 to z1 under (z0, z1).  Every build_D and build_F reads
-only the cusp limit at i, so a sweep over many pairs builds one series.
+One bounded memo holds the cusp limit RI(tau, i inf) per (assignment,
+tau, config).  Every build_D and build_F reads only the cusp limit at i,
+so a sweep over many pairs builds one series.
 A second bounded memo holds series evaluated at a point:
 each regularized end of reg_to_cusp, with points keyed up to sign, and
 D at each reduced pair of its recursion.  A miss runs the operations
 that it would run without the memo, so no output depends on what was
 evaluated before.  ``clear_caches()`` empties both memos and
-``cache_info()`` reports their sizes, hits and misses and the panels
-evaluated.
+``cache_info()`` reports their sizes, hits and misses.
 
 I_inf needs no quadrature either.  Its antiderivative recursion runs once
 per (assignment, truncation) on a monomial axis, and the result is stored
@@ -150,9 +140,6 @@ class TangentialBasePoint:
 @dataclass(frozen=True)
 class IntegratorConfig:
     trunc: int = 2
-    quad_tol: float = 5e-13     # panel acceptance tolerance of the segments
-    nodes: int = 16
-    max_depth: int = 12
     fourier_tol: float = 1e-16  # Fourier tail bound of form values and of the cusp limit
 
 
@@ -170,67 +157,24 @@ def i_infinity(h, tau0, tau1, xy, trunc=2):
 
 
 # ---------------------------------------------------------------------------
-# Series with polynomial coefficients on the node axis
+# Series with polynomial coefficients on the monomial axis
 
-_NODE_CACHE = {}
-
-
-def _node_matrices(n):
-    got = _NODE_CACHE.get(n)
-    if got is None:
-        x, w = np.polynomial.legendre.leggauss(n)
-        V = np.polynomial.legendre.legvander(x, n)
-        A = V[:, :n]
-        B = np.zeros((n, n))
-        B[:, 0] = x + 1.0
-        for k in range(1, n):
-            B[:, k] = (V[:, k + 1] - V[:, k - 1]) / (2 * k + 1)
-        S = 0.5 * (B @ np.linalg.inv(A))      # cumulative integral, [0,1] scale
-        got = ((x + 1.0) / 2.0, w / 2.0, S)
-        _NODE_CACHE[n] = got
-    return got
-
-
-_MonoTable = namedtuple("_MonoTable", "index groups exps xpow mask")
+_MonoTable = namedtuple("_MonoTable", "index exps xpow mask")
 
 
 @lru_cache(maxsize=32)
 def _mono_table(alphabet, trunc):
     """The word table of ``series`` for arrays with a monomial axis.
 
-    ``groups`` extends each split group (lo, hi, U, V) of words of length L
-    by the number of monomials that a prefix u (|u| < L) can carry,
-    1 + (L - 1) * (largest letter weight).  ``exps[B, k]`` is the exponent
+    ``exps[B, k]`` is the exponent
     w(B) - k of X in the monomial k of word B, negative where word B has no
     such monomial; its K = 1 + (largest word weight) columns are the
     monomial axis.  ``mask`` marks the monomials that exist, and ``xpow``
     is ``exps`` clipped at 0, the index of the power of X to gather."""
     tab = _split_table(alphabet, trunc)
     weights = np.array([alphabet.word_weight(w) for w in tab.words])
-    top = max(alphabet.weights, default=0)
-    groups = tuple((lo, hi, U, V, 1 + length * top)
-                   for length, (lo, hi, U, V) in enumerate(tab.groups))
     exps = weights[:, None] - np.arange(weights.max() + 1)
-    return _MonoTable(tab.index, groups, exps, np.maximum(exps, 0), exps >= 0)
-
-
-def _conv(x, y, top):
-    """x * y as polynomials along axis 2, the monomial axis, keeping K terms;
-    x has degree < top there."""
-    K = x.shape[2]
-    out = x[:, :, :1] * y
-    for j in range(1, min(top, K)):
-        out[:, :, j:] += x[:, :, j:j + 1] * y[:, :, :K - j]
-    return out
-
-
-def _node_mul(mt, a, b):
-    """Concatenation product of two series arrays (words, K, ...)."""
-    out = np.empty_like(a)
-    out[0] = a[0] * b[0, :1]
-    for lo, hi, U, V, top in mt.groups:
-        out[lo:hi] = a[lo:hi] * b[0, :1] + _conv(a[U], b[V], top).sum(axis=1)
-    return out
+    return _MonoTable(tab.index, exps, np.maximum(exps, 0), exps >= 0)
 
 
 def _at_point(h, coef, xy, trunc, center):
@@ -297,89 +241,10 @@ def _i_inf_at(h, tau, s, xy, trunc):
     return _at_point(h, reverse @ np.array(powers), (X - s * Y, X - tau * Y), trunc, 0)
 
 
-def _form_rows(h, zs, cfg, center):
-    """The connection form on the node axis centered at c, (words, K, nodes):
-    row B holds h(B)(z) (X - Y z)^w(B) at each node z, that is
-    sum_k C(w, k) (c - z)^k h(B)(z) (X - c Y)^(w-k) Y^k."""
-    mt = _mono_table(h.alphabet, cfg.trunc)
-    vals = np.zeros((*mt.exps.shape, len(zs)), dtype=complex)
-    for word, form in h.forms.items():
-        if len(word) <= cfg.trunc:
-            wt = h.alphabet.word_weight(word)
-            row = vals[mt.index[word]]
-            row[0] = [form_value(form, z, cfg.fourier_tol) for z in zs.tolist()]
-            for k in range(1, wt + 1):
-                row[k] = row[k - 1] * (center - zs)
-            row[:wt + 1] *= np.array([comb(wt, k) for k in range(wt + 1)])[:, None]
-    return vals
-
-
-def _transfers(h, vals, cfg):
-    """Chen transfers of consecutive panels from node-axis 1-form values
-    (words, K, nodes) that already include the jacobian, ``cfg.nodes``
-    columns per panel: one (words, K) array per panel."""
-    _, w, S = _node_matrices(cfg.nodes)
-    mt = _mono_table(h.alphabet, cfg.trunc)
-    vals = vals.reshape(*vals.shape[:2], -1, cfg.nodes)
-    M = np.zeros_like(vals)
-    M[0, 0] = 1.0
-    end = np.zeros(vals.shape[:3], dtype=complex)
-    end[0, 0] = 1.0
-    for lo, hi, U, V, top in mt.groups:
-        rhs = _conv(M[U], vals[V], top).sum(axis=1)
-        # stacked matrix-vector products round like one S @ r per word,
-        # monomial and panel, so a panel's transfer does not depend on its batch
-        M[lo:hi] = np.matmul(S, rhs[..., None])[..., 0]
-        end[lo:hi] = np.matmul(rhs[..., None, :], w[:, None])[..., 0, 0]
-    _COUNTS["panels"] += end.shape[2]
-    return [end[:, :, p] for p in range(end.shape[2])]
-
-
-def _series_scale(coef):
-    # acceptance is relative to the largest coefficient of a nonempty word
-    return np.abs(coef[1:]).max(initial=0.0) + 1.0
-
-
-def _adaptive(panels, mt, a, b, cfg, whole=None, depth=0):
-    """Chen transfer over [a, b], bisected until a panel agrees with the
-    product of its two halves on every coefficient.  The batched rule
-    ``panels(ends)`` returns one transfer per interval (a, b) of ``ends``
-    from one integrand call: the root evaluates itself and its halves
-    together, and a rejected interval hands its halves down as the
-    ``whole`` of the recursive calls, which then evaluate only their own
-    two halves."""
-    mid = (a + b) / 2
-    if whole is None:
-        whole, left, right = panels([(a, b), (a, mid), (mid, b)])
-    else:
-        left, right = panels([(a, mid), (mid, b)])
-    comp = _node_mul(mt, left, right)
-    if np.abs(whole - comp).max() <= cfg.quad_tol * _series_scale(comp):
-        return comp
-    if depth >= cfg.max_depth:
-        raise NonConvergence(f"panel refinement exhausted on [{a:.3g}, {b:.3g}]")
-    return _node_mul(mt, _adaptive(panels, mt, a, mid, cfg, left, depth + 1),
-                     _adaptive(panels, mt, mid, b, cfg, right, depth + 1))
-
-
-def _segment_series(h, z0, z1, cfg):
-    """Adaptive Chen transfer I(z0, z1) along the straight segment, (words, K),
-    centered at the segment's midpoint."""
-    u, _, _ = _node_matrices(cfg.nodes)
-    center = _center(z0, z1)
-
-    def panels(ends):
-        zs = np.concatenate([a + (b - a) * u for a, b in ends])
-        jac = np.repeat([b - a for a, b in ends], cfg.nodes)
-        return _transfers(h, _form_rows(h, zs, cfg, center) * jac, cfg)
-
-    return _adaptive(panels, _mono_table(h.alphabet, cfg.trunc), z0, z1, cfg)
-
-
 # ---------------------------------------------------------------------------
 # The cusp limit as a finite Fourier sum
 
-_CUTOFF_CAP = 128
+_CUTOFF_CAP = 2500
 
 
 def _growth(h, trunc):
@@ -477,10 +342,8 @@ def _cusp_series(h, tau, cfg):
     return out
 
 
-# One bounded memo of path series, keyed by (assignment, path, config): the
-# cusp limit from tau under the path (tau, INF), a Fourier sum, and the
-# straight segment from z0 to z1 under (z0, z1), a quadrature.  One sweep
-# pass fills one entry, the cusp limit at i, and evaluates no panel.
+# One bounded memo of cusp limits RI(tau, i inf), keyed by (assignment,
+# tau, config).  One sweep pass fills one entry, the cusp limit at i.
 _PATHS_CAP = 256
 _PATHS = {}
 # One bounded memo of series evaluated at a point (TruncSeries): a
@@ -490,7 +353,7 @@ _PATHS = {}
 # fills 113 entries: 84 ends and 29 values of D.
 _VALUES_CAP = 1024
 _VALUES = {}
-_COUNTS = {"hits": 0, "misses": 0, "panels": 0, "value_hits": 0, "value_misses": 0}
+_COUNTS = {"hits": 0, "misses": 0, "value_hits": 0, "value_misses": 0}
 
 
 def _value(key, compute):
@@ -511,27 +374,6 @@ def _unsigned(xy):
     (X, Y)."""
     X, Y = complex(xy[0]), complex(xy[1])
     return (-X, -Y) if (Y.real, Y.imag, X.real, X.imag) < (0, 0, 0, 0) else (X, Y)
-
-
-def _center(z0, z1):
-    """Where the series of the path from z0 to z1 is centered: the start tau
-    of the cusp path, where G(s) = I(tau, tau + s) starts, the midpoint of
-    a segment."""
-    return z0 if z1 == INF else (z0 + z1) / 2
-
-
-def _path_series(h, z0, z1, cfg):
-    """The (words, K) series of the path from z0 to z1 (INF: the cusp limit), memoized."""
-    key = (h, z0, z1, cfg)
-    got = _PATHS.get(key)
-    if got is not None:
-        _COUNTS["hits"] += 1
-        return got
-    _COUNTS["misses"] += 1
-    got = _cusp_series(h, z0, cfg) if z1 == INF else _segment_series(h, z0, z1, cfg)
-    got.flags.writeable = False
-    _remember(_PATHS, _PATHS_CAP, key, got)
-    return got
 
 
 def omega(h, tau, xy, trunc=2):
@@ -558,23 +400,23 @@ def omega_inf(h, tau, xy, trunc=2):
     return TruncSeries(h.alphabet, trunc, coeffs, COMPLEX)
 
 
-def i_numeric(h, tau0, tau1, xy, cfg=IntegratorConfig()):
-    """Chen series I(tau0, tau1) along the straight segment, numeric (X, Y):
-    the segment's series, memoized per (assignment, path, config), at xy."""
-    tau0, tau1 = complex(tau0), complex(tau1)
-    if tau0.imag <= 0 or tau1.imag <= 0:
-        raise ValueError("endpoints must lie in the open upper half-plane")
-    if tau0 == tau1:
-        return TruncSeries.one(h.alphabet, cfg.trunc, COMPLEX)
-    return _at_point(h, _path_series(h, tau0, tau1, cfg), xy, cfg.trunc, _center(tau0, tau1))
-
-
 # ---------------------------------------------------------------------------
 # Regularization at the cusp i-infinity
 
 def _ri_limit(h, tau, cfg):
-    """RI(tau, i inf) as a (words, K) series; memoized per (assignment, tau, config)."""
-    return _path_series(h, complex(tau), INF, cfg)
+    """RI(tau, i inf) as a (words, K) series centered at tau; memoized per
+    (assignment, tau, config)."""
+    tau = complex(tau)
+    key = (h, tau, cfg)
+    got = _PATHS.get(key)
+    if got is not None:
+        _COUNTS["hits"] += 1
+        return got
+    _COUNTS["misses"] += 1
+    got = _cusp_series(h, tau, cfg)
+    got.flags.writeable = False
+    _remember(_PATHS, _PATHS_CAP, key, got)
+    return got
 
 
 def reg_to_cusp(h, tau, direction, xy, cfg=IntegratorConfig()):
@@ -590,6 +432,18 @@ def reg_to_cusp(h, tau, direction, xy, cfg=IntegratorConfig()):
     return _value((h, tau, direction, _unsigned(xy), cfg),
                   lambda: _at_point(h, _ri_limit(h, tau, cfg), xy, cfg.trunc, tau)
                   * _i_inf_at(h, tau, float(direction), xy, cfg.trunc))
+
+
+def i_numeric(h, tau0, tau1, xy, cfg=IntegratorConfig()):
+    """Chen series I(tau0, tau1) at the numeric point xy, for any path in the
+    upper half-plane: I(tau0, ->0 at inf) I(tau1, ->0 at inf)^-1, two
+    regularized ends whose factors I_inf cancel."""
+    tau0, tau1 = complex(tau0), complex(tau1)
+    if tau0.imag <= 0 or tau1.imag <= 0:
+        raise ValueError("endpoints must lie in the open upper half-plane")
+    if tau0 == tau1:
+        return TruncSeries.one(h.alphabet, cfg.trunc, COMPLEX)
+    return reg_to_cusp(h, tau0, 0, xy, cfg) * reg_to_cusp(h, tau1, 0, xy, cfg).inverse()
 
 
 # ---------------------------------------------------------------------------
@@ -637,26 +491,33 @@ def _gamma_for_cusp(cn, cd):
 
 def _piece_via_chart(h, tau1, gam, direction, xy, cfg):
     # I(tau1, ->direction_cusp) = I(sigma, ->u_inf) at gamma^{-1} xy, where
-    # sigma = gamma^{-1} tau1 and u = gamma^{-1} direction; the leg from
-    # sigma to the chart anchor i is a straight segment.
+    # sigma = gamma^{-1} tau1 and u = gamma^{-1} direction
     inv = _mat_inv(gam)
     u = _mat_mobius(inv, direction)
     if u == INF:
         raise DomainError("tangential direction coincides with the cusp")
     v = _mat_apply_xy(inv, (complex(xy[0]), complex(xy[1])))
-    tail = reg_to_cusp(h, 1j, u, v, cfg)
-    sigma = _mat_mobius(inv, complex(tau1))
-    if abs(sigma - 1j) < 1e-15:
-        head = TruncSeries.one(h.alphabet, cfg.trunc, COMPLEX)
-    else:
-        head = i_numeric(h, sigma, 1j, v, cfg)
-    return head * tail
+    return reg_to_cusp(h, _mat_mobius(inv, complex(tau1)), u, v, cfg)
 
 
-def full_integral(h, tb0, tb1, pair, cfg=IntegratorConfig(), tau1=1j):
-    """I(tb0, tb1) between two tangential base points, at (X, Y) = (q, p)."""
+def _anchor(cusp):
+    """a/c + i/|c| for the finite cusp a/c, i for i-infinity: the chart at a/c
+    pulls it back to height 1/|c|, its own height."""
+    if cusp == INF:
+        return 1j
+    cusp = Fraction(cusp)
+    return complex(cusp) + 1j / cusp.denominator
+
+
+def full_integral(h, tb0, tb1, pair, cfg=IntegratorConfig(), tau1=None):
+    """I(tb0, tb1) between two tangential base points, at (X, Y) = (q, p):
+    I(tau1, tb0)^-1 I(tau1, tb1), each piece one regularized end at i inf,
+    in the chart of its cusp.  The anchor tau1 defaults to ``_anchor`` of
+    the cusp of tb1, or of tb0 where tb1 sits at i-infinity."""
     p, q = pair
     xy = (complex(q), complex(p))
+    if tau1 is None:
+        tau1 = _anchor(tb0.direction if tb1.direction == INF else tb1.direction)
     left = _piece_to_tangential(h, tau1, tb0, xy, cfg)
     right = _piece_to_tangential(h, tau1, tb1, xy, cfg)
     return left.inverse() * right
@@ -761,15 +622,14 @@ def symbol_fn(h, cfg=IntegratorConfig()):
 
 
 def clear_caches():
-    """Empty the path-series and value memos and reset their counters."""
+    """Empty the cusp-limit and value memos and reset their counters."""
     _PATHS.clear()
     _VALUES.clear()
     _COUNTS.update(dict.fromkeys(_COUNTS, 0))
 
 
 def cache_info():
-    """Deterministic counts, no timings: the series held by the path memo,
-    its hits and misses, the quadrature panels evaluated, and the values
-    held by the value memo with its hits and misses, since the last
-    ``clear_caches()``."""
+    """Deterministic counts, no timings: the series held by the cusp-limit
+    memo, its hits and misses, and the values held by the value memo with
+    its hits and misses, since the last ``clear_caches()``."""
     return {"series": len(_PATHS), "values": len(_VALUES), **_COUNTS}

@@ -1,10 +1,10 @@
 """Closed-form number-theoretic oracles.
 
 Bernoulli numbers, divisor sums, Fourier coefficients of Eisenstein series
-and of the discriminant cusp form, polylogarithms and Hurwitz zeta via
-Euler-Maclaurin, the regularized weight-2k period integral of a level-one
-modular form, the Eisenstein reciprocity law, the double-sum pieces S2/S3,
-and the closed forms for the second Eisenstein series on Gamma_0(2).
+and of the discriminant cusp form, polylogarithms and zeta values (via
+Euler-Maclaurin for the Hurwitz sum), the regularized weight-2k period
+integral of a level-one modular form, the Eisenstein reciprocity law, and
+the closed forms for the second Eisenstein series on Gamma_0(2).
 """
 
 import cmath
@@ -101,28 +101,6 @@ def delta_coeff(n):
         e24 = _eta24(n_max)
         _DELTA_COEFFS[:] = [0] + e24[:n_max]  # tau(m) = coeff of q^(m-1)
     return _DELTA_COEFFS[n]
-
-
-def load_coefficient_cache(directory):
-    """Warm the tau table from directory/tau.json if present."""
-    import json
-    import os
-
-    path = os.path.join(directory, "tau.json")
-    if os.path.exists(path):
-        with open(path) as fh:
-            stored = json.load(fh)
-        if len(stored) > len(_DELTA_COEFFS):
-            _DELTA_COEFFS[:] = stored
-
-
-def save_coefficient_cache(directory):
-    import json
-    import os
-
-    os.makedirs(directory, exist_ok=True)
-    with open(os.path.join(directory, "tau.json"), "w") as fh:
-        json.dump(_DELTA_COEFFS, fh)
 
 
 # ---------------------------------------------------------------------------
@@ -307,21 +285,6 @@ def zeta(s):
     if s < 1:
         raise ValueError("real non-integer s < 1 is out of scope")
     return _hurwitz_em(float(s), 1.0)
-
-
-def hurwitz_zeta(s, a):
-    """Hurwitz zeta.  Exact rational for integer s <= 0 and rational a; float for real s > 1."""
-    if s == 1:
-        raise DomainError("Hurwitz zeta has a pole at s = 1")
-    if (isinstance(s, int) or float(s).is_integer()) and s <= 0:
-        m = -int(s)
-        return -bernoulli_poly(m + 1, Fraction(a)) / (m + 1)
-    a = float(a)
-    if a <= 0:
-        raise ValueError("a must be positive")
-    if s < 1:
-        raise ValueError("real non-integer s < 1 is out of scope")
-    return _hurwitz_em(float(s), a)
 
 
 def polylog(s, z, tol=1e-12, max_terms=5_000_000):
@@ -526,30 +489,6 @@ def eisenstein_L(k2, s, level=1):
     else:
         val = zeta(s) * zeta(s - k2 + 1)
     return val * (2.0 ** (-s) if level == 2 else 1.0)
-
-
-def s2_s3(a, b, p, q, tol=1e-12):
-    """The two Hurwitz-zeta/polylogarithm double sums attached to weights (2a, 2b)."""
-    if a < 2 or b < 2:
-        raise ValueError("a, b must be >= 2")
-    if gcd(p, q) != 1 or p < 1:
-        raise DomainError("(p, q) must be coprime with p >= 1")
-    big = 2 * a + 2 * b - 2
-    pref = factorial(big - 1) / TWO_PI ** big
-    li = []
-    for l in range(1, p + 1):
-        z = cmath.exp(2j * math.pi * l * q / p)
-        li.append(polylog(big, z, tol))
-    sign = (-1) ** (a + b)
-
-    def one(aa, bb):
-        coef = sign * float(bernoulli(2 * aa)) / (4 * aa * (2 * aa - 1)) * float(p) ** (2 * bb - 3) * pref
-        tot = 0j
-        for l in range(1, p + 1):
-            tot += _hurwitz_em(2 * aa - 1, l / p) * li[l - 1]
-        return coef * tot
-
-    return one(a, b), one(b, a)
 
 
 def gamma02_delta(k2, p, q):

