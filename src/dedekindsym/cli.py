@@ -13,7 +13,6 @@ non-convergence.
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from math import gcd
 
@@ -312,6 +311,8 @@ def cmd_gamma02(args):
 
 
 def cmd_table(args):
+    from concurrent.futures import ThreadPoolExecutor
+
     forms = _parse_forms(args.forms)
     for form in forms.values():
         if form.level != 1:

@@ -68,12 +68,9 @@ I_inf is then one monomial) or Y = 0 (both end values are X).  The public
 """
 
 from collections import namedtuple
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import ceil, comb, factorial, gcd, log, pi
-
-import numpy as np
 
 from .errors import DomainError, NonConvergence
 from .modforms import _solve_unimodular, form_value
@@ -120,27 +117,25 @@ class HAssignment:
         return {w: complex(f.coeff(0)) for w, f in self.forms.items()}
 
 
-@dataclass(frozen=True)
-class TangentialBasePoint:
+class TangentialBasePoint(namedtuple("TangentialBasePoint", "base direction")):
     """Tangential base point written ->base_direction: the point sits at the
     cusp ``direction`` (the subscript) and ``base`` is the rational datum
     fixing the regularization branch."""
 
-    base: object
-    direction: object
+    __slots__ = ()
 
-    def __post_init__(self):
-        for v in (self.base, self.direction):
+    def __new__(cls, base, direction):
+        for v in (base, direction):
             if v != INF and not isinstance(v, (int, Fraction)):
                 raise ValueError("tangential data must be rational or infinity")
-        if self.base == self.direction:
+        if base == direction:
             raise ValueError("base and direction must differ")
+        return super().__new__(cls, base, direction)
 
 
-@dataclass(frozen=True)
-class IntegratorConfig:
-    trunc: int = 2
-    fourier_tol: float = 1e-16  # Fourier tail bound of form values and of the cusp limit
+# The truncation length and the Fourier tail bound of form values and of the
+# cusp limit; a tuple, so that memo keys hash it in C.
+IntegratorConfig = namedtuple("IntegratorConfig", "trunc fourier_tol", defaults=(2, 1e-16))
 
 
 # ---------------------------------------------------------------------------
@@ -171,6 +166,8 @@ def _mono_table(alphabet, trunc):
     such monomial; its K = 1 + (largest word weight) columns are the
     monomial axis.  ``mask`` marks the monomials that exist, and ``xpow``
     is ``exps`` clipped at 0, the index of the power of X to gather."""
+    import numpy as np   # in each function that builds arrays: the exact path never loads it
+
     tab = _split_table(alphabet, trunc)
     weights = np.array([alphabet.word_weight(w) for w in tab.words])
     exps = weights[:, None] - np.arange(weights.max() + 1)
@@ -182,6 +179,8 @@ def _at_point(h, coef, xy, trunc, center):
     xy = (X, Y): word B reads sum_k coef[B, k] (X - c Y)^(w(B)-k) Y^k.  The
     powers are repeated products, so (-X, -Y) gives the same bytes (every
     w(B) is even)."""
+    import numpy as np
+
     mt = _mono_table(h.alphabet, trunc)
     Y = complex(xy[1])
     X = complex(xy[0]) - center * Y
@@ -207,6 +206,8 @@ def _i_inf_paths(h, trunc):
     monomial, with positive weights.  For letter-only assignments the
     entries of one word and one n therefore share their sign, and neither
     building nor evaluating them cancels."""
+    import numpy as np
+
     mt = _mono_table(h.alphabet, trunc)
     weight = h.alphabet.word_weight
     a0 = {w: c for w, c in h.constant_terms().items() if len(w) <= trunc and c != 0}
@@ -238,7 +239,7 @@ def _i_inf_at(h, tau, s, xy, trunc):
     powers = [1 + 0j]
     for _ in range(trunc):
         powers.append(powers[-1] * t)
-    return _at_point(h, reverse @ np.array(powers), (X - s * Y, X - tau * Y), trunc, 0)
+    return _at_point(h, reverse @ powers, (X - s * Y, X - tau * Y), trunc, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -286,6 +287,8 @@ def _primitive_factors(N, J):
     two (N, J) arrays over n = 1..N: the primitive is e^(cs) sum_m (-1)^m
     j!/(j-m)! s^(j-m)/c^(m+1), and its coefficient of s^i e^(cs) factors as
     up[n, i] down[n, j], with up = (-c)^i/i! and down = (-1)^j j!/c^(j+1)."""
+    import numpy as np
+
     n, j = np.arange(1, N + 1)[:, None], np.arange(J)
     fact = np.array([float(factorial(k)) for k in range(J)])
     size = (2 * pi * n) ** j                    # |c|^j; the powers of i come from tables, exact
@@ -300,6 +303,8 @@ def _cusp_series(h, tau, cfg):
     built word by word from G' = G Omega(tau + s) (see the module
     docstring).  G_w is an array over the Fourier index n <= N, the power
     j <= w(w) + |w| of s and the monomial k <= w(w)."""
+    import numpy as np
+
     if tau.imag <= 0:
         raise ValueError("tau must lie in the upper half-plane")
     N = _cutoff(h, tau, cfg)

@@ -13,15 +13,13 @@ from collections import namedtuple
 from fractions import Fraction
 from math import comb, factorial, gcd
 
-import numpy as np
-
 from .errors import DomainError, NonConvergence
 
 TWO_PI = 2.0 * math.pi
 
 
 # ---------------------------------------------------------------------------
-# Bernoulli numbers and polynomials
+# Bernoulli numbers
 
 _BERNOULLI = [Fraction(1)]
 
@@ -36,12 +34,6 @@ def bernoulli(n):
         acc = sum(Fraction(comb(m + 1, k)) * _BERNOULLI[k] for k in range(m))
         _BERNOULLI.append(-acc / (m + 1))
     return _BERNOULLI[n]
-
-
-def bernoulli_poly(n, x):
-    """B_n(x) = sum_k C(n,k) B_k x^(n-k); exact when x is rational."""
-    x = Fraction(x) if not isinstance(x, Fraction) else x
-    return sum(Fraction(comb(n, k)) * bernoulli(k) * x ** (n - k) for k in range(n + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -309,6 +301,8 @@ def polylog(s, z, tol=1e-12, max_terms=5_000_000):
         n = max(64, int((4.0 / (tol * abs(1.0 - z))) ** (1.0 / s)) + 1)
     if n > max_terms:
         raise NonConvergence(f"polylog needs {n} terms, above the cap {max_terms}")
+    import numpy as np
+
     idx = np.arange(1, n + 1)
     powers = np.cumprod(np.full(n, z, dtype=complex))
     return complex(np.sum(powers / idx.astype(float) ** s))
@@ -574,6 +568,8 @@ def laurent_fit(samples, box, rank_tol=1e-10):
     where the residual is the largest absolute deviation at the samples.
     Rank deficiency raises, naming the unresolvable monomials.
     """
+    import numpy as np
+
     (imin, imax), (jmin, jmax) = box
     monomials = [(i, j) for i in range(imin, imax + 1) for j in range(jmin, jmax + 1)]
     if len(samples) < len(monomials):

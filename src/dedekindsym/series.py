@@ -13,8 +13,7 @@ garbage collector must follow, so it drops out of the collector's lists at
 the first collection it meets, and memos keep the pair ``(vec, den)``.
 The table also carries two kernels compiled once from the splits w = u v
 of every word, one straight-line sum per word: the product, through which
-exp and log run, and the inverse.  The node axis
-of ``eichler`` reads the same table.  ``coeffs`` is a read-only view
+exp and log run, and the inverse.  ``coeffs`` is a read-only view
 {word: coefficient} of the nonzero entries, with ``Fraction`` values for
 rational series.
 
@@ -31,8 +30,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial, gcd, lcm
 from types import MappingProxyType
-
-import numpy as np
 
 from .errors import NotInvertible
 
@@ -179,7 +176,7 @@ def shuffle_words(u, v):
 
 GroupLikeness = namedtuple("GroupLikeness", "ok worst witness")
 
-_SplitTable = namedtuple("_SplitTable", "words index groups mul inv")
+_SplitTable = namedtuple("_SplitTable", "words index mul inv")
 
 
 @lru_cache(maxsize=32)
@@ -191,20 +188,10 @@ def _split_table(alphabet, trunc):
     of the inverse of the series s / den (see ``TruncSeries.inverse``).  Each
     is one straight-line sum per word that starts at the int 0, so it
     rounds, and signs its zeros, as a loop accumulating from 0 would; both
-    return tuples.  For the node axis, ``groups`` holds per length
-    L = 1..trunc a group (lo, hi, U, V): the words of length L are rows
-    lo..hi-1, and row lo + j is split as U[j, k] V[j, k] for k < L, which
-    runs over every w = u v with v nonempty, by |v| ascending."""
+    return tuples."""
     words = tuple(alphabet.iter_words(trunc))
     index = {w: i for i, w in enumerate(words)}
     splits = tuple(tuple((index[w[:k]], index[w[k:]]) for k in range(len(w) + 1)) for w in words)
-    groups, lo = [], 1
-    for length in range(1, trunc + 1):
-        hi = lo + len(alphabet) ** length
-        rows = np.array([s[length - 1::-1] for s in splits[lo:hi]], dtype=np.intp)
-        U, V = np.moveaxis(rows.reshape(hi - lo, length, 2), 2, 0)
-        groups.append((lo, hi, U, V))
-        lo = hi
 
     def from_0(terms):
         return " + ".join(["0", *terms])
@@ -220,7 +207,7 @@ def _split_table(alphabet, trunc):
          f"def inv(s, den, exact):\n    c = s[0]\n{powers}{scaled}    m0 = 1\n{solve}"
          f"    if exact:\n        return ({''.join(x + ', ' for x in out)}), c{trunc + 1}\n"
          f"    return ({''.join(f'{x} / c{trunc + 1}, ' for x in out)}), 1\n", kernels)
-    return _SplitTable(words, index, tuple(groups), kernels["mul"], kernels["inv"])
+    return _SplitTable(words, index, kernels["mul"], kernels["inv"])
 
 
 @lru_cache(maxsize=32)
@@ -250,6 +237,44 @@ def _coerce(kind, value):
     if not isinstance(value, (int, Fraction)):
         raise TypeError(f"rational series needs int/Fraction coefficients, got {type(value).__name__}")
     return Fraction(value)
+
+
+@lru_cache(maxsize=256)
+def _exp_kernel(alphabet, trunc, word, kind):
+    """The map c -> exp(c w) for a nonempty index tuple w, checked here once:
+    a rational c = a/b (an int or a Fraction) gives numerators
+    a^k b^(K-k) K!/k! over b^K K!; a complex c^k is taken by repeated
+    products, and 1/k! is applied as its nearest float.  The rows of w^k
+    and the factors are fixed here, so a call writes one vector."""
+    if not word or trunc < 0 or kind not in _ZERO:
+        raise ValueError(f"exp_term needs a nonempty word, trunc >= 0 and a known kind, "
+                         f"got {word}, {trunc}, {kind!r}")
+    K = trunc // len(word)
+    index = _split_table(alphabet, trunc).index
+    rows = [index[word * k] for k in range(K + 1)]
+    zero = [_ZERO[kind]] * len(index)
+    if kind == RATIONAL:
+        fk = factorial(K)
+        ratios = [fk // factorial(k) for k in range(K + 1)]
+
+        def exp_at(c):
+            if not isinstance(c, (int, Fraction)):
+                raise TypeError(f"rational series needs int/Fraction coefficients, got {type(c).__name__}")
+            a, b, vec = c.numerator, c.denominator, zero.copy()
+            for k, row in enumerate(rows):
+                vec[row] = a ** k * b ** (K - k) * ratios[k]
+            return TruncSeries._from_vec(alphabet, trunc, vec, RATIONAL, b ** K * fk)
+        return exp_at
+    inv_fact = [float(Fraction(1, factorial(k))) for k in range(K + 1)]
+
+    def exp_at(c):
+        c, ck, vec = complex(c), 1, zero.copy()
+        for row, f in zip(rows, inv_fact):
+            # + 0j turns a zero part -0.0 into 0.0, as exp's sums do
+            vec[row] = ck * f + 0j
+            ck = ck * c
+        return TruncSeries._from_vec(alphabet, trunc, vec)
+    return exp_at
 
 
 class TruncSeries:
@@ -316,31 +341,9 @@ class TruncSeries:
 
     @classmethod
     def exp_term(cls, alphabet, trunc, word, coeff, kind=RATIONAL):
-        """exp(c w) = sum over k <= K = trunc // |w| of c^k / k! w^k for a
-        nonempty word w, with the bytes of ``term(...).exp()``.  A rational
-        c = a/b gives numerators a^k b^(K-k) K!/k! over b^K K!; a complex c^k
-        is taken by repeated products, and 1/k! is applied as its nearest
-        float."""
-        w = alphabet.word(word)
-        if not w:
-            raise ValueError("exp_term needs a nonempty word")
-        if trunc < 0 or kind not in _ZERO:
-            raise ValueError(f"exp_term needs trunc >= 0 and a known kind, got {trunc}, {kind!r}")
-        c = _coerce(kind, coeff)
-        K = trunc // len(w)
-        index = _split_table(alphabet, trunc).index
-        vec = [_ZERO[kind]] * len(index)
-        if kind == RATIONAL:
-            a, b, fk = c.numerator, c.denominator, factorial(K)
-            for k in range(K + 1):
-                vec[index[w * k]] = a ** k * b ** (K - k) * (fk // factorial(k))
-            return cls._from_vec(alphabet, trunc, vec, RATIONAL, b ** K * fk)
-        ck = 1
-        for k in range(K + 1):
-            # + 0j turns a zero part -0.0 into 0.0, as exp's sums do
-            vec[index[w * k]] = ck * float(Fraction(1, factorial(k))) + 0j
-            ck = ck * c
-        return cls._from_vec(alphabet, trunc, vec)
+        """exp(c w) = sum over k <= trunc // |w| of c^k / k! w^k for a nonempty
+        word w, with the bytes of ``term(...).exp()`` (see ``_exp_kernel``)."""
+        return _exp_kernel(alphabet, trunc, alphabet.word(word), kind)(coeff)
 
     def coeff(self, word):
         row = _split_table(self.alphabet, self.trunc).index.get(self.alphabet.word(word))

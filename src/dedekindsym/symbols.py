@@ -9,14 +9,14 @@ exponentials of scalar factors, one word at a time.
 """
 
 import weakref
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
 from . import contfrac
 from .errors import DomainError, NotShuffled
-from .series import RATIONAL, TruncSeries, _remember, _split_table
+from .series import RATIONAL, TruncSeries, _exp_kernel, _remember, _split_table
 
 # ---------------------------------------------------------------------------
 # Orbits of the defining relations
@@ -277,23 +277,15 @@ def bullet_inverse(f):
 
 def embed_exp(f, letter, alphabet, trunc, kind=RATIONAL, almost=True):
     """exp(f(p,q) * letter): the group-like one-letter embedding of a scalar
-    reciprocity function."""
-    idx = (alphabet.index(letter),)
-
-    def ev(p, q):
-        return TruncSeries.exp_term(alphabet, trunc, idx, f(p, q), kind)
-
-    return RecipFn(ev, alphabet, trunc, kind, almost, name=f"exp({letter})")
+    reciprocity function.  The letter is checked once, here."""
+    exp_at = _exp_kernel(alphabet, trunc, (alphabet.index(letter),), kind)
+    return RecipFn(lambda p, q: exp_at(f(p, q)), alphabet, trunc, kind, almost, name=f"exp({letter})")
 
 
 def embed_exp_symbol(d, letter, alphabet, trunc, kind=RATIONAL, almost=True):
     """The analogous embedding of a scalar Dedekind symbol."""
-    idx = (alphabet.index(letter),)
-
-    def ev(p, q):
-        return TruncSeries.exp_term(alphabet, trunc, idx, d(p, q), kind)
-
-    return SymbolFn(ev, alphabet, trunc, kind, almost, name=f"exp({letter})")
+    exp_at = _exp_kernel(alphabet, trunc, (alphabet.index(letter),), kind)
+    return SymbolFn(lambda p, q: exp_at(d(p, q)), alphabet, trunc, kind, almost, name=f"exp({letter})")
 
 
 def from_components(fs, alphabet, trunc, kind=RATIONAL, almost=True):
@@ -313,12 +305,7 @@ def from_components(fs, alphabet, trunc, kind=RATIONAL, almost=True):
 # ---------------------------------------------------------------------------
 # Axiom verification
 
-@dataclass
-class VerifyRow:
-    axiom: str
-    word: str
-    pair: tuple
-    violation: float
+VerifyRow = namedtuple("VerifyRow", "axiom word pair violation")
 
 
 class VerifyReport:
@@ -440,8 +427,16 @@ def random_symbol(alphabet, trunc, seed):
 
 
 def random_scalar_symbol(seed):
-    """Seeded scalar Dedekind symbol (p, q) -> Fraction."""
-    return lambda p, q: _hash_fraction(seed, orbit_key(p, q), "scalar")
+    """Seeded scalar Dedekind symbol (p, q) -> Fraction, memoized per orbit."""
+    by_orbit = {}
+
+    def d(p, q):
+        key = orbit_key(p, q)
+        if key not in by_orbit:
+            _remember(by_orbit, _MEMO_CAP, key, _hash_fraction(seed, key, "scalar"))
+        return by_orbit[key]
+
+    return d
 
 
 def scalar_psi(d):

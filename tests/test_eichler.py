@@ -15,6 +15,7 @@ from dedekindsym import modforms as mf
 from dedekindsym import symbols as sy
 from dedekindsym.errors import DomainError, NonConvergence
 from dedekindsym.series import COMPLEX, Alphabet, TruncSeries
+from node_axis import node_groups
 
 CFG = ei.IntegratorConfig(trunc=2)
 INF = ei.INF
@@ -642,19 +643,20 @@ class ScalarPointPath:
         self.h, self.cfg = h, cfg
         self.X, self.Y = complex(xy[0]), complex(xy[1])
         self.tab = ei._split_table(h.alphabet, cfg.trunc)
+        self.groups = node_groups(h.alphabet, cfg.trunc)
         self.u, self.w, self.S = gauss_legendre(self.NODES)
 
     def mul(self, a, b):
         out = np.empty_like(a)
         out[0] = a[0] * b[0]
-        for lo, hi, U, V in self.tab.groups:
+        for lo, hi, U, V in self.groups:
             out[lo:hi] = a[lo:hi] * b[0] + (a[U] * b[V]).sum(axis=1)
         return out
 
     def inverse(self, a):
         out = np.empty_like(a)
         out[0] = 1.0
-        for lo, hi, U, V in self.tab.groups:
+        for lo, hi, U, V in self.groups:
             out[lo:hi] = -(out[U] * a[V]).sum(axis=1)
         return out
 
@@ -672,7 +674,7 @@ class ScalarPointPath:
         M[0] = 1.0
         end = np.empty(len(self.tab.words), dtype=complex)
         end[0] = 1.0
-        for lo, hi, U, V in self.tab.groups:
+        for lo, hi, U, V in self.groups:
             rhs = (M[U] * vals[V]).sum(axis=1)
             M[lo:hi] = rhs @ self.S.T
             end[lo:hi] = rhs @ self.w

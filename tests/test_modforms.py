@@ -23,10 +23,6 @@ class TestBernoulli:
         for n in (3, 5, 7, 9, 11):
             assert mf.bernoulli(n) == 0
 
-    def test_polynomial(self):
-        # B_2(x) = x^2 - x + 1/6
-        assert mf.bernoulli_poly(2, Fraction(1, 3)) == Fraction(1, 9) - Fraction(1, 3) + Fraction(1, 6)
-
 
 class TestCoefficients:
     def test_sigma(self):

@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dedekindsym import symbols as sy
 from dedekindsym.errors import NotInvertible
 from dedekindsym.series import (COMPLEX, RATIONAL, Alphabet, TruncSeries, Word,
                                 _split_table, concat, shuffle_words)
+from node_axis import node_groups
 
 AB = Alphabet.simple("ab")
 
@@ -236,7 +238,7 @@ class TestKernels:
         assert tab.words == tuple(ab.iter_words(trunc)) and tab.words[0] == ()
         assert all(tab.index[w] == i for i, w in enumerate(tab.words))
         listed = []
-        for lo, hi, U, V in tab.groups:
+        for lo, hi, U, V in node_groups(ab, trunc):
             for row, us, vs in zip(range(lo, hi), U.tolist(), V.tolist()):
                 listed += [(tab.words[row], tab.words[u], tab.words[v]) for u, v in zip(us, vs)]
         want = [(w, w[:k], w[k:]) for w in tab.words for k in range(len(w))]
@@ -380,8 +382,13 @@ class TestExpLog:
                 for c, kind in ((r, RATIONAL), (z, COMPLEX), (complex(-abs(z)), COMPLEX),
                                 (complex(0, z.imag), COMPLEX)):
                     want = TruncSeries.term(xy, trunc, w, c, kind).exp()
-                    got = TruncSeries.exp_term(xy, trunc, w, c, kind)
-                    assert got.dumps() == want.dumps() and got == want
+                    got = [TruncSeries.exp_term(xy, trunc, w, c, kind)]
+                    if len(w) == 1:
+                        # the one-letter embeddings of a scalar function
+                        letter = xy.names[w[0]]
+                        got += [embed(lambda p, q: c, letter, xy, trunc, kind)(2, 3)
+                                for embed in (sy.embed_exp, sy.embed_exp_symbol)]
+                    assert all(g.dumps() == want.dumps() and g == want for g in got)
 
     def test_preconditions(self):
         with pytest.raises(ValueError):

@@ -1,9 +1,11 @@
 import gc
 import hashlib
+import json
 import os
 import random
 import subprocess
 import sys
+import textwrap
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
@@ -128,12 +130,49 @@ class TestRandomSymbol:
 
     def test_importing_the_package_leaves_hashlib_unloaded(self):
         # only the seeded coefficients hash; OpenSSL's _hashlib costs a
-        # process that never hashes about 3.5 MB of memory
+        # process that never hashes about 3.5 MB of memory.  Only the
+        # integrator builds arrays, so the exact path, cfrac and the
+        # bijection suite never load numpy (about 13 MB and 0.13 s), nor
+        # dataclasses or concurrent.futures
+        code = textwrap.dedent("""
+            import json, sys
+            watched = ("_hashlib", "numpy", "dataclasses", "concurrent.futures")
+            seen = {}
+
+            def note(step):
+                seen[step] = [m for m in watched if m in sys.modules]
+
+            import dedekindsym
+            note("import")
+            from dedekindsym import cli, eichler, modforms, symbols as sy
+            from dedekindsym.series import Alphabet
+            ab = Alphabet.simple("ab")
+            d = sy.random_symbol(ab, 3, seed=1)
+            assert sy.delta(sy.psi(d))(5, 7) == sy.normalize(d)(5, 7)
+            note("bijection")
+            f = [sy.scalar_psi(sy.random_scalar_symbol(seed)) for seed in (1, 2, 3)]
+            assert sy.delta(sy.from_components({"a": f[0], "b": f[1]}, ab, 3))(5, 7).is_grouplike().ok
+            note("shuffle")
+            a, b, c = (sy.embed_exp(g, letter, ab, 3) for g, letter in zip(f, "aba"))
+            assert sy.bullet(sy.bullet(a, b), c)(5, 7) == sy.bullet(a, sy.bullet(b, c))(5, 7)
+            note("bullet")
+            assert cli.main(["cfrac", "--pq=89,144"]) == 0
+            note("cfrac")
+            assert cli.main(["verify", "--suite", "bijection"]) == 0
+            note("verify")
+            h = eichler.HAssignment.letters({"A": modforms.eisenstein(4)})
+            eichler.build_D(h, 5, 7, eichler.IntegratorConfig(trunc=1))
+            note("build_D")
+            print(json.dumps(seen))
+        """)
         src = str(Path(sy.__file__).resolve().parents[1])
-        code = "import sys, dedekindsym; sys.exit('_hashlib' in sys.modules)"
         run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              env={**os.environ, "PYTHONPATH": src})
-        assert run.returncode == 0, run.stderr or "_hashlib was loaded"
+        assert run.returncode == 0, run.stderr
+        seen = json.loads(run.stdout.splitlines()[-1])
+        assert seen.pop("import") == [], "importing the package loaded them"
+        assert "numpy" in seen.pop("build_D")
+        assert seen == dict.fromkeys(("bijection", "shuffle", "bullet", "cfrac", "verify"), ["_hashlib"])
 
 
 class TestPsi:
