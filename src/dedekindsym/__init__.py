@@ -3,8 +3,8 @@ iterated Eichler integrals of modular forms."""
 
 from .contfrac import CFSeq, CoprimePair, canonical, evaluate, tails
 from .eichler import (HAssignment, IntegratorConfig, TangentialBasePoint,
-                      build_D, build_E, build_F, full_integral, i_infinity,
-                      i_numeric, reg_to_cusp)
+                      build_D, build_E, build_F, full_integral, i_numeric,
+                      reg_to_cusp)
 from .errors import (DedekindSymError, DivisionByZeroTail, DomainError,
                      NonConvergence, NotInvertible, NotShuffled)
 from .modforms import (LaurentPoly, ModularFormSpec, bernoulli, delta_form,

@@ -16,11 +16,10 @@ import sys
 from fractions import Fraction
 from math import gcd
 
+from . import __version__ as VERSION
 from . import contfrac, eichler, modforms, symbols
 from .errors import DedekindSymError, DomainError, NonConvergence
 from .series import Alphabet, TruncSeries
-
-VERSION = "0.1.0"
 
 
 # ---------------------------------------------------------------------------
@@ -129,6 +128,8 @@ def _series_rows(series, p, q):
 def cmd_symbol(args):
     h = _assignment(args)
     p, q = _parse_pq(args.pq)
+    if args.length < 0:
+        raise DomainError(f"--length must be at least 0, got {args.length}")
     cfg = eichler.IntegratorConfig(trunc=args.length)
     if args.which == "D":
         series = eichler.build_D(h, p, q, cfg)
@@ -152,7 +153,6 @@ def cmd_symbol(args):
 def _suite_bijection(args):
     ab = Alphabet.simple("ab")
     rows = []
-    ok = True
     pairs = symbols.sample_pairs(5, seed=args.seed + 1, bound=50)
     for i in range(args.samples):
         d = symbols.random_symbol(ab, 3, seed=args.seed + 10 * i)
@@ -164,14 +164,12 @@ def _suite_bijection(args):
         for p, q in pairs:
             worst = max(worst, dd(p, q).max_abs_diff(dn(p, q)), ff(p, q).max_abs_diff(f(p, q)))
         rows.append({"check": f"bijection[{i}]", "worst": worst, "pass": worst == 0.0})
-        ok = ok and worst == 0.0
-    return rows, ok
+    return rows
 
 
 def _suite_shuffle(args):
     ab = Alphabet.simple("ab")
     rows = []
-    ok = True
     pairs = symbols.sample_pairs(10, seed=args.seed + 2, bound=30)
     for i in range(args.samples):
         f1 = symbols.scalar_psi(symbols.random_scalar_symbol(args.seed + 100 + i))
@@ -189,36 +187,29 @@ def _suite_shuffle(args):
             rep = d(p, q).is_grouplike()
             worst = max(worst, rep.worst)
         rows.append({"check": f"shuffle[{i}]", "worst": worst, "pass": worst == 0.0})
-        ok = ok and worst == 0.0
-    return rows, ok
+    return rows
 
 
 def _suite_axioms(args):
     ab = Alphabet.simple("ab")
     rows = []
-    ok = True
     pairs = symbols.sample_pairs(args.samples, seed=args.seed + 3, bound=30)
     d = symbols.random_symbol(ab, 3, seed=args.seed)
     rep = symbols.verify_mds(d, pairs)
     rows.append({"check": "mds", "worst": rep.worst(), "pass": rep.passed()})
-    ok = ok and rep.passed()
     rep = symbols.verify_mrf(symbols.psi(d), pairs)
     rows.append({"check": "mrf", "worst": rep.worst(), "pass": rep.passed()})
-    ok = ok and rep.passed()
-    return rows, ok
+    return rows
 
 
 def _suite_reciprocity(args):
     rows = []
-    ok = True
     for k2 in args.weights:
         worst = 0.0
         for p in range(2, args.pmax + 1):
             worst = max(worst, modforms.reciprocity_law_check(k2, p).diff)
-        good = worst < args.tol
-        rows.append({"check": f"reciprocity-law[{k2}]", "worst": worst, "pass": good})
-        ok = ok and good
-    return rows, ok
+        rows.append({"check": f"reciprocity-law[{k2}]", "worst": worst, "pass": worst < args.tol})
+    return rows
 
 
 # ``verify --suite eichler``: three settings of forms and length, at small
@@ -249,8 +240,7 @@ def _suite_eichler(args):
                               ("reciprocity-identity", _relative_gap(lhs, eichler.build_F(h, p, q, cfg))),
                               ("grouplike", d.is_grouplike(relative=True).worst)]:
                 worst[name] = max(worst[name], gap)
-    rows = [{"check": f"eichler[{name}]", "worst": w, "pass": w < args.tol} for name, w in worst.items()]
-    return rows, all(r["pass"] for r in rows)
+    return [{"check": f"eichler[{name}]", "worst": w, "pass": w < args.tol} for name, w in worst.items()]
 
 
 _SUITES = {"bijection": _suite_bijection, "shuffle": _suite_shuffle, "axioms": _suite_axioms,
@@ -260,11 +250,11 @@ _SUITES = {"bijection": _suite_bijection, "shuffle": _suite_shuffle, "axioms": _
 def cmd_verify(args):
     if args.samples < 1:
         raise DomainError(f"--samples must be at least 1, got {args.samples}")
-    rows, ok = _SUITES[args.suite](args)
+    rows = _SUITES[args.suite](args)
     doc = _document("verify", rows, seed=args.seed, tolerance=args.tol,
                     extra={"suite": args.suite})
     _emit(args, doc, csv_columns=["check", "worst", "pass"])
-    return 0 if ok else 1
+    return 0 if all(r["pass"] for r in rows) else 1
 
 
 def cmd_decompose(args):

@@ -22,8 +22,8 @@ e^(cs) sum_m (-1)^m j!/(j-m)! s^(j-m)/c^(m+1) at n >= 1, which vanishes at
 i inf; G(0) = 1 fixes the constant of P_0.  The terms n >= 1 vanish at
 i inf, so P_0(s) I_inf(tau + s, tau) is a polynomial in s with a finite
 limit, hence a constant: RI(tau, i inf) is P_0(0).  The sum stops at an
-index N fixed a priori from the forms, the word lengths, Im tau and
-``fourier_tol`` (``_cutoff``).  build_D and build_F need no other path:
+index N fixed a priori from the forms, the word lengths and Im tau
+(``_cutoff``).  build_D and build_F need no other path:
 F(p, q) is two ends of the cusp limit at i, and D is fixed by F through
 the continued fraction of q/p (the recursion in build_D), from D(1, 1),
 two more such ends.  full_integral reaches a finite cusp a/c through the
@@ -63,8 +63,7 @@ as a polynomial array that no point, direction or center enters.
 reg_to_cusp reads I_inf(tau, s) from it, in the monomials
 (X - s Y)^(w-k) (X - tau Y)^k (tau - s)^n of the values of X - Y z at the
 two ends.  Where build_D and build_F regularize, X - s Y = 0 (each word of
-I_inf is then one monomial) or Y = 0 (both end values are X).  The public
-``i_infinity``, which takes any two endpoints, reads the same array.
+I_inf is then one monomial) or Y = 0 (both end values are X).
 """
 
 from collections import namedtuple
@@ -73,7 +72,8 @@ from functools import lru_cache
 from math import ceil, comb, factorial, gcd, log, pi
 
 from .errors import DomainError, NonConvergence
-from .modforms import _solve_unimodular, form_value
+# form_value has no caller here: bench/tracing.py wraps eichler.form_value to count calls
+from .modforms import _fourier_root, _solve_unimodular, form_value
 from .series import COMPLEX, Alphabet, TruncSeries, _remember, _split_table
 
 INF = float("inf")
@@ -110,9 +110,6 @@ class HAssignment:
         alphabet = Alphabet((name, form.weight - 2) for name, form in assignments.items())
         return cls(alphabet, {name: form for name, form in assignments.items()})
 
-    def form(self, word):
-        return self.forms.get(self.alphabet.word(word))
-
     def constant_terms(self):
         return {w: complex(f.coeff(0)) for w, f in self.forms.items()}
 
@@ -133,22 +130,8 @@ class TangentialBasePoint(namedtuple("TangentialBasePoint", "base direction")):
         return super().__new__(cls, base, direction)
 
 
-# The truncation length and the Fourier tail bound of form values and of the
-# cusp limit; a tuple, so that memo keys hash it in C.
-IntegratorConfig = namedtuple("IntegratorConfig", "trunc fourier_tol", defaults=(2, 1e-16))
-
-
-# ---------------------------------------------------------------------------
-# Exact iterated integrals of the constant-term form
-
-def i_infinity(h, tau0, tau1, xy, trunc=2):
-    """I_inf(tau0, tau1): iterated integrals of the constant-term form.
-
-    Polynomial in the endpoints, hence valid anywhere in the plane and
-    path-independent; read at xy from the stored reversed path, as the
-    cusp regularization reads it.
-    """
-    return _i_inf_at(h, complex(tau0), complex(tau1), xy, trunc)
+# The truncation length; a tuple, so that memo keys hash it in C.
+IntegratorConfig = namedtuple("IntegratorConfig", "trunc", defaults=(2,))
 
 
 # ---------------------------------------------------------------------------
@@ -246,6 +229,8 @@ def _i_inf_at(h, tau, s, xy, trunc):
 # The cusp limit as a finite Fourier sum
 
 _CUTOFF_CAP = 2500
+# The bound on every Fourier term past the cutoff
+_FOURIER_TOL = 1e-16
 
 
 def _growth(h, trunc):
@@ -267,14 +252,10 @@ def _growth(h, trunc):
 def _cutoff(h, tau, cfg):
     """The Fourier cutoff N at tau, fixed a priori: every term past N, at
     most n^E exp(-2 pi n Im tau) with E from ``_growth``, is below
-    ``cfg.fourier_tol``.  N is the root of n = (E log n - log tol) /
-    (2 pi Im tau) past the terms' peak, reached by iterating from the peak."""
-    E, y = _growth(h, cfg.trunc), tau.imag
-    peak = max(1.0, E / (2 * pi * y))
-    n = peak
-    for _ in range(64):
-        n = max(peak, (E * log(n) - log(cfg.fourier_tol)) / (2 * pi * y))
-    n = ceil(n)
+    ``_FOURIER_TOL``.  N is the root of n = (E log n - log tol) /
+    (2 pi Im tau) past the terms' peak (``modforms._fourier_root``)."""
+    y = tau.imag
+    n = ceil(_fourier_root(_growth(h, cfg.trunc), y, -log(_FOURIER_TOL))[1])
     if n > _CUTOFF_CAP:
         raise NonConvergence(f"the cusp limit at Im tau = {y:.3g} needs N = {n} Fourier terms, "
                              f"more than {_CUTOFF_CAP}")
@@ -381,30 +362,6 @@ def _unsigned(xy):
     return (-X, -Y) if (Y.real, Y.imag, X.real, X.imag) < (0, 0, 0, 0) else (X, Y)
 
 
-def omega(h, tau, xy, trunc=2):
-    """The connection form coefficient at tau: word B reads h(B)(tau) (X - Y tau)^w(B)."""
-    tau = complex(tau)
-    if tau.imag <= 0:
-        raise ValueError("tau must lie in the upper half-plane")
-    X, Y = complex(xy[0]), complex(xy[1])
-    coeffs = {}
-    for word, form in h.forms.items():
-        if len(word) <= trunc:
-            coeffs[word] = form_value(form, tau) * (X - Y * tau) ** h.alphabet.word_weight(word)
-    return TruncSeries(h.alphabet, trunc, coeffs, COMPLEX)
-
-
-def omega_inf(h, tau, xy, trunc=2):
-    """The constant-term variant: word B reads a_0(h(B)) (X - Y tau)^w(B)."""
-    X, Y = complex(xy[0]), complex(xy[1])
-    tau = complex(tau)
-    coeffs = {}
-    for word, a0 in h.constant_terms().items():
-        if len(word) <= trunc:
-            coeffs[word] = a0 * (X - Y * tau) ** h.alphabet.word_weight(word)
-    return TruncSeries(h.alphabet, trunc, coeffs, COMPLEX)
-
-
 # ---------------------------------------------------------------------------
 # Regularization at the cusp i-infinity
 
@@ -480,25 +437,16 @@ def _mat_mobius(m, z):
 
 
 def _piece_to_tangential(h, tau1, tb, xy, cfg):
-    """I(tau1, tb) at the numeric point xy = (X, Y)."""
-    loc = tb.direction
-    if loc == INF:
+    """I(tau1, tb) at the numeric point xy = (X, Y).  At a finite cusp a/c,
+    with gamma = (a, r; c, s) unimodular, gamma(inf) = a/c, it is
+    I(sigma, ->u_inf) at gamma^-1 xy, where sigma = gamma^-1 tau1 and
+    u = gamma^-1 of the base."""
+    if tb.direction == INF:
         return reg_to_cusp(h, tau1, tb.base, xy, cfg)
-    loc = Fraction(loc)
-    gam = _gamma_for_cusp(loc.numerator, loc.denominator)
-    return _piece_via_chart(h, tau1, gam, tb.base, xy, cfg)
-
-
-def _gamma_for_cusp(cn, cd):
-    r, s = _solve_unimodular(cn, cd)
-    return (cn, r, cd, s)
-
-
-def _piece_via_chart(h, tau1, gam, direction, xy, cfg):
-    # I(tau1, ->direction_cusp) = I(sigma, ->u_inf) at gamma^{-1} xy, where
-    # sigma = gamma^{-1} tau1 and u = gamma^{-1} direction
-    inv = _mat_inv(gam)
-    u = _mat_mobius(inv, direction)
+    loc = Fraction(tb.direction)
+    r, s = _solve_unimodular(loc.numerator, loc.denominator)
+    inv = _mat_inv((loc.numerator, r, loc.denominator, s))
+    u = _mat_mobius(inv, tb.base)
     if u == INF:
         raise DomainError("tangential direction coincides with the cusp")
     v = _mat_apply_xy(inv, (complex(xy[0]), complex(xy[1])))

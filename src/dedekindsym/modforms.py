@@ -55,10 +55,19 @@ def sigma(k, n):
     return total
 
 
-def eisenstein_coeff(k2, n):
-    """Fourier coefficient of the Hecke-normalized Eisenstein series of weight 2k."""
+def _check_weight(k2):
     if k2 < 4 or k2 % 2:
         raise ValueError("weight must be an even integer >= 4")
+
+
+def _check_pair(p, q):
+    if gcd(p, q) != 1 or p * q == 0:
+        raise DomainError("(p, q) must be coprime with pq != 0")
+
+
+def eisenstein_coeff(k2, n):
+    """Fourier coefficient of the Hecke-normalized Eisenstein series of weight 2k."""
+    _check_weight(k2)
     if n == 0:
         return -bernoulli(k2) / (2 * k2)
     return Fraction(sigma(k2 - 1, n))
@@ -151,8 +160,7 @@ class ModularFormSpec:
 
 
 def eisenstein(k2):
-    if k2 < 4 or k2 % 2:
-        raise ValueError("weight must be an even integer >= 4")
+    _check_weight(k2)
     return ModularFormSpec("eisenstein", k2, f"E{k2}")
 
 
@@ -161,21 +169,14 @@ def delta_form():
 
 
 def eisenstein_gamma02(k2):
-    if k2 < 4 or k2 % 2:
-        raise ValueError("weight must be an even integer >= 4")
+    _check_weight(k2)
     return ModularFormSpec("eisenstein_gamma02", k2, f"E{k2},2")
-
-
-_FORM_NAMES = {"E4": lambda: eisenstein(4), "E6": lambda: eisenstein(6),
-               "E8": lambda: eisenstein(8), "E10": lambda: eisenstein(10),
-               "E12": lambda: eisenstein(12), "E14": lambda: eisenstein(14),
-               "Delta": delta_form}
 
 
 def form_by_name(name):
     """Resolve names like E4, E6, Delta, E6,2 to descriptors."""
-    if name in _FORM_NAMES:
-        return _FORM_NAMES[name]()
+    if name == "Delta":
+        return delta_form()
     if name.startswith("E") and name.endswith(",2"):
         return eisenstein_gamma02(int(name[1:-2]))
     if name.startswith("E"):
@@ -344,6 +345,19 @@ def _solve_unimodular(q, p):
 _FOURIER_CAP = 20000
 
 
+def _fourier_root(exponent, height, level):
+    """(peak, root) for the terms t(n) = n^E exp(-2 pi n height), E =
+    exponent: the peak max(1, E / (2 pi height)) of t, and past it the root
+    of n = (E log n + level) / (2 pi height), where t falls to exp(-level),
+    reached by iterating from the peak."""
+    y = TWO_PI * height
+    peak = max(1.0, exponent / y)
+    n = peak
+    for _ in range(64):
+        n = max(peak, (exponent * math.log(n) + level) / y)
+    return peak, n
+
+
 def fourier_cutoff(form, height, tol, cap=_FOURIER_CAP):
     """Smallest n with the remaining Fourier tail below tol; NonConvergence
     when n is above cap.
@@ -351,23 +365,18 @@ def fourier_cutoff(form, height, tol, cap=_FOURIER_CAP):
     The tail past n is bounded by t(n) = 2 (n+1)^E x^(n+1) / (1 - x), with
     x = exp(-2 pi height) and the coefficients growing like n^E.  t falls
     monotonically once n + 1 passes its peak E / (2 pi height), so n is
-    solved from the height: iterate n + 1 = (E log(n+1) - log(tol (1-x)/2))
-    / (2 pi height) from the peak (as ``eichler._cutoff`` does), then step
-    to the smallest integer n past the peak with t(n) < tol.
+    solved from the height: ``_fourier_root`` at level -log(tol (1-x)/2),
+    as ``eichler._cutoff`` solves it, then a step to the smallest integer n
+    past the peak with t(n) < tol.
     """
-    y = TWO_PI * height
-    decay = math.exp(-y)
+    decay = math.exp(-TWO_PI * height)
     # |sigma_{2k-1}(n)| <= zeta(2k-1) n^(2k-1); |tau(n)| <= d(n) n^(11/2) <= n^(13/2)
     bound_exp = 6.5 if form.is_cusp else form.weight - 1
 
     def tail(n):
         return 2.0 * (n + 1) ** bound_exp * decay ** (n + 1) / (1.0 - decay)
 
-    level = math.log(2.0 / (1.0 - decay) / tol)
-    peak = max(1.0, bound_exp / y)
-    m = peak
-    for _ in range(64):
-        m = max(peak, (bound_exp * math.log(m) + level) / y)
+    peak, m = _fourier_root(bound_exp, height, math.log(2.0 / (1.0 - decay) / tol))
     lo = max(1, math.floor(peak))
     n = max(lo, math.ceil(m) - 2)
     while n > lo and tail(n - 1) < tol:
@@ -392,8 +401,7 @@ def dedekind_symbol_length1(form, p, q, height=None, tol=1e-12, cap=_FOURIER_CAP
     if form.level != 1:
         raise ValueError("length-one symbol implemented for level-one forms")
     p, q = int(p), int(q)
-    if gcd(p, q) != 1 or p * q == 0:
-        raise DomainError("(p, q) must be coprime with pq != 0")
+    _check_pair(p, q)
     w = form.weight - 2
     a0 = complex(form.coeff(0))
     if height is None:
@@ -446,8 +454,7 @@ def reciprocity_law_check(k2, p, tol=1e-12):
     unity; the right side is the Bernoulli/zeta closed form.  The two are
     computed by independent code paths and the discrepancy is returned.
     """
-    if k2 < 4 or k2 % 2:
-        raise ValueError("weight must be an even integer >= 4")
+    _check_weight(k2)
     if p < 2:
         raise ValueError("p must be >= 2")
     xi = cmath.exp(2j * math.pi / p)
@@ -487,8 +494,8 @@ def eisenstein_L(k2, s, level=1):
 
 def gamma02_delta(k2, p, q):
     """The parity-split constant: 2^(2k-1) zeta(2k-1)/p^(2k-2) for even p, zeta(2k-1)/p^(2k-2) for odd p."""
-    if gcd(p, q) != 1 or p * q == 0:
-        raise DomainError("(p, q) must be coprime with pq != 0")
+    _check_weight(k2)
+    _check_pair(p, q)
     p = abs(p)
     z = zeta(k2 - 1)
     if p % 2 == 0:
@@ -503,8 +510,8 @@ def gamma02_D(k2, p, q, tol=1e-12):
     negative p is folded through the (p, q) -> (-p, -q) symmetry of the
     underlying integral.
     """
-    if gcd(p, q) != 1 or p * q == 0:
-        raise DomainError("(p, q) must be coprime with pq != 0")
+    _check_weight(k2)
+    _check_pair(p, q)
     if p < 0:
         p, q = -p, -q
     s = k2 - 1
@@ -517,8 +524,8 @@ def gamma02_D(k2, p, q, tol=1e-12):
 
 def gamma02_F(k2, p, q):
     """Closed form for the identity-coset reciprocity function of the same form."""
-    if gcd(p, q) != 1 or p * q == 0:
-        raise DomainError("(p, q) must be coprime with pq != 0")
+    _check_weight(k2)
+    _check_pair(p, q)
     tot = 0j
     for r in range(k2 - 1):
         tot += (1j ** (1 - r) * comb(k2 - 2, r) * 2.0 ** (-r - 1)

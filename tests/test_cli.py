@@ -66,6 +66,12 @@ class TestSymbol:
         code, out = run(capsys, "symbol", *argv)
         assert code == 0 and json.loads(out)["rows"]
 
+    @pytest.mark.parametrize("which", ["D", "F", "E"])
+    def test_negative_length_exits_2(self, capsys, which):
+        code = main(["symbol", "--forms", "A=E4", "--pq", "3,5", "--length", "-1", "--which", which])
+        out, err = capsys.readouterr()
+        assert code == 2 and not out and "--length must be at least 0, got -1" in err
+
     def test_csv_format(self, capsys):
         code, out = run(capsys, "symbol", "--forms", "A=E4", "--pq", "3,5",
                         "--length", "1", "--format", "csv")
@@ -142,6 +148,12 @@ class TestGamma02:
         doc = json.loads(out)
         delta_row = [r for r in doc["rows"] if r["name"] == "delta"][0]
         assert abs(delta_row["re"] - 2 * mf.zeta(3)) < 1e-10
+
+    @pytest.mark.parametrize("weight", ["0", "2", "3", "5"])
+    def test_weight_without_a_form_exits_2(self, capsys, weight):
+        code = main(["gamma02", "--weight", weight, "--pq", "3,2"])
+        out, err = capsys.readouterr()
+        assert code == 2 and not out and "weight must be an even integer >= 4" in err
 
 
 class TestTable:

@@ -71,6 +71,19 @@ class TestCoefficients:
         for p in [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]:
             assert mf.delta_coeff(p * p) == mf.delta_coeff(p) ** 2 - p ** 11
 
+    @pytest.mark.parametrize("name, kind, weight, level", [
+        ("E4", "eisenstein", 4, 1), ("E16", "eisenstein", 16, 1),
+        ("E6,2", "eisenstein_gamma02", 6, 2), ("Delta", "cusp_delta", 12, 1)])
+    def test_form_by_name(self, name, kind, weight, level):
+        form = mf.form_by_name(name)
+        assert (form.kind, form.weight, form.level, form.name) == (kind, weight, level, name)
+
+    @pytest.mark.parametrize("name, match", [("Foo", "unknown modular form name 'Foo'"),
+                                             ("E3", "weight must be an even integer >= 4")])
+    def test_form_by_name_rejects(self, name, match):
+        with pytest.raises(ValueError, match=match):
+            mf.form_by_name(name)
+
     def test_gamma02_coeffs(self):
         f = mf.eisenstein_gamma02(4)
         assert f.coeff(0) == Fraction(1, 240)
@@ -287,6 +300,18 @@ class TestGamma02:
         for p, q in [(3, 1), (5, 2), (7, 3)]:
             assert abs(mf.gamma02_D(4, p, q) - mf.gamma02_D(4, p, p + q)) < 1e-11
 
+    @pytest.mark.parametrize("k2", [0, 2, 3, 5])
+    @pytest.mark.parametrize("closed_form", [mf.gamma02_D, mf.gamma02_F, mf.gamma02_delta])
+    def test_weight_without_a_form_raises(self, closed_form, k2):
+        with pytest.raises(ValueError, match="weight must be an even integer >= 4"):
+            closed_form(k2, 3, 2)
+
+    @pytest.mark.parametrize("closed_form", [mf.gamma02_D, mf.gamma02_F, mf.gamma02_delta])
+    def test_pair_domain(self, closed_form):
+        for p, q in [(2, 4), (3, 0)]:
+            with pytest.raises(DomainError, match="coprime with pq != 0"):
+                closed_form(4, p, q)
+
 
 class TestLaurentFit:
     def _samples(self, fn, pmax=8, per_p=6):
@@ -331,12 +356,12 @@ class TestLaurentFit:
 
 class TestFormValue:
     def test_sl2_reduction_invariance(self):
-        f = mf.eisenstein(4)
-        tau = 0.37 + 0.21j
-        # E4 is weight-4 modular: f(-1/tau) = tau^4 f(tau)
-        lhs = mf.form_value(f, -1 / tau)
-        rhs = tau ** 4 * mf.form_value(f, tau)
-        assert abs(lhs - rhs) < 1e-10 * abs(rhs)
+        # a level-one form of weight k is modular: f(-1/tau) = tau^k f(tau)
+        for f, tau in [(mf.eisenstein(4), 0.37 + 0.21j), (mf.eisenstein(6), 0.4 + 0.9j),
+                       (mf.delta_form(), 0.4 + 0.9j)]:
+            lhs = mf.form_value(f, -1 / tau)
+            rhs = tau ** f.weight * mf.form_value(f, tau)
+            assert abs(lhs - rhs) < 1e-10 * abs(rhs), f
 
     def test_gamma02_is_level1_at_2tau(self):
         f2 = mf.eisenstein_gamma02(6)
