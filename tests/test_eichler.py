@@ -61,6 +61,26 @@ class TestHAssignment:
         assert ab.word("BA") not in h.forms
 
 
+class TestOmega:
+    @staticmethod
+    def connection_form(h, tau, xy):
+        # word B reads h(B)(tau) (X - Y tau)^w(B)
+        X, Y = xy
+        coeffs = {word: mf.form_value(form, tau) * (X - Y * tau) ** h.alphabet.word_weight(word)
+                  for word, form in h.forms.items()}
+        return TruncSeries(h.alphabet, 2, coeffs, COMPLEX)
+
+    def test_gamma_invariance_at_S(self):
+        # Omega(S tau) d(S tau) at xy equals Omega(tau) d tau at S^-1 xy
+        h = h_pair()
+        tau = 0.4 + 0.9j
+        xy = (2.0, 3.0)
+        moved = self.connection_form(h, -1 / tau, xy).scale(1 / tau ** 2)
+        here = self.connection_form(h, tau, ei._mat_apply_xy(ei._mat_inv(S_MAT), xy))
+        assert set(moved.coeffs) == set(here.coeffs) == {(0,), (1,)}
+        assert moved.max_abs_diff(here) < 1e-10
+
+
 class TestTangentialBasePoint:
     def test_validation(self):
         ei.TangentialBasePoint(Fraction(1, 2), INF)
