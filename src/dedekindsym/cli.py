@@ -203,6 +203,8 @@ def _suite_axioms(args):
 
 
 def _suite_reciprocity(args):
+    if args.pmax < 2:
+        raise DomainError(f"--pmax must be at least 2, got {args.pmax}")
     rows = []
     for k2 in args.weights:
         worst = 0.0
@@ -303,6 +305,8 @@ def cmd_gamma02(args):
 def cmd_table(args):
     from concurrent.futures import ThreadPoolExecutor
 
+    if args.pmax < 1:
+        raise DomainError(f"--pmax must be at least 1, got {args.pmax}")
     forms = _parse_forms(args.forms)
     for form in forms.values():
         if form.level != 1:

@@ -51,11 +51,13 @@ One bounded memo holds the cusp limit RI(tau, i inf) per (assignment,
 tau, config).  Every build_D and build_F reads only the cusp limit at i,
 so a sweep over many pairs builds one series.
 A second bounded memo holds series evaluated at a point:
-each regularized end of reg_to_cusp, with points keyed up to sign, and
-D at each reduced pair of its recursion.  A miss runs the operations
-that it would run without the memo, so no output depends on what was
-evaluated before.  ``clear_caches()`` empties both memos and
-``cache_info()`` reports their sizes, hits and misses.
+each regularized end of reg_to_cusp, with its direction keyed by the
+lowest-terms integer pair (num, den), den > 0, and its point up to sign,
+and D at each reduced pair of its recursion.  build_D and build_F pass
+those pairs straight to the memoized end, so no Fraction is built there.
+A miss runs the operations that it would run without the memo, so no
+output depends on what was evaluated before.  ``clear_caches()`` empties
+both memos and ``cache_info()`` reports their sizes, hits and misses.
 
 I_inf needs no quadrature either.  Its antiderivative recursion runs once
 per (assignment, truncation) on a monomial axis, and the result is stored
@@ -333,8 +335,9 @@ def _cusp_series(h, tau, cfg):
 _PATHS_CAP = 256
 _PATHS = {}
 # One bounded memo of series evaluated at a point (TruncSeries): a
-# regularized end of reg_to_cusp under (assignment, tau, direction, point,
-# config), with the point keyed up to sign, and D at a reduced pair of
+# regularized end (``_reg_end``) under (assignment, tau, direction, point,
+# config), with the direction keyed by its lowest-terms integer pair
+# (num, den), den > 0, and the point up to sign, and D at a reduced pair of
 # build_D's recursion under (assignment, (p, q), config).  One sweep pass
 # fills 113 entries: 84 ends and 29 values of D.
 _VALUES_CAP = 1024
@@ -386,14 +389,21 @@ def reg_to_cusp(h, tau, direction, xy, cfg=IntegratorConfig()):
     half-plane to the tangential base point at i-infinity, at the numeric
     point xy: RI(tau, i inf) I_inf(tau, direction), both read at xy from
     stored polynomial arrays (the cusp limit centered at tau, I_inf in the
-    values of X - Y z at tau and at the direction).  The product is
-    memoized per (assignment, tau, direction, xy up to sign, config): the
-    two ends of F(p, q) are those of F(-q, p)."""
+    values of X - Y z at tau and at the direction).  The rational direction
+    is read once as its lowest-terms pair for ``_reg_end``."""
     direction = Fraction(direction)
-    tau = complex(tau)
+    return _reg_end(h, complex(tau), (direction.numerator, direction.denominator), xy, cfg)
+
+
+def _reg_end(h, tau, direction, xy, cfg):
+    """reg_to_cusp at the complex tau, with the direction given as its
+    lowest-terms integer pair (num, den), den > 0.  The product is memoized
+    per (assignment, tau, (num, den), xy up to sign, config): the two ends
+    of F(p, q) are those of F(-q, p).  num / den is the correctly rounded
+    float of the direction, as float(Fraction) is."""
     return _value((h, tau, direction, _unsigned(xy), cfg),
                   lambda: _at_point(h, _ri_limit(h, tau, cfg), xy, cfg.trunc, tau)
-                  * _i_inf_at(h, tau, float(direction), xy, cfg.trunc))
+                  * _i_inf_at(h, tau, direction[0] / direction[1], xy, cfg.trunc))
 
 
 def i_numeric(h, tau0, tau1, xy, cfg=IntegratorConfig()):
@@ -528,7 +538,7 @@ def build_D(h, p, q, cfg=IntegratorConfig()):
 def _recursion_step(h, p, q, below, cfg):
     """D at the reduced pair (p, q) from D below it, D(-q, p)."""
     if (p, q) == (1, 1):
-        return reg_to_cusp(h, 1j, 0, (0, 1), cfg).inverse() * reg_to_cusp(h, 1j, 0, (1, 0), cfg)
+        return _reg_end(h, 1j, (0, 1), (0, 1), cfg).inverse() * _reg_end(h, 1j, (0, 1), (1, 0), cfg)
     return build_F(h, p, q, cfg) * below * build_E(h, -p, q, cfg.trunc)
 
 
@@ -536,12 +546,12 @@ def build_F(h, p, q, cfg=IntegratorConfig()):
     """The reciprocity series: I from ->(q/p) at i-infinity to ->(q/p) at 0.
 
     The cusp-zero chart is gamma = S, which fixes the anchor i; the
-    numeric point pulls back to (p, -q).
+    numeric point pulls back to (p, -q).  The directions q/p and -p/q are
+    the coprime pairs (q, p) and (-p, q) with the sign on the numerator.
     """
     p, q = _validate_pair(p, q)
-    xy = (complex(q), complex(p))
-    head = reg_to_cusp(h, 1j, Fraction(q, p), xy, cfg)
-    tail = reg_to_cusp(h, 1j, Fraction(-p, q), (complex(p), complex(-q)), cfg)
+    head = _reg_end(h, 1j, (q, p) if p > 0 else (-q, -p), (complex(q), complex(p)), cfg)
+    tail = _reg_end(h, 1j, (-p, q) if q > 0 else (p, -q), (complex(p), complex(-q)), cfg)
     return head.inverse() * tail
 
 

@@ -186,18 +186,21 @@ def _delta_fns(f):
         if p == 1:
             return one if q >= 1 else f._at(1, 1)
         tails = contfrac.canonical_tails(p, q)
-        next(tails)  # t_0 = (p, q), the memo miss itself
-        path, acc = [], one
+        path = [next(tails)]  # t_0 = (p, q), the memo miss itself
         for t in map(tuple, tails):
-            path.append(t)
             hit = inv_memo.get(t)
             if hit is not None:
-                acc = TruncSeries._packed(f.alphabet, f.trunc, f.kind, *hit)
+                acc = TruncSeries._packed(f.alphabet, f.trunc, f.kind, *hit) * f._at(*t)
                 break
-        for i in range(len(path) - 1, 0, -1):
-            acc = acc * f._at(*path[i])
-            _remember(inv_memo, _MEMO_CAP, path[i - 1], (acc.vec, acc.den))
-        return acc * f._at(*path[0])
+            path.append(t)
+        else:
+            acc = f._at(*path.pop())  # D^(-1)(t_(n-1)) = F(t_n), as D^(-1)(t_n) = 1
+        # acc is D^(-1) at the last tail of the path
+        while len(path) > 1:
+            t = path.pop()
+            _remember(inv_memo, _MEMO_CAP, t, (acc.vec, acc.den))
+            acc = acc * f._at(*t)
+        return acc
 
     d_inv = _SeriesFn(walk, f.alphabet, f.trunc, f.kind, almost=True, memo="sign")
     d = SymbolFn(lambda p, q: d_inv._at(p, q).inverse(), f.alphabet, f.trunc, f.kind,
@@ -220,7 +223,8 @@ def delta(f):
     inverse D^(-1)(t_i) = D^(-1)(t_(i+1)) F(t_(i+1)), with D^(-1)(t_n) = 1.
     A memo miss walks the tails down to the first one already memoized (or
     to t_n), then fills the memo of D^(-1) back up, one product and no
-    inverse per new tail; D at an asked pair is one inverse of D^(-1) there.
+    inverse per new tail, but none for D^(-1)(t_(n-1)) = F(t_n); D at an
+    asked pair is one inverse of D^(-1) there.
     Both memos belong to F, held weakly, and are shared by every delta,
     ``bullet`` and ``bullet_inverse`` of F.  Exact inverses and products
     are unique in lowest terms, so an exact value is the left-to-right

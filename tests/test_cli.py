@@ -111,6 +111,13 @@ class TestVerify:
                         "--weights", "4", "--pmax", "5")
         assert code == 0
 
+    @pytest.mark.parametrize("pmax", ["1", "0", "-3"])
+    def test_reciprocity_pmax_below_2_exits_2(self, capsys, pmax):
+        # the law is checked at p = 2..pmax: below 2 there is nothing to check
+        code = main(["verify", "--suite", "reciprocity-law", "--pmax", pmax])
+        out, err = capsys.readouterr()
+        assert code == 2 and not out and f"--pmax must be at least 2, got {pmax}" in err
+
 
 class TestDecompose:
     def test_reports_residual_and_factor_axioms(self, capsys):
@@ -171,6 +178,12 @@ class TestTable:
         # could not
         code, out = run(capsys, "table", "--forms", "A=E4", "--pmax", "60")
         assert code == 0 and len(json.loads(out)["rows"]) == 1102
+
+    @pytest.mark.parametrize("pmax", ["0", "-3"])
+    def test_pmax_below_1_exits_2(self, capsys, pmax):
+        code = main(["table", "--forms", "A=E4", "--pmax", pmax])
+        out, err = capsys.readouterr()
+        assert code == 2 and not out and f"--pmax must be at least 1, got {pmax}" in err
 
     def test_deterministic_bytes(self, capsys):
         _, out1 = run(capsys, "table", "--forms", "A=E4", "--pmax", "5")

@@ -302,17 +302,17 @@ class TestIInfPaths:
 
     @staticmethod
     def build_points(h, monkeypatch):
-        """Every (tau, direction, xy) at which build_D and build_F call
-        reg_to_cusp over the signed grid (the points do not depend on the
-        truncation)."""
+        """Every (tau, direction, xy) at which build_D and build_F evaluate a
+        regularized end (``_reg_end``, direction as (num, den)) over the
+        signed grid (the points do not depend on the truncation)."""
         seen = {}
 
         def record(h, tau, direction, xy, cfg):
-            seen[complex(tau), Fraction(direction), tuple(map(complex, xy))] = None
+            seen[complex(tau), Fraction(*direction), tuple(map(complex, xy))] = None
             return TruncSeries.one(h.alphabet, cfg.trunc, COMPLEX)
 
         with monkeypatch.context() as m:
-            m.setattr(ei, "reg_to_cusp", record)
+            m.setattr(ei, "_reg_end", record)
             cfg = ei.IntegratorConfig(trunc=1)
             for p, q in SIGNED_GRID:
                 ei.build_D(h, p, q, cfg)
@@ -1007,30 +1007,72 @@ class TestBridgeSteps:
         assert (info["misses"], info["hits"], info["series"]) == (2, 0, 2)
         assert (info["value_misses"], info["value_hits"], info["values"]) == (2, 2, 2)
 
-    def test_sweep_pass_counts(self, monkeypatch):
-        # one pass of the benchmark's sweep: the couples (p, q), (q, -p) of
-        # the grid 1 <= p <= 9, 1 <= |q| <= 9 with p <= q, each op computing
-        # D(p, q) and D(-q, p) through the memoized evaluator, F and E.  It
-        # builds one series, the cusp limit at i, with no form_value call.
-        # It evaluates 84 distinct regularized ends (the ends of F(p, q) are
-        # those of F(-q, p)) and D at the 29 reduced pairs with p <= 9.
-        calls = []
-        monkeypatch.setattr(ei, "form_value", lambda *args: calls.append(args) or mf.form_value(*args))
-        h = h_pair()
+    @staticmethod
+    def sweep_pass(h):
+        """One pass of the benchmark's sweep from cleared caches: the couples
+        (p, q), (q, -p) of the grid 1 <= p <= 9, 1 <= |q| <= 9 with p <= q,
+        each op computing D(p, q) and D(-q, p) through the memoized
+        evaluator, F and E."""
         grid = [(p, q) for p in range(1, 10) for q in range(1, 10) if p <= q and math.gcd(p, q) == 1]
         ei.clear_caches()
         dh = ei.symbol_fn(h, CFG)
         for p, q in [pq for p, q in grid for pq in ((p, q), (q, -p))]:
             dh(p, q), dh(-q, p), ei.build_F(h, p, q, CFG), ei.build_E(h, p, q, CFG.trunc)
+
+    def test_sweep_pass_counts(self, monkeypatch):
+        # one sweep pass builds one series, the cusp limit at i, with no
+        # form_value call.  It evaluates 84 distinct regularized ends (the
+        # ends of F(p, q) are those of F(-q, p)) and D at the 29 reduced
+        # pairs with p <= 9.
+        calls = []
+        monkeypatch.setattr(ei, "form_value", lambda *args: calls.append(args) or mf.form_value(*args))
+        self.sweep_pass(h_pair())
         info = ei.cache_info()
         assert {key[1] for key in ei._PATHS} == {1j}
         assert (info["misses"], info["series"]) == (1, 1)
         assert calls == []
         assert (info["values"], info["value_misses"]) == (113, 113)
-        assert sum(len(key) == 5 for key in ei._VALUES) == 84     # (h, tau, direction, point, cfg)
+        ends = [key for key in ei._VALUES if len(key) == 5]     # (h, tau, (num, den), point, cfg)
+        assert len(ends) == 84
+        assert all(type(num) is int and type(den) is int and den > 0 and math.gcd(num, den) == 1
+                   for _, _, (num, den), _, _ in ends)
         reduced = {ei._reduced(p, q) for p in range(1, 10) for q in range(-9, 10) if q and math.gcd(p, q) == 1}
         assert {key[1] for key in ei._VALUES if len(key) == 3} == reduced   # (h, (p, q), cfg)
         assert len(reduced) == 29
+        ei.clear_caches()
+
+    def test_sweep_pass_builds_no_fraction(self, monkeypatch):
+        # every end is keyed by the integer pair of its direction: no
+        # Fraction is built, hashed or converted on the build_D/build_F path
+        h = h_pair()
+        self.sweep_pass(h)      # the forms cache their exact Fourier coefficients once per process
+        built = []
+        new = Fraction.__new__
+        monkeypatch.setattr(Fraction, "__new__", lambda cls, *args, **kw: built.append(args) or new(cls, *args, **kw))
+        self.sweep_pass(h)
+        monkeypatch.undo()
+        assert built == []
+        ei.clear_caches()
+
+    @pytest.mark.parametrize("p, q", [(3, 5), (-3, 5), (5, -3), (-7, -2), (1, 9), (9, 1)])
+    def test_reg_to_cusp_hits_the_ends_of_F(self, p, q):
+        # reg_to_cusp reads a rational direction as the pair build_F keys
+        # its ends by: after F(p, q) both of its ends are value-memo hits,
+        # with the bytes of a cold evaluation
+        h = h_pair()
+        ends = [(Fraction(q, p), (q, p)), (Fraction(-p, q), (p, -q))]
+        ei.clear_caches()
+        ei.build_F(h, p, q, CFG)
+        before = ei.cache_info()
+        warm = [ei.reg_to_cusp(h, 1j, s, xy, CFG).dumps() for s, xy in ends]
+        info = ei.cache_info()
+        assert info["value_hits"] == before["value_hits"] + 2
+        assert info["value_misses"] == before["value_misses"]
+        cold = []
+        for s, xy in ends:
+            ei.clear_caches()
+            cold.append(ei.reg_to_cusp(h, 1j, s, xy, CFG).dumps())
+        assert warm == cold
         ei.clear_caches()
 
 

@@ -375,11 +375,12 @@ class TestDeltaTails:
         monkeypatch.setattr(TruncSeries, "inverse", counted_inverse)
         d = sy.delta(f)
         # 1/3000 = <1, 2, ..., 2>: proper tails (2999, 3000), ..., (1, 2), far
-        # deeper than the recursion limit; D^(-1) takes one product per tail,
-        # and D one inverse, at the asked pair only
+        # deeper than the recursion limit; D^(-1) takes one product per tail
+        # but the last, as D^(-1) at the one before it is F(1, 2), and D one
+        # inverse, at the asked pair only
         d(3000, 1)
         assert sorted(asked) == [(j, j + 1) for j in range(1, 3000)]
-        assert counts == {"mul": 2999, "inverse": 1}
+        assert counts == {"mul": 2998, "inverse": 1}
         inv_memo, d_memo = sy._DELTA_MEMOS[f]
         assert len(inv_memo) == 2999 and d._memo is d_memo and len(d_memo) == 1
         # <5, 3, 2, ..., 2> joins those tails at <2, ..., 2> = (2990, 2991):
