@@ -12,6 +12,7 @@ non-convergence.
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from math import gcd
@@ -262,6 +263,8 @@ def cmd_verify(args):
 def cmd_decompose(args):
     if args.pq_samples < 1:
         raise DomainError(f"--pq-samples must be at least 1, got {args.pq_samples}")
+    if args.depth < 1:
+        raise DomainError(f"--depth must be at least 1, got {args.depth}")
     h = _assignment(args)
     cfg = eichler.IntegratorConfig(trunc=args.depth)
     dh = eichler.symbol_fn(h, cfg)
@@ -402,12 +405,17 @@ def build_parser():
 
 
 def main(argv=None):
+    # the integrator's arrays hold a few hundred entries: a threaded BLAS
+    # only costs numpy's import its thread pool.  A value already set wins
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
+        if not 0 <= args.tol < float("inf"):
+            raise DomainError(f"--tol must be finite and at least 0, got {args.tol}")
         return args.func(args)
     except NonConvergence as exc:
         print(f"error: {exc}", file=sys.stderr)

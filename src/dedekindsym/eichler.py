@@ -65,7 +65,8 @@ as a polynomial array that no point, direction or center enters.
 reg_to_cusp reads I_inf(tau, s) from it, in the monomials
 (X - s Y)^(w-k) (X - tau Y)^k (tau - s)^n of the values of X - Y z at the
 two ends.  Where build_D and build_F regularize, X - s Y = 0 (each word of
-I_inf is then one monomial) or Y = 0 (both end values are X).
+I_inf is then one monomial, read in closed form by one compiled kernel) or
+Y = 0 (both end values are X).
 """
 
 from collections import namedtuple
@@ -213,18 +214,57 @@ def _i_inf_paths(h, trunc):
     return reverse
 
 
+@lru_cache(maxsize=32)
+def _i_inf_top(h, trunc):
+    """The entries R[B, w(B), n] of ``_i_inf_paths`` that the closed form of
+    ``_i_inf_at`` reads, word after word in table order and n = 1..|B| within
+    a word, as one flat tuple.  The others on the top monomial are zero: a
+    nonempty word has no constant term in t, and each step of the
+    recursion adds one power of t and at least one letter."""
+    reverse = _i_inf_paths(h, trunc)
+    weight = h.alphabet.word_weight
+    return tuple(complex(reverse[i, weight(w), n])
+                 for i, w in enumerate(_split_table(h.alphabet, trunc).words) for n in range(1, len(w) + 1))
+
+
+@lru_cache(maxsize=32)
+def _top_kernel(alphabet, trunc):
+    """The straight-line kernel ``top(r, t, z)`` of the closed form: the
+    vector over the word table whose word B reads
+    (sum_{n=1..|B|} r_(B,n) t^n) z^w(B), with r the flat tuple of
+    ``_i_inf_top``.  The powers are repeated products, so z and -z give the
+    same bytes (every w(B) is even)."""
+    words = _split_table(alphabet, trunc).words
+    weights = [alphabet.word_weight(w) for w in words]
+    rows, at = ["1 + 0j, "], 0
+    for w, wt in zip(words[1:], weights[1:]):
+        poly = " + ".join(f"r[{at + n}] * t{n + 1}" for n in range(len(w)))
+        rows.append(f"({poly}){f' * z{wt}' if wt else ''}, ")
+        at += len(w)
+    tpow = "".join(f"    t{n} = t{n - 1} * t\n" for n in range(2, trunc + 1))
+    zpow = "".join(f"    z{k} = z{k - 1} * z\n" for k in range(2, max(weights) + 1))
+    kernel = {}
+    exec(f"def top(r, t, z):\n    t1, z1 = t, z\n{tpow}{zpow}    return ({''.join(rows)})\n", kernel)
+    return kernel["top"]
+
+
 def _i_inf_at(h, tau, s, xy, trunc):
     """I_inf(tau, s) at the numeric point xy from the stored array R of
     ``_i_inf_paths``: word B reads sum_{k,n} R[B, k, n] (X - s Y)^(w-k)
     (X - tau Y)^k (tau - s)^n.  Where X - s Y = 0 each word reads one
-    monomial."""
-    reverse = _i_inf_paths(h, trunc)
+    monomial, (sum_n R[B, w(B), n] t^n) (X - tau Y)^w(B) with t = tau - s,
+    and ``_top_kernel`` writes it in plain Python arithmetic.  The branch
+    is taken only where the float X - s Y is exactly 0; every other point
+    goes through numpy's product with the powers of t and ``_at_point``."""
     X, Y = complex(xy[0]), complex(xy[1])
-    t = tau - s
+    t, x = tau - s, X - s * Y
+    if x == 0:
+        return TruncSeries._from_vec(h.alphabet, trunc,
+                                     _top_kernel(h.alphabet, trunc)(_i_inf_top(h, trunc), t, X - tau * Y))
     powers = [1 + 0j]
     for _ in range(trunc):
         powers.append(powers[-1] * t)
-    return _at_point(h, reverse @ powers, (X - s * Y, X - tau * Y), trunc, 0)
+    return _at_point(h, _i_inf_paths(h, trunc) @ powers, (x, X - tau * Y), trunc, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -207,3 +208,37 @@ class TestEichlerSuite:
         assert code == 0
         doc = json.loads(out)
         assert all(r["pass"] for r in doc["rows"])
+
+
+class TestArguments:
+    @pytest.mark.parametrize("argv", [["symbol", "--forms", "A=E4", "--pq=1,2"],
+                                      ["verify", "--suite", "bijection", "--samples", "1"],
+                                      ["decompose", "--forms", "A=E4", "--depth", "2"]])
+    @pytest.mark.parametrize("tol", ["-1", "nan", "inf", "-inf"])
+    def test_bad_tol_exits_2(self, capsys, argv, tol):
+        # a negative --tol passes nothing and blames the input, nan passes
+        # everything; both are refused before any work
+        code = main([*argv, f"--tol={tol}"])
+        out, err = capsys.readouterr()
+        assert code == 2 and not out and "--tol must be finite and at least 0" in err
+
+    def test_zero_tol_is_valid(self, capsys):
+        code, out = run(capsys, "symbol", "--forms", "A=E4", "--pq", "3,5", "--length", "1", "--tol", "0")
+        assert code == 0 and json.loads(out)["meta"]["tolerance"] == 0.0
+
+    @pytest.mark.parametrize("depth", ["0", "-2"])
+    def test_decompose_depth_below_1_exits_2(self, capsys, depth):
+        # at depth 0 there is no word to peel and the one row checks nothing
+        code = main(["decompose", "--forms", "A=E4", "--depth", depth])
+        out, err = capsys.readouterr()
+        assert code == 2 and not out and f"--depth must be at least 1, got {depth}" in err
+
+    def test_openblas_starts_one_thread(self, capsys, monkeypatch):
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        assert run(capsys, "cfrac", "--pq", "3,5")[0] == 0
+        assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
+
+    def test_openblas_threads_set_by_the_user_win(self, capsys, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+        assert run(capsys, "cfrac", "--pq", "3,5")[0] == 0
+        assert os.environ["OPENBLAS_NUM_THREADS"] == "3"

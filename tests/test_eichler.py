@@ -247,6 +247,18 @@ def i_inf_per_point(h, tau0, tau1, xy, trunc):
     return TruncSeries._from_vec(h.alphabet, trunc, [poly_eval(p, complex(tau1)) for p in polys.values()])
 
 
+def i_inf_general(h, tau, s, xy, trunc):
+    """I_inf(tau, s) at xy by the path ``_i_inf_at`` takes off the line
+    X - s Y = 0, here taken at every point: numpy's product of the stored
+    array with the powers of t = tau - s, read by ``_at_point`` in the two
+    end values."""
+    X, Y = complex(xy[0]), complex(xy[1])
+    powers = [1 + 0j]
+    for _ in range(trunc):
+        powers.append(powers[-1] * (tau - s))
+    return ei._at_point(h, ei._i_inf_paths(h, trunc) @ powers, (X - s * Y, X - tau * Y), trunc, 0)
+
+
 def i_inf_mpmath(h, tau, s, xy, trunc, dps=30):
     """I_inf(tau, s) at the numeric point xy to ``dps`` digits, as the list of
     its coefficients over the word table: the forward antiderivative
@@ -375,6 +387,61 @@ class TestIInfPaths:
         assert max(s.is_grouplike(relative=True).worst for s in d.values()) <= 1e-12
         assert max(relative_gap(d[p, q], d[p, p + q]) for p, q in SIGNED_GRID if (p, p + q) in d) <= 1e-12
         assert max(relative_gap(d[p, q], d[-p, -q]) for p, q in SIGNED_GRID) <= 1e-12
+
+
+class TestOnLineClosedForm:
+    """I_inf(tau, s) where the float X - s Y is 0 and each word keeps its
+    top monomial: the ends of build_F, bar float residues, and the (0, 1)
+    end of D(1, 1)."""
+
+    SETTINGS = {"E4,E6": h_pair, "Delta": h_delta, "E4,Delta": h_e4_delta}
+    GRID = [(p, q) for p in range(-60, 61) for q in range(-60, 61) if p and q and math.gcd(p, q) == 1]
+
+    @pytest.mark.parametrize("name", sorted(SETTINGS))
+    def test_matches_general_evaluation(self, name):
+        # the heads of F over the signed 60-grid, every end of build_F up
+        # to sign; the closed form runs where the float X - s Y is 0.
+        # Bound fixed beforehand: 1e-15 of max(1, largest coefficient)
+        h = self.SETTINGS[name]()
+        on_line = [(q / p, (complex(q), complex(p))) for p, q in self.GRID if complex(q) - q / p * complex(p) == 0]
+        assert len(on_line) > 0.9 * len(self.GRID)
+        for trunc in (1, 2, 3):
+            for s, xy in on_line:
+                got = ei._i_inf_at(h, 1j, s, xy, trunc)
+                assert relative_gap(got, i_inf_general(h, 1j, s, xy, trunc)) <= 1e-15, (s, xy, trunc)
+
+    def test_negated_point_same_bytes(self):
+        # the branch and the kernel's powers are even in (X, Y), so either
+        # sign fills an end's memo key with the same bytes
+        h = h_pair()
+        cfg = ei.IntegratorConfig(trunc=3)
+        assert 7 - 7 / 5 * 5 == 0
+        ei.clear_caches()
+        here = ei.build_F(h, 5, 7, cfg).dumps(), ei._i_inf_at(h, 1j, 7 / 5, (7 + 0j, 5 + 0j), 3).dumps()
+        ei.clear_caches()
+        there = ei.build_F(h, -5, -7, cfg).dumps(), ei._i_inf_at(h, 1j, 7 / 5, (-7 + 0j, -5 + 0j), 3).dumps()
+        assert here == there
+        ei.clear_caches()
+
+    def test_both_branches_in_one_F(self):
+        # the head of F(7, 29) has a float residue and keeps the general
+        # path; its tail is on its line.  Bounds fixed beforehand: group-like
+        # within 1e-13, and 1e-15 of max(1, largest coefficient) from F with
+        # both ends read by the general path
+        h = h_pair()
+        cfg = ei.IntegratorConfig(trunc=3)
+        assert 29 - 29 / 7 * 7 != 0 and 7 - (-7 / 29) * -29 == 0
+        ei.clear_caches()
+        got = ei.build_F(h, 7, 29, cfg)
+        cusp = ei._ri_limit(h, 1j, cfg)
+
+        def general_end(s, xy):
+            return ei._at_point(h, cusp, xy, 3, 1j) * i_inf_general(h, 1j, s, xy, 3)
+
+        want = general_end(29 / 7, (29 + 0j, 7 + 0j)).inverse() * general_end(-7 / 29, (7 + 0j, -29 + 0j))
+        assert got.is_grouplike(relative=True).worst <= 1e-13
+        assert relative_gap(got, want) <= 1e-15
+        ei.clear_caches()
 
 
 class TestPullback:
@@ -1039,6 +1106,17 @@ class TestBridgeSteps:
         reduced = {ei._reduced(p, q) for p in range(1, 10) for q in range(-9, 10) if q and math.gcd(p, q) == 1}
         assert {key[1] for key in ei._VALUES if len(key) == 3} == reduced   # (h, (p, q), cfg)
         assert len(reduced) == 29
+        ei.clear_caches()
+
+    def test_sweep_pass_at_point_calls(self, monkeypatch):
+        # 84 cusp halves and one general I_inf half, at the (1, 0) end of
+        # D(1, 1): every other end lies on its direction's line
+        calls = []
+        at_point = ei._at_point
+        monkeypatch.setattr(ei, "_at_point", lambda *args: calls.append(args) or at_point(*args))
+        self.sweep_pass(h_pair())
+        assert len(calls) == 85
+        assert sum(center == 0 for *_, center in calls) == 1
         ei.clear_caches()
 
     def test_sweep_pass_builds_no_fraction(self, monkeypatch):
