@@ -351,17 +351,18 @@ def build_parser():
                                  description="Multiple Dedekind symbols and reciprocity functions")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def common(sp, tol=False):
         sp.add_argument("--out", help="write output to a file instead of stdout")
         sp.add_argument("--format", choices=("json", "csv"), default="json")
-        sp.add_argument("--tol", type=float, default=1e-8)
+        if tol:
+            sp.add_argument("--tol", type=float, default=1e-8)
 
     sp = sub.add_parser("symbol", help="evaluate the symbol/reciprocity series of modular forms")
     sp.add_argument("--forms", required=True, help="letter assignments, e.g. A=E4,B=E6")
     sp.add_argument("--pq", required=True, help="coprime pair P,Q")
     sp.add_argument("--length", type=int, default=2, help="truncation length")
     sp.add_argument("--which", choices=("D", "F", "E"), default="D")
-    common(sp)
+    common(sp, tol=True)
     sp.set_defaults(func=cmd_symbol)
 
     sp = sub.add_parser("verify", help="run a verification suite")
@@ -372,7 +373,7 @@ def build_parser():
     sp.add_argument("--pmax", type=int, default=13)
     sp.add_argument("--corrupt", action="store_true",
                     help="negative control: corrupt one fixture and expect failure")
-    common(sp)
+    common(sp, tol=True)
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("decompose", help="peel a reciprocity function into exponential factors")
@@ -380,7 +381,7 @@ def build_parser():
     sp.add_argument("--depth", type=int, default=2)
     sp.add_argument("--pq-samples", dest="pq_samples", type=int, default=8)
     sp.add_argument("--seed", type=int, default=0)
-    common(sp)
+    common(sp, tol=True)
     sp.set_defaults(func=cmd_decompose)
 
     sp = sub.add_parser("gamma02", help="closed forms for the second Gamma_0(2) Eisenstein series")
@@ -414,7 +415,7 @@ def main(argv=None):
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        if not 0 <= args.tol < float("inf"):
+        if not 0 <= getattr(args, "tol", 0) < float("inf"):
             raise DomainError(f"--tol must be finite and at least 0, got {args.tol}")
         return args.func(args)
     except NonConvergence as exc:

@@ -55,31 +55,23 @@ class CFSeq:
 
 
 def evaluate(s):
-    """Coprime pair (p, q) with <a0,...,an> = q/p.
+    """Coprime pair (p, q) with <a0,...,an> = q/p: the head of ``tails``.
 
     Raises DivisionByZeroTail when the nested fraction is undefined, i.e.
     when P vanishes for some tail.
     """
-    entries = s.entries if isinstance(s, CFSeq) else tuple(s)
-    p, q = 1, entries[-1]
-    for i in range(len(entries) - 2, -1, -1):
-        if q == 0:
-            # tail <a(i+1),...,an> evaluates to 0: the enclosing 1/tail is undefined
-            raise DivisionByZeroTail(f"tail at index {i + 1} of {list(entries)} evaluates to 0")
-        p, q = q, entries[i] * q - p
-    if p == 0:
-        raise DivisionByZeroTail(f"{list(entries)} has vanishing denominator")
-    assert gcd(p, q) == 1
-    return CoprimePair(p, q)
+    return tails(s)[0]
 
 
 def tails(s):
-    """Pairs (p_i, q_i) with q_i/p_i = <a_i,...,a_n>, i = 0..n."""
-    entries = s.entries if isinstance(s, CFSeq) else tuple(s)
+    """Pairs (p_i, q_i) with q_i/p_i = <a_i,...,a_n>, i = 0..n, of a CFSeq
+    or of a raw sequence, read as a CFSeq."""
+    entries = (s if isinstance(s, CFSeq) else CFSeq(s)).entries
     out = [CoprimePair(1, entries[-1])]
     for i in range(len(entries) - 2, -1, -1):
         p, q = out[-1]
         if q == 0:
+            # tail <a(i+1),...,an> evaluates to 0: the enclosing 1/tail is undefined
             raise DivisionByZeroTail(f"tail at index {i + 1} of {list(entries)} evaluates to 0")
         out.append(CoprimePair(q, entries[i] * q - p))
     out.reverse()

@@ -35,17 +35,15 @@ is one regularized end at i inf.  So is each factor of i_numeric: I(a, b)
 
 Every Chen series here runs along a fixed path, and its coefficient of
 word B is a homogeneous polynomial of degree w(B) in (X, Y).  So each path
-is computed once, for all points at once, on a monomial axis: a series
-is a (words, K) complex array, K = 1 + the largest word weight in the
-table, and entry k of word B is the coefficient of (X - c Y)^(w(B)-k) Y^k.
+is computed once, for all points at once, on a monomial axis: entry k of
+word B, k <= w(B), is the coefficient of (X - c Y)^(w(B)-k) Y^k.
 The center c is the start tau of the cusp path; with c = 0 the monomial
 sums of the weight-20 words of E4/Delta cancel to three digits at points
 such as (5, 3).  The connection form expands (X - Y z)^w as
-sum_k C(w, k) (X - c Y)^(w-k) Y^k (c - z)^k.  A series at a point (X, Y)
-is the sum of its entries times the monomials, whose powers are computed
-once per point.  The cusp limit carries two more axes while it is built,
-the Fourier index n and the power of s: a product with Omega(tau + s) is
-a convolution along n and a shift of k and the power of s together.
+sum_k C(w, k) (X - c Y)^(w-k) Y^k (c - z)^k.  The cusp limit carries two
+more axes while it is built, the Fourier index n and the power of s: a
+product with Omega(tau + s) is a convolution along n and a shift of k and
+the power of s together.
 
 One bounded memo holds the cusp limit RI(tau, i inf) per (assignment,
 tau, config).  Every build_D and build_F reads only the cusp limit at i,
@@ -60,13 +58,14 @@ output depends on what was evaluated before.  ``clear_caches()`` empties
 both memos and ``cache_info()`` reports their sizes, hits and misses.
 
 I_inf needs no quadrature either.  Its antiderivative recursion runs once
-per (assignment, truncation) on a monomial axis, and the result is stored
-as a polynomial array that no point, direction or center enters.
-reg_to_cusp reads I_inf(tau, s) from it, in the monomials
+per (assignment, truncation) on a monomial axis, into a polynomial array
+that no point, direction or center enters, in the monomials
 (X - s Y)^(w-k) (X - tau Y)^k (tau - s)^n of the values of X - Y z at the
-two ends.  Where build_D and build_F regularize, X - s Y = 0 (each word of
-I_inf is then one monomial, read in closed form by one compiled kernel) or
-Y = 0 (both end values are X).
+two ends.  numpy only builds the arrays.  Each is stored as a flat tuple
+and read at a point by a straight-line kernel compiled per word table
+(``_read_kernel``), in plain Python arithmetic.  Where build_F
+regularizes, X - s Y = 0, and the kernel reads each word of I_inf as one
+monomial.
 """
 
 from collections import namedtuple
@@ -140,47 +139,61 @@ IntegratorConfig = namedtuple("IntegratorConfig", "trunc", defaults=(2,))
 # ---------------------------------------------------------------------------
 # Series with polynomial coefficients on the monomial axis
 
-_MonoTable = namedtuple("_MonoTable", "index exps xpow mask")
-
-
 @lru_cache(maxsize=32)
-def _mono_table(alphabet, trunc):
-    """The word table of ``series`` for arrays with a monomial axis.
+def _read_kernel(alphabet, trunc, degree, zeros=frozenset()):
+    """The straight-line kernel ``read(c, x, z, t)`` that reads a stored
+    series at a point.  c is the flat tuple of a (words, K, degree + 1)
+    array over the word table of ``series`` (no last axis at degree 0),
+    K = 1 + the largest word weight, and word B of the result is
+    sum_{k <= w(B)} x^(w(B)-k) z^k sum_n c[B, k, n] t^n, n = 1..min(|B|, degree)
+    for a nonempty word at degree > 0 (each step of I_inf's recursion adds
+    a power of t and a letter).  At x = 0 word B reads its top monomial,
+    (sum_n c[B, w(B), n] t^n) z^w(B); elsewhere each power of t multiplies
+    one sum over k, of the entries not at the flat indices ``zeros`` times
+    monomials x^a z^k shared by the words of one weight.  Powers are repeated
+    products: (-x, -z) gives the bytes of (x, z), as every w(B) is even."""
+    words = _split_table(alphabet, trunc).words
+    K = 1 + trunc * max(alphabet.weights)
 
-    ``exps[B, k]`` is the exponent
-    w(B) - k of X in the monomial k of word B, negative where word B has no
-    such monomial; its K = 1 + (largest word weight) columns are the
-    monomial axis.  ``mask`` marks the monomials that exist, and ``xpow``
-    is ``exps`` clipped at 0, the index of the power of X to gather."""
-    import numpy as np   # in each function that builds arrays: the exact path never loads it
+    def mono(a, k):
+        return f" * m{a}_{k}" if a and k else f" * x{a}" if a else f" * z{k}" if k else ""
 
-    tab = _split_table(alphabet, trunc)
-    weights = np.array([alphabet.word_weight(w) for w in tab.words])
-    exps = weights[:, None] - np.arange(weights.max() + 1)
-    return _MonoTable(tab.index, exps, np.maximum(exps, 0), exps >= 0)
+    tops, sums, monos = [], [], set()
+    for i, word in enumerate(words):
+        w = alphabet.word_weight(word)
+        ns = range(1 if degree and word else 0, min(degree, len(word)) + 1)
+        at = {(k, n): (i * K + k) * (degree + 1) + n for k in range(w + 1) for n in ns}
+        tn = {n: f" * t{n}" if n else "" for n in ns}
+        live = {n: [k for k in range(w + 1) if at[k, n] not in zeros] for n in ns}
+        monos.update((w - k, k) for n in ns for k in live[n] if k < w)
+        tops.append(f"({' + '.join(f'c[{at[w, n]}]{tn[n]}' for n in ns)}){mono(0, w)}")
+        sums.append(" + ".join(f"({' + '.join(f'c[{at[k, n]}]{mono(w - k, k)}' for k in live[n])}){tn[n]}"
+                               for n in ns if live[n]) or "0j")
+    lines = ["def read(c, x, z, t):", "    x1, z1, t1 = x, z, t"]
+    lines += [f"    z{n} = z{n - 1} * z" for n in range(2, K)]
+    lines += [f"    t{n} = t{n - 1} * t" for n in range(2, min(degree, trunc) + 1)]
+    lines += ["    if not x:", f"        return ({''.join(e + ', ' for e in tops)})"]
+    lines += [f"    x{n} = x{n - 1} * x" for n in range(2, max((a for a, _ in monos), default=0) + 1)]
+    lines += [f"    m{a}_{k} = x{a} * z{k}" for a, k in sorted(monos) if k]
+    lines += [f"    return ({''.join(e + ', ' for e in sums)})"]
+    kernel = {}
+    exec("\n".join(lines), kernel)
+    return kernel["read"]
 
 
 def _at_point(h, coef, xy, trunc, center):
-    """The (words, K) series ``coef`` centered at c, at the numeric point
-    xy = (X, Y): word B reads sum_k coef[B, k] (X - c Y)^(w(B)-k) Y^k.  The
-    powers are repeated products, so (-X, -Y) gives the same bytes (every
-    w(B) is even)."""
-    import numpy as np
-
-    mt = _mono_table(h.alphabet, trunc)
+    """The flat (words, K) series ``coef`` centered at c, at the numeric
+    point xy = (X, Y): word B reads sum_k coef[B, k] (X - c Y)^(w(B)-k) Y^k,
+    by ``_read_kernel`` at x = X - c Y and z = Y."""
     Y = complex(xy[1])
-    X = complex(xy[0]) - center * Y
-    px, py = [1 + 0j], [1 + 0j]
-    for _ in range(mt.exps.shape[1] - 1):
-        px.append(px[-1] * X)
-        py.append(py[-1] * Y)
-    mono = np.where(mt.mask, np.array(px)[mt.xpow] * np.array(py), 0)
-    return TruncSeries._from_vec(h.alphabet, trunc, (coef * mono).sum(axis=1).tolist())
+    vec = _read_kernel(h.alphabet, trunc, 0)(coef, complex(xy[0]) - center * Y, Y, 0)
+    return TruncSeries._from_vec(h.alphabet, trunc, vec)
 
 
 @lru_cache(maxsize=32)
 def _i_inf_paths(h, trunc):
-    """I_inf(tau, s) for any two points as a polynomial array.
+    """I_inf(tau, s) for any two points as a polynomial array, stored as its
+    flat tuple with the ``_read_kernel`` that reads it and skips its zeros.
 
     The array is (words, K, trunc + 1): entry [B, k, n] is the
     coefficient of m_k t^n, where t = tau - s and
@@ -192,79 +205,35 @@ def _i_inf_paths(h, trunc):
     monomial, with positive weights.  For letter-only assignments the
     entries of one word and one n therefore share their sign, and neither
     building nor evaluating them cancels."""
-    import numpy as np
+    import numpy as np   # in each function that builds arrays: the exact path never loads it
 
-    mt = _mono_table(h.alphabet, trunc)
+    index = _split_table(h.alphabet, trunc).index
     weight = h.alphabet.word_weight
     a0 = {w: c for w, c in h.constant_terms().items() if len(w) <= trunc and c != 0}
-    reverse = np.zeros((*mt.exps.shape, trunc + 1), dtype=complex)
+    reverse = np.zeros((len(index), 1 + trunc * max(h.alphabet.weights), trunc + 1), dtype=complex)
     reverse[0, 0, 0] = 1.0
     for word in h.alphabet.iter_words(trunc, min_len=1):
         rhs = np.zeros(reverse.shape[1:], dtype=complex)       # -(Omega_inf J) of the word
         for k in range(1, len(word) + 1):
             if word[:k] in a0:
                 shift = weight(word[:k])
-                rhs[shift:] -= a0[word[:k]] * reverse[mt.index[word[k:]], :rhs.shape[0] - shift]
-        row = reverse[mt.index[word]]
+                rhs[shift:] -= a0[word[:k]] * reverse[index[word[k:]], :rhs.shape[0] - shift]
+        row = reverse[index[word]]
         for n in range(trunc):
             above = 0j
             for k in range(weight(word), -1, -1):
                 above = row[k, n + 1] = (rhs[k, n] + (k + 1) * above) / (k + n + 1)
-    reverse.flags.writeable = False
-    return reverse
-
-
-@lru_cache(maxsize=32)
-def _i_inf_top(h, trunc):
-    """The entries R[B, w(B), n] of ``_i_inf_paths`` that the closed form of
-    ``_i_inf_at`` reads, word after word in table order and n = 1..|B| within
-    a word, as one flat tuple.  The others on the top monomial are zero: a
-    nonempty word has no constant term in t, and each step of the
-    recursion adds one power of t and at least one letter."""
-    reverse = _i_inf_paths(h, trunc)
-    weight = h.alphabet.word_weight
-    return tuple(complex(reverse[i, weight(w), n])
-                 for i, w in enumerate(_split_table(h.alphabet, trunc).words) for n in range(1, len(w) + 1))
-
-
-@lru_cache(maxsize=32)
-def _top_kernel(alphabet, trunc):
-    """The straight-line kernel ``top(r, t, z)`` of the closed form: the
-    vector over the word table whose word B reads
-    (sum_{n=1..|B|} r_(B,n) t^n) z^w(B), with r the flat tuple of
-    ``_i_inf_top``.  The powers are repeated products, so z and -z give the
-    same bytes (every w(B) is even)."""
-    words = _split_table(alphabet, trunc).words
-    weights = [alphabet.word_weight(w) for w in words]
-    rows, at = ["1 + 0j, "], 0
-    for w, wt in zip(words[1:], weights[1:]):
-        poly = " + ".join(f"r[{at + n}] * t{n + 1}" for n in range(len(w)))
-        rows.append(f"({poly}){f' * z{wt}' if wt else ''}, ")
-        at += len(w)
-    tpow = "".join(f"    t{n} = t{n - 1} * t\n" for n in range(2, trunc + 1))
-    zpow = "".join(f"    z{k} = z{k - 1} * z\n" for k in range(2, max(weights) + 1))
-    kernel = {}
-    exec(f"def top(r, t, z):\n    t1, z1 = t, z\n{tpow}{zpow}    return ({''.join(rows)})\n", kernel)
-    return kernel["top"]
+    flat = reverse.ravel()
+    return tuple(flat.tolist()), _read_kernel(h.alphabet, trunc, trunc, frozenset(np.flatnonzero(flat == 0).tolist()))
 
 
 def _i_inf_at(h, tau, s, xy, trunc):
-    """I_inf(tau, s) at the numeric point xy from the stored array R of
-    ``_i_inf_paths``: word B reads sum_{k,n} R[B, k, n] (X - s Y)^(w-k)
-    (X - tau Y)^k (tau - s)^n.  Where X - s Y = 0 each word reads one
-    monomial, (sum_n R[B, w(B), n] t^n) (X - tau Y)^w(B) with t = tau - s,
-    and ``_top_kernel`` writes it in plain Python arithmetic.  The branch
-    is taken only where the float X - s Y is exactly 0; every other point
-    goes through numpy's product with the powers of t and ``_at_point``."""
+    """I_inf(tau, s) at the numeric point xy: ``_i_inf_paths`` read by its
+    kernel at x = X - s Y, z = X - tau Y and t = tau - s (x = 0 where
+    build_F regularizes)."""
     X, Y = complex(xy[0]), complex(xy[1])
-    t, x = tau - s, X - s * Y
-    if x == 0:
-        return TruncSeries._from_vec(h.alphabet, trunc,
-                                     _top_kernel(h.alphabet, trunc)(_i_inf_top(h, trunc), t, X - tau * Y))
-    powers = [1 + 0j]
-    for _ in range(trunc):
-        powers.append(powers[-1] * t)
-    return _at_point(h, _i_inf_paths(h, trunc) @ powers, (x, X - tau * Y), trunc, 0)
+    flat, read = _i_inf_paths(h, trunc)
+    return TruncSeries._from_vec(h.alphabet, trunc, read(flat, X - s * Y, X - tau * Y, tau - s))
 
 
 # ---------------------------------------------------------------------------
@@ -321,18 +290,19 @@ def _primitive_factors(N, J):
 
 
 def _cusp_series(h, tau, cfg):
-    """RI(tau, i inf) as a (words, K) series centered at tau: the constant
-    terms P_w(0) of the exponential polynomial G(s) = I(tau, tau + s),
-    built word by word from G' = G Omega(tau + s) (see the module
-    docstring).  G_w is an array over the Fourier index n <= N, the power
-    j <= w(w) + |w| of s and the monomial k <= w(w)."""
+    """RI(tau, i inf) as the flat tuple of a (words, K) series centered at
+    tau: the constant terms P_w(0) of the exponential polynomial
+    G(s) = I(tau, tau + s), built word by word from G' = G Omega(tau + s)
+    (see the module docstring).  G_w is an array over the Fourier index
+    n <= N, the power j <= w(w) + |w| of s and the monomial k <= w(w)."""
     import numpy as np
 
     if tau.imag <= 0:
         raise ValueError("tau must lie in the upper half-plane")
     N = _cutoff(h, tau, cfg)
-    mt = _mono_table(h.alphabet, cfg.trunc)
-    up, down = _primitive_factors(N, mt.exps.shape[1] + cfg.trunc)
+    index = _split_table(h.alphabet, cfg.trunc).index
+    K = 1 + cfg.trunc * max(h.alphabet.weights)
+    up, down = _primitive_factors(N, K + cfg.trunc)
     qn = np.exp(2j * pi * tau * np.arange(N + 1))
     weight = h.alphabet.word_weight
     steps = {}
@@ -344,7 +314,7 @@ def _cusp_series(h, tau, cfg):
             steps[word] = f, [(-1) ** k * comb(weight(word), k) for k in range(weight(word) + 1)]
     G = {(): np.zeros((N + 1, 1, 1), dtype=complex)}
     G[()][0, 0, 0] = 1.0
-    out = np.zeros(mt.exps.shape, dtype=complex)
+    out = np.zeros((len(index), K), dtype=complex)
     out[0, 0] = 1.0
     for word in h.alphabet.iter_words(cfg.trunc, min_len=1):
         wt = weight(word)
@@ -365,9 +335,9 @@ def _cusp_series(h, tau, cfg):
         # s^j e^(cs) -> sum_{i <= j} up_i down_j s^i e^(cs): a cumulative sum from the top
         g[1:] = up[:, :J, None] * np.cumsum((down[:, :J, None] * rhs[1:])[:, ::-1], axis=1)[:, ::-1]
         g[0, 0] = -g[1:, 0].sum(axis=0)                          # G_w(0) = 0
-        out[mt.index[word], :wt + 1] = g[0, 0]
+        out[index[word], :wt + 1] = g[0, 0]
         G[word] = g
-    return out
+    return tuple(out.ravel().tolist())
 
 
 # One bounded memo of cusp limits RI(tau, i inf), keyed by (assignment,
@@ -409,28 +379,25 @@ def _unsigned(xy):
 # Regularization at the cusp i-infinity
 
 def _ri_limit(h, tau, cfg):
-    """RI(tau, i inf) as a (words, K) series centered at tau; memoized per
-    (assignment, tau, config)."""
-    tau = complex(tau)
-    key = (h, tau, cfg)
+    """RI(tau, i inf) as the flat tuple of a (words, K) series centered at
+    tau; memoized per (assignment, tau, config)."""
+    key = (h, complex(tau), cfg)
     got = _PATHS.get(key)
-    if got is not None:
+    if got is None:
+        _COUNTS["misses"] += 1
+        got = _cusp_series(h, key[1], cfg)
+        _remember(_PATHS, _PATHS_CAP, key, got)
+    else:
         _COUNTS["hits"] += 1
-        return got
-    _COUNTS["misses"] += 1
-    got = _cusp_series(h, tau, cfg)
-    got.flags.writeable = False
-    _remember(_PATHS, _PATHS_CAP, key, got)
     return got
 
 
 def reg_to_cusp(h, tau, direction, xy, cfg=IntegratorConfig()):
     """I(tau, ->direction_inf): regularized integral from tau in the upper
     half-plane to the tangential base point at i-infinity, at the numeric
-    point xy: RI(tau, i inf) I_inf(tau, direction), both read at xy from
-    stored polynomial arrays (the cusp limit centered at tau, I_inf in the
-    values of X - Y z at tau and at the direction).  The rational direction
-    is read once as its lowest-terms pair for ``_reg_end``."""
+    point xy: RI(tau, i inf) I_inf(tau, direction), each read at xy from
+    its stored series.  The rational direction is read once as its
+    lowest-terms pair for ``_reg_end``."""
     direction = Fraction(direction)
     return _reg_end(h, complex(tau), (direction.numerator, direction.denominator), xy, cfg)
 

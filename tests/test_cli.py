@@ -222,6 +222,18 @@ class TestArguments:
         out, err = capsys.readouterr()
         assert code == 2 and not out and "--tol must be finite and at least 0" in err
 
+    @pytest.mark.parametrize("argv", [["table", "--forms", "A=E4", "--pmax", "2"],
+                                      ["gamma02", "--weight", "4", "--pq", "2,1"],
+                                      ["cfrac", "--pq", "3,5"]])
+    @pytest.mark.parametrize("tol", ["1", "-5"])
+    def test_tol_refused_where_unread(self, capsys, argv, tol):
+        # table, gamma02 and cfrac compare nothing against a tolerance, so
+        # they have no --tol flag to ignore or to blame
+        code = main([*argv, "--tol", tol])
+        out, err = capsys.readouterr()
+        assert code == 2 and not out and "unrecognized arguments: --tol" in err
+        assert main(argv) == 0
+
     def test_zero_tol_is_valid(self, capsys):
         code, out = run(capsys, "symbol", "--forms", "A=E4", "--pq", "3,5", "--length", "1", "--tol", "0")
         assert code == 0 and json.loads(out)["meta"]["tolerance"] == 0.0

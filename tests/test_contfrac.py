@@ -83,6 +83,14 @@ class TestTails:
             assert cf.tails(seq)[0] == cf.evaluate(seq)
 
 
+class TestEmptySequence:
+    @pytest.mark.parametrize("read", [cf.evaluate, cf.tails])
+    def test_empty_raises_value_error(self, read):
+        # a raw sequence is read as a CFSeq, which must be nonempty
+        with pytest.raises(ValueError, match="continued-fraction sequence must be nonempty"):
+            read([])
+
+
 class TestCanonical:
     def test_examples(self):
         assert cf.canonical(3, 5) == cf.CFSeq([2, 3])

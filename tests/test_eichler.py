@@ -1,4 +1,5 @@
 import cmath
+import functools
 import itertools
 import math
 import random
@@ -247,16 +248,45 @@ def i_inf_per_point(h, tau0, tau1, xy, trunc):
     return TruncSeries._from_vec(h.alphabet, trunc, [poly_eval(p, complex(tau1)) for p in polys.values()])
 
 
+def numpy_at_point(h, coef, xy, trunc, center):
+    """The (words, K) array ``coef`` centered at c, at the numeric point
+    xy = (X, Y), read as eichler read its series in numpy before it
+    compiled a kernel for it: the powers of X - c Y gathered per word and
+    monomial, a mask of the monomials that exist, and numpy's sum over the
+    monomial axis, so word B reads sum_k coef[B, k] (X - c Y)^(w(B)-k) Y^k."""
+    weights = np.array([h.alphabet.word_weight(w) for w in ei._split_table(h.alphabet, trunc).words])
+    exps = weights[:, None] - np.arange(weights.max() + 1)
+    Y = complex(xy[1])
+    X = complex(xy[0]) - center * Y
+    px, py = [1 + 0j], [1 + 0j]
+    for _ in range(exps.shape[1] - 1):
+        px.append(px[-1] * X)
+        py.append(py[-1] * Y)
+    mono = np.where(exps >= 0, np.array(px)[np.maximum(exps, 0)] * np.array(py), 0)
+    return TruncSeries._from_vec(h.alphabet, trunc, (coef * mono).sum(axis=1).tolist())
+
+
+def cusp_general(h, tau, xy, cfg):
+    """RI(tau, i inf) at xy: the stored cusp limit read by ``numpy_at_point``."""
+    coef = np.reshape(ei._ri_limit(h, tau, cfg), (len(ei._split_table(h.alphabet, cfg.trunc).words), -1))
+    return numpy_at_point(h, coef, xy, cfg.trunc, tau)
+
+
+@functools.lru_cache(maxsize=32)
+def i_inf_array(h, trunc):
+    """The flat tuple that ``_i_inf_paths`` stores as its (words, K, trunc + 1) array."""
+    return np.reshape(ei._i_inf_paths(h, trunc)[0], (len(ei._split_table(h.alphabet, trunc).words), -1, trunc + 1))
+
+
 def i_inf_general(h, tau, s, xy, trunc):
-    """I_inf(tau, s) at xy by the path ``_i_inf_at`` takes off the line
-    X - s Y = 0, here taken at every point: numpy's product of the stored
-    array with the powers of t = tau - s, read by ``_at_point`` in the two
-    end values."""
+    """I_inf(tau, s) at xy as eichler read it in numpy off the line
+    X - s Y = 0: the product of the stored array with the powers of
+    t = tau - s, read by ``numpy_at_point`` in the two end values."""
     X, Y = complex(xy[0]), complex(xy[1])
     powers = [1 + 0j]
     for _ in range(trunc):
         powers.append(powers[-1] * (tau - s))
-    return ei._at_point(h, ei._i_inf_paths(h, trunc) @ powers, (X - s * Y, X - tau * Y), trunc, 0)
+    return numpy_at_point(h, i_inf_array(h, trunc) @ powers, (X - s * Y, X - tau * Y), trunc, 0)
 
 
 def i_inf_mpmath(h, tau, s, xy, trunc, dps=30):
@@ -371,7 +401,7 @@ class TestIInfPaths:
         # for letters only, each (word, power of t) slice of the stored
         # reversed path is real and of one sign: its sums cancel only as
         # much as the two end values X - s Y, X - tau Y make them
-        reverse = ei._i_inf_paths(h_pair(), trunc)
+        reverse = i_inf_array(h_pair(), trunc)
         assert np.all(reverse.imag == 0)
         for row in np.moveaxis(reverse.real, 2, 1).reshape(-1, reverse.shape[1]):
             assert np.all(row >= 0) or np.all(row <= 0)
@@ -390,9 +420,10 @@ class TestIInfPaths:
 
 
 class TestOnLineClosedForm:
-    """I_inf(tau, s) where the float X - s Y is 0 and each word keeps its
-    top monomial: the ends of build_F, bar float residues, and the (0, 1)
-    end of D(1, 1)."""
+    """Regularized ends read by the compiled kernel against eichler's former
+    numpy reading: where the float X - s Y is 0 (the ends of build_F, bar
+    float residues, and the (0, 1) end of D(1, 1)) each word of I_inf reads
+    its top monomial; elsewhere the kernel sums every monomial."""
 
     SETTINGS = {"E4,E6": h_pair, "Delta": h_delta, "E4,Delta": h_e4_delta}
     GRID = [(p, q) for p in range(-60, 61) for q in range(-60, 61) if p and q and math.gcd(p, q) == 1]
@@ -400,8 +431,9 @@ class TestOnLineClosedForm:
     @pytest.mark.parametrize("name", sorted(SETTINGS))
     def test_matches_general_evaluation(self, name):
         # the heads of F over the signed 60-grid, every end of build_F up
-        # to sign; the closed form runs where the float X - s Y is 0.
-        # Bound fixed beforehand: 1e-15 of max(1, largest coefficient)
+        # to sign; the kernel reads one monomial per word where the float
+        # X - s Y is 0.  Bound fixed beforehand: 1e-15 of max(1, largest
+        # coefficient)
         h = self.SETTINGS[name]()
         on_line = [(q / p, (complex(q), complex(p))) for p, q in self.GRID if complex(q) - q / p * complex(p) == 0]
         assert len(on_line) > 0.9 * len(self.GRID)
@@ -410,9 +442,77 @@ class TestOnLineClosedForm:
                 got = ei._i_inf_at(h, 1j, s, xy, trunc)
                 assert relative_gap(got, i_inf_general(h, 1j, s, xy, trunc)) <= 1e-15, (s, xy, trunc)
 
+    @staticmethod
+    def off_line_ends(h, monkeypatch):
+        """The (tau, s, xy) of every regularized end that the (1, 0) end of
+        D(1, 1), full_integral and i_numeric read off the line X - s Y = 0."""
+        ends = {}
+        read = ei._reg_end
+
+        def record(h, tau, direction, xy, cfg):
+            ends[tau, direction[0] / direction[1], tuple(map(complex, xy))] = None
+            return read(h, tau, direction, xy, cfg)
+
+        monkeypatch.setattr(ei, "_reg_end", record)
+        cfg = ei.IntegratorConfig(trunc=1)
+        ei.build_D(h, 1, 1, cfg)
+        for p, q in [(7, 5), (-5, 7), (1, 9), (3, -8)]:
+            tb0, tb1 = ei.TangentialBasePoint(Fraction(q, p), INF), ei.TangentialBasePoint(INF, Fraction(q, p))
+            ei.full_integral(h, tb0, tb1, (p, q), cfg)
+        for xy in [(3, 2), (-5, 7), (1.5 - 0.5j, 2 + 1j)]:
+            ei.i_numeric(h, 0.3 + 1.1j, -0.4 + 0.9j, xy, cfg)
+        monkeypatch.undo()
+        ei.clear_caches()
+        off_line = [(tau, s, xy) for tau, s, xy in ends if xy[0] - s * xy[1] != 0]
+        assert len(off_line) >= 10 and (1j, 0.0, (1 + 0j, 0j)) in off_line
+        return off_line
+
+    @pytest.mark.parametrize("name", sorted(SETTINGS))
+    def test_off_line_ends_match_general_evaluation(self, name, monkeypatch):
+        # I_inf where the kernel sums every monomial.  Bound fixed
+        # beforehand: 1e-15 of max(1, largest coefficient)
+        h = self.SETTINGS[name]()
+        for tau, s, xy in self.off_line_ends(h, monkeypatch):
+            for trunc in (1, 2, 3):
+                got = ei._i_inf_at(h, tau, s, xy, trunc)
+                assert relative_gap(got, i_inf_general(h, tau, s, xy, trunc)) <= 1e-15, (tau, s, xy, trunc)
+
+    @pytest.mark.parametrize("name", sorted(SETTINGS))
+    def test_cusp_half_within_rounding(self, name, monkeypatch):
+        # the stored cusp limit read by the kernel against the same stored
+        # coefficients read in 50-digit arithmetic, at a sample of the heads
+        # of F and at the off-line ends.  Bound fixed beforehand from a
+        # first-order error analysis: x = X - tau Y, the w - 1 products of
+        # a monomial, one product with the coefficient (each complex
+        # product within sqrt(5) u) and w sums give at most 4 (w + 1) u
+        # times size, the sum of the terms' absolute values; the bound
+        # doubles that.  A 1e-15 gap to numpy's reading cannot hold: for
+        # Delta at trunc 3 the two readings differ by 1.8e-15 of the
+        # largest coefficient, and each is 2.9e-15 from the exact reading
+        h = self.SETTINGS[name]()
+        heads = [(1j, (complex(q), complex(p))) for p, q in self.GRID[::97]]
+        points = heads + [(tau, xy) for tau, _, xy in self.off_line_ends(h, monkeypatch)]
+        u = 2.0 ** -53
+        for trunc in (1, 2, 3):
+            cfg = ei.IntegratorConfig(trunc=trunc)
+            words = ei._split_table(h.alphabet, trunc).words
+            for tau, xy in points:
+                coef = ei._ri_limit(h, tau, cfg)
+                got = ei._at_point(h, coef, xy, trunc, tau)
+                K = len(coef) // len(words)
+                with mpmath.workdps(50):
+                    X, Y = mpmath.mpc(xy[0]), mpmath.mpc(xy[1])
+                    x = X - mpmath.mpc(tau) * Y
+                    for i, w in enumerate(words):
+                        wt = h.alphabet.word_weight(w)
+                        terms = [mpmath.mpc(coef[i * K + k]) * x ** (wt - k) * Y ** k for k in range(wt + 1)]
+                        size = mpmath.fsum(map(abs, terms))
+                        assert abs(got.vec[i] - mpmath.fsum(terms)) <= 8 * (wt + 1) * u * size, (tau, xy, trunc, w)
+        ei.clear_caches()
+
     def test_negated_point_same_bytes(self):
-        # the branch and the kernel's powers are even in (X, Y), so either
-        # sign fills an end's memo key with the same bytes
+        # the kernel's branch on x and its powers are even in (X, Y), so
+        # either sign fills an end's memo key with the same bytes
         h = h_pair()
         cfg = ei.IntegratorConfig(trunc=3)
         assert 7 - 7 / 5 * 5 == 0
@@ -424,19 +524,19 @@ class TestOnLineClosedForm:
         ei.clear_caches()
 
     def test_both_branches_in_one_F(self):
-        # the head of F(7, 29) has a float residue and keeps the general
-        # path; its tail is on its line.  Bounds fixed beforehand: group-like
-        # within 1e-13, and 1e-15 of max(1, largest coefficient) from F with
-        # both ends read by the general path
+        # the head of F(7, 29) has a float residue, so the kernel sums every
+        # monomial of its I_inf; its tail is on its line and reads the top
+        # monomials.  Bounds fixed beforehand: group-like within 1e-13, and
+        # 1e-15 of max(1, largest coefficient) from F with both ends read by
+        # numpy as before the kernel
         h = h_pair()
         cfg = ei.IntegratorConfig(trunc=3)
         assert 29 - 29 / 7 * 7 != 0 and 7 - (-7 / 29) * -29 == 0
         ei.clear_caches()
         got = ei.build_F(h, 7, 29, cfg)
-        cusp = ei._ri_limit(h, 1j, cfg)
 
         def general_end(s, xy):
-            return ei._at_point(h, cusp, xy, 3, 1j) * i_inf_general(h, 1j, s, xy, 3)
+            return cusp_general(h, 1j, xy, cfg) * i_inf_general(h, 1j, s, xy, 3)
 
         want = general_end(29 / 7, (29 + 0j, 7 + 0j)).inverse() * general_end(-7 / 29, (7 + 0j, -29 + 0j))
         assert got.is_grouplike(relative=True).worst <= 1e-13
@@ -830,7 +930,7 @@ class TestPathSeries:
             here = ei._at_point(h, coef, (X, Y), trunc, c)
             assert ei._at_point(h, coef, (-X, -Y), trunc, c).dumps() == here.dumps()
             there = ei._at_point(h, coef, (lam * X, lam * Y), trunc, c)
-            size = ei._at_point(h, np.abs(coef), (abs(lam * (X - c * Y)), abs(lam * Y)), trunc, 0)
+            size = ei._at_point(h, tuple(map(abs, coef)), (abs(lam * (X - c * Y)), abs(lam * Y)), trunc, 0)
             for w, a, b, s in zip(weights, here.vec, there.vec, size.vec):
                 assert abs(b - lam ** w * a) <= 1e-13 * s.real
 
@@ -1109,14 +1209,18 @@ class TestBridgeSteps:
         ei.clear_caches()
 
     def test_sweep_pass_at_point_calls(self, monkeypatch):
-        # 84 cusp halves and one general I_inf half, at the (1, 0) end of
-        # D(1, 1): every other end lies on its direction's line
+        # each of the 84 ends reads its cusp half and its I_inf half once,
+        # through the kernel; the memo holds the cusp limit as one flat tuple
+        # and counts as it did when it held an array
         calls = []
-        at_point = ei._at_point
-        monkeypatch.setattr(ei, "_at_point", lambda *args: calls.append(args) or at_point(*args))
+        for name in ("_at_point", "_i_inf_at"):
+            read = getattr(ei, name)
+            monkeypatch.setattr(ei, name, lambda *args, name=name, read=read: calls.append(name) or read(*args))
         self.sweep_pass(h_pair())
-        assert len(calls) == 85
-        assert sum(center == 0 for *_, center in calls) == 1
+        assert (calls.count("_at_point"), calls.count("_i_inf_at")) == (84, 84)
+        assert [type(series) for series in ei._PATHS.values()] == [tuple]
+        info = ei.cache_info()
+        assert (info["hits"], info["misses"], info["value_hits"], info["value_misses"]) == (83, 1, 169, 113)
         ei.clear_caches()
 
     def test_sweep_pass_builds_no_fraction(self, monkeypatch):
