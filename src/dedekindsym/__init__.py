@@ -12,7 +12,7 @@ from .modforms import (LaurentPoly, ModularFormSpec, bernoulli, delta_form,
                        eisenstein_L, gamma02_D, gamma02_delta, gamma02_F,
                        laurent_fit, polylog, reciprocity_law_check, sigma,
                        zeta)
-from .series import Alphabet, TruncSeries, Word, concat, shuffle_words
+from .series import Alphabet, TruncSeries, shuffle_words
 from .symbols import (RecipFn, SymbolFn, bullet, bullet_inverse, decompose,
                       delta, delta_full, embed_exp, embed_exp_symbol,
                       from_components, normalize, orbit_key, psi,

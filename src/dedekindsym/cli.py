@@ -399,7 +399,8 @@ def build_parser():
 
     sp = sub.add_parser("cfrac", help="debug: canonical continued fraction of a pair")
     sp.add_argument("--pq", required=True)
-    common(sp)
+    # no --format: a row holds lists, which a CSV cell cannot
+    sp.add_argument("--out", help="write output to a file instead of stdout")
     sp.set_defaults(func=cmd_cfrac)
 
     return ap

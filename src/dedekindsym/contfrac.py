@@ -18,6 +18,7 @@ the rational number it represents.
 from collections import namedtuple
 from fractions import Fraction
 from math import gcd
+from operator import index
 
 from .errors import DivisionByZeroTail
 
@@ -25,12 +26,13 @@ CoprimePair = namedtuple("CoprimePair", "p q")
 
 
 class CFSeq:
-    """Immutable, nonempty integer sequence a0,...,an."""
+    """Immutable, nonempty integer sequence a0,...,an; an entry that is not
+    an integer (a float, a string) raises TypeError."""
 
     __slots__ = ("entries",)
 
     def __init__(self, entries):
-        entries = tuple(int(a) for a in entries)
+        entries = tuple(map(index, entries))
         if not entries:
             raise ValueError("continued-fraction sequence must be nonempty")
         self.entries = entries

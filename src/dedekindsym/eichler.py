@@ -587,8 +587,7 @@ def symbol_fn(h, cfg=IntegratorConfig()):
     """Wrap build_D as a SymbolFn evaluator (memoized per pair)."""
     from .symbols import SymbolFn
 
-    return SymbolFn(lambda p, q: build_D(h, p, q, cfg), h.alphabet, cfg.trunc,
-                    COMPLEX, almost=True, name="D_h")
+    return SymbolFn(lambda p, q: build_D(h, p, q, cfg), h.alphabet, cfg.trunc, COMPLEX, almost=True)
 
 
 def clear_caches():

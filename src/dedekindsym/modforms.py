@@ -280,7 +280,10 @@ def zeta(s):
     return _hurwitz_em(float(s), 1.0)
 
 
-def polylog(s, z, tol=1e-12, max_terms=5_000_000):
+_POLYLOG_CAP = 5_000_000
+
+
+def polylog(s, z, tol=1e-12):
     """Li_s(z) = sum z^n / n^s for integer s >= 2 and |z| <= 1."""
     if s < 2:
         raise ValueError("polylog implemented for integer s >= 2")
@@ -295,13 +298,13 @@ def polylog(s, z, tol=1e-12, max_terms=5_000_000):
     if r < 1.0 - 1e-9:
         # geometric tail bound
         n = 64
-        while r ** n / ((1 - r) * n ** s) > tol and n < max_terms:
+        while r ** n / ((1 - r) * n ** s) > tol and n < _POLYLOG_CAP:
             n *= 2
     else:
         # Dirichlet-test tail bound ~ 4 / (|1-z| N^s) on the unit circle
         n = max(64, int((4.0 / (tol * abs(1.0 - z))) ** (1.0 / s)) + 1)
-    if n > max_terms:
-        raise NonConvergence(f"polylog needs {n} terms, above the cap {max_terms}")
+    if n > _POLYLOG_CAP:
+        raise NonConvergence(f"polylog needs {n} terms, above the cap {_POLYLOG_CAP}")
     import numpy as np
 
     idx = np.arange(1, n + 1)
@@ -568,12 +571,13 @@ class LaurentPoly:
         return "LaurentPoly(" + " + ".join(parts) + ")"
 
 
-def laurent_fit(samples, box, rank_tol=1e-10):
+def laurent_fit(samples, box):
     """Least-squares fit of ((p,q), value) samples over a box of monomials p^i q^j.
 
     box is ((imin, imax), (jmin, jmax)).  Returns (LaurentPoly, residual)
     where the residual is the largest absolute deviation at the samples.
-    Rank deficiency raises, naming the unresolvable monomials.
+    Rank deficiency (a singular value below 1e-10 of the largest) raises,
+    naming the unresolvable monomials.
     """
     import numpy as np
 
@@ -590,7 +594,7 @@ def laurent_fit(samples, box, rank_tol=1e-10):
         raise ValueError(f"monomials vanish on all samples: {dead}")
     As = A / scale
     u_, sv, vt = np.linalg.svd(As, full_matrices=False)
-    if sv[-1] < rank_tol * sv[0]:
+    if sv[-1] < 1e-10 * sv[0]:
         null = np.abs(vt[-1])
         dead = [monomials[k] for k in np.argsort(null)[::-1][:3]]
         raise ValueError(f"rank-deficient design matrix; entangled monomials near {dead}")

@@ -17,14 +17,13 @@ exp and log run, and the inverse.  ``coeffs`` is a read-only view
 {word: coefficient} of the nonzero entries, with ``Fraction`` values for
 rational series.
 
-Words are plain tuples of letter indices inside a series; the ``Word``
-wrapper carries the alphabet so that lengths, weights and concatenation
-can be validated at API boundaries.  Words and coefficients are checked
-only there: the public constructors, ``coeff`` and ``scale``.
+Words are plain tuples of letter indices; ``Alphabet.word`` reads an
+index tuple or a string of letter names into one.  Words and coefficients
+are checked only at the API boundaries: the public constructors, ``coeff``
+and ``scale``.
 """
 
 import itertools
-import json
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
@@ -77,11 +76,7 @@ class Alphabet:
         return self._index[name]
 
     def word(self, letters):
-        """Coerce a Word / index tuple / string of identifiers to an index tuple."""
-        if isinstance(letters, Word):
-            if letters.alphabet != self:
-                raise ValueError("word belongs to a different alphabet")
-            return letters.letters
+        """Coerce an index tuple or a string of identifiers to an index tuple."""
         if isinstance(letters, str):
             try:
                 return tuple(self._index[c] for c in letters)
@@ -119,40 +114,6 @@ class Alphabet:
         return big, map_self, map_other
 
 
-class Word:
-    """A word over an alphabet; empty word has length 0 and weight 0."""
-
-    __slots__ = ("alphabet", "letters")
-
-    def __init__(self, alphabet, letters):
-        self.alphabet = alphabet
-        self.letters = alphabet.word(letters)
-
-    @property
-    def length(self):
-        return len(self.letters)
-
-    @property
-    def weight(self):
-        return self.alphabet.word_weight(self.letters)
-
-    def __eq__(self, other):
-        return isinstance(other, Word) and self.alphabet == other.alphabet and self.letters == other.letters
-
-    def __hash__(self):
-        return hash(self.letters)
-
-    def __repr__(self):
-        return "Word(%r)" % (self.alphabet.word_name(self.letters) or "∅")
-
-
-def concat(u, v):
-    """Concatenation uv; lengths and weights add."""
-    if u.alphabet != v.alphabet:
-        raise ValueError("cannot concatenate words over different alphabets")
-    return Word(u.alphabet, u.letters + v.letters)
-
-
 def _shuffle_tuples(u, v):
     if not u:
         return [v]
@@ -162,15 +123,7 @@ def _shuffle_tuples(u, v):
 
 
 def shuffle_words(u, v):
-    """Multiset of the C(l(u)+l(v), l(u)) interleavings of u and v.
-
-    Accepts Word objects (same alphabet) and returns Word objects; plain
-    index tuples are shuffled as-is.
-    """
-    if isinstance(u, Word) or isinstance(v, Word):
-        if u.alphabet != v.alphabet:
-            raise ValueError("shuffle of words over different alphabets")
-        return [Word(u.alphabet, w) for w in _shuffle_tuples(u.letters, v.letters)]
+    """Multiset of the C(l(u)+l(v), l(u)) interleavings of the index tuples u and v."""
     return _shuffle_tuples(tuple(u), tuple(v))
 
 
@@ -500,40 +453,6 @@ class TruncSeries:
         if self.kind == RATIONAL:
             return GroupLikeness(worst == 0, worst, witness)
         return GroupLikeness(worst <= tol, worst, witness)
-
-    def to_record(self):
-        """Structured record; bit-exact for rationals, 17 significant digits for floats."""
-        entries = []
-        for w, c in self.items():
-            word = [self.alphabet.names[i] for i in w]
-            if self.kind == RATIONAL:
-                entries.append({"word": word, "num": c.numerator, "den": c.denominator})
-            else:
-                entries.append({"word": word,
-                                "re": float(f"{c.real:.17g}"),
-                                "im": float(f"{c.imag:.17g}")})
-        return {"alphabet": [[n, w] for n, w in zip(self.alphabet.names, self.alphabet.weights)],
-                "trunc": self.trunc, "kind": self.kind, "entries": entries}
-
-    @classmethod
-    def from_record(cls, rec):
-        alphabet = Alphabet(rec["alphabet"])
-        kind = rec["kind"]
-        coeffs = {}
-        for e in rec["entries"]:
-            w = tuple(alphabet.index(n) for n in e["word"])
-            if kind == RATIONAL:
-                coeffs[w] = Fraction(e["num"], e["den"])
-            else:
-                coeffs[w] = complex(e["re"], e["im"])
-        return cls(alphabet, rec["trunc"], coeffs, kind)
-
-    def dumps(self):
-        return json.dumps(self.to_record(), sort_keys=True)
-
-    @classmethod
-    def loads(cls, text):
-        return cls.from_record(json.loads(text))
 
     def __eq__(self, other):
         return (isinstance(other, TruncSeries) and self.alphabet == other.alphabet

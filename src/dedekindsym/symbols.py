@@ -40,14 +40,13 @@ def orbit_key(p, q):
     return (p, q % p)
 
 
-def sample_pairs(n, seed, bound=30, distinct=True):
-    """Deterministic coprime pairs with p, q != 0 and |p|, |q| <= bound."""
+def sample_pairs(n, seed, bound=30):
+    """Deterministic distinct coprime pairs with p, q != 0 and |p|, |q| <= bound."""
     import random
 
-    if distinct:
-        available = sum(gcd(p, q) == 1 for p in range(1, bound + 1) for q in range(1, bound + 1)) * 4
-        if n > available:
-            raise ValueError(f"asked for {n} distinct pairs, but |p|, |q| <= {bound} holds only {available}")
+    available = sum(gcd(p, q) == 1 for p in range(1, bound + 1) for q in range(1, bound + 1)) * 4
+    if n > available:
+        raise ValueError(f"asked for {n} distinct pairs, but |p|, |q| <= {bound} holds only {available}")
     rng = random.Random(seed)
     out = []
     seen = set()
@@ -56,7 +55,7 @@ def sample_pairs(n, seed, bound=30, distinct=True):
         q = rng.randint(-bound, bound)
         if p == 0 or q == 0 or gcd(p, q) != 1:
             continue
-        if distinct and (p, q) in seen:
+        if (p, q) in seen:
             continue
         seen.add((p, q))
         out.append((p, q))
@@ -86,11 +85,9 @@ class _SeriesFn:
     ``normalize`` and ``bullet``).
     """
 
-    __slots__ = ("_func", "alphabet", "trunc", "kind", "almost", "memo_mode", "_memo", "name",
-                 "__weakref__")
+    __slots__ = ("_func", "alphabet", "trunc", "kind", "almost", "memo_mode", "_memo", "__weakref__")
 
-    def __init__(self, func, alphabet, trunc, kind=RATIONAL, almost=True,
-                 memo="literal", name=""):
+    def __init__(self, func, alphabet, trunc, kind=RATIONAL, almost=True, memo="literal"):
         self._func = func
         self.alphabet = alphabet
         self.trunc = trunc
@@ -98,7 +95,6 @@ class _SeriesFn:
         self.almost = almost
         self.memo_mode = memo
         self._memo = {}
-        self.name = name
 
     def __call__(self, p, q):
         p, q = int(p), int(q)
@@ -131,8 +127,8 @@ class SymbolFn(_SeriesFn):
     __slots__ = ("normalized",)
 
     def __init__(self, func, alphabet, trunc, kind=RATIONAL, almost=True,
-                 memo="literal", name="", normalized=False):
-        super().__init__(func, alphabet, trunc, kind, almost, memo, name)
+                 memo="literal", normalized=False):
+        super().__init__(func, alphabet, trunc, kind, almost, memo)
         self.normalized = normalized
 
 
@@ -160,8 +156,7 @@ def _merge(f, g):
 
 def psi(d):
     """Associated function F(p,q) = D(p,q) D(-q,p)^(-1) of a symbol."""
-    return RecipFn(lambda p, q: d._at(p, q) * d._at(-q, p).inverse(),
-                   d.alphabet, d.trunc, d.kind, d.almost, name=f"psi({d.name})")
+    return RecipFn(lambda p, q: d._at(p, q) * d._at(-q, p).inverse(), d.alphabet, d.trunc, d.kind, d.almost)
 
 
 # Per reciprocity function F, the memos of its normalized symbol D =
@@ -204,7 +199,7 @@ def _delta_fns(f):
 
     d_inv = _SeriesFn(walk, f.alphabet, f.trunc, f.kind, almost=True, memo="sign")
     d = SymbolFn(lambda p, q: d_inv._at(p, q).inverse(), f.alphabet, f.trunc, f.kind,
-                 almost=True, memo="sign", name=f"delta({f.name})", normalized=True)
+                 almost=True, memo="sign", normalized=True)
     # the closures bind F and the memos, never d or d_inv: no reference cycle
     d_inv._memo, d._memo = inv_memo, d_memo
     return d, d_inv
@@ -249,8 +244,7 @@ def normalize(d):
     """The unique normalized symbol with the same associated function."""
     const_inv = d(1, 1).inverse()
     return SymbolFn(lambda p, q: d._at(p, q) * const_inv,
-                    d.alphabet, d.trunc, d.kind, d.almost,
-                    name=f"normalize({d.name})", normalized=True)
+                    d.alphabet, d.trunc, d.kind, d.almost, normalized=True)
 
 
 # ---------------------------------------------------------------------------
@@ -266,8 +260,7 @@ def bullet(f, g):
     f, g = _merge(f, g)
     d, d_inv = _delta_fns(f)
     return RecipFn(lambda p, q: d._at(p, q) * g._at(p, q) * d_inv._at(-q, p),
-                   f.alphabet, min(f.trunc, g.trunc), f.kind,
-                   almost=True, name=f"({f.name} . {g.name})")
+                   f.alphabet, min(f.trunc, g.trunc), f.kind, almost=True)
 
 
 def bullet_inverse(f):
@@ -276,20 +269,20 @@ def bullet_inverse(f):
     one per asked pair that D costs.  Like D, it is an almost function."""
     d, d_inv = _delta_fns(f)
     return RecipFn(lambda p, q: d_inv._at(p, q) * d._at(-q, p),
-                   f.alphabet, f.trunc, f.kind, almost=True, name=f"inv({f.name})")
+                   f.alphabet, f.trunc, f.kind, almost=True)
 
 
 def embed_exp(f, letter, alphabet, trunc, kind=RATIONAL, almost=True):
     """exp(f(p,q) * letter): the group-like one-letter embedding of a scalar
     reciprocity function.  The letter is checked once, here."""
     exp_at = _exp_kernel(alphabet, trunc, (alphabet.index(letter),), kind)
-    return RecipFn(lambda p, q: exp_at(f(p, q)), alphabet, trunc, kind, almost, name=f"exp({letter})")
+    return RecipFn(lambda p, q: exp_at(f(p, q)), alphabet, trunc, kind, almost)
 
 
 def embed_exp_symbol(d, letter, alphabet, trunc, kind=RATIONAL, almost=True):
     """The analogous embedding of a scalar Dedekind symbol."""
     exp_at = _exp_kernel(alphabet, trunc, (alphabet.index(letter),), kind)
-    return SymbolFn(lambda p, q: exp_at(d(p, q)), alphabet, trunc, kind, almost, name=f"exp({letter})")
+    return SymbolFn(lambda p, q: exp_at(d(p, q)), alphabet, trunc, kind, almost)
 
 
 def from_components(fs, alphabet, trunc, kind=RATIONAL, almost=True):
@@ -320,10 +313,8 @@ class VerifyReport:
     def worst(self):
         return max((r.violation for r in self.rows), default=0.0)
 
-    def passed(self, tol=None):
-        if self.exact:
-            return self.worst() == 0.0
-        return self.worst() <= (1e-9 if tol is None else tol)
+    def passed(self):
+        return self.worst() == 0.0 if self.exact else self.worst() <= 1e-9
 
     def worst_by_axiom(self):
         out = {}
@@ -331,10 +322,6 @@ class VerifyReport:
             if r.axiom not in out or r.violation > out[r.axiom].violation:
                 out[r.axiom] = r
         return out
-
-    def to_records(self):
-        return [{"axiom": r.axiom, "word": r.word, "pair": list(r.pair),
-                 "violation": r.violation} for r in self.rows]
 
     def __repr__(self):
         lines = [f"{a}: worst {r.violation:.3g} at word {r.word or '1'}, pair {r.pair}"
@@ -427,7 +414,7 @@ def random_symbol(alphabet, trunc, seed):
         _remember(by_orbit, _MEMO_CAP, key, (val.vec, val.den))
         return val
 
-    return SymbolFn(ev, alphabet, trunc, RATIONAL, almost=True, name=f"random({seed})")
+    return SymbolFn(ev, alphabet, trunc, RATIONAL, almost=True)
 
 
 def random_scalar_symbol(seed):
@@ -497,7 +484,7 @@ class Decomposition:
                 cs[w] = c
                 current = current * TruncSeries.exp_term(t.alphabet, self.target.trunc, w, c, t.kind)
             got = (cs, current)
-            self._peeled[(p, q)] = got
+            _remember(self._peeled, _MEMO_CAP, (p, q), got)
         return got
 
     def coefficient(self, word, p, q):

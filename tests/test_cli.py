@@ -200,6 +200,12 @@ class TestCfrac:
         assert doc["rows"][0]["entries"] == [2, 3]
         assert doc["rows"][0]["tails"] == [[3, 5], [1, 3]]
 
+    def test_csv_refused(self, capsys):
+        # a row holds lists, which a CSV cell cannot: cfrac writes JSON only
+        code = main(["cfrac", "--pq", "5,3", "--format", "csv"])
+        out, err = capsys.readouterr()
+        assert code == 2 and not out and "unrecognized arguments: --format csv" in err
+
 
 class TestEichlerSuite:
     def test_passes(self, capsys):

@@ -91,6 +91,15 @@ class TestEmptySequence:
             read([])
 
 
+class TestNonIntegerEntries:
+    @pytest.mark.parametrize("read", [cf.CFSeq, cf.evaluate, cf.tails])
+    @pytest.mark.parametrize("entries", [[2.5], ["3"], [2, 0.5]])
+    def test_raise_type_error(self, read, entries):
+        # an entry is read as an integer, never truncated or parsed
+        with pytest.raises(TypeError):
+            read(entries)
+
+
 class TestCanonical:
     def test_examples(self):
         assert cf.canonical(3, 5) == cf.CFSeq([2, 3])

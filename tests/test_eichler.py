@@ -517,9 +517,9 @@ class TestOnLineClosedForm:
         cfg = ei.IntegratorConfig(trunc=3)
         assert 7 - 7 / 5 * 5 == 0
         ei.clear_caches()
-        here = ei.build_F(h, 5, 7, cfg).dumps(), ei._i_inf_at(h, 1j, 7 / 5, (7 + 0j, 5 + 0j), 3).dumps()
+        here = repr(ei.build_F(h, 5, 7, cfg).vec), repr(ei._i_inf_at(h, 1j, 7 / 5, (7 + 0j, 5 + 0j), 3).vec)
         ei.clear_caches()
-        there = ei.build_F(h, -5, -7, cfg).dumps(), ei._i_inf_at(h, 1j, 7 / 5, (-7 + 0j, -5 + 0j), 3).dumps()
+        there = repr(ei.build_F(h, -5, -7, cfg).vec), repr(ei._i_inf_at(h, 1j, 7 / 5, (-7 + 0j, -5 + 0j), 3).vec)
         assert here == there
         ei.clear_caches()
 
@@ -928,7 +928,7 @@ class TestPathSeries:
         for c in (1j, 1 + 1j, -1 + 1j):
             coef = ei._ri_limit(h, c, cfg)
             here = ei._at_point(h, coef, (X, Y), trunc, c)
-            assert ei._at_point(h, coef, (-X, -Y), trunc, c).dumps() == here.dumps()
+            assert repr(ei._at_point(h, coef, (-X, -Y), trunc, c).vec) == repr(here.vec)
             there = ei._at_point(h, coef, (lam * X, lam * Y), trunc, c)
             size = ei._at_point(h, tuple(map(abs, coef)), (abs(lam * (X - c * Y)), abs(lam * Y)), trunc, 0)
             for w, a, b, s in zip(weights, here.vec, there.vec, size.vec):
@@ -1064,10 +1064,10 @@ class TestCuspLimitMemo:
         for pq in self.PAIRS:
             for build in builders:
                 ei.clear_caches()
-                cold.setdefault(pq, []).append(build(*pq).dumps())
+                cold.setdefault(pq, []).append(repr(build(*pq).vec))
         ei.clear_caches()
         for _ in range(2):
-            warm = {pq: [build(*pq).dumps() for build in builders] for pq in self.PAIRS}
+            warm = {pq: [repr(build(*pq).vec) for build in builders] for pq in self.PAIRS}
             assert warm == cold
         assert ei.cache_info()["hits"] > ei.cache_info()["misses"]
 
@@ -1079,9 +1079,9 @@ class TestCuspLimitMemo:
         # in between, else its entry for the point up to sign would answer
         h = h_pair()
         ei.clear_caches()
-        here = ei.reg_to_cusp(h, tau, Fraction(1, 3), xy, CFG).dumps()
+        here = repr(ei.reg_to_cusp(h, tau, Fraction(1, 3), xy, CFG).vec)
         ei._VALUES.clear()
-        there = ei.reg_to_cusp(h, tau, Fraction(1, 3), (-xy[0], -xy[1]), CFG).dumps()
+        there = repr(ei.reg_to_cusp(h, tau, Fraction(1, 3), (-xy[0], -xy[1]), CFG).vec)
         assert here == there
         info = ei.cache_info()
         assert (info["misses"], info["hits"], info["series"]) == (1, 1, 1)
@@ -1127,11 +1127,11 @@ class TestCuspLimitMemo:
         cfg = ei.IntegratorConfig(trunc=1)
         builders = self.builders(h, cfg)
         ei.clear_caches()
-        want = [build(p, q).dumps() for p, q in self.PAIRS for build in builders]
+        want = [repr(build(p, q).vec) for p, q in self.PAIRS for build in builders]
         assert 1 < ei.cache_info()["series"] <= ei._PATHS_CAP
         monkeypatch.setattr(ei, "_PATHS_CAP", 1)
         ei.clear_caches()
-        got = [build(p, q).dumps() for p, q in self.PAIRS for build in builders]
+        got = [repr(build(p, q).vec) for p, q in self.PAIRS for build in builders]
         assert got == want
         assert ei.cache_info()["series"] == 1
         ei.clear_caches()
@@ -1153,10 +1153,10 @@ class TestBridgeSteps:
         cold = {}
         for pq in pairs:
             ei.clear_caches()
-            cold[pq] = ei.build_D(h, *pq, CFG).dumps()
+            cold[pq] = repr(ei.build_D(h, *pq, CFG).vec)
         ei.clear_caches()
         for _ in range(2):
-            assert {pq: ei.build_D(h, *pq, CFG).dumps() for pq in pairs} == cold
+            assert {pq: repr(ei.build_D(h, *pq, CFG).vec) for pq in pairs} == cold
         assert ei.cache_info()["hits"] > ei.cache_info()["misses"]
 
     @pytest.mark.parametrize("step", [1, -1])
@@ -1168,7 +1168,7 @@ class TestBridgeSteps:
         ei.clear_caches()
         here = ei.i_numeric(h, 1j, 1j + step, xy, CFG)
         there = ei.i_numeric(h, 1j, 1j + step, (-xy[0], -xy[1]), CFG)
-        assert here.dumps() == there.dumps()
+        assert repr(here.vec) == repr(there.vec)
         assert relative_gap(here, ScalarPointPath(h, xy, CFG).unit_step(step)) <= 1e-11
         info = ei.cache_info()
         assert (info["misses"], info["hits"], info["series"]) == (2, 0, 2)
@@ -1246,14 +1246,14 @@ class TestBridgeSteps:
         ei.clear_caches()
         ei.build_F(h, p, q, CFG)
         before = ei.cache_info()
-        warm = [ei.reg_to_cusp(h, 1j, s, xy, CFG).dumps() for s, xy in ends]
+        warm = [repr(ei.reg_to_cusp(h, 1j, s, xy, CFG).vec) for s, xy in ends]
         info = ei.cache_info()
         assert info["value_hits"] == before["value_hits"] + 2
         assert info["value_misses"] == before["value_misses"]
         cold = []
         for s, xy in ends:
             ei.clear_caches()
-            cold.append(ei.reg_to_cusp(h, 1j, s, xy, CFG).dumps())
+            cold.append(repr(ei.reg_to_cusp(h, 1j, s, xy, CFG).vec))
         assert warm == cold
         ei.clear_caches()
 
@@ -1272,7 +1272,7 @@ class TestValueMemo:
         out = {}
         for pq in order:
             clear()
-            out[pq] = [b(*pq).dumps() for b in build]
+            out[pq] = [repr(b(*pq).vec) for b in build]
         return out
 
     @pytest.mark.parametrize("name, trunc", [("E4,E6", 1), ("E4,E6", 2), ("E4,E6", 3), ("E4,Delta", 2)])

@@ -1,4 +1,3 @@
-import json
 import random
 from fractions import Fraction
 from math import comb, factorial, gcd
@@ -9,8 +8,7 @@ from hypothesis import strategies as st
 
 from dedekindsym import symbols as sy
 from dedekindsym.errors import NotInvertible
-from dedekindsym.series import (COMPLEX, RATIONAL, Alphabet, TruncSeries, Word,
-                                _split_table, concat, shuffle_words)
+from dedekindsym.series import COMPLEX, RATIONAL, Alphabet, TruncSeries, _split_table, shuffle_words
 from node_axis import node_groups
 
 AB = Alphabet.simple("ab")
@@ -47,22 +45,8 @@ class TestAlphabetWord:
 
     def test_word_length_weight(self):
         ab = Alphabet([("a", 2), ("b", 4)])
-        w = Word(ab, "ab")
-        assert w.length == 2 and w.weight == 6
-        empty = Word(ab, ())
-        assert empty.length == 0 and empty.weight == 0
-
-    def test_concat(self):
-        a, b = Word(AB, "a"), Word(AB, "b")
-        empty = Word(AB, ())
-        assert concat(empty, a) == a
-        assert concat(a, b) == Word(AB, "ab")
-        assert concat(Word(AB, "ab"), Word(AB, "a")).length == 3
-
-    def test_concat_alphabet_mismatch(self):
-        other = Alphabet.simple("xy")
-        with pytest.raises(ValueError):
-            concat(Word(AB, "a"), Word(other, "x"))
+        assert ab.word("ab") == (0, 1) and ab.word_weight(ab.word("ab")) == 6
+        assert ab.word(()) == () and ab.word_weight(()) == 0
 
     def test_unknown_letter_names_the_letter(self):
         with pytest.raises(ValueError, match="'z'"):
@@ -264,10 +248,6 @@ class TestShuffle:
             v = tuple(rng.randrange(3) for _ in range(lv))
             assert len(shuffle_words(u, v)) == comb(lu + lv, lu)
 
-    def test_word_objects(self):
-        out = shuffle_words(Word(AB, "a"), Word(AB, "b"))
-        assert Word(AB, "ab") in out and Word(AB, "ba") in out
-
 
 class TestGroupLike:
     def test_exponential_is_grouplike(self):
@@ -388,7 +368,7 @@ class TestExpLog:
                         letter = xy.names[w[0]]
                         got += [embed(lambda p, q: c, letter, xy, trunc, kind)(2, 3)
                                 for embed in (sy.embed_exp, sy.embed_exp_symbol)]
-                    assert all(g.dumps() == want.dumps() and g == want for g in got)
+                    assert all(repr(g.vec) == repr(want.vec) and g == want for g in got)
 
     def test_preconditions(self):
         with pytest.raises(ValueError):
@@ -397,28 +377,6 @@ class TestExpLog:
             TruncSeries.one(AB, 2).exp()
         with pytest.raises(ValueError):
             TruncSeries.zero(AB, 2).log()
-
-
-class TestSerialization:
-    def test_rational_bit_exact(self):
-        rng = random.Random(13)
-        s = rand_series(rng)
-        rt = TruncSeries.loads(s.dumps())
-        assert rt == s
-
-    def test_complex_round_trip(self):
-        s = TruncSeries(AB, 2, {(): 1, "a": 0.1234567890123456789 + 1e-300j,
-                                "ab": -2.5 + 3.25j}, kind=COMPLEX)
-        rt = TruncSeries.from_record(s.to_record())
-        assert rt == s
-
-    def test_record_shape(self):
-        s = TruncSeries(AB, 2, {(): 1, "ab": Fraction(-3, 7)})
-        rec = s.to_record()
-        assert rec["trunc"] == 2 and rec["kind"] == RATIONAL
-        entry = [e for e in rec["entries"] if e["word"] == ["a", "b"]][0]
-        assert entry["num"] == -3 and entry["den"] == 7
-        json.dumps(rec)  # json-serializable
 
 
 class TestKinds:
@@ -567,7 +525,7 @@ class TestProperties:
             for k in range(len(w) + 1):
                 acc += s.coeff(w[:k]) * t.coeff(w[k:])
             want[w] = acc
-        assert (s * t).dumps() == TruncSeries(ab, trunc, want, COMPLEX).dumps()
+        assert repr((s * t).vec) == repr(TruncSeries(ab, trunc, want, COMPLEX).vec)
 
     @PROPERTY
     @given(st.integers(1, 3), st.integers(0, 3), st.randoms(use_true_random=False))

@@ -73,9 +73,6 @@ class TestSamplePairs:
         with pytest.raises(ValueError, match=f"only {available}"):
             sy.sample_pairs(n, seed=0, bound=bound)
 
-    def test_repeats_allowed_when_not_distinct(self):
-        assert len(sy.sample_pairs(200, seed=0, bound=1, distinct=False)) == 200
-
 
 def fraction_random_symbol(alphabet, trunc, seed, key):
     """random_symbol's value on the orbit ``key`` as one hashed Fraction per
@@ -103,7 +100,6 @@ class TestRandomSymbol:
                     want[key] = fraction_random_symbol(alphabet, trunc, seed, key)
                 got = d(p, q)
                 assert repr(list(got.vec)) == repr(list(want[key].vec)) and got.den == want[key].den
-                assert got.dumps() == want[key].dumps()
 
     def test_deterministic(self):
         d1 = sy.random_symbol(AB, 3, seed=9)
@@ -313,18 +309,18 @@ class TestDeltaTails:
     @pytest.mark.parametrize("name", ["psi", "shuffled", "corrupted"])
     def test_matches_left_to_right_product(self, name):
         f = self.functions()[name]
-        want = {pq: sy.delta_full(f, cf.canonical(*pq)).dumps() for pq in self.PAIRS}
+        want = {pq: repr(sy.delta_full(f, cf.canonical(*pq)).vec) for pq in self.PAIRS}
         signed = [(s * p, s * q) for p, q in self.PAIRS for s in (1, -1)]
         for seed in (125, 126):
             random.Random(seed).shuffle(signed)
             warm = sy.delta(f)
             for i, (p, q) in enumerate(signed):
                 ref = want[(abs(p), q if p > 0 else -q)]
-                assert warm(p, q).dumps() == ref
+                assert repr(warm(p, q).vec) == ref
                 if i % 5 == 0:
                     # delta of f shares f's memos, so a cold walk needs a
                     # fresh function: the same one, built again from its seeds
-                    assert sy.delta(self.functions()[name])(p, q).dumps() == ref
+                    assert repr(sy.delta(self.functions()[name])(p, q).vec) == ref
 
     def test_complex_matches_left_to_right_product(self):
         # complex F takes the tail recursion too, whose products associate
@@ -343,7 +339,7 @@ class TestDeltaTails:
             f = corrupted_rf(127)
             fns = (sy.delta(f), sy.bullet(f, sy.embed_exp(scalar_rf(129), "b", AB, 3)),
                    sy.bullet_inverse(f))
-            return [g(p, q).dumps() for p, q in self.PAIRS[::9] for g in fns], fns
+            return [repr(g(p, q).vec) for p, q in self.PAIRS[::9] for g in fns], fns
 
         want, _ = values()
         monkeypatch.setattr(sy, "_MEMO_CAP", 1)
@@ -685,7 +681,7 @@ class TestVerifyReports:
     def test_report_records(self):
         d = sy.random_symbol(AB, 3, seed=93)
         rep = sy.verify_mds(d, sy.sample_pairs(5, seed=94))
-        assert rep.to_records() == []
+        assert rep.rows == []
         rep2 = sy.verify_mrf(sy.psi(d), sy.sample_pairs(5, seed=95))
         assert rep2.passed()
 
@@ -731,6 +727,15 @@ class TestDecompose:
         with pytest.raises(NotShuffled):
             for p, q in sy.sample_pairs(10, seed=113):
                 dec.residual(p, q)
+
+    def test_peel_memo_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(sy, "_MEMO_CAP", 2)
+        fc = sy.from_components({"a": scalar_rf(115), "b": scalar_rf(116)}, AB, 3)
+        dec = sy.decompose(fc, 2)
+        pairs = sy.sample_pairs(5, seed=117)
+        first = {pq: (repr(dec.reconstruction(*pq).vec), dec.factors(*pq)) for pq in pairs}
+        assert len(dec._peeled) <= 2 and pairs[0] not in dec._peeled
+        assert (repr(dec.reconstruction(*pairs[0]).vec), dec.factors(*pairs[0])) == first[pairs[0]]
 
     def test_depth_validation(self):
         fr = sy.embed_exp(scalar_rf(114), "a", AB, 2)
