@@ -103,6 +103,35 @@ def canonical_tails(p, q):
         p, q = -((-q) // p) * p - q, p
 
 
+def reduced(p, q):
+    """(p, q) moved by the sign and translation axioms, D(p, q) = D(-p, -q) =
+    D(p, p + q), to p > 0 and -p/2 <= q < p/2; at p = 1 to (1, 1) or (1, -1),
+    as no translation crosses q = 0."""
+    if p < 0:
+        p, q = -p, -q
+    if p == 1:
+        return 1, 1 if q > 0 else -1
+    return p, (q + p // 2) % p - p // 2
+
+
+def euclid_walk(p, q):
+    """The reduced pairs r_0 = reduced(p, q), r_(i+1) = reduced(-q_i, p_i),
+    top first and one at a time, down to (1, 1): the nearest-integer
+    continued fraction of q/p.  Each step at least halves the first entry,
+    so there are at most floor(log2 |p|) + 1 steps.  The pairs are plain
+    tuples, which the collector can untrack.
+
+    Requires gcd(p, q) = 1 and p != 0; checked when the first pair is drawn.
+    """
+    if p == 0 or gcd(p, q) != 1:
+        raise ValueError(f"the Euclid walk needs a coprime pair with p != 0, got ({p}, {q})")
+    r = reduced(p, q)
+    while r != (1, 1):
+        yield r
+        r = reduced(-r[1], r[0])
+    yield r
+
+
 def canonical(p, q):
     """The unique sequence with evaluate -> (p, q) and a_i >= 2 for i >= 1,
     a_i = ceil(q_i/p_i) over the tails of ``canonical_tails``.  Integers q/p

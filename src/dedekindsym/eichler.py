@@ -73,6 +73,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import ceil, comb, factorial, gcd, log, pi
 
+from .contfrac import reduced
 from .errors import DomainError, NonConvergence
 # form_value has no caller here: bench/tracing.py wraps eichler.form_value to count calls
 from .modforms import _fourier_root, _solve_unimodular, form_value
@@ -505,24 +506,14 @@ def _validate_pair(p, q):
     return p, q
 
 
-def _reduced(p, q):
-    """(p, q) moved by the sign and translation axioms, D(p, q) = D(-p, -q) =
-    D(p, p + q), to p > 0 and -p/2 <= q < p/2; at p = 1 to (1, 1) or (1, -1),
-    as no translation crosses q = 0."""
-    if p < 0:
-        p, q = -p, -q
-    if p == 1:
-        return 1, 1 if q > 0 else -1
-    return p, (q + p // 2) % p - p // 2
-
-
 def build_D(h, p, q, cfg=IntegratorConfig()):
     """The symbol series: I from ->(q/p) at i-infinity to ->inf at q/p, at (X,Y)=(q,p).
 
     D is fixed by its reciprocity function: at a reduced pair (p, q) other
     than (1, 1), D(p, q) = F(p, q) D(-q, p) E(p, q)^-1, and (-q, p) reduces
     to a pair with a smaller first entry, so the recursion ends at (1, 1)
-    in O(log p) steps.  There T^-1 and the chart S, which fixes i, give
+    in O(log p) steps: the walk of ``contfrac.euclid_walk``, which
+    ``bullet`` also takes.  There T^-1 and the chart S, which fixes i, give
     D(1, 1) = I(->0 at i inf, i) I(i, ->inf at 0): the end
     I(i, ->0 at i inf) read at (0, 1), inverted, times the same end read
     at (1, 0).
@@ -532,10 +523,12 @@ def build_D(h, p, q, cfg=IntegratorConfig()):
     back up, one step per pair; each step takes the products in the same
     order, so no value depends on what was memoized before.
     """
-    path = [_reduced(*_validate_pair(p, q))]
+    # contfrac.euclid_walk, inline: a generator broken off at a memoized pair
+    # costs about 0.5 us, 3% of the median sweep op
+    path = [reduced(*_validate_pair(p, q))]
     while path[-1] != (1, 1) and (h, path[-1], cfg) not in _VALUES:
         p, q = path[-1]
-        path.append(_reduced(-q, p))
+        path.append(reduced(-q, p))
     acc = None
     for p, q in reversed(path):
         acc = _value((h, (p, q), cfg), lambda: _recursion_step(h, p, q, acc, cfg))

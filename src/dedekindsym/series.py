@@ -28,6 +28,7 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, gcd, lcm
+from operator import index
 from types import MappingProxyType
 
 from .errors import NotInvertible
@@ -76,13 +77,14 @@ class Alphabet:
         return self._index[name]
 
     def word(self, letters):
-        """Coerce an index tuple or a string of identifiers to an index tuple."""
+        """Coerce an index tuple or a string of identifiers to an index tuple;
+        an index that is not an integer (a float, a string) raises TypeError."""
         if isinstance(letters, str):
             try:
                 return tuple(self._index[c] for c in letters)
             except KeyError as exc:
                 raise ValueError(f"unknown letter {exc.args[0]!r} in word {letters!r}") from None
-        letters = tuple(int(i) for i in letters)
+        letters = tuple(map(index, letters))
         for i in letters:
             if not 0 <= i < len(self.names):
                 raise ValueError(f"letter index {i} out of range")

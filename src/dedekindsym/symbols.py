@@ -66,8 +66,9 @@ def sample_pairs(n, seed, bound=30):
 # Evaluator objects
 
 # Values per memo, oldest evicted first.  delta at a pair whose continued
-# fraction has n proper tails stores up to n of them; over all pairs with
-# |p|, |q| <= 50 of the exact benchmark (seed 1) no memo holds more than 166.
+# fraction has n proper tails stores up to n of them, and the Euclid walk of
+# bullet at most floor(log2 |p|) + 1 per miss; over all pairs with
+# |p|, |q| <= 50 of the exact benchmark (seed 1) no memo holds more than 215.
 _MEMO_CAP = 1 << 12
 
 
@@ -160,49 +161,86 @@ def psi(d):
 
 
 # Per reciprocity function F, the memos of its normalized symbol D =
-# delta(F): D^(-1) at the continued-fraction tails and at asked pairs, and
-# D at asked pairs, both keyed by plain (p, q) tuples with p > 0.  F is held
-# weakly and the memos hold (vec, den) pairs only, so every delta, bullet
-# and bullet_inverse of one F shares one walk, and the memos go with F.
+# delta(F), one pair per walk: D^(-1) at the pairs the walk visits and at
+# asked pairs, and D at asked pairs, all keyed by plain (p, q) tuples with
+# p > 0.  ``_DELTA_MEMOS`` holds the canonical walk's pair, shared by every
+# delta of F, and ``_EUCLID_MEMOS`` the Euclid walk's, shared by every
+# bullet and bullet_inverse of F.  The two stay apart, so no complex value
+# depends on which walk filled a memo.  F is held weakly and the memos hold
+# (vec, den) pairs only, so the memos go with F.
 _DELTA_MEMOS = weakref.WeakKeyDictionary()
+_EUCLID_MEMOS = weakref.WeakKeyDictionary()
+
+
+def _canonical_walk(f, inv_memo, one, p, q):
+    """D^(-1)(p, q) by the canonical tails, on the memo of D^(-1) (see ``delta``)."""
+    if p < 0:
+        p, q = -p, -q
+    if p == 1:
+        return one if q >= 1 else f._at(1, 1)
+    tails = contfrac.canonical_tails(p, q)
+    path = [next(tails)]  # t_0 = (p, q), the memo miss itself
+    for t in map(tuple, tails):
+        hit = inv_memo.get(t)
+        if hit is not None:
+            acc = TruncSeries._packed(f.alphabet, f.trunc, f.kind, *hit) * f._at(*t)
+            break
+        path.append(t)
+    else:
+        acc = f._at(*path.pop())  # D^(-1)(t_(n-1)) = F(t_n), as D^(-1)(t_n) = 1
+    # acc is D^(-1) at the last tail of the path
+    while len(path) > 1:
+        t = path.pop()
+        _remember(inv_memo, _MEMO_CAP, t, (acc.vec, acc.den))
+        acc = acc * f._at(*t)
+    return acc
+
+
+def _euclid_walk(f, inv_memo, one, p, q):
+    """D^(-1)(p, q) by the reduced pairs of ``contfrac.euclid_walk``, on the
+    memo of D^(-1) (see ``bullet``)."""
+    path, acc = [], None
+    for r in contfrac.euclid_walk(p, q):
+        if r == (1, 1):
+            break
+        hit = inv_memo.get(r)
+        if hit is not None:
+            acc = TruncSeries._packed(f.alphabet, f.trunc, f.kind, *hit)
+            break
+        path.append(r)
+    # acc is D^(-1) below the last pair of the path, None for D^(-1)(1, 1) = 1
+    for p, q in reversed(path):
+        acc = f._at(-q, p) if acc is None else acc * f._at(-q, p)
+        _remember(inv_memo, _MEMO_CAP, (p, q), (acc.vec, acc.den))
+    return one if acc is None else acc
+
+
+def _symbol_fns(f, table, walk):
+    """Evaluators of D = delta(F) and of D^(-1) on F's memos in ``table``;
+    a miss of D^(-1) takes ``walk``."""
+    memos = table.get(f)
+    if memos is None:
+        memos = table[f] = ({}, {})
+    inv_memo, d_memo = memos
+    one = TruncSeries.one(f.alphabet, f.trunc, f.kind)
+    d_inv = _SeriesFn(lambda p, q: walk(f, inv_memo, one, p, q), f.alphabet, f.trunc, f.kind,
+                      almost=True, memo="sign")
+    d = SymbolFn(lambda p, q: d_inv._at(p, q).inverse(), f.alphabet, f.trunc, f.kind,
+                 almost=True, memo="sign", normalized=True)
+    # the walk binds F and the memo, never d or d_inv: no reference cycle
+    d_inv._memo, d._memo = inv_memo, d_memo
+    return d, d_inv
 
 
 def _delta_fns(f):
-    """Evaluators of D = delta(F) and of D^(-1), on F's shared memos."""
-    memos = _DELTA_MEMOS.get(f)
-    if memos is None:
-        memos = _DELTA_MEMOS[f] = ({}, {})
-    inv_memo, d_memo = memos
-    one = TruncSeries.one(f.alphabet, f.trunc, f.kind)
+    """D = delta(F) and D^(-1) by the canonical walk, on F's memos in ``_DELTA_MEMOS``."""
+    return _symbol_fns(f, _DELTA_MEMOS, _canonical_walk)
 
-    def walk(p, q):
-        if p < 0:
-            p, q = -p, -q
-        if p == 1:
-            return one if q >= 1 else f._at(1, 1)
-        tails = contfrac.canonical_tails(p, q)
-        path = [next(tails)]  # t_0 = (p, q), the memo miss itself
-        for t in map(tuple, tails):
-            hit = inv_memo.get(t)
-            if hit is not None:
-                acc = TruncSeries._packed(f.alphabet, f.trunc, f.kind, *hit) * f._at(*t)
-                break
-            path.append(t)
-        else:
-            acc = f._at(*path.pop())  # D^(-1)(t_(n-1)) = F(t_n), as D^(-1)(t_n) = 1
-        # acc is D^(-1) at the last tail of the path
-        while len(path) > 1:
-            t = path.pop()
-            _remember(inv_memo, _MEMO_CAP, t, (acc.vec, acc.den))
-            acc = acc * f._at(*t)
-        return acc
 
-    d_inv = _SeriesFn(walk, f.alphabet, f.trunc, f.kind, almost=True, memo="sign")
-    d = SymbolFn(lambda p, q: d_inv._at(p, q).inverse(), f.alphabet, f.trunc, f.kind,
-                 almost=True, memo="sign", normalized=True)
-    # the closures bind F and the memos, never d or d_inv: no reference cycle
-    d_inv._memo, d._memo = inv_memo, d_memo
-    return d, d_inv
+def _euclid_fns(f):
+    """D = delta(F) and D^(-1) of a reciprocity function F by the Euclid
+    walk, on F's memos in ``_EUCLID_MEMOS``."""
+    return _symbol_fns(f, _EUCLID_MEMOS, _euclid_walk)
 
 
 def delta(f):
@@ -220,12 +258,17 @@ def delta(f):
     to t_n), then fills the memo of D^(-1) back up, one product and no
     inverse per new tail, but none for D^(-1)(t_(n-1)) = F(t_n); D at an
     asked pair is one inverse of D^(-1) there.
-    Both memos belong to F, held weakly, and are shared by every delta,
-    ``bullet`` and ``bullet_inverse`` of F.  Exact inverses and products
-    are unique in lowest terms, so an exact value is the left-to-right
-    product's, to the byte; a complex value is the inverse of the product
-    of the F(t_i) and agrees with it to rounding (1e-12 of the largest
-    coefficient, for psi of D for E4, E6 at trunc 2 over the signed 9-grid).
+    Both memos belong to F, held weakly, and are shared by every delta of
+    F.  Exact inverses and products are unique in lowest terms, so an exact
+    value is the left-to-right product's, to the byte; a complex value is
+    the inverse of the product of the F(t_i) and agrees with it to rounding
+    (1e-12 of the largest coefficient, for psi of D for E4, E6 at trunc 2
+    over the signed 9-grid).
+
+    The walk costs the sum of the partial quotients, n - 1 products at
+    (n, 1).  It stays the paper's construction, for any F: ``bullet``'s
+    Euclid walk assumes that F is a reciprocity function, and under it
+    psi(delta(F)) = F would hold by construction and test nothing.
     """
     return _delta_fns(f)[0]
 
@@ -252,22 +295,30 @@ def normalize(d):
 
 def bullet(f, g):
     """Product of reciprocity functions through their normalized symbols:
-    (F * G)(p,q) = D(p,q) G(p,q) D^(-1)(-q,p) with D = delta(F).  D^(-1) is
-    read from the tail walk of ``delta``, which builds it by products, and
-    D is one inverse of it per asked pair; both memos are F's, held weakly
-    and shared with every other delta of F.  Like D, the product is an
-    almost function."""
+    (F * G)(p,q) = D(p,q) G(p,q) D^(-1)(-q,p) with D = delta(F).
+
+    D^(-1) is read by the Euclid walk, which holds only for a reciprocity
+    function F: D(p, q) = F(p, q) D(-q, p), with the sign and translation
+    axioms and D(1, 1) = 1, gives D^(-1)(r_i) = D^(-1)(r_(i+1)) F(-q_i, p_i)
+    over the reduced pairs r_i = (p_i, q_i) of ``contfrac.euclid_walk``, one
+    product and no inverse per pair, at most floor(log2 |p|) + 1 of them.
+    A memo miss walks down to the first memoized pair, or to (1, 1), and
+    fills the memo back up, so no value depends on what was memoized
+    before.  D is one inverse of D^(-1) per asked pair.  Both memos are F's,
+    held weakly and shared with every other bullet and bullet_inverse of F,
+    apart from delta's.  On exact data the values are the canonical walk's,
+    to the byte.  Like D, the product is an almost function."""
     f, g = _merge(f, g)
-    d, d_inv = _delta_fns(f)
+    d, d_inv = _euclid_fns(f)
     return RecipFn(lambda p, q: d._at(p, q) * g._at(p, q) * d_inv._at(-q, p),
                    f.alphabet, min(f.trunc, g.trunc), f.kind, almost=True)
 
 
 def bullet_inverse(f):
     """Inverse under the product: D^(-1)(p,q) D(-q,p) with D = delta(F),
-    both read from F's shared memos (see ``delta``): no inverse beyond the
-    one per asked pair that D costs.  Like D, it is an almost function."""
-    d, d_inv = _delta_fns(f)
+    both read by ``bullet``'s Euclid walk from F's memos: no inverse beyond
+    the one per asked pair that D costs.  Like D, it is an almost function."""
+    d, d_inv = _euclid_fns(f)
     return RecipFn(lambda p, q: d_inv._at(p, q) * d._at(-q, p),
                    f.alphabet, f.trunc, f.kind, almost=True)
 

@@ -143,6 +143,44 @@ class TestCanonical:
                 assert cf.CFSeq(entries[i:]).is_canonical()
 
 
+class TestEuclidWalk:
+    GRID = [(p, q) for p in range(-40, 41) for q in range(-40, 41) if p and gcd(p, q) == 1]
+
+    def test_reduced_is_in_the_orbit(self):
+        # the sign and translation axioms move (p, q) to p > 0 and
+        # -p/2 <= q < p/2, or to (1, +-1) at p = 1, where q = 0 is not crossed
+        for p, q in self.GRID:
+            rp, rq = cf.reduced(p, q)
+            sp, sq = (p, q) if p > 0 else (-p, -q)
+            assert rp == sp
+            if rp == 1:
+                assert rq == (1 if sq > 0 else -1)
+            else:
+                assert -rp <= 2 * rq < rp and (rq - sq) % rp == 0
+
+    def test_steps(self):
+        # r_0 = reduced(p, q), r_(i+1) = reduced(-q_i, p_i), down to (1, 1):
+        # the first entry at least halves per step, so there are at most
+        # floor(log2 |p|) + 1 steps
+        for p, q in self.GRID + [(20000, 1), (3, -1000000007), (1234567891, 987654321), (10 ** 30 + 1, 10 ** 30)]:
+            walk = list(cf.euclid_walk(p, q))
+            assert walk[0] == cf.reduced(p, q) and walk[-1] == (1, 1)
+            assert all(b == cf.reduced(-a[1], a[0]) for a, b in zip(walk, walk[1:]))
+            assert all(type(r) is tuple for r in walk)
+            assert len(walk) - 1 <= abs(p).bit_length()
+
+    def test_examples(self):
+        assert list(cf.euclid_walk(20000, 1)) == [(20000, 1), (1, -1), (1, 1)]
+        assert list(cf.euclid_walk(-7, 5)) == [(7, 2), (2, -1), (1, 1)]
+        assert list(cf.euclid_walk(3, 7)) == [(3, 1), (1, -1), (1, 1)]
+        assert list(cf.euclid_walk(1, 9)) == [(1, 1)]
+
+    @pytest.mark.parametrize("p, q", [(0, 1), (2, 4), (0, 0)])
+    def test_refuses_pairs_off_the_domain(self, p, q):
+        with pytest.raises(ValueError):
+            list(cf.euclid_walk(p, q))
+
+
 def random_move(rng, seq):
     """A random legal move applied to seq, or None if the draw was illegal."""
     kind = rng.choice(["t1", "t2", "t3", "t1i", "t2i", "t3i"])

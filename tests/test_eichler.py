@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dedekindsym import contfrac as cf
 from dedekindsym import eichler as ei
 from dedekindsym import modforms as mf
 from dedekindsym import symbols as sy
@@ -1203,7 +1204,7 @@ class TestBridgeSteps:
         assert len(ends) == 84
         assert all(type(num) is int and type(den) is int and den > 0 and math.gcd(num, den) == 1
                    for _, _, (num, den), _, _ in ends)
-        reduced = {ei._reduced(p, q) for p in range(1, 10) for q in range(-9, 10) if q and math.gcd(p, q) == 1}
+        reduced = {cf.reduced(p, q) for p in range(1, 10) for q in range(-9, 10) if q and math.gcd(p, q) == 1}
         assert {key[1] for key in ei._VALUES if len(key) == 3} == reduced   # (h, (p, q), cfg)
         assert len(reduced) == 29
         ei.clear_caches()

@@ -57,6 +57,15 @@ class TestAlphabetWord:
         with pytest.raises(ValueError, match="out of range"):
             s.coeff((0, 2))
 
+    @pytest.mark.parametrize("letters", [(0.9, 1.2), ["1"], (1.5,), (True, 0.0)])
+    def test_letter_indices_must_be_integers(self, letters):
+        # an index that is not an integer is refused, not truncated to one
+        with pytest.raises(TypeError):
+            AB.word(letters)
+        with pytest.raises(TypeError):
+            TruncSeries.one(AB, 2).coeff(letters)
+        assert AB.word([1, 0]) == (1, 0)
+
 
 class TestMul:
     def test_one_plus_a_times_one_plus_b(self):

@@ -324,15 +324,17 @@ class TestDeltaTails:
 
     def test_complex_matches_left_to_right_product(self):
         # complex F takes the tail recursion too, whose products associate
-        # from the right: psi of D for E4, E6 at trunc 2 over the signed grid.
+        # from the right, and the Euclid walk of bullet, whose products
+        # differ: psi of D for E4, E6 at trunc 2 over the signed grid.
         # Bound fixed beforehand: 1e-12 of max(1, largest coefficient)
         h = ei.HAssignment.letters({"A": mf.eisenstein(4), "B": mf.eisenstein(6)})
         f = sy.psi(ei.symbol_fn(h, ei.IntegratorConfig(trunc=2)))
-        d = sy.delta(f)
+        d, euclid = sy.delta(f), sy._euclid_fns(f)[0]
         grid = [(p, q) for p in range(-9, 10) for q in range(-9, 10) if abs(p) > 1 and q and gcd(p, q) == 1]
         for p, q in grid:
             want = sy.delta_full(f, cf.canonical(*((p, q) if p > 0 else (-p, -q))))
-            assert d(p, q).max_abs_diff(want) <= 1e-12 * max(1.0, max(map(abs, want.vec))), (p, q)
+            for got in (d(p, q), euclid(p, q)):
+                assert got.max_abs_diff(want) <= 1e-12 * max(1.0, max(map(abs, want.vec))), (p, q)
 
     def test_memo_cap_of_one_gives_the_same_values(self, monkeypatch):
         def values():
@@ -391,11 +393,15 @@ class TestDeltaTails:
         assert got == sy.delta_full(f, cf.canonical(p, q))
 
     def test_one_walk_per_function(self, monkeypatch):
-        # two deltas, a bullet and a bullet inverse of one F share one walk:
-        # F is asked once per tail t_i (i < n) of the points they evaluate,
-        # (p, q) and (-q, p), for the value D^(-1)(t_i) = D^(-1)(t_(i+1)) F(t_(i+1)),
-        # and at (1, 1) once per negative integer q/p, whose D^(-1) is F(1, 1)
-        f = corrupted_rf(130)
+        # each of F's two walks is shared by everything that reads it, and
+        # neither reads the other's memo.  Two deltas share the canonical
+        # walk: F is asked once per tail t_i (i < n) of the pairs they
+        # evaluate, for the value D^(-1)(t_i) = D^(-1)(t_(i+1)) F(t_(i+1)).
+        # Two bullets and a bullet inverse share the Euclid walk: F is asked
+        # once at (-q_i, p_i) per reduced pair r_i = (p_i, q_i) other than
+        # (1, 1) on the walks of the points they evaluate, (p, q) and
+        # (-q, p), for D^(-1)(r_i) = D^(-1)(r_(i+1)) F(-q_i, p_i)
+        f = sy.psi(sy.random_symbol(AB, 3, seed=130))
         asked = []
         at = sy.RecipFn._at
 
@@ -405,20 +411,20 @@ class TestDeltaTails:
             return at(self, p, q)
 
         monkeypatch.setattr(sy.RecipFn, "_at", counted_at)
-        fns = (sy.delta(f), sy.delta(f), sy.bullet(f, sy.embed_exp(scalar_rf(131), "b", AB, 3)),
-               sy.bullet_inverse(f))
         pairs = self.PAIRS[::7]
+        for g in (sy.delta(f), sy.delta(f)):
+            for p, q in pairs:
+                g(p, q)
+        tails = {t for p, q in pairs for t in cf.canonical_tails(p, q) if t.p > 1}
+        assert len(asked) == len(tails)
+        asked.clear()
+        fns = (sy.bullet(f, sy.embed_exp(scalar_rf(131), "b", AB, 3)),
+               sy.bullet(f, sy.embed_exp(scalar_rf(136), "a", AB, 3)), sy.bullet_inverse(f))
         for p, q in pairs:
             for g in fns:
                 g(p, q)
-        tails = set()
-        for p, q in pairs + [(-q, p) for p, q in pairs]:
-            p, q = (p, q) if p > 0 else (-p, -q)
-            if p == 1:
-                tails.update([(p, q)] if q < 0 else [])
-            else:
-                tails.update(t for t in cf.canonical_tails(p, q) if t.p > 1)
-        assert len(asked) == len(tails)
+        reduced = {r for p, q in pairs for pq in ((p, q), (-q, p)) for r in cf.euclid_walk(*pq) if r != (1, 1)}
+        assert sorted(asked) == sorted((-q, p) for p, q in reduced)
 
     def test_no_reference_cycle(self):
         f = sy.psi(sy.random_symbol(AB, 3, seed=128))
@@ -433,9 +439,10 @@ class TestDeltaTails:
             gc.enable()
 
     def test_memo_entries_are_untracked(self):
-        # keys are (p, q) tuples and values (vec, den) tuples of ints, so the
-        # collector drops them from its lists; a tuple goes only after its
-        # items have, hence a second collection for the nested pair
+        # in the memos of both walks, as in every other memo, keys are (p, q)
+        # tuples and values (vec, den) tuples of ints, so the collector drops
+        # them from its lists; a tuple goes only after its items have, hence
+        # a second collection for the nested pair
         f = sy.psi(sy.random_symbol(AB, 3, seed=133))
         g = sy.embed_exp(scalar_rf(134), "b", AB, 3)
         r = sy.random_symbol(AB, 3, seed=135)
@@ -445,7 +452,7 @@ class TestDeltaTails:
             for fn in fns:
                 fn(p, q)
         by_orbit = r._func.__closure__[r._func.__code__.co_freevars.index("by_orbit")].cell_contents
-        memos = [*sy._DELTA_MEMOS[f], *(fn._memo for fn in fns), r._memo, by_orbit]
+        memos = [*sy._DELTA_MEMOS[f], *sy._EUCLID_MEMOS[f], *(fn._memo for fn in fns), r._memo, by_orbit]
         assert all(memos) and any(len(m) > 100 for m in memos)
         gc.collect()
         gc.collect()
@@ -633,6 +640,73 @@ class TestBulletProperties:
     def test_delta_of_psi_is_normalize(self, seed, pq):
         d = sy.random_symbol(AB, 3, seed)
         assert sy.delta(sy.psi(d))(*pq) == sy.normalize(d)(*pq)
+
+
+def reciprocity_fn(how, seed):
+    """A rational reciprocity function over ab at trunc 3, built by psi,
+    bullet or from_components."""
+    if how == "psi":
+        return sy.psi(sy.random_symbol(AB, 3, seed))
+    if how == "bullet":
+        return sy.bullet(reciprocity_fn("psi", seed), reciprocity_fn("components", seed + 1))
+    return sy.from_components({"a": scalar_rf(seed), "b": scalar_rf(seed + 1)}, AB, 3)
+
+
+WIDE_PAIR = (st.tuples(st.integers(-1000, 1000), st.integers(-1000, 1000))
+             .filter(lambda pq: pq[0] * pq[1] != 0 and gcd(*pq) == 1))
+
+
+class TestEuclidWalk:
+    """bullet and bullet_inverse read D = delta(F) by the Euclid walk, in
+    O(log |p| + log |q|) steps, where the canonical walk of delta takes the
+    sum of the partial quotients."""
+
+    WIDE = [(3, -1000000007), (1234567891, 987654321)]
+
+    @PROPERTY
+    @given(st.sampled_from(("psi", "bullet", "components")), SEED, WIDE_PAIR)
+    def test_walks_agree_to_the_byte(self, how, seed, pq):
+        f = reciprocity_fn(how, seed)
+        for canonical, euclid in zip(sy._delta_fns(f), sy._euclid_fns(f)):
+            a, b = canonical(*pq), euclid(*pq)
+            assert (repr(a.vec), a.den) == (repr(b.vec), b.den)
+
+    @pytest.mark.parametrize("p, q", WIDE)
+    def test_algebra_at_wide_pairs(self, p, q):
+        f, g, h = reciprocity_fn("psi", 141), reciprocity_fn("components", 143), reciprocity_fn("bullet", 145)
+        unit = sy.RecipFn(lambda p, q: one(), AB, 3)
+        fi = sy.bullet_inverse(f)
+        assert sy.bullet(sy.bullet(f, g), h)(p, q) == sy.bullet(f, sy.bullet(g, h))(p, q)
+        assert sy.bullet(unit, f)(p, q) == f(p, q) == sy.bullet(f, unit)(p, q)
+        assert sy.bullet(f, fi)(p, q) == one() == sy.bullet(fi, f)(p, q)
+
+    @pytest.mark.parametrize("p, q", WIDE)
+    def test_matches_the_normalized_symbol_at_wide_pairs(self, p, q):
+        # F = psi(D) has delta(F) = normalize(D), which a seeded symbol
+        # reads at any pair in one step
+        d = sy.random_symbol(AB, 3, seed=147)
+        n, g = sy.normalize(d), reciprocity_fn("components", 148)
+        assert sy.bullet(sy.psi(d), g)(p, q) == n(p, q) * g(p, q) * n(-q, p).inverse()
+        assert sy.bullet_inverse(sy.psi(d))(p, q) == n(p, q).inverse() * n(-q, p)
+
+    @pytest.mark.parametrize("p, q", [(20000, 1)] + WIDE)
+    def test_cold_bullet_asks_f_once_per_step(self, monkeypatch, p, q):
+        # the walks from (p, q) and (-q, p) take at most floor(log2 |p|) + 1
+        # and floor(log2 |q|) + 1 steps, one value of F each: at (20000, 1)
+        # that is floor(log2 p) + 2, where the canonical walk asks 19,999
+        f = reciprocity_fn("psi", 149)
+        g = reciprocity_fn("components", 150)
+        asked = []
+        at = sy.RecipFn._at
+
+        def counted_at(self, p, q):
+            if self is f:
+                asked.append((p, q))
+            return at(self, p, q)
+
+        monkeypatch.setattr(sy.RecipFn, "_at", counted_at)
+        sy.bullet(f, g)(p, q)
+        assert len(asked) <= abs(p).bit_length() + abs(q).bit_length()
 
 
 class TestFromComponents:
