@@ -87,10 +87,11 @@ def canonical_tails(p, q):
     first and one at a time: tail i+1 is (a_i p_i - q_i, p_i) with
     a_i = ceil(q_i/p_i), and the last tail is the first with p_i = 1.
 
-    Requires gcd(p, q) = 1 and p >= 1 (callers canonicalize the sign of the
-    pair first); checked when the first tail is drawn.
+    Requires integers with gcd(p, q) = 1 and p >= 1 (callers canonicalize
+    the sign of the pair first); checked when the first tail is drawn, and
+    a float or a string raises TypeError.
     """
-    p, q = int(p), int(q)
+    p, q = index(p), index(q)
     if p <= 0:
         raise ValueError("canonical continued fractions need p >= 1")
     if gcd(p, q) != 1:

@@ -72,6 +72,7 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import ceil, comb, factorial, gcd, log, pi
+from operator import index
 
 from .contfrac import reduced
 from .errors import DomainError, NonConvergence
@@ -90,6 +91,9 @@ class HAssignment:
     The form attached to a word B must have weight w(B) + 2.  Assigning
     forms only to single letters gives the usual case; longer words are
     allowed and simply contribute extra terms to the connection form.
+    The forms are fixed at construction, and so is ``letter_constants``:
+    per letter, the constant Fourier term a_0 of its form as a complex (0
+    for a letter without a form), read once here for ``build_E``.
     """
 
     def __init__(self, alphabet, forms):
@@ -105,6 +109,8 @@ class HAssignment:
             if form.weight != need:
                 raise ValueError(f"word {alphabet.word_name(w)!r} needs weight {need}, got {form.weight}")
             self.forms[w] = form
+        letter_forms = (self.forms.get((i,)) for i in range(len(alphabet)))
+        self.letter_constants = tuple(0j if f is None else complex(f.coeff(0)) for f in letter_forms)
 
     @classmethod
     def letters(cls, assignments):
@@ -498,7 +504,8 @@ def full_integral(h, tb0, tb1, pair, cfg=IntegratorConfig(), tau1=None):
 # The three constructors
 
 def _validate_pair(p, q):
-    p, q = int(p), int(q)
+    """The pair as ints, coprime with pq != 0; a float or a string raises TypeError."""
+    p, q = index(p), index(q)
     if gcd(p, q) != 1:
         raise DomainError(f"({p}, {q}) is not coprime")
     if p * q == 0:
@@ -561,13 +568,14 @@ def build_E(h, p, q, trunc=2):
     It is an exponential of letters, so its word A_i1 ... A_ik reads
     c_i1 ... c_ik / k!, c_i = a_0(h(A_i)) / (p q), with the product taken
     left to right and 1/k! as its nearest float: the bytes of ``exp``'s
-    power sum.  Every c_i changes sign with p, so E(p, q)^-1 = E(-p, q).
+    power sum.  The a_0 are the assignment's ``letter_constants``, read
+    once when it was built.  A word with a letter whose a_0 is 0 reads 0
+    after the + 0j, whatever the signs of the zeros in its product.  Every
+    c_i changes sign with p, so E(p, q)^-1 = E(-p, q).
     """
     p, q = _validate_pair(p, q)
-    c = [0j] * len(h.alphabet)
-    for w, a0 in h.constant_terms().items():
-        if len(w) == 1:
-            c[w[0]] = a0 / (p * q)
+    pq = p * q
+    c = [a0 / pq for a0 in h.letter_constants]
     level, vec = [1], [1.0 + 0j]
     for k in range(1, trunc + 1):
         level = [x * ci for x in level for ci in c]

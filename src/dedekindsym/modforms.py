@@ -12,6 +12,7 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 from math import comb, factorial, gcd
+from operator import index
 
 from .errors import DomainError, NonConvergence
 
@@ -399,11 +400,12 @@ def dedekind_symbol_length1(form, p, q, height=None, tol=1e-12, cap=_FOURIER_CAP
     q/p to i-infinity, and the closed-form boundary terms of the constant
     coefficient.  The value does not depend on the choice of tau0; the
     default height 1/|p| makes the Fourier heights of the two integral
-    pieces equal.
+    pieces equal.  p and q are read as integers: a float or a string raises
+    TypeError.
     """
     if form.level != 1:
         raise ValueError("length-one symbol implemented for level-one forms")
-    p, q = int(p), int(q)
+    p, q = index(p), index(q)
     _check_pair(p, q)
     w = form.weight - 2
     a0 = complex(form.coeff(0))

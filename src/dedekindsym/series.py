@@ -28,7 +28,7 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, gcd, lcm
-from operator import index
+from operator import index, sub
 from types import MappingProxyType
 
 from .errors import NotInvertible
@@ -415,10 +415,10 @@ class TruncSeries:
         return TruncSeries._from_vec(alphabet, self.trunc, vec, self.kind, self.den)
 
     def max_abs_diff(self, other):
-        if self.alphabet != other.alphabet:
+        if self.alphabet is not other.alphabet and self.alphabet != other.alphabet:
             raise ValueError("alphabet mismatch")
         a, b = (s.vec if s.kind == COMPLEX else [n / s.den for n in s.vec] for s in (self, other))
-        return max((abs(x - y) for x, y in zip(a, b)), default=0.0)
+        return max(map(abs, map(sub, a, b)), default=0.0)
 
     def is_grouplike(self, tol=0, relative=False):
         """Check S^u S^v = sum_{w in Sh(u,v)} S^w for all u, v with l(u)+l(v) <= trunc.

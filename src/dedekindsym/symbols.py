@@ -13,6 +13,7 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+from operator import index
 
 from . import contfrac
 from .errors import DomainError, NotShuffled
@@ -81,7 +82,8 @@ class _SeriesFn:
     The memo keeps at most ``_MEMO_CAP`` values, each as the pair
     ``(vec, den)`` of the series, which the collector need not follow.
 
-    ``__call__`` checks the pair; ``_at`` skips the check, for pairs
+    ``__call__`` checks the pair, read as integers (a float or a string
+    raises TypeError); ``_at`` skips the check, for pairs
     derived from one that was checked (the closures of ``psi``, ``delta``,
     ``normalize`` and ``bullet``).
     """
@@ -98,7 +100,7 @@ class _SeriesFn:
         self._memo = {}
 
     def __call__(self, p, q):
-        p, q = int(p), int(q)
+        p, q = index(p), index(q)
         if gcd(p, q) != 1:
             raise DomainError(f"({p}, {q}) is not coprime")
         if self.almost and p * q == 0:

@@ -116,6 +116,14 @@ class TestCanonical:
         with pytest.raises(ValueError):
             cf.canonical(0, 1)
 
+    @pytest.mark.parametrize("pair", [(5.5, 3), (5, 3.0), ("5", 3)])
+    def test_pair_entries_must_be_integers(self, pair):
+        # a pair is read as integers, never truncated or parsed
+        with pytest.raises(TypeError):
+            cf.canonical(*pair)
+        with pytest.raises(TypeError):
+            next(cf.canonical_tails(*pair))
+
     def test_round_trip_range(self):
         for p in range(1, 60):
             for q in range(-60, 61):

@@ -41,6 +41,15 @@ def h_delta():
     return ei.HAssignment.letters({"A": mf.delta_form()})
 
 
+def h_three():
+    return ei.HAssignment.letters({"A": mf.eisenstein(4), "B": mf.eisenstein(6), "C": mf.delta_form()})
+
+
+def h_word():
+    # a form on the word AB and none on the letter B
+    return ei.HAssignment(Alphabet([("A", 2), ("B", 4)]), {"A": mf.eisenstein(4), "AB": mf.eisenstein(8)})
+
+
 class TestHAssignment:
     def test_letters_weights(self):
         h = h_pair()
@@ -57,10 +66,11 @@ class TestHAssignment:
             ei.HAssignment(ab, {"A": mf.eisenstein_gamma02(4)})
 
     def test_word_assignment(self):
-        ab = Alphabet([("A", 2), ("B", 4)])
-        h = ei.HAssignment(ab, {"A": mf.eisenstein(4), "AB": mf.eisenstein(8)})
+        h = h_word()
+        ab = h.alphabet
         assert h.forms[ab.word("AB")].weight == 8
         assert ab.word("BA") not in h.forms
+        assert h.letter_constants == (complex(mf.eisenstein(4).coeff(0)), 0j)
 
 
 class TestOmega:
@@ -666,6 +676,13 @@ class TestBuilders:
         with pytest.raises(DomainError):
             ei.build_E(h, 2, 4, 2)
 
+    @pytest.mark.parametrize("build", [ei.build_D, ei.build_F, ei.build_E])
+    @pytest.mark.parametrize("pair", [(2.7, 3), (2, 3.0), ("2", 3)])
+    def test_pair_entries_must_be_integers(self, build, pair):
+        # a pair is read as integers, never truncated or parsed
+        with pytest.raises(TypeError):
+            build(h_pair(), *pair)
+
     def test_F_length1_laurent_structure(self):
         # length-1 components fit Laurent polynomials over the degree box:
         # the associated function psi(D) carries the extra a_0/(pq) term,
@@ -705,15 +722,26 @@ class TestClosedFormE:
 
     SETTINGS = [(h_pair, 1), (h_pair, 2), (h_pair, 3), (h_e4_delta, 2), (h_delta, 3)]
 
-    @pytest.mark.parametrize("make", [h_pair, h_e4_delta])
+    @pytest.mark.parametrize("make", [h_pair, h_e4_delta, h_word, h_three])
     def test_bytes_of_the_power_sum(self, make):
         h = make()
         for trunc in range(1, 6):
             for p, q in SIGNED_GRID:
                 assert repr(ei.build_E(h, p, q, trunc).vec) == repr(power_sum_E(h, p, q, trunc).vec)
 
+    def test_reads_no_coefficient_per_call(self, monkeypatch):
+        # the letters' constant terms are read when the assignment is built
+        h = h_three()
+        want = [repr(power_sum_E(h, p, q, trunc).vec) for trunc in (1, 3) for p, q in SIGNED_GRID]
+
+        def refuse(form, n):
+            raise AssertionError(f"coefficient {n} of a form read after the assignment was built")
+
+        monkeypatch.setattr(mf.ModularFormSpec, "coeff", refuse)
+        assert [repr(ei.build_E(h, p, q, trunc).vec) for trunc in (1, 3) for p, q in SIGNED_GRID] == want
+
     def test_E_of_minus_p_is_the_inverse(self):
-        h = ei.HAssignment.letters({"A": mf.eisenstein(4), "B": mf.eisenstein(6), "C": mf.delta_form()})
+        h = h_three()
         for trunc in (2, 4):
             one = TruncSeries.one(h.alphabet, trunc, COMPLEX)
             for p, q in SIGNED_GRID:

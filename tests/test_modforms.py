@@ -155,6 +155,12 @@ PAIRS = [(3, 5), (2, 7), (5, 3), (1, 4), (4, -9), (-3, 8), (5, 2), (5, -6), (2, 
 
 
 class TestLengthOneSymbol:
+    @pytest.mark.parametrize("pair", [(2.5, 3), (2, 3.0), (2, "3")])
+    def test_pair_entries_must_be_integers(self, pair):
+        # a pair is read as integers, never truncated or parsed
+        with pytest.raises(TypeError):
+            mf.dedekind_symbol_length1(mf.eisenstein(4), *pair)
+
     def test_tau0_independence(self):
         a = mf.dedekind_symbol_length1(mf.eisenstein(4), 3, 5, height=1.0)
         b = mf.dedekind_symbol_length1(mf.eisenstein(4), 3, 5, height=0.4)

@@ -215,6 +215,34 @@ class TestKernels:
                 want, want_den = loop_inverse_vector(s)
                 assert type(vec) is tuple and repr(list(vec)) == repr(want) and den == want_den
 
+    def test_product_and_inverse_over_equal_alphabets(self):
+        # two equal but distinct alphabets take the general product path
+        rng = random.Random(11)
+        ab, ab2 = Alphabet.simple("ab"), Alphabet.simple("ab")
+        for kind in (RATIONAL, COMPLEX):
+            for trunc in range(4):
+                s, t = kernel_series(rng, ab, trunc, kind), kernel_series(rng, ab2, trunc, kind)
+                st, want = s * t, loop_mul(s, t)
+                assert st.alphabet == ab and repr(st.vec) == repr(want.vec) and st.den == want.den
+                assert repr(st.inverse().vec) == repr(loop_inverse(st).vec)
+
+    def test_product_of_mixed_kinds(self):
+        # a rational operand enters a complex product as the floats of its
+        # coefficients
+        rng = random.Random(12)
+        ab = Alphabet.simple("ab")
+        for trunc in range(4):
+            r, c = kernel_series(rng, ab, trunc, RATIONAL), kernel_series(rng, ab, trunc, COMPLEX)
+            rc = TruncSeries(ab, trunc, dict(r.items()), COMPLEX)
+            for got, want in ((r * c, loop_mul(rc, c)), (c * r, loop_mul(c, rc))):
+                assert got.kind == COMPLEX and repr(got.vec) == repr(want.vec)
+
+    @pytest.mark.parametrize("other", [Alphabet.simple("ac"), Alphabet.simple("ab", 4), Alphabet.simple("abc")])
+    def test_product_over_another_alphabet_raises(self, other):
+        s = TruncSeries.one(Alphabet.simple("ab"), 2)
+        with pytest.raises(ValueError, match="alphabet mismatch"):
+            s * TruncSeries.one(other, 2)
+
     def test_product_over_two_truncations(self):
         rng = random.Random(7)
         ab = Alphabet.simple("ab")

@@ -101,6 +101,12 @@ class TestRandomSymbol:
                 got = d(p, q)
                 assert repr(list(got.vec)) == repr(list(want[key].vec)) and got.den == want[key].den
 
+    @pytest.mark.parametrize("pair", [(2.9, 3), (2, 3.0), ("2", 3)])
+    def test_pair_entries_must_be_integers(self, pair):
+        # a pair is read as integers, never truncated or parsed
+        with pytest.raises(TypeError):
+            sy.random_symbol(AB, 3, seed=9)(*pair)
+
     def test_deterministic(self):
         d1 = sy.random_symbol(AB, 3, seed=9)
         d2 = sy.random_symbol(AB, 3, seed=9)
