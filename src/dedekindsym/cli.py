@@ -99,9 +99,7 @@ def _parse_pq(text):
         p, q = int(p_str), int(q_str)
     except ValueError as exc:
         raise DomainError(f"malformed --pq {text!r}, expected P,Q") from exc
-    if gcd(p, q) != 1:
-        raise DomainError(f"({p}, {q}) is not coprime")
-    return p, q
+    return contfrac.coprime(p, q)
 
 
 def _assignment(args):
@@ -422,7 +420,7 @@ def main(argv=None):
     except NonConvergence as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (DomainError, DedekindSymError, ValueError) as exc:
+    except (DedekindSymError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -13,6 +13,10 @@ canonical representation with a_i >= 2 for i >= 1.
 
 The moves t1/t2/t3 (and inverses) rewrite a sequence without changing
 the rational number it represents.
+
+``coprime`` is the one check of a pair (p, q) for every function of the
+package that takes one, and ``unimodular`` completes a pair to a matrix of
+SL2(Z).
 """
 
 from collections import namedtuple
@@ -20,9 +24,32 @@ from fractions import Fraction
 from math import gcd
 from operator import index
 
-from .errors import DivisionByZeroTail
+from .errors import DivisionByZeroTail, DomainError
 
 CoprimePair = namedtuple("CoprimePair", "p q")
+
+
+def coprime(p, q, almost=False):
+    """The pair read as integers, (p, q) as a tuple: DomainError naming the
+    pair when gcd(p, q) != 1 or, for an almost function, when pq = 0; a
+    float or a string raises TypeError."""
+    p, q = index(p), index(q)
+    if gcd(p, q) != 1 or almost and not p * q:
+        raise DomainError(f"({p}, {q}) must be coprime{' with pq != 0' if almost else ''}")
+    return p, q
+
+
+def unimodular(p, q):
+    """(r, s) with q s - p r = 1, so that (q, r; p, s) in SL2(Z) maps
+    i-infinity to q/p: |r| smallest, then s >= 0, then r smallest.  r is
+    the inverse of -p modulo |q|, or that less |q|; at q = 0, where p = ±1,
+    it is (-p, 0)."""
+    p, q = coprime(p, q)
+    if q == 0:
+        return -p, 0
+    r = pow(-p, -1, abs(q))
+    return min(((x, (1 + p * x) // q) for x in (r, r - abs(q))),
+               key=lambda rs: (abs(rs[0]), rs[1] < 0, rs[0]))
 
 
 class CFSeq:
@@ -87,15 +114,12 @@ def canonical_tails(p, q):
     first and one at a time: tail i+1 is (a_i p_i - q_i, p_i) with
     a_i = ceil(q_i/p_i), and the last tail is the first with p_i = 1.
 
-    Requires integers with gcd(p, q) = 1 and p >= 1 (callers canonicalize
-    the sign of the pair first); checked when the first tail is drawn, and
-    a float or a string raises TypeError.
+    Requires a ``coprime`` pair with p >= 1 (callers canonicalize the sign
+    of the pair first); checked when the first tail is drawn.
     """
-    p, q = index(p), index(q)
+    p, q = coprime(p, q)
     if p <= 0:
-        raise ValueError("canonical continued fractions need p >= 1")
-    if gcd(p, q) != 1:
-        raise ValueError("(p, q) must be coprime")
+        raise DomainError(f"canonical continued fractions need p >= 1, got ({p}, {q})")
     while True:
         yield CoprimePair(p, q)
         if p == 1:
@@ -122,10 +146,12 @@ def euclid_walk(p, q):
     so there are at most floor(log2 |p|) + 1 steps.  The pairs are plain
     tuples, which the collector can untrack.
 
-    Requires gcd(p, q) = 1 and p != 0; checked when the first pair is drawn.
+    Requires a ``coprime`` pair with p != 0; checked when the first pair is
+    drawn.
     """
-    if p == 0 or gcd(p, q) != 1:
-        raise ValueError(f"the Euclid walk needs a coprime pair with p != 0, got ({p}, {q})")
+    p, q = coprime(p, q)
+    if p == 0:
+        raise DomainError(f"the Euclid walk needs p != 0, got ({p}, {q})")
     r = reduced(p, q)
     while r != (1, 1):
         yield r

@@ -71,13 +71,12 @@ monomial.
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from math import ceil, comb, factorial, gcd, log, pi
-from operator import index
+from math import ceil, comb, factorial, log, pi
 
-from .contfrac import reduced
+from .contfrac import coprime, reduced, unimodular
 from .errors import DomainError, NonConvergence
 # form_value has no caller here: bench/tracing.py wraps eichler.form_value to count calls
-from .modforms import _fourier_root, _solve_unimodular, form_value
+from .modforms import _fourier_root, form_value
 from .series import COMPLEX, Alphabet, TruncSeries, _remember, _split_table
 
 INF = float("inf")
@@ -118,9 +117,6 @@ class HAssignment:
         weights are inferred as form weight - 2."""
         alphabet = Alphabet((name, form.weight - 2) for name, form in assignments.items())
         return cls(alphabet, {name: form for name, form in assignments.items()})
-
-    def constant_terms(self):
-        return {w: complex(f.coeff(0)) for w, f in self.forms.items()}
 
 
 class TangentialBasePoint(namedtuple("TangentialBasePoint", "base direction")):
@@ -216,7 +212,7 @@ def _i_inf_paths(h, trunc):
 
     index = _split_table(h.alphabet, trunc).index
     weight = h.alphabet.word_weight
-    a0 = {w: c for w, c in h.constant_terms().items() if len(w) <= trunc and c != 0}
+    a0 = {w: complex(f.coeff(0)) for w, f in h.forms.items() if len(w) <= trunc and f.coeff(0)}
     reverse = np.zeros((len(index), 1 + trunc * max(h.alphabet.weights), trunc + 1), dtype=complex)
     reverse[0, 0, 0] = 1.0
     for word in h.alphabet.iter_words(trunc, min_len=1):
@@ -468,7 +464,7 @@ def _piece_to_tangential(h, tau1, tb, xy, cfg):
     if tb.direction == INF:
         return reg_to_cusp(h, tau1, tb.base, xy, cfg)
     loc = Fraction(tb.direction)
-    r, s = _solve_unimodular(loc.numerator, loc.denominator)
+    r, s = unimodular(loc.denominator, loc.numerator)
     inv = _mat_inv((loc.numerator, r, loc.denominator, s))
     u = _mat_mobius(inv, tb.base)
     if u == INF:
@@ -503,16 +499,6 @@ def full_integral(h, tb0, tb1, pair, cfg=IntegratorConfig(), tau1=None):
 # ---------------------------------------------------------------------------
 # The three constructors
 
-def _validate_pair(p, q):
-    """The pair as ints, coprime with pq != 0; a float or a string raises TypeError."""
-    p, q = index(p), index(q)
-    if gcd(p, q) != 1:
-        raise DomainError(f"({p}, {q}) is not coprime")
-    if p * q == 0:
-        raise DomainError("constructors need pq != 0")
-    return p, q
-
-
 def build_D(h, p, q, cfg=IntegratorConfig()):
     """The symbol series: I from ->(q/p) at i-infinity to ->inf at q/p, at (X,Y)=(q,p).
 
@@ -532,7 +518,7 @@ def build_D(h, p, q, cfg=IntegratorConfig()):
     """
     # contfrac.euclid_walk, inline: a generator broken off at a memoized pair
     # costs about 0.5 us, 3% of the median sweep op
-    path = [reduced(*_validate_pair(p, q))]
+    path = [reduced(*coprime(p, q, almost=True))]
     while path[-1] != (1, 1) and (h, path[-1], cfg) not in _VALUES:
         p, q = path[-1]
         path.append(reduced(-q, p))
@@ -556,7 +542,7 @@ def build_F(h, p, q, cfg=IntegratorConfig()):
     numeric point pulls back to (p, -q).  The directions q/p and -p/q are
     the coprime pairs (q, p) and (-p, q) with the sign on the numerator.
     """
-    p, q = _validate_pair(p, q)
+    p, q = coprime(p, q, almost=True)
     head = _reg_end(h, 1j, (q, p) if p > 0 else (-q, -p), (complex(q), complex(p)), cfg)
     tail = _reg_end(h, 1j, (-p, q) if q > 0 else (p, -q), (complex(p), complex(-q)), cfg)
     return head.inverse() * tail
@@ -573,7 +559,7 @@ def build_E(h, p, q, trunc=2):
     after the + 0j, whatever the signs of the zeros in its product.  Every
     c_i changes sign with p, so E(p, q)^-1 = E(-p, q).
     """
-    p, q = _validate_pair(p, q)
+    p, q = coprime(p, q, almost=True)
     pq = p * q
     c = [a0 / pq for a0 in h.letter_constants]
     level, vec = [1], [1.0 + 0j]

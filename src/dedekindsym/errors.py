@@ -13,8 +13,9 @@ class DivisionByZeroTail(DedekindSymError):
     """A tail of a continued-fraction sequence is not evaluable."""
 
 
-class DomainError(DedekindSymError):
-    """Input pair lies outside the domain of the function (e.g. pq = 0 for an almost symbol)."""
+class DomainError(DedekindSymError, ValueError):
+    """Input pair lies outside the domain of the function (e.g. pq = 0 for an
+    almost symbol); a ValueError too, as a bad argument value."""
 
 
 class NonConvergence(DedekindSymError):

@@ -11,9 +11,9 @@ import cmath
 import math
 from collections import namedtuple
 from fractions import Fraction
-from math import comb, factorial, gcd
-from operator import index
+from math import comb, factorial
 
+from .contfrac import coprime, unimodular
 from .errors import DomainError, NonConvergence
 
 TWO_PI = 2.0 * math.pi
@@ -59,11 +59,6 @@ def sigma(k, n):
 def _check_weight(k2):
     if k2 < 4 or k2 % 2:
         raise ValueError("weight must be an even integer >= 4")
-
-
-def _check_pair(p, q):
-    if gcd(p, q) != 1 or p * q == 0:
-        raise DomainError("(p, q) must be coprime with pq != 0")
 
 
 def eisenstein_coeff(k2, n):
@@ -211,34 +206,35 @@ def sl2_reduce(tau):
     raise NonConvergence("fundamental-domain reduction did not terminate")
 
 
-def _fourier_sum(form, z, tol=1e-16, cap=600):
-    # q-series at a point with Im z large enough that it converges quickly
+def _fourier_sum(form, z):
+    # q-series at a point with Im z large enough that it converges quickly:
+    # at most 600 terms, to a tail bound of 1e-16
     q = cmath.exp(2j * math.pi * z)
     qn = 1.0 + 0j
     total = complex(form.coeff(0))
     absq = abs(q)
     floats = form._floats
-    for n in range(1, cap + 1):
+    for n in range(1, 601):
         qn *= q
         if n >= len(floats):
-            # doubled on demand up to cap; replaced whole, so a reader never
+            # doubled on demand up to 600; replaced whole, so a reader never
             # sees a half-extended list
-            floats = floats + [float(form.coeff(m)) for m in range(len(floats), min(2 * n, cap) + 1)]
+            floats = floats + [float(form.coeff(m)) for m in range(len(floats), min(2 * n, 600) + 1)]
             form._floats = floats
         total += floats[n] * qn
         # crude tail bound: coefficients grow at most like n^(weight)
-        if (n ** form.weight) * absq ** n / (1.0 - absq) < tol:
+        if (n ** form.weight) * absq ** n / (1.0 - absq) < 1e-16:
             return total
-    raise NonConvergence(f"Fourier series for {form.name} needs more than {cap} terms at Im={z.imag:.3g}")
+    raise NonConvergence(f"Fourier series for {form.name} needs more than 600 terms at Im={z.imag:.3g}")
 
 
-def form_value(form, tau, tol=1e-16):
+def form_value(form, tau):
     """f(tau) for any tau in the upper half-plane, via fundamental-domain reduction."""
     if form.level == 2:
         # the second Gamma_0(2) Eisenstein series is E_{2k} at 2*tau
-        return form_value(eisenstein(form.weight), 2 * complex(tau), tol)
+        return form_value(eisenstein(form.weight), 2 * complex(tau))
     z, (c, d) = sl2_reduce(tau)
-    val = _fourier_sum(form, z, tol)
+    val = _fourier_sum(form, z)
     if c == 0 and d == 1:
         return val
     return val * (c * complex(tau) + d) ** (-form.weight)
@@ -284,8 +280,9 @@ def zeta(s):
 _POLYLOG_CAP = 5_000_000
 
 
-def polylog(s, z, tol=1e-12):
-    """Li_s(z) = sum z^n / n^s for integer s >= 2 and |z| <= 1."""
+def polylog(s, z):
+    """Li_s(z) = sum z^n / n^s for integer s >= 2 and |z| <= 1, to a tail
+    bound of 1e-12."""
     if s < 2:
         raise ValueError("polylog implemented for integer s >= 2")
     z = complex(z)
@@ -299,11 +296,11 @@ def polylog(s, z, tol=1e-12):
     if r < 1.0 - 1e-9:
         # geometric tail bound
         n = 64
-        while r ** n / ((1 - r) * n ** s) > tol and n < _POLYLOG_CAP:
+        while r ** n / ((1 - r) * n ** s) > 1e-12 and n < _POLYLOG_CAP:
             n *= 2
     else:
         # Dirichlet-test tail bound ~ 4 / (|1-z| N^s) on the unit circle
-        n = max(64, int((4.0 / (tol * abs(1.0 - z))) ** (1.0 / s)) + 1)
+        n = max(64, int((4.0 / (1e-12 * abs(1.0 - z))) ** (1.0 / s)) + 1)
     if n > _POLYLOG_CAP:
         raise NonConvergence(f"polylog needs {n} terms, above the cap {_POLYLOG_CAP}")
     import numpy as np
@@ -315,34 +312,6 @@ def polylog(s, z, tol=1e-12):
 
 # ---------------------------------------------------------------------------
 # The length-one symbol of a level-one modular form
-
-def _solve_unimodular(q, p):
-    """(r, s) with q*s - p*r = 1, |r| minimal, ties broken toward s >= 0."""
-    if gcd(p, q) != 1:
-        raise ValueError("(p, q) must be coprime")
-    # extended gcd: find s0, r0 with q*s0 - p*r0 = 1
-    old_r, r = q, p
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        quo = old_r // r
-        old_r, r = r, old_r - quo * r
-        old_s, s = s, old_s - quo * s
-        old_t, t = t, old_t - quo * t
-    sign = 1 if old_r > 0 else -1
-    s0, r0 = sign * old_s, -sign * old_t  # q*s0 - p*r0 = 1
-    if q == 0:
-        return r0, s0
-    # shift (r, s) -> (r + k q, s + k p) to minimize |r|
-    k = round(-r0 / q)
-    best = None
-    for kk in (k - 1, k, k + 1):
-        r1, s1 = r0 + kk * q, s0 + kk * p
-        key = (abs(r1), 0 if s1 >= 0 else 1)
-        if best is None or key < best[0]:
-            best = (key, (r1, s1))
-    return best[1]
-
 
 # The default ceiling of fourier_cutoff: Delta's first 20,000 coefficients
 # take about a second to build.
@@ -392,7 +361,7 @@ def fourier_cutoff(form, height, tol, cap=_FOURIER_CAP):
     return n
 
 
-def dedekind_symbol_length1(form, p, q, height=None, tol=1e-12, cap=_FOURIER_CAP):
+def dedekind_symbol_length1(form, p, q, height=None, cap=_FOURIER_CAP):
     """Regularized period integral of a level-one form against (p tau - q)^(w).
 
     Three pieces: the cuspidal integral up from tau0 = q/p + i*height, the
@@ -400,13 +369,11 @@ def dedekind_symbol_length1(form, p, q, height=None, tol=1e-12, cap=_FOURIER_CAP
     q/p to i-infinity, and the closed-form boundary terms of the constant
     coefficient.  The value does not depend on the choice of tau0; the
     default height 1/|p| makes the Fourier heights of the two integral
-    pieces equal.  p and q are read as integers: a float or a string raises
-    TypeError.
+    pieces equal.  The Fourier tails are cut below 1e-15.
     """
     if form.level != 1:
         raise ValueError("length-one symbol implemented for level-one forms")
-    p, q = index(p), index(q)
-    _check_pair(p, q)
+    p, q = coprime(p, q, almost=True)
     w = form.weight - 2
     a0 = complex(form.coeff(0))
     if height is None:
@@ -416,7 +383,7 @@ def dedekind_symbol_length1(form, p, q, height=None, tol=1e-12, cap=_FOURIER_CAP
     # piece 1: int_{tau0}^{i inf} (f - a0)(p tau - q)^w dtau, termwise
     base = p * tau0 - q
     pre = [comb(w, j) * base ** (w - j) * (1j * p) ** j * factorial(j) for j in range(w + 1)]
-    m1 = fourier_cutoff(form, height, tol * 1e-3, cap)
+    m1 = fourier_cutoff(form, height, 1e-15, cap)
     s1 = 0j
     for n in range(1, m1 + 1):
         an = float(form.coeff(n))
@@ -427,9 +394,9 @@ def dedekind_symbol_length1(form, p, q, height=None, tol=1e-12, cap=_FOURIER_CAP
 
     # piece 2: int_{q/p}^{tau0} (f - a0 (p tau - q)^(-w-2))(p tau - q)^w dtau,
     # pulled through gamma(inf) = q/p where the integrand becomes f(sigma) - a0
-    r, s = _solve_unimodular(q, p)
+    r, s = unimodular(p, q)
     sigma0 = (s * tau0 - r) / (q - p * tau0)
-    m2 = fourier_cutoff(form, sigma0.imag, tol * 1e-3, cap)
+    m2 = fourier_cutoff(form, sigma0.imag, 1e-15, cap)
     s2 = 0j
     for n in range(1, m2 + 1):
         an = float(form.coeff(n))
@@ -441,9 +408,9 @@ def dedekind_symbol_length1(form, p, q, height=None, tol=1e-12, cap=_FOURIER_CAP
     return s1 + s2 + s3
 
 
-def psi_length1(form, p, q, **kw):
+def psi_length1(form, p, q):
     """Associated scalar reciprocity function D(p,q) - D(-q,p) of the length-one symbol."""
-    return dedekind_symbol_length1(form, p, q, **kw) - dedekind_symbol_length1(form, -q, p, **kw)
+    return dedekind_symbol_length1(form, p, q) - dedekind_symbol_length1(form, -q, p)
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +419,7 @@ def psi_length1(form, p, q, **kw):
 ReciprocityCheck = namedtuple("ReciprocityCheck", "lhs rhs diff")
 
 
-def reciprocity_law_check(k2, p, tol=1e-12):
+def reciprocity_law_check(k2, p):
     """Both sides of the weight-2k Eisenstein reciprocity law at q = 1.
 
     The left side is the twisted polylogarithm sum at the p-th root of
@@ -463,7 +430,7 @@ def reciprocity_law_check(k2, p, tol=1e-12):
     if p < 2:
         raise ValueError("p must be >= 2")
     xi = cmath.exp(2j * math.pi / p)
-    lhs = sum(n * polylog(k2 - 1, xi ** n, tol) for n in range(1, p))
+    lhs = sum(n * polylog(k2 - 1, xi ** n) for n in range(1, p))
 
     bsum = Fraction(0)
     for n in range(-1, k2, 2):
@@ -500,7 +467,7 @@ def eisenstein_L(k2, s, level=1):
 def gamma02_delta(k2, p, q):
     """The parity-split constant: 2^(2k-1) zeta(2k-1)/p^(2k-2) for even p, zeta(2k-1)/p^(2k-2) for odd p."""
     _check_weight(k2)
-    _check_pair(p, q)
+    p, q = coprime(p, q, almost=True)
     p = abs(p)
     z = zeta(k2 - 1)
     if p % 2 == 0:
@@ -508,7 +475,7 @@ def gamma02_delta(k2, p, q):
     return z / p ** (k2 - 2)
 
 
-def gamma02_D(k2, p, q, tol=1e-12):
+def gamma02_D(k2, p, q):
     """Closed form for the identity-coset symbol of the second Gamma_0(2) Eisenstein series.
 
     The residue sum in the derivation requires a positive modulus, so a
@@ -516,21 +483,21 @@ def gamma02_D(k2, p, q, tol=1e-12):
     underlying integral.
     """
     _check_weight(k2)
-    _check_pair(p, q)
+    p, q = coprime(p, q, almost=True)
     if p < 0:
         p, q = -p, -q
     s = k2 - 1
     bracket = complex(zeta(s)) - 0.5 * gamma02_delta(k2, p, q)
     for l in range(1, p):
         z = cmath.exp(4j * math.pi * l * q / p)
-        bracket += (l / p) * polylog(s, z, tol)
+        bracket += (l / p) * polylog(s, z)
     return p ** (k2 - 2) * factorial(k2 - 2) / (4j * math.pi) ** s * bracket
 
 
 def gamma02_F(k2, p, q):
     """Closed form for the identity-coset reciprocity function of the same form."""
     _check_weight(k2)
-    _check_pair(p, q)
+    p, q = coprime(p, q, almost=True)
     tot = 0j
     for r in range(k2 - 1):
         tot += (1j ** (1 - r) * comb(k2 - 2, r) * 2.0 ** (-r - 1)

@@ -13,10 +13,9 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from operator import index
 
 from . import contfrac
-from .errors import DomainError, NotShuffled
+from .errors import NotShuffled
 from .series import RATIONAL, TruncSeries, _exp_kernel, _remember, _split_table
 
 # ---------------------------------------------------------------------------
@@ -26,19 +25,16 @@ def orbit_key(p, q):
     """Canonical representative of the orbit of (p, q) under
     D(p,q) = D(p,p+q) and D(p,-q) = D(-p,q), respecting the almost domain.
 
-    Negation folds p positive; translation by p reduces q modulo p for
-    p >= 2, while for p = 1 the sign of q is the only invariant (the
-    translation chain cannot cross q = 0 on the almost domain).
+    It is ``contfrac.reduced`` of a ``contfrac.coprime`` pair, with q taken
+    modulo p for p >= 2; for p = 1 the sign of q is the only invariant (the
+    translation chain cannot cross q = 0 on the almost domain), and p = 0
+    gives (0, 1).
     """
-    if gcd(p, q) != 1:
-        raise ValueError("(p, q) must be coprime")
+    p, q = contfrac.coprime(p, q)
     if p == 0:
         return (0, 1)
-    if p < 0:
-        p, q = -p, -q
-    if p == 1:
-        return (1, 1) if q >= 1 else (1, -1)
-    return (p, q % p)
+    p, q = contfrac.reduced(p, q)
+    return (p, q) if p == 1 else (p, q % p)
 
 
 def sample_pairs(n, seed, bound=30):
@@ -82,10 +78,10 @@ class _SeriesFn:
     The memo keeps at most ``_MEMO_CAP`` values, each as the pair
     ``(vec, den)`` of the series, which the collector need not follow.
 
-    ``__call__`` checks the pair, read as integers (a float or a string
-    raises TypeError); ``_at`` skips the check, for pairs
-    derived from one that was checked (the closures of ``psi``, ``delta``,
-    ``normalize`` and ``bullet``).
+    ``__call__`` checks the pair by ``contfrac.coprime``, with pq != 0 for
+    an almost function; ``_at`` skips the check, for pairs derived from one
+    that was checked (the closures of ``psi``, ``delta``, ``normalize`` and
+    ``bullet``).
     """
 
     __slots__ = ("_func", "alphabet", "trunc", "kind", "almost", "memo_mode", "_memo", "__weakref__")
@@ -100,11 +96,7 @@ class _SeriesFn:
         self._memo = {}
 
     def __call__(self, p, q):
-        p, q = index(p), index(q)
-        if gcd(p, q) != 1:
-            raise DomainError(f"({p}, {q}) is not coprime")
-        if self.almost and p * q == 0:
-            raise DomainError(f"almost functions are undefined at ({p}, {q})")
+        p, q = contfrac.coprime(p, q, self.almost)
         return self._at(p, q)
 
     def _at(self, p, q):

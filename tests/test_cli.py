@@ -240,6 +240,23 @@ class TestArguments:
         assert code == 2 and not out and "unrecognized arguments: --tol" in err
         assert main(argv) == 0
 
+    @pytest.mark.parametrize("argv, pq", [(["symbol", "--forms", "A=E4"], "2,4"),
+                                          (["symbol", "--forms", "A=E4"], "1,0"),
+                                          (["gamma02", "--weight", "4"], "2,4"),
+                                          (["gamma02", "--weight", "4"], "1,0"),
+                                          (["cfrac"], "2,4"),
+                                          (["cfrac"], "0,1")])
+    def test_bad_pair_exits_2_and_is_named(self, capsys, argv, pq):
+        # symbol and gamma02 need pq != 0; cfrac needs p != 0, and reads
+        # (1, 0) as the continued fraction <0>
+        code = main([*argv, f"--pq={pq}"])
+        out, err = capsys.readouterr()
+        assert code == 2 and not out and f"({pq.replace(',', ', ')})" in err
+
+    def test_cfrac_of_zero(self, capsys):
+        code, out = run(capsys, "cfrac", "--pq=1,0")
+        assert code == 0 and json.loads(out)["rows"] == [{"entries": [0], "tails": [[1, 0]]}]
+
     def test_zero_tol_is_valid(self, capsys):
         code, out = run(capsys, "symbol", "--forms", "A=E4", "--pq", "3,5", "--length", "1", "--tol", "0")
         assert code == 0 and json.loads(out)["meta"]["tolerance"] == 0.0

@@ -3,9 +3,13 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dedekindsym import contfrac as cf
-from dedekindsym.errors import DivisionByZeroTail
+from dedekindsym import eichler, modforms, symbols
+from dedekindsym.errors import DivisionByZeroTail, DomainError
+from dedekindsym.series import Alphabet, TruncSeries
 
 
 def nested_value(entries):
@@ -187,6 +191,109 @@ class TestEuclidWalk:
     def test_refuses_pairs_off_the_domain(self, p, q):
         with pytest.raises(ValueError):
             list(cf.euclid_walk(p, q))
+
+
+H = eichler.HAssignment.letters({"A": modforms.eisenstein(4)})
+ONE = TruncSeries.one(Alphabet.simple("a"), 1)
+
+# Every function of a pair, with whether it needs pq != 0 (an almost one).
+PAIR_ENTRY_POINTS = {
+    "build_D": (lambda p, q: eichler.build_D(H, p, q), True),
+    "build_F": (lambda p, q: eichler.build_F(H, p, q), True),
+    "build_E": (lambda p, q: eichler.build_E(H, p, q), True),
+    "SymbolFn": (symbols.SymbolFn(lambda p, q: ONE, ONE.alphabet, 1), True),
+    "RecipFn, almost": (symbols.RecipFn(lambda p, q: ONE, ONE.alphabet, 1), True),
+    "RecipFn": (symbols.RecipFn(lambda p, q: ONE, ONE.alphabet, 1, almost=False), False),
+    "orbit_key": (symbols.orbit_key, False),
+    "canonical": (cf.canonical, False),
+    "euclid_walk": (lambda p, q: next(cf.euclid_walk(p, q)), False),
+    "unimodular": (cf.unimodular, False),
+    "dedekind_symbol_length1": (lambda p, q: modforms.dedekind_symbol_length1(modforms.eisenstein(4), p, q), True),
+    "gamma02_D": (lambda p, q: modforms.gamma02_D(4, p, q), True),
+    "gamma02_F": (lambda p, q: modforms.gamma02_F(4, p, q), True),
+    "gamma02_delta": (lambda p, q: modforms.gamma02_delta(4, p, q), True),
+}
+
+
+class TestPairDomain:
+    """``coprime`` decides for every function of a pair: a pair off the
+    domain raises DomainError, a ValueError too, naming the pair, and an
+    entry that is not an integer raises TypeError."""
+
+    @pytest.mark.parametrize("name", PAIR_ENTRY_POINTS)
+    def test_bad_pairs(self, name):
+        fn, almost = PAIR_ENTRY_POINTS[name]
+        for p, q in [(2, 4), (-3, 6)] + [(1, 0), (0, -1)] * almost:
+            with pytest.raises(DomainError, match=rf"\({p}, {q}\)") as exc:
+                fn(p, q)
+            assert isinstance(exc.value, ValueError)
+        if not almost:
+            fn(1, 0)
+
+    @pytest.mark.parametrize("name", PAIR_ENTRY_POINTS)
+    @pytest.mark.parametrize("pair", [(2.5, 3), ("2", 3), (3, 2.0)])
+    def test_entries_must_be_integers(self, name, pair):
+        with pytest.raises(TypeError):
+            PAIR_ENTRY_POINTS[name][0](*pair)
+
+    def test_coprime_returns_ints(self):
+        assert cf.coprime(True, -7) == (1, -7) and type(cf.coprime(True, 2)[0]) is int
+        assert cf.coprime(0, 1) == (0, 1)
+        with pytest.raises(DomainError, match=r"\(0, 1\) must be coprime with pq != 0"):
+            cf.coprime(0, 1, almost=True)
+
+
+def solve_unimodular(q, p):
+    """The extended-Euclid search that ``unimodular`` replaced, as the
+    reference: (r, s) with q*s - p*r = 1, |r| minimal, ties broken toward
+    s >= 0, then toward the first of three shifts."""
+    old_r, r = q, p
+    old_s, s = 1, 0
+    old_t, t = 0, 1
+    while r:
+        quo = old_r // r
+        old_r, r = r, old_r - quo * r
+        old_s, s = s, old_s - quo * s
+        old_t, t = t, old_t - quo * t
+    sign = 1 if old_r > 0 else -1
+    s0, r0 = sign * old_s, -sign * old_t  # q*s0 - p*r0 = 1
+    if q == 0:
+        return r0, s0
+    k = round(-r0 / q)
+    best = None
+    for kk in (k - 1, k, k + 1):
+        r1, s1 = r0 + kk * q, s0 + kk * p
+        key = (abs(r1), 0 if s1 >= 0 else 1)
+        if best is None or key < best[0]:
+            best = (key, (r1, s1))
+    return best[1]
+
+
+BIG = st.integers(-10 ** 18, 10 ** 18)
+SMALL_Q = st.sampled_from([0, 1, -1, 2, -2, 3, -3])
+
+
+class TestUnimodular:
+    def test_grid(self):
+        for p in range(-30, 31):
+            for q in range(-30, 31):
+                if gcd(p, q) == 1:
+                    r, s = cf.unimodular(p, q)
+                    assert q * s - p * r == 1 and (r, s) == solve_unimodular(q, p)
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(st.one_of(st.tuples(BIG, BIG), st.tuples(BIG, SMALL_Q), st.tuples(SMALL_Q, BIG))
+           .filter(lambda pq: gcd(*pq) == 1))
+    @example((1, 0))
+    @example((-1, 0))
+    @example((1, 2))
+    @example((-1, 2))
+    @example((1, -2))
+    @example((10 ** 18 - 1, 10 ** 18))
+    def test_matches_the_search_it_replaced(self, pq):
+        p, q = pq
+        r, s = cf.unimodular(p, q)
+        assert q * s - p * r == 1 and (r, s) == solve_unimodular(q, p)
 
 
 def random_move(rng, seq):

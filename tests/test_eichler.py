@@ -231,7 +231,8 @@ def i_inf_polys_at(h, tau0, xy, trunc):
     was stored."""
     X, Y = complex(xy[0]), complex(xy[1])
     steps = {}
-    for w, a0 in h.constant_terms().items():
+    for w, form in h.forms.items():
+        a0 = complex(form.coeff(0))
         if len(w) <= trunc and a0 != 0:
             wt = h.alphabet.word_weight(w)
             steps[w] = [a0 * (math.comb(wt, j) * X ** (wt - j) * (-Y) ** j if j else X ** wt)
@@ -713,7 +714,7 @@ class TestBuilders:
 
 def power_sum_E(h, p, q, trunc):
     """E(p, q) as the power sum of ``exp`` over the letters' a_0 / (p q)."""
-    coeffs = {w: a0 / (p * q) for w, a0 in h.constant_terms().items() if len(w) == 1}
+    coeffs = {w: complex(f.coeff(0)) / (p * q) for w, f in h.forms.items() if len(w) == 1}
     return TruncSeries(h.alphabet, trunc, coeffs, COMPLEX).exp()
 
 

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import comb, factorial, gcd
+from math import comb, factorial, gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -133,6 +133,18 @@ def loop_tables(alphabet, trunc):
     return words, [[(index[w[:k]], index[w[k:]]) for k in range(len(w) + 1)] for w in words]
 
 
+def lowest_terms(alphabet, trunc, vec, kind, den):
+    """The series of (vec, den), rational numerators brought to lowest terms
+    through Fraction rather than ``TruncSeries._from_vec``: the denominator
+    is the lcm of the entries' reduced denominators, so it is positive
+    whatever the sign of den."""
+    if kind == RATIONAL:
+        entries = [Fraction(n, den) for n in vec]
+        den = lcm(*(x.denominator for x in entries))
+        vec = [x.numerator * (den // x.denominator) for x in entries]
+    return TruncSeries._packed(alphabet, trunc, kind, tuple(vec), den)
+
+
 def loop_mul(s, t):
     """The product by nested split loops, each sum accumulated from 0."""
     trunc = min(s.trunc, t.trunc)
@@ -142,7 +154,7 @@ def loop_mul(s, t):
         for i, j in splits:
             acc += s.vec[i] * t.vec[j]
         out.append(acc)
-    return TruncSeries._from_vec(s.alphabet, trunc, out, s.kind, s.den * t.den)
+    return lowest_terms(s.alphabet, trunc, out, s.kind, s.den * t.den)
 
 
 def loop_inverse_vector(s):
@@ -167,7 +179,7 @@ def loop_inverse_vector(s):
 def loop_inverse(s):
     """``TruncSeries.inverse`` with its word-length solve as nested split loops."""
     vec, den = loop_inverse_vector(s)
-    return TruncSeries._from_vec(s.alphabet, s.trunc, vec, s.kind, den)
+    return lowest_terms(s.alphabet, s.trunc, vec, s.kind, den)
 
 
 def kernel_series(rng, alphabet, trunc, kind):
