@@ -313,8 +313,8 @@ def polylog(s, z):
 # ---------------------------------------------------------------------------
 # The length-one symbol of a level-one modular form
 
-# The default ceiling of fourier_cutoff: Delta's first 20,000 coefficients
-# take about a second to build.
+# The ceiling of fourier_cutoff, read at each call: Delta's first 20,000
+# coefficients take about a second to build.
 _FOURIER_CAP = 20000
 
 
@@ -331,9 +331,9 @@ def _fourier_root(exponent, height, level):
     return peak, n
 
 
-def fourier_cutoff(form, height, tol, cap=_FOURIER_CAP):
-    """Smallest n with the remaining Fourier tail below tol; NonConvergence
-    when n is above cap.
+def fourier_cutoff(form, height):
+    """Smallest n with the remaining Fourier tail below tol = 1e-15;
+    NonConvergence when n is above ``_FOURIER_CAP``.
 
     The tail past n is bounded by t(n) = 2 (n+1)^E x^(n+1) / (1 - x), with
     x = exp(-2 pi height) and the coefficients growing like n^E.  t falls
@@ -342,6 +342,7 @@ def fourier_cutoff(form, height, tol, cap=_FOURIER_CAP):
     as ``eichler._cutoff`` solves it, then a step to the smallest integer n
     past the peak with t(n) < tol.
     """
+    tol = 1e-15
     decay = math.exp(-TWO_PI * height)
     # |sigma_{2k-1}(n)| <= zeta(2k-1) n^(2k-1); |tau(n)| <= d(n) n^(11/2) <= n^(13/2)
     bound_exp = 6.5 if form.is_cusp else form.weight - 1
@@ -356,12 +357,12 @@ def fourier_cutoff(form, height, tol, cap=_FOURIER_CAP):
         n -= 1
     while tail(n) >= tol:
         n += 1
-    if n > cap:
-        raise NonConvergence(f"Fourier cutoff n = {n} above the cap {cap} at height {height:.4g}")
+    if n > _FOURIER_CAP:
+        raise NonConvergence(f"Fourier cutoff n = {n} above the cap {_FOURIER_CAP} at height {height:.4g}")
     return n
 
 
-def dedekind_symbol_length1(form, p, q, height=None, cap=_FOURIER_CAP):
+def dedekind_symbol_length1(form, p, q, height=None):
     """Regularized period integral of a level-one form against (p tau - q)^(w).
 
     Three pieces: the cuspidal integral up from tau0 = q/p + i*height, the
@@ -369,7 +370,7 @@ def dedekind_symbol_length1(form, p, q, height=None, cap=_FOURIER_CAP):
     q/p to i-infinity, and the closed-form boundary terms of the constant
     coefficient.  The value does not depend on the choice of tau0; the
     default height 1/|p| makes the Fourier heights of the two integral
-    pieces equal.  The Fourier tails are cut below 1e-15.
+    pieces equal.  ``fourier_cutoff`` cuts the Fourier tails below 1e-15.
     """
     if form.level != 1:
         raise ValueError("length-one symbol implemented for level-one forms")
@@ -383,7 +384,7 @@ def dedekind_symbol_length1(form, p, q, height=None, cap=_FOURIER_CAP):
     # piece 1: int_{tau0}^{i inf} (f - a0)(p tau - q)^w dtau, termwise
     base = p * tau0 - q
     pre = [comb(w, j) * base ** (w - j) * (1j * p) ** j * factorial(j) for j in range(w + 1)]
-    m1 = fourier_cutoff(form, height, 1e-15, cap)
+    m1 = fourier_cutoff(form, height)
     s1 = 0j
     for n in range(1, m1 + 1):
         an = float(form.coeff(n))
@@ -396,7 +397,7 @@ def dedekind_symbol_length1(form, p, q, height=None, cap=_FOURIER_CAP):
     # pulled through gamma(inf) = q/p where the integrand becomes f(sigma) - a0
     r, s = unimodular(p, q)
     sigma0 = (s * tau0 - r) / (q - p * tau0)
-    m2 = fourier_cutoff(form, sigma0.imag, 1e-15, cap)
+    m2 = fourier_cutoff(form, sigma0.imag)
     s2 = 0j
     for n in range(1, m2 + 1):
         an = float(form.coeff(n))

@@ -11,7 +11,8 @@ exponentials of scalar factors, one word at a time.
 import weakref
 from collections import namedtuple
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
+from itertools import pairwise
 from math import gcd, lcm
 
 from . import contfrac
@@ -62,21 +63,20 @@ def sample_pairs(n, seed, bound=30):
 # ---------------------------------------------------------------------------
 # Evaluator objects
 
-# Values per memo, oldest evicted first.  delta at a pair whose continued
-# fraction has n proper tails stores up to n of them, and the Euclid walk of
-# bullet at most floor(log2 |p|) + 1 per miss; over all pairs with
-# |p|, |q| <= 50 of the exact benchmark (seed 1) no memo holds more than 215.
+# Values per memo, oldest evicted first.  A miss of D^(-1) stores the asked
+# pair and its walk's keys: up to n for delta at a pair with n proper tails,
+# at most floor(log2 |p|) + 1 for bullet's Euclid walk; over all pairs with
+# |p|, |q| <= 50 of the exact benchmark (seed 1) no memo holds more than 224.
 _MEMO_CAP = 1 << 12
 
 
 class _SeriesFn:
     """Memoized map (p, q) -> TruncSeries with constant term 1.
 
-    memo: "literal" caches by the pair itself and "sign" folds
-    (p,q) ~ (-p,-q).  Only functions whose axioms hold by construction
-    should use the folded mode, else axiom verification would be vacuous.
-    The memo keeps at most ``_MEMO_CAP`` values, each as the pair
-    ``(vec, den)`` of the series, which the collector need not follow.
+    The memo is keyed by the pair itself, so that axiom verification reads
+    each side of an axiom from its own pair.  It keeps at most ``_MEMO_CAP``
+    values, each as the pair ``(vec, den)`` of the series, which the
+    collector need not follow.
 
     ``__call__`` checks the pair by ``contfrac.coprime``, with pq != 0 for
     an almost function; ``_at`` skips the check, for pairs derived from one
@@ -84,15 +84,14 @@ class _SeriesFn:
     ``bullet``).
     """
 
-    __slots__ = ("_func", "alphabet", "trunc", "kind", "almost", "memo_mode", "_memo", "__weakref__")
+    __slots__ = ("_func", "alphabet", "trunc", "kind", "almost", "_memo", "__weakref__")
 
-    def __init__(self, func, alphabet, trunc, kind=RATIONAL, almost=True, memo="literal"):
+    def __init__(self, func, alphabet, trunc, kind=RATIONAL, almost=True):
         self._func = func
         self.alphabet = alphabet
         self.trunc = trunc
         self.kind = kind
         self.almost = almost
-        self.memo_mode = memo
         self._memo = {}
 
     def __call__(self, p, q):
@@ -101,8 +100,7 @@ class _SeriesFn:
 
     def _at(self, p, q):
         """The value at a pair of ints in the function's domain, unchecked."""
-        key = (p, q) if self.memo_mode == "literal" or p > 0 or (p == 0 and q > 0) else (-p, -q)
-        hit = self._memo.get(key)
+        hit = self._memo.get((p, q))
         if hit is not None:
             return TruncSeries._packed(self.alphabet, self.trunc, self.kind, *hit)
         val = self._func(p, q)
@@ -112,7 +110,7 @@ class _SeriesFn:
                 or val.alphabet is not self.alphabet and val.alphabet != self.alphabet):
             raise ValueError(f"{type(self).__name__} evaluation must be a {self.kind} series over "
                              f"{self.alphabet!r} truncated at {self.trunc}")
-        _remember(self._memo, _MEMO_CAP, key, (val.vec, val.den))
+        _remember(self._memo, _MEMO_CAP, (p, q), (val.vec, val.den))
         return val
 
 
@@ -121,9 +119,8 @@ class SymbolFn(_SeriesFn):
 
     __slots__ = ("normalized",)
 
-    def __init__(self, func, alphabet, trunc, kind=RATIONAL, almost=True,
-                 memo="literal", normalized=False):
-        super().__init__(func, alphabet, trunc, kind, almost, memo)
+    def __init__(self, func, alphabet, trunc, kind=RATIONAL, almost=True, normalized=False):
+        super().__init__(func, alphabet, trunc, kind, almost)
         self.normalized = normalized
 
 
@@ -133,9 +130,8 @@ class RecipFn(_SeriesFn):
     __slots__ = ()
 
 
-def _remap_fn(fn, cls, alphabet, index_map, **flags):
-    return cls(lambda p, q: fn._at(p, q).remap(alphabet, index_map),
-               alphabet, fn.trunc, fn.kind, fn.almost, **flags)
+def _remap_fn(fn, cls, alphabet, index_map):
+    return cls(lambda p, q: fn._at(p, q).remap(alphabet, index_map), alphabet, fn.trunc, fn.kind, fn.almost)
 
 
 def _merge(f, g):
@@ -155,10 +151,10 @@ def psi(d):
 
 
 # Per reciprocity function F, the memos of its normalized symbol D =
-# delta(F), one pair per walk: D^(-1) at the pairs the walk visits and at
-# asked pairs, and D at asked pairs, all keyed by plain (p, q) tuples with
-# p > 0.  ``_DELTA_MEMOS`` holds the canonical walk's pair, shared by every
-# delta of F, and ``_EUCLID_MEMOS`` the Euclid walk's, shared by every
+# delta(F), one pair per walk: D^(-1) at the keys the walk visits and at
+# asked pairs, and D at asked pairs, all keyed by plain (p, q) tuples of
+# either sign.  ``_DELTA_MEMOS`` holds the canonical walk's pair, shared by
+# every delta of F, and ``_EUCLID_MEMOS`` the Euclid walk's, shared by every
 # bullet and bullet_inverse of F.  The two stay apart, so no complex value
 # depends on which walk filled a memo.  F is held weakly and the memos hold
 # (vec, den) pairs only, so the memos go with F.
@@ -166,75 +162,55 @@ _DELTA_MEMOS = weakref.WeakKeyDictionary()
 _EUCLID_MEMOS = weakref.WeakKeyDictionary()
 
 
-def _canonical_walk(f, inv_memo, one, p, q):
-    """D^(-1)(p, q) by the canonical tails, on the memo of D^(-1) (see ``delta``)."""
-    if p < 0:
-        p, q = -p, -q
-    if p == 1:
-        return one if q >= 1 else f._at(1, 1)
-    tails = contfrac.canonical_tails(p, q)
-    path = [next(tails)]  # t_0 = (p, q), the memo miss itself
-    for t in map(tuple, tails):
-        hit = inv_memo.get(t)
-        if hit is not None:
-            acc = TruncSeries._packed(f.alphabet, f.trunc, f.kind, *hit) * f._at(*t)
-            break
-        path.append(t)
-    else:
-        acc = f._at(*path.pop())  # D^(-1)(t_(n-1)) = F(t_n), as D^(-1)(t_n) = 1
-    # acc is D^(-1) at the last tail of the path
-    while len(path) > 1:
-        t = path.pop()
-        _remember(inv_memo, _MEMO_CAP, t, (acc.vec, acc.den))
-        acc = acc * f._at(*t)
-    return acc
-
-
-def _euclid_walk(f, inv_memo, one, p, q):
-    """D^(-1)(p, q) by the reduced pairs of ``contfrac.euclid_walk``, on the
-    memo of D^(-1) (see ``bullet``)."""
+def _walk(f, inv_memo, one, steps, p, q):
+    """D^(-1)(p, q) by ``steps(p, q)``, pairs (key, factor) from (p, q) at
+    its canonical sign, with D^(-1)(key) = D^(-1)(next key) F(factor) and
+    D^(-1) = 1 past the last key: down to the first key in the memo, then
+    back up, filling it with one product and no inverse per key."""
     path, acc = [], None
-    for r in contfrac.euclid_walk(p, q):
-        if r == (1, 1):
-            break
-        hit = inv_memo.get(r)
+    for step in steps(p, q):
+        hit = inv_memo.get(step[0])
         if hit is not None:
             acc = TruncSeries._packed(f.alphabet, f.trunc, f.kind, *hit)
             break
-        path.append(r)
-    # acc is D^(-1) below the last pair of the path, None for D^(-1)(1, 1) = 1
-    for p, q in reversed(path):
-        acc = f._at(-q, p) if acc is None else acc * f._at(-q, p)
-        _remember(inv_memo, _MEMO_CAP, (p, q), (acc.vec, acc.den))
+        path.append(step)
+    # acc is D^(-1) below the last key of the path, None for 1
+    for key, (a, b) in reversed(path):
+        acc = f._at(a, b) if acc is None else acc * f._at(a, b)
+        if key != (p, q):  # the asked pair is stored by ``_SeriesFn._at``
+            _remember(inv_memo, _MEMO_CAP, key, (acc.vec, acc.den))
     return one if acc is None else acc
 
 
-def _symbol_fns(f, table, walk):
+def _canonical_steps(p, q):
+    """The steps of ``delta``: (t_i, t_(i+1)) over the canonical tails of
+    (p, q) with p > 0, and at p = 1 with q < 1 the one step ((1, q), (1, 1))."""
+    if p < 0:
+        p, q = -p, -q
+    if p == 1 and q < 1:
+        return (((1, q), (1, 1)),)
+    return pairwise(map(tuple, contfrac.canonical_tails(p, q)))
+
+
+def _euclid_steps(p, q):
+    """The steps of ``bullet``: (r_i, (-q_i, p_i)) over the reduced pairs
+    r_i = (p_i, q_i) of ``contfrac.euclid_walk`` but (1, 1)."""
+    return ((r, (-r[1], r[0])) for r in contfrac.euclid_walk(p, q) if r != (1, 1))
+
+
+def _symbol_fns(f, table, steps):
     """Evaluators of D = delta(F) and of D^(-1) on F's memos in ``table``;
-    a miss of D^(-1) takes ``walk``."""
+    a miss of D^(-1) walks the ``steps`` of its pair."""
     memos = table.get(f)
     if memos is None:
         memos = table[f] = ({}, {})
     inv_memo, d_memo = memos
     one = TruncSeries.one(f.alphabet, f.trunc, f.kind)
-    d_inv = _SeriesFn(lambda p, q: walk(f, inv_memo, one, p, q), f.alphabet, f.trunc, f.kind,
-                      almost=True, memo="sign")
-    d = SymbolFn(lambda p, q: d_inv._at(p, q).inverse(), f.alphabet, f.trunc, f.kind,
-                 almost=True, memo="sign", normalized=True)
+    d_inv = _SeriesFn(partial(_walk, f, inv_memo, one, steps), f.alphabet, f.trunc, f.kind)
+    d = SymbolFn(lambda p, q: d_inv._at(p, q).inverse(), f.alphabet, f.trunc, f.kind, normalized=True)
     # the walk binds F and the memo, never d or d_inv: no reference cycle
     d_inv._memo, d._memo = inv_memo, d_memo
     return d, d_inv
-
-
-def _delta_fns(f):
-    """D = delta(F) and D^(-1) by the canonical walk, on F's memos in ``_DELTA_MEMOS``."""
-    return _symbol_fns(f, _DELTA_MEMOS, _canonical_walk)
-
-
-def _euclid_fns(f):
-    """D = delta(F) and D^(-1) of a reciprocity function F by the Euclid
-    walk, on F's memos in ``_EUCLID_MEMOS``."""
-    return _symbol_fns(f, _EUCLID_MEMOS, _euclid_walk)
 
 
 def delta(f):
@@ -251,7 +227,8 @@ def delta(f):
     A memo miss walks the tails down to the first one already memoized (or
     to t_n), then fills the memo of D^(-1) back up, one product and no
     inverse per new tail, but none for D^(-1)(t_(n-1)) = F(t_n); D at an
-    asked pair is one inverse of D^(-1) there.
+    asked pair is one inverse of D^(-1) there.  The walk of (-p, -q) is
+    that of (p, q), so it stops at once when (p, q) was asked before.
     Both memos belong to F, held weakly, and are shared by every delta of
     F.  Exact inverses and products are unique in lowest terms, so an exact
     value is the left-to-right product's, to the byte; a complex value is
@@ -264,7 +241,7 @@ def delta(f):
     Euclid walk assumes that F is a reciprocity function, and under it
     psi(delta(F)) = F would hold by construction and test nothing.
     """
-    return _delta_fns(f)[0]
+    return _symbol_fns(f, _DELTA_MEMOS, _canonical_steps)[0]
 
 
 def delta_full(f, rep):
@@ -298,12 +275,13 @@ def bullet(f, g):
     product and no inverse per pair, at most floor(log2 |p|) + 1 of them.
     A memo miss walks down to the first memoized pair, or to (1, 1), and
     fills the memo back up, so no value depends on what was memoized
-    before.  D is one inverse of D^(-1) per asked pair.  Both memos are F's,
-    held weakly and shared with every other bullet and bullet_inverse of F,
-    apart from delta's.  On exact data the values are the canonical walk's,
-    to the byte.  Like D, the product is an almost function."""
+    before; r_0 = reduced(p, q) is also that of (-p, -q).  D is one
+    inverse of D^(-1) per asked pair.  Both memos are F's, held weakly and
+    shared with every other bullet and bullet_inverse of F, apart from
+    delta's.  On exact data the values are the canonical walk's, to the
+    byte.  Like D, the product is an almost function."""
     f, g = _merge(f, g)
-    d, d_inv = _euclid_fns(f)
+    d, d_inv = _symbol_fns(f, _EUCLID_MEMOS, _euclid_steps)
     return RecipFn(lambda p, q: d._at(p, q) * g._at(p, q) * d_inv._at(-q, p),
                    f.alphabet, min(f.trunc, g.trunc), f.kind, almost=True)
 
@@ -312,7 +290,7 @@ def bullet_inverse(f):
     """Inverse under the product: D^(-1)(p,q) D(-q,p) with D = delta(F),
     both read by ``bullet``'s Euclid walk from F's memos: no inverse beyond
     the one per asked pair that D costs.  Like D, it is an almost function."""
-    d, d_inv = _euclid_fns(f)
+    d, d_inv = _symbol_fns(f, _EUCLID_MEMOS, _euclid_steps)
     return RecipFn(lambda p, q: d_inv._at(p, q) * d._at(-q, p),
                    f.alphabet, f.trunc, f.kind, almost=True)
 
@@ -468,9 +446,11 @@ def random_scalar_symbol(seed):
 
     def d(p, q):
         key = orbit_key(p, q)
-        if key not in by_orbit:
-            _remember(by_orbit, _MEMO_CAP, key, _hash_fraction(seed, key, "scalar"))
-        return by_orbit[key]
+        val = by_orbit.get(key)
+        if val is None:
+            val = _hash_fraction(seed, key, "scalar")
+            _remember(by_orbit, _MEMO_CAP, key, val)
+        return val
 
     return d
 

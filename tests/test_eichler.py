@@ -660,14 +660,14 @@ class TestBuilders:
     def test_delta_length1_orientation(self):
         # build_D runs from i-infinity down to the cusp; the closed form runs
         # up from the cusp, so the two agree after the orientation constant -1.
-        # The wide pairs need the closed form's Fourier cap raised; at
+        # The wide pairs need the closed form's Fourier cap of 20000; at
         # (9973, 10007) it does not converge.  Bound fixed beforehand: 1e-12
         # of max(1, |closed form|)
         h = h_delta()
         cfg = ei.IntegratorConfig(trunc=1)
         for p, q in [(2, 3), (3, 2), (1, 2)] + [pq for pq in WIDE_PAIRS if pq != (9973, 10007)]:
             b = ei.build_D(h, p, q, cfg).coeff((0,))
-            c = mf.dedekind_symbol_length1(mf.delta_form(), p, q, cap=20000)
+            c = mf.dedekind_symbol_length1(mf.delta_form(), p, q)
             assert abs(-b - c) <= 1e-12 * max(1.0, abs(c)), (p, q)
 
     def test_domain_errors(self):

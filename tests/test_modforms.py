@@ -208,15 +208,14 @@ class TestLengthOneSymbol:
 
     def test_wide_pairs_converge_at_the_defaults(self):
         # the Fourier cutoff is solved from the height (a fixed cap of 400
-        # raised at both pairs); checked against an explicit cap of 20000
-        # and against build_D at trunc 1, an independent path (orientation
-        # constant -1).  Bound fixed beforehand: 1e-12 of max(1, |value|)
+        # raised at both pairs); checked against build_D at trunc 1, an
+        # independent path (orientation constant -1).  Bound fixed
+        # beforehand: 1e-12 of max(1, |value|)
         form = mf.eisenstein(4)
         h = ei.HAssignment.letters({"A": form})
         for p, q in ((55, 89), (89, 144)):
             got = mf.dedekind_symbol_length1(form, p, q)
             scale = max(1.0, abs(got))
-            assert abs(got - mf.dedekind_symbol_length1(form, p, q, cap=20000)) <= 1e-12 * scale
             b = ei.build_D(h, p, q, ei.IntegratorConfig(trunc=1)).coeff((0,))
             assert abs(got + b) <= 1e-12 * scale, (p, q)
 
@@ -230,13 +229,15 @@ class TestLengthOneSymbol:
             n = 1
             while 2.0 * (n + 1) ** bound_exp * decay ** (n + 1) / (1.0 - decay) >= 1e-15:
                 n += 1
-            assert mf.fourier_cutoff(form, height, 1e-15) == n, height
+            assert mf.fourier_cutoff(form, height) == n, height
 
-    def test_cutoff_above_the_cap_raises(self):
+    def test_cutoff_above_the_cap_raises(self, monkeypatch):
         with pytest.raises(NonConvergence, match=r"n = \d+ above the cap 20000 at height 0.0001"):
-            mf.fourier_cutoff(mf.delta_form(), 1e-4, 1e-15)
+            mf.fourier_cutoff(mf.delta_form(), 1e-4)
+        # the cap is read at each call
+        monkeypatch.setattr(mf, "_FOURIER_CAP", 400)
         with pytest.raises(NonConvergence, match="above the cap 400"):
-            mf.dedekind_symbol_length1(mf.eisenstein(4), 89, 144, cap=400)
+            mf.dedekind_symbol_length1(mf.eisenstein(4), 89, 144)
 
     def test_domain(self):
         with pytest.raises(DomainError):

@@ -300,6 +300,15 @@ def corrupted_rf(seed):
     return sy.RecipFn(lambda p, q: base(p, q) + TruncSeries.term(AB, 3, "ab", 1), AB, 3)
 
 
+WALKS = {"canonical": (sy._DELTA_MEMOS, sy._canonical_steps), "euclid": (sy._EUCLID_MEMOS, sy._euclid_steps)}
+
+
+def symbol_fns(f, walk):
+    """D = delta(F) and D^(-1) by the canonical walk of delta or the Euclid
+    walk of bullet, on that walk's memos of F."""
+    return sy._symbol_fns(f, *WALKS[walk])
+
+
 class TestDeltaTails:
     """delta by its tail recursion against the left-to-right product."""
 
@@ -314,19 +323,76 @@ class TestDeltaTails:
 
     @pytest.mark.parametrize("name", ["psi", "shuffled", "corrupted"])
     def test_matches_left_to_right_product(self, name):
+        # D and D^(-1) at both signs of each pair, in a shuffled order, by
+        # delta's canonical walk and by bullet's Euclid walk, which assumes
+        # a reciprocity function and gives another D for the corrupted control
         f = self.functions()[name]
-        want = {pq: repr(sy.delta_full(f, cf.canonical(*pq)).vec) for pq in self.PAIRS}
+        want = {}
+        for pq in self.PAIRS:
+            d = sy.delta_full(f, cf.canonical(*pq))
+            want[pq] = (repr(d.vec), repr(d.inverse().vec))
         signed = [(s * p, s * q) for p, q in self.PAIRS for s in (1, -1)]
-        for seed in (125, 126):
-            random.Random(seed).shuffle(signed)
-            warm = sy.delta(f)
-            for i, (p, q) in enumerate(signed):
-                ref = want[(abs(p), q if p > 0 else -q)]
-                assert repr(warm(p, q).vec) == ref
-                if i % 5 == 0:
-                    # delta of f shares f's memos, so a cold walk needs a
-                    # fresh function: the same one, built again from its seeds
-                    assert repr(sy.delta(self.functions()[name])(p, q).vec) == ref
+        for walk in ("canonical",) if name == "corrupted" else ("canonical", "euclid"):
+            for seed in (125, 126):
+                random.Random(seed).shuffle(signed)
+                warm = symbol_fns(f, walk)
+                for i, (p, q) in enumerate(signed):
+                    ref = want[(abs(p), q if p > 0 else -q)]
+                    assert tuple(repr(g(p, q).vec) for g in warm) == ref
+                    if i % 5 == 0:
+                        # the walks of f share f's memos, so a cold walk needs
+                        # a fresh function: the same one, built again from its
+                        # seeds; D first, then D^(-1) first
+                        cold = symbol_fns(self.functions()[name], walk)
+                        assert tuple(repr(g(p, q).vec) for g in cold) == ref
+                        cold = symbol_fns(self.functions()[name], walk)
+                        assert tuple(repr(g(p, q).vec) for g in reversed(cold)) == ref[::-1]
+
+    @pytest.mark.parametrize("walk", ["canonical", "euclid"])
+    def test_negated_pair_asks_f_nothing(self, monkeypatch, walk):
+        # each walk starts at the pair moved to the canonical sign, so a cold
+        # D^(-1) at (-p, -q), after one at (p, q), finds that pair in the
+        # memo, and so does D there
+        f = sy.psi(sy.random_symbol(AB, 3, seed=137))
+        asked = []
+        at = sy.RecipFn._at
+
+        def counted_at(self, p, q):
+            if self is f:
+                asked.append((p, q))
+            return at(self, p, q)
+
+        monkeypatch.setattr(sy.RecipFn, "_at", counted_at)
+        d, d_inv = symbol_fns(f, walk)
+        for p, q in self.PAIRS[::4] + [(1, -3), (1, 4)]:
+            d_inv(p, q)
+            held = len(asked)
+            assert (-p, -q) not in d_inv._memo
+            d_inv(-p, -q)
+            d(-p, -q)
+            assert len(asked) == held, (p, q)
+            assert d_inv(-p, -q) == d_inv(p, q) and d(-p, -q) == d(p, q)
+        assert asked
+
+    @pytest.mark.parametrize("walk", sorted(WALKS))
+    def test_a_miss_stores_each_key_once(self, monkeypatch, walk):
+        # the walk leaves the asked pair to _SeriesFn._at, so a full memo
+        # evicts no value for a second store of the same key
+        d_inv = symbol_fns(sy.psi(sy.random_symbol(AB, 3, seed=139)), walk)[1]
+        stored = []
+        remember = sy._remember
+
+        def counted(cache, cap, key, value):
+            if cache is d_inv._memo:
+                stored.append(key)
+            remember(cache, cap, key, value)
+
+        monkeypatch.setattr(sy, "_remember", counted)
+        for pq in self.PAIRS[::3] + [(-37, 8), (1, -3), (1, 4)]:
+            held = len(stored)
+            d_inv(*pq)
+            assert len(stored) - held == len(set(stored[held:])), pq
+        assert stored
 
     def test_complex_matches_left_to_right_product(self):
         # complex F takes the tail recursion too, whose products associate
@@ -335,7 +401,7 @@ class TestDeltaTails:
         # Bound fixed beforehand: 1e-12 of max(1, largest coefficient)
         h = ei.HAssignment.letters({"A": mf.eisenstein(4), "B": mf.eisenstein(6)})
         f = sy.psi(ei.symbol_fn(h, ei.IntegratorConfig(trunc=2)))
-        d, euclid = sy.delta(f), sy._euclid_fns(f)[0]
+        d, euclid = sy.delta(f), symbol_fns(f, "euclid")[0]
         grid = [(p, q) for p in range(-9, 10) for q in range(-9, 10) if abs(p) > 1 and q and gcd(p, q) == 1]
         for p, q in grid:
             want = sy.delta_full(f, cf.canonical(*((p, q) if p > 0 else (-p, -q))))
@@ -673,7 +739,7 @@ class TestEuclidWalk:
     @given(st.sampled_from(("psi", "bullet", "components")), SEED, WIDE_PAIR)
     def test_walks_agree_to_the_byte(self, how, seed, pq):
         f = reciprocity_fn(how, seed)
-        for canonical, euclid in zip(sy._delta_fns(f), sy._euclid_fns(f)):
+        for canonical, euclid in zip(symbol_fns(f, "canonical"), symbol_fns(f, "euclid")):
             a, b = canonical(*pq), euclid(*pq)
             assert (repr(a.vec), a.den) == (repr(b.vec), b.den)
 
