@@ -45,17 +45,17 @@ more axes while it is built, the Fourier index n and the power of s: a
 product with Omega(tau + s) is a convolution along n and a shift of k and
 the power of s together.
 
-One bounded memo holds the cusp limit RI(tau, i inf) per (assignment,
-tau, config).  Every build_D and build_F reads only the cusp limit at i,
-so a sweep over many pairs builds one series.
-A second bounded memo holds series evaluated at a point:
-each regularized end of reg_to_cusp, with its direction keyed by the
-lowest-terms integer pair (num, den), den > 0, and its point up to sign,
-and D at each reduced pair of its recursion.  build_D and build_F pass
-those pairs straight to the memoized end, so no Fraction is built there.
-A miss runs the operations that it would run without the memo, so no
-output depends on what was evaluated before.  ``clear_caches()`` empties
-both memos and ``cache_info()`` reports their sizes, hits and misses.
+Three bounded ``functools.lru_cache`` memos hold what build_D and build_F
+read: ``_ri_limit`` the cusp limit RI(tau, i inf) per (assignment, tau,
+config), ``_end`` each regularized end of reg_to_cusp, with its direction
+keyed by the lowest-terms integer pair (num, den), den > 0, and its point
+up to sign, and ``_d_reduced`` D at each reduced pair of its recursion.
+Every build_D and build_F reads only the cusp limit at i, so a sweep over
+many pairs builds one series, and they pass their pairs straight to the
+memoized end, so no Fraction is built there.  A miss runs the operations
+that it would run without the memo, so no output depends on what was
+evaluated before.  ``clear_caches()`` empties the three memos and
+``cache_info()`` reports their sizes, hits and misses.
 
 I_inf needs no quadrature either.  Its antiderivative recursion runs once
 per (assignment, truncation) on a monomial axis, into a polynomial array
@@ -73,11 +73,11 @@ from fractions import Fraction
 from functools import lru_cache
 from math import ceil, comb, factorial, log, pi
 
-from .contfrac import coprime, reduced, unimodular
+from .contfrac import coprime, euclid_walk, reduced, unimodular
 from .errors import DomainError, NonConvergence
 # form_value has no caller here: bench/tracing.py wraps eichler.form_value to count calls
 from .modforms import _fourier_root, form_value
-from .series import COMPLEX, Alphabet, TruncSeries, _remember, _split_table
+from .series import COMPLEX, Alphabet, TruncSeries, _split_table
 
 INF = float("inf")
 
@@ -343,37 +343,10 @@ def _cusp_series(h, tau, cfg):
     return tuple(out.ravel().tolist())
 
 
-# One bounded memo of cusp limits RI(tau, i inf), keyed by (assignment,
-# tau, config).  One sweep pass fills one entry, the cusp limit at i.
-_PATHS_CAP = 256
-_PATHS = {}
-# One bounded memo of series evaluated at a point (TruncSeries): a
-# regularized end (``_reg_end``) under (assignment, tau, direction, point,
-# config), with the direction keyed by its lowest-terms integer pair
-# (num, den), den > 0, and the point up to sign, and D at a reduced pair of
-# build_D's recursion under (assignment, (p, q), config).  One sweep pass
-# fills 113 entries: 84 ends and 29 values of D.
-_VALUES_CAP = 1024
-_VALUES = {}
-_COUNTS = {"hits": 0, "misses": 0, "value_hits": 0, "value_misses": 0}
-
-
-def _value(key, compute):
-    """The evaluated series memoized under key; ``compute()`` on a miss."""
-    got = _VALUES.get(key)
-    if got is None:
-        _COUNTS["value_misses"] += 1
-        got = compute()
-        _remember(_VALUES, _VALUES_CAP, key, got)
-    else:
-        _COUNTS["value_hits"] += 1
-    return got
-
-
 def _unsigned(xy):
-    """The point xy = (X, Y) up to sign, as a memo key: every coefficient is
-    even in (X, Y), and a series read at (-X, -Y) has the bytes it has at
-    (X, Y)."""
+    """The point xy = (X, Y) up to sign, as complex numbers, which ``_end``
+    is keyed by and reads: every coefficient is even in (X, Y), and a
+    series read at (-X, -Y) has the bytes it has at (X, Y)."""
     X, Y = complex(xy[0]), complex(xy[1])
     return (-X, -Y) if (Y.real, Y.imag, X.real, X.imag) < (0, 0, 0, 0) else (X, Y)
 
@@ -381,18 +354,12 @@ def _unsigned(xy):
 # ---------------------------------------------------------------------------
 # Regularization at the cusp i-infinity
 
+@lru_cache(maxsize=256)
 def _ri_limit(h, tau, cfg):
     """RI(tau, i inf) as the flat tuple of a (words, K) series centered at
-    tau; memoized per (assignment, tau, config)."""
-    key = (h, complex(tau), cfg)
-    got = _PATHS.get(key)
-    if got is None:
-        _COUNTS["misses"] += 1
-        got = _cusp_series(h, key[1], cfg)
-        _remember(_PATHS, _PATHS_CAP, key, got)
-    else:
-        _COUNTS["hits"] += 1
-    return got
+    tau; memoized per (assignment, tau, config).  One sweep pass holds one
+    entry, the cusp limit at i."""
+    return _cusp_series(h, complex(tau), cfg)
 
 
 def reg_to_cusp(h, tau, direction, xy, cfg=IntegratorConfig()):
@@ -407,13 +374,19 @@ def reg_to_cusp(h, tau, direction, xy, cfg=IntegratorConfig()):
 
 def _reg_end(h, tau, direction, xy, cfg):
     """reg_to_cusp at the complex tau, with the direction given as its
-    lowest-terms integer pair (num, den), den > 0.  The product is memoized
-    per (assignment, tau, (num, den), xy up to sign, config): the two ends
-    of F(p, q) are those of F(-q, p).  num / den is the correctly rounded
-    float of the direction, as float(Fraction) is."""
-    return _value((h, tau, direction, _unsigned(xy), cfg),
-                  lambda: _at_point(h, _ri_limit(h, tau, cfg), xy, cfg.trunc, tau)
-                  * _i_inf_at(h, tau, direction[0] / direction[1], xy, cfg.trunc))
+    lowest-terms integer pair (num, den), den > 0: ``_end`` at the point
+    up to sign, so the two ends of F(p, q) are those of F(-q, p)."""
+    return _end(h, tau, direction, _unsigned(xy), cfg)
+
+
+@lru_cache(maxsize=1024)
+def _end(h, tau, direction, xy, cfg):
+    """The regularized end RI(tau, i inf) I_inf(tau, num / den) at xy,
+    memoized per (assignment, tau, (num, den), xy, config).  num / den is
+    the correctly rounded float of the direction, as float(Fraction) is.
+    One sweep pass holds 84 entries."""
+    return (_at_point(h, _ri_limit(h, tau, cfg), xy, cfg.trunc, tau)
+            * _i_inf_at(h, tau, direction[0] / direction[1], xy, cfg.trunc))
 
 
 def i_numeric(h, tau0, tau1, xy, cfg=IntegratorConfig()):
@@ -511,21 +484,21 @@ def build_D(h, p, q, cfg=IntegratorConfig()):
     I(i, ->0 at i inf) read at (0, 1), inverted, times the same end read
     at (1, 0).
 
-    Each reduced pair's D is memoized in the value memo.  A miss walks the
-    pairs down to the first memoized one, or to (1, 1), and fills the memo
-    back up, one step per pair; each step takes the products in the same
-    order, so no value depends on what was memoized before.
+    D is memoized per reduced pair (``_d_reduced``) and read along the
+    walk from (1, 1) up, so each pair finds D below it in the memo and no
+    fill recurses deeper than one step, however long the walk.
     """
-    # contfrac.euclid_walk, inline: a generator broken off at a memoized pair
-    # costs about 0.5 us, 3% of the median sweep op
-    path = [reduced(*coprime(p, q, almost=True))]
-    while path[-1] != (1, 1) and (h, path[-1], cfg) not in _VALUES:
-        p, q = path[-1]
-        path.append(reduced(-q, p))
-    acc = None
-    for p, q in reversed(path):
-        acc = _value((h, (p, q), cfg), lambda: _recursion_step(h, p, q, acc, cfg))
-    return acc
+    for r in reversed(tuple(euclid_walk(*coprime(p, q, almost=True)))):
+        d = _d_reduced(h, *r, cfg)
+    return d
+
+
+@lru_cache(maxsize=1024)
+def _d_reduced(h, p, q, cfg):
+    """D at the reduced pair (p, q), memoized per (assignment, p, q,
+    config).  One sweep pass holds 29 entries."""
+    below = None if (p, q) == (1, 1) else _d_reduced(h, *reduced(-q, p), cfg)
+    return _recursion_step(h, p, q, below, cfg)
 
 
 def _recursion_step(h, p, q, below, cfg):
@@ -578,14 +551,19 @@ def symbol_fn(h, cfg=IntegratorConfig()):
 
 
 def clear_caches():
-    """Empty the cusp-limit and value memos and reset their counters."""
-    _PATHS.clear()
-    _VALUES.clear()
-    _COUNTS.update(dict.fromkeys(_COUNTS, 0))
+    """Empty the cusp-limit, end and reduced-D memos and reset their
+    counters."""
+    for memo in (_ri_limit, _end, _d_reduced):
+        memo.cache_clear()
 
 
 def cache_info():
-    """Deterministic counts, no timings: the series held by the cusp-limit
-    memo, its hits and misses, and the values held by the value memo with
-    its hits and misses, since the last ``clear_caches()``."""
-    return {"series": len(_PATHS), "values": len(_VALUES), **_COUNTS}
+    """Deterministic counts, no timings, since the last ``clear_caches()``:
+    the series held by the cusp-limit memo with its hits and misses, and
+    the values held by the end and reduced-D memos with their hits and
+    misses added up.  Every build_D reads each pair of its walk from the
+    reduced-D memo, so a warm one counts one value hit per pair."""
+    paths, ends, ds = _ri_limit.cache_info(), _end.cache_info(), _d_reduced.cache_info()
+    return {"series": paths.currsize, "values": ends.currsize + ds.currsize,
+            "hits": paths.hits, "misses": paths.misses,
+            "value_hits": ends.hits + ds.hits, "value_misses": ends.misses + ds.misses}

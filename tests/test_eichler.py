@@ -3,6 +3,7 @@ import functools
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -1075,6 +1076,30 @@ class TestCuspFourierSum:
             ei.reg_to_cusp(h, 0.3 - 1j, Fraction(0), (2, 1), CFG)
 
 
+def spy_on_cusp_series(monkeypatch):
+    """The taus that ``_cusp_series`` receives from now on, in a list."""
+    taus, build = [], ei._cusp_series
+    monkeypatch.setattr(ei, "_cusp_series", lambda h, tau, cfg: taus.append(tau) or build(h, tau, cfg))
+    return taus
+
+
+def spy_on_misses(monkeypatch, name):
+    """The arguments of each miss of the memo ``name`` from now on, in a
+    list: in its place, a memo of the same size around a copy of its
+    function that logs them."""
+    memo = getattr(ei, name)
+    fn, misses = memo.__wrapped__, []
+    monkeypatch.setattr(ei, name, functools.lru_cache(memo.cache_info().maxsize)(
+        lambda *args: misses.append(args) or fn(*args)))
+    return misses
+
+
+def with_capacity_one(monkeypatch, *names):
+    """Each memo of ``names`` replaced by one that holds a single entry."""
+    for name in names:
+        monkeypatch.setattr(ei, name, functools.lru_cache(maxsize=1)(getattr(ei, name).__wrapped__))
+
+
 class TestCuspLimitMemo:
     PAIRS = [(7, 5), (-5, 7), (1, 9), (5, -1)]
 
@@ -1105,12 +1130,12 @@ class TestCuspLimitMemo:
                                          (0.3 + 1.1j, (-2 + 0j, 5 + 0j))])
     def test_negated_point_same_bytes(self, tau, xy):
         # coefficients have even degree in (X, Y): one stored series gives
-        # the same bytes at (X, Y) and (-X, -Y).  The value memo is emptied
+        # the same bytes at (X, Y) and (-X, -Y).  The end memo is emptied
         # in between, else its entry for the point up to sign would answer
         h = h_pair()
         ei.clear_caches()
         here = repr(ei.reg_to_cusp(h, tau, Fraction(1, 3), xy, CFG).vec)
-        ei._VALUES.clear()
+        ei._end.cache_clear()
         there = repr(ei.reg_to_cusp(h, tau, Fraction(1, 3), (-xy[0], -xy[1]), CFG).vec)
         assert here == there
         info = ei.cache_info()
@@ -1135,17 +1160,18 @@ class TestCuspLimitMemo:
         assert ei.cache_info() == {"series": 0, "hits": 0, "misses": 0,
                                    "values": 0, "value_hits": 0, "value_misses": 0}
 
-    def test_reciprocity_triple_shares_one_series(self):
+    def test_reciprocity_triple_shares_one_series(self, monkeypatch):
         # D(p, q), D(-q, p) and F(p, q) evaluate one cusp-limit series: F at
         # (q, p) and (p, -q), D through F at its reduced pairs and through
         # the two ends of D(1, 1) at (0, 1) and (1, 0)
         h = h_pair()
         p, q = 3, 2
+        taus = spy_on_cusp_series(monkeypatch)
         ei.clear_caches()
         ei.build_D(h, p, q, CFG)
         ei.build_D(h, -q, p, CFG)
         ei.build_F(h, p, q, CFG)
-        assert {key[1] for key in ei._PATHS} == {1j}
+        assert taus == [1j]
         info = ei.cache_info()
         assert (info["misses"], info["series"]) == (1, 1) and info["hits"] > 3
 
@@ -1158,19 +1184,13 @@ class TestCuspLimitMemo:
         builders = self.builders(h, cfg)
         ei.clear_caches()
         want = [repr(build(p, q).vec) for p, q in self.PAIRS for build in builders]
-        assert 1 < ei.cache_info()["series"] <= ei._PATHS_CAP
-        monkeypatch.setattr(ei, "_PATHS_CAP", 1)
+        assert 1 < ei.cache_info()["series"] <= ei._ri_limit.cache_info().maxsize
         ei.clear_caches()
+        with_capacity_one(monkeypatch, "_ri_limit")
         got = [repr(build(p, q).vec) for p, q in self.PAIRS for build in builders]
         assert got == want
         assert ei.cache_info()["series"] == 1
         ei.clear_caches()
-
-    def test_remember_evicts_oldest(self):
-        cache = {}
-        for k in range(5):
-            ei._remember(cache, 3, k, -k)
-        assert cache == {2: -2, 3: -3, 4: -4}
 
 
 class TestBridgeSteps:
@@ -1193,7 +1213,7 @@ class TestBridgeSteps:
     @pytest.mark.parametrize("xy", [(1 + 0j, 0j), (3 + 0j, -2 + 0j), (-4 + 0j, 7 + 0j)])
     def test_negated_point_same_bytes(self, step, xy):
         # two stored cusp limits, at i and at i + step; the two ends read at
-        # (X, Y) are the value memo's entries for (-X, -Y)
+        # (X, Y) are the end memo's entries for (-X, -Y)
         h = h_pair()
         ei.clear_caches()
         here = ei.i_numeric(h, 1j, 1j + step, xy, CFG)
@@ -1220,37 +1240,42 @@ class TestBridgeSteps:
         # one sweep pass builds one series, the cusp limit at i, with no
         # form_value call.  It evaluates 84 distinct regularized ends (the
         # ends of F(p, q) are those of F(-q, p)) and D at the 29 reduced
-        # pairs with p <= 9.
+        # pairs with p <= 9, each once.
         calls = []
         monkeypatch.setattr(ei, "form_value", lambda *args: calls.append(args) or mf.form_value(*args))
+        taus = spy_on_cusp_series(monkeypatch)
+        ends, pairs = spy_on_misses(monkeypatch, "_end"), spy_on_misses(monkeypatch, "_d_reduced")
         self.sweep_pass(h_pair())
         info = ei.cache_info()
-        assert {key[1] for key in ei._PATHS} == {1j}
+        assert taus == [1j]
         assert (info["misses"], info["series"]) == (1, 1)
         assert calls == []
         assert (info["values"], info["value_misses"]) == (113, 113)
-        ends = [key for key in ei._VALUES if len(key) == 5]     # (h, tau, (num, den), point, cfg)
-        assert len(ends) == 84
+        assert len(set(ends)) == len(ends) == ei._end.cache_info().currsize == 84
         assert all(type(num) is int and type(den) is int and den > 0 and math.gcd(num, den) == 1
-                   for _, _, (num, den), _, _ in ends)
+                   for _, _, (num, den), _, _ in ends)      # (h, tau, (num, den), point, cfg)
         reduced = {cf.reduced(p, q) for p in range(1, 10) for q in range(-9, 10) if q and math.gcd(p, q) == 1}
-        assert {key[1] for key in ei._VALUES if len(key) == 3} == reduced   # (h, (p, q), cfg)
-        assert len(reduced) == 29
+        assert sorted((p, q) for _, p, q, _ in pairs) == sorted(reduced)   # (h, p, q, cfg)
+        assert len(reduced) == ei._d_reduced.cache_info().currsize == 29
         ei.clear_caches()
 
     def test_sweep_pass_at_point_calls(self, monkeypatch):
         # each of the 84 ends reads its cusp half and its I_inf half once,
         # through the kernel; the memo holds the cusp limit as one flat tuple
-        # and counts as it did when it held an array
+        # and counts as it did when it held an array.  value_hits adds the
+        # 86 hits of the end memo to the 213 of the reduced-D memo: every
+        # build_D reads each pair of its walk from the memo, and each miss
+        # of a pair above (1, 1) reads D below it
         calls = []
         for name in ("_at_point", "_i_inf_at"):
             read = getattr(ei, name)
             monkeypatch.setattr(ei, name, lambda *args, name=name, read=read: calls.append(name) or read(*args))
-        self.sweep_pass(h_pair())
+        h = h_pair()
+        self.sweep_pass(h)
         assert (calls.count("_at_point"), calls.count("_i_inf_at")) == (84, 84)
-        assert [type(series) for series in ei._PATHS.values()] == [tuple]
         info = ei.cache_info()
-        assert (info["hits"], info["misses"], info["value_hits"], info["value_misses"]) == (83, 1, 169, 113)
+        assert (info["hits"], info["misses"], info["value_hits"], info["value_misses"]) == (83, 1, 299, 113)
+        assert type(ei._ri_limit(h, 1j, CFG)) is tuple
         ei.clear_caches()
 
     def test_sweep_pass_builds_no_fraction(self, monkeypatch):
@@ -1269,7 +1294,7 @@ class TestBridgeSteps:
     @pytest.mark.parametrize("p, q", [(3, 5), (-3, 5), (5, -3), (-7, -2), (1, 9), (9, 1)])
     def test_reg_to_cusp_hits_the_ends_of_F(self, p, q):
         # reg_to_cusp reads a rational direction as the pair build_F keys
-        # its ends by: after F(p, q) both of its ends are value-memo hits,
+        # its ends by: after F(p, q) both of its ends are end-memo hits,
         # with the bytes of a cold evaluation
         h = h_pair()
         ends = [(Fraction(q, p), (q, p)), (Fraction(-p, q), (p, -q))]
@@ -1289,8 +1314,8 @@ class TestBridgeSteps:
 
 
 class TestValueMemo:
-    """The memo of evaluated series (regularized ends and D at reduced
-    pairs) changes no bytes: not the order of the pairs, not a cold start,
+    """The memos of evaluated series (regularized ends and D at reduced
+    pairs) change no bytes: not the order of the pairs, not a cold start,
     not eviction."""
 
     CONFIGS = {"E4,E6": h_pair,
@@ -1308,15 +1333,17 @@ class TestValueMemo:
     @pytest.mark.parametrize("name, trunc", [("E4,E6", 1), ("E4,E6", 2), ("E4,E6", 3), ("E4,Delta", 2)])
     def test_signed_grid_order_and_cold_start(self, name, trunc):
         # D, F and full_integral over the signed grid: two shuffled orders from
-        # cleared caches, every pair with the value memo emptied before it, and
-        # every 11th pair with both memos emptied give the same bytes
+        # cleared caches, every pair with the end and reduced-D memos emptied
+        # before it, and every 11th pair with all three emptied give the same
+        # bytes
         h, cfg = self.CONFIGS[name](), ei.IntegratorConfig(trunc=trunc)
         orders = [random.Random(seed).sample(SIGNED_GRID, len(SIGNED_GRID)) for seed in (1, 2)]
         ei.clear_caches()
         first = self.grid_bytes(h, cfg, orders[0])
         ei.clear_caches()
         assert self.grid_bytes(h, cfg, orders[1]) == first
-        assert self.grid_bytes(h, cfg, SIGNED_GRID, ei._VALUES.clear) == first
+        clear_values = lambda: (ei._end.cache_clear(), ei._d_reduced.cache_clear())
+        assert self.grid_bytes(h, cfg, SIGNED_GRID, clear_values) == first
         cold = self.grid_bytes(h, cfg, SIGNED_GRID[::11], ei.clear_caches)
         assert cold == {pq: first[pq] for pq in SIGNED_GRID[::11]}
         ei.clear_caches()
@@ -1325,11 +1352,41 @@ class TestValueMemo:
         h, cfg = h_pair(), CFG
         ei.clear_caches()
         want = self.grid_bytes(h, cfg, SIGNED_GRID)
-        assert 1 < ei.cache_info()["values"] <= ei._VALUES_CAP
-        monkeypatch.setattr(ei, "_VALUES_CAP", 1)
+        for name in ("_end", "_d_reduced"):
+            info = getattr(ei, name).cache_info()
+            assert 1 < info.currsize <= info.maxsize
         ei.clear_caches()
+        with_capacity_one(monkeypatch, "_end", "_d_reduced")
         assert self.grid_bytes(h, cfg, SIGNED_GRID) == want
-        assert ei.cache_info()["values"] == 1
+        assert ei._end.cache_info().currsize == ei._d_reduced.cache_info().currsize == 1
+        ei.clear_caches()
+
+    def test_fill_is_iterative(self):
+        # D at the consecutive Fibonacci numbers (F_301, F_302), F_1 = F_2 = 1,
+        # walks 151 reduced pairs.  Under a recursion limit below the walk
+        # length plus the current stack depth, a memo filled by recursion
+        # down the walk would raise RecursionError; build_D fills it from
+        # (1, 1) up, with the bytes it gives at the default limit
+        h, cfg = ei.HAssignment.letters({"A": mf.eisenstein(4)}), ei.IntegratorConfig(trunc=1)
+        fib = [0, 1]
+        while len(fib) < 303:
+            fib.append(fib[-2] + fib[-1])
+        p, q = fib[301], fib[302]
+        steps = len(list(cf.euclid_walk(p, q)))
+        assert steps == 151
+        ei.clear_caches()
+        want = repr(ei.build_D(h, p, q, cfg).vec)
+        ei.clear_caches()
+        frame, depth = sys._getframe(), 0
+        while frame:
+            frame, depth = frame.f_back, depth + 1
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + steps - 1)
+        try:
+            got = repr(ei.build_D(h, p, q, cfg).vec)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert got == want
         ei.clear_caches()
 
     def test_point_keyed_up_to_sign(self):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from dedekindsym import symbols as sy
 from dedekindsym.errors import NotInvertible
-from dedekindsym.series import COMPLEX, RATIONAL, Alphabet, TruncSeries, _split_table, shuffle_words
+from dedekindsym.series import COMPLEX, RATIONAL, Alphabet, TruncSeries, _remember, _split_table, shuffle_words
 from node_axis import node_groups
 
 AB = Alphabet.simple("ab")
@@ -463,6 +463,14 @@ class TestKinds:
         assert (s + t).coeffs == {(): 2}
         assert (s - s).coeffs == {}
         assert s.truncated(1).coeffs == {(): 1, (0,): 1}
+
+
+class TestRemember:
+    def test_remember_evicts_oldest(self):
+        cache = {}
+        for k in range(5):
+            _remember(cache, 3, k, -k)
+        assert cache == {2: -2, 3: -3, 4: -4}
 
 
 class TestRemapUnion:
