@@ -265,9 +265,8 @@ def cmd_decompose(args):
         raise DomainError(f"--depth must be at least 1, got {args.depth}")
     h = _assignment(args)
     cfg = eichler.IntegratorConfig(trunc=args.depth)
-    dh = eichler.symbol_fn(h, cfg)
-    mh = symbols.psi(dh)
-    dec = symbols.decompose(mh, args.depth, tol=args.tol)
+    dn = symbols.delta(symbols.psi(eichler.symbol_fn(h, cfg)))
+    dec = symbols.decompose(dn, args.depth, tol=args.tol)
     pairs = symbols.sample_pairs(args.pq_samples, seed=args.seed, bound=6)
     worst = max(dec.residual(p, q) for p, q in pairs)
     rows = [{"check": "reconstruction-residual", "worst": worst, "pass": worst < args.tol}]

@@ -38,7 +38,8 @@ COMPLEX = "complex"
 
 
 class Alphabet:
-    """Ordered set of symbols, each carrying an even weight >= 2."""
+    """Ordered set of symbols, each a one-character name carrying an even
+    weight >= 2, so that a string of names spells one word."""
 
     __slots__ = ("names", "weights", "_index", "_hash")
 
@@ -49,6 +50,8 @@ class Alphabet:
         if len(set(names)) != len(names):
             raise ValueError("duplicate symbol identifiers")
         for n, w in symbols:
+            if len(n) != 1:
+                raise ValueError(f"letter name {n!r} must be one character")
             if w < 2 or w % 2:
                 raise ValueError(f"weight of {n!r} must be an even integer >= 2, got {w}")
         self.names = names
@@ -174,13 +177,6 @@ def _shuffle_table(alphabet, trunc):
     words = list(alphabet.iter_words(trunc - 1, min_len=1))
     return tuple((u, v, index[u], index[v], tuple(index[w] for w in _shuffle_tuples(u, v)))
                  for u in words for v in words if u <= v and len(u) + len(v) <= trunc)
-
-
-def _remember(cache, cap, key, value):
-    """Store key -> value, evicting the oldest entry once ``cap`` is reached."""
-    if len(cache) >= cap:
-        del cache[next(iter(cache))]
-    cache[key] = value
 
 
 _ZERO = {RATIONAL: 0, COMPLEX: 0j}

@@ -4,11 +4,11 @@ Evaluator objects map a coprime pair (p, q) to a truncated series with
 constant term 1.  The two directions of the normalized-symbol bijection
 are ``psi`` (D -> associated function) and ``delta`` (continued-fraction
 construction of the normalized symbol); ``bullet`` is the induced product
-of reciprocity functions, and ``decompose`` peels a shuffled function into
-exponentials of scalar factors, one word at a time.
+of reciprocity functions, and ``decompose`` peels a shuffled symbol into
+exponentials of scalar factors, one word at a time.  Evaluators own their
+memos, so every memo goes with its evaluator.
 """
 
-import weakref
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache, partial
@@ -17,7 +17,7 @@ from math import gcd, lcm
 
 from . import contfrac
 from .errors import NotShuffled
-from .series import RATIONAL, TruncSeries, _exp_kernel, _remember, _split_table
+from .series import RATIONAL, TruncSeries, _exp_kernel, _split_table
 
 # ---------------------------------------------------------------------------
 # Orbits of the defining relations
@@ -70,13 +70,21 @@ def sample_pairs(n, seed, bound=30):
 _MEMO_CAP = 1 << 12
 
 
+def _remember(cache, cap, key, value):
+    """Store key -> value, evicting the oldest entry once ``cap`` is reached."""
+    if len(cache) >= cap:
+        del cache[next(iter(cache))]
+    cache[key] = value
+
+
 class _SeriesFn:
     """Memoized map (p, q) -> TruncSeries with constant term 1.
 
     The memo is keyed by the pair itself, so that axiom verification reads
     each side of an axiom from its own pair.  It keeps at most ``_MEMO_CAP``
     values, each as the pair ``(vec, den)`` of the series, which the
-    collector need not follow.
+    collector need not follow.  ``_walks`` holds the memos of the walks
+    that fill delta of this function (see ``_symbol_fns``).
 
     ``__call__`` checks the pair by ``contfrac.coprime``, with pq != 0 for
     an almost function; ``_at`` skips the check, for pairs derived from one
@@ -84,7 +92,7 @@ class _SeriesFn:
     ``bullet``).
     """
 
-    __slots__ = ("_func", "alphabet", "trunc", "kind", "almost", "_memo", "__weakref__")
+    __slots__ = ("_func", "alphabet", "trunc", "kind", "almost", "_memo", "_walks")
 
     def __init__(self, func, alphabet, trunc, kind=RATIONAL, almost=True):
         self._func = func
@@ -93,6 +101,7 @@ class _SeriesFn:
         self.kind = kind
         self.almost = almost
         self._memo = {}
+        self._walks = {}
 
     def __call__(self, p, q):
         p, q = contfrac.coprime(p, q, self.almost)
@@ -117,11 +126,7 @@ class _SeriesFn:
 class SymbolFn(_SeriesFn):
     """Multiple Dedekind symbol evaluator."""
 
-    __slots__ = ("normalized",)
-
-    def __init__(self, func, alphabet, trunc, kind=RATIONAL, almost=True, normalized=False):
-        super().__init__(func, alphabet, trunc, kind, almost)
-        self.normalized = normalized
+    __slots__ = ()
 
 
 class RecipFn(_SeriesFn):
@@ -148,18 +153,6 @@ def _merge(f, g):
 def psi(d):
     """Associated function F(p,q) = D(p,q) D(-q,p)^(-1) of a symbol."""
     return RecipFn(lambda p, q: d._at(p, q) * d._at(-q, p).inverse(), d.alphabet, d.trunc, d.kind, d.almost)
-
-
-# Per reciprocity function F, the memos of its normalized symbol D =
-# delta(F), one pair per walk: D^(-1) at the keys the walk visits and at
-# asked pairs, and D at asked pairs, all keyed by plain (p, q) tuples of
-# either sign.  ``_DELTA_MEMOS`` holds the canonical walk's pair, shared by
-# every delta of F, and ``_EUCLID_MEMOS`` the Euclid walk's, shared by every
-# bullet and bullet_inverse of F.  The two stay apart, so no complex value
-# depends on which walk filled a memo.  F is held weakly and the memos hold
-# (vec, den) pairs only, so the memos go with F.
-_DELTA_MEMOS = weakref.WeakKeyDictionary()
-_EUCLID_MEMOS = weakref.WeakKeyDictionary()
 
 
 def _walk(f, inv_memo, one, steps, p, q):
@@ -198,16 +191,16 @@ def _euclid_steps(p, q):
     return ((r, (-r[1], r[0])) for r in contfrac.euclid_walk(p, q) if r != (1, 1))
 
 
-def _symbol_fns(f, table, steps):
-    """Evaluators of D = delta(F) and of D^(-1) on F's memos in ``table``;
-    a miss of D^(-1) walks the ``steps`` of its pair."""
-    memos = table.get(f)
-    if memos is None:
-        memos = table[f] = ({}, {})
-    inv_memo, d_memo = memos
+def _symbol_fns(f, steps):
+    """Evaluators of D = delta(F) and of D^(-1) on F's memos
+    ``f._walks[steps]``: D^(-1) at the keys a miss walks by ``steps`` and
+    at asked pairs, and D at asked pairs, keyed by (p, q) of either sign.
+    Each walk (delta's canonical one, bullet's Euclid one) has its own
+    memos, so no complex value depends on which walk filled a memo."""
+    inv_memo, d_memo = f._walks.setdefault(steps, ({}, {}))
     one = TruncSeries.one(f.alphabet, f.trunc, f.kind)
     d_inv = _SeriesFn(partial(_walk, f, inv_memo, one, steps), f.alphabet, f.trunc, f.kind)
-    d = SymbolFn(lambda p, q: d_inv._at(p, q).inverse(), f.alphabet, f.trunc, f.kind, normalized=True)
+    d = SymbolFn(lambda p, q: d_inv._at(p, q).inverse(), f.alphabet, f.trunc, f.kind)
     # the walk binds F and the memo, never d or d_inv: no reference cycle
     d_inv._memo, d._memo = inv_memo, d_memo
     return d, d_inv
@@ -229,19 +222,19 @@ def delta(f):
     inverse per new tail, but none for D^(-1)(t_(n-1)) = F(t_n); D at an
     asked pair is one inverse of D^(-1) there.  The walk of (-p, -q) is
     that of (p, q), so it stops at once when (p, q) was asked before.
-    Both memos belong to F, held weakly, and are shared by every delta of
-    F.  Exact inverses and products are unique in lowest terms, so an exact
-    value is the left-to-right product's, to the byte; a complex value is
-    the inverse of the product of the F(t_i) and agrees with it to rounding
-    (1e-12 of the largest coefficient, for psi of D for E4, E6 at trunc 2
-    over the signed 9-grid).
+    Both memos are F's, shared by every delta of F.  Exact inverses and
+    products are unique in lowest terms, so an exact value is the
+    left-to-right product's, to the byte; a complex value is the inverse of
+    the product of the F(t_i) and agrees with it to rounding (1e-12 of the
+    largest coefficient, for psi of D for E4, E6 at trunc 2 over the signed
+    9-grid).
 
     The walk costs the sum of the partial quotients, n - 1 products at
     (n, 1).  It stays the paper's construction, for any F: ``bullet``'s
     Euclid walk assumes that F is a reciprocity function, and under it
     psi(delta(F)) = F would hold by construction and test nothing.
     """
-    return _symbol_fns(f, _DELTA_MEMOS, _canonical_steps)[0]
+    return _symbol_fns(f, _canonical_steps)[0]
 
 
 def delta_full(f, rep):
@@ -257,8 +250,7 @@ def delta_full(f, rep):
 def normalize(d):
     """The unique normalized symbol with the same associated function."""
     const_inv = d(1, 1).inverse()
-    return SymbolFn(lambda p, q: d._at(p, q) * const_inv,
-                    d.alphabet, d.trunc, d.kind, d.almost, normalized=True)
+    return SymbolFn(lambda p, q: d._at(p, q) * const_inv, d.alphabet, d.trunc, d.kind, d.almost)
 
 
 # ---------------------------------------------------------------------------
@@ -276,12 +268,12 @@ def bullet(f, g):
     A memo miss walks down to the first memoized pair, or to (1, 1), and
     fills the memo back up, so no value depends on what was memoized
     before; r_0 = reduced(p, q) is also that of (-p, -q).  D is one
-    inverse of D^(-1) per asked pair.  Both memos are F's, held weakly and
-    shared with every other bullet and bullet_inverse of F, apart from
-    delta's.  On exact data the values are the canonical walk's, to the
-    byte.  Like D, the product is an almost function."""
+    inverse of D^(-1) per asked pair.  Both memos are F's, shared with
+    every other bullet and bullet_inverse of F, apart from delta's.  On
+    exact data the values are the canonical walk's, to the byte.  Like D,
+    the product is an almost function."""
     f, g = _merge(f, g)
-    d, d_inv = _symbol_fns(f, _EUCLID_MEMOS, _euclid_steps)
+    d, d_inv = _symbol_fns(f, _euclid_steps)
     return RecipFn(lambda p, q: d._at(p, q) * g._at(p, q) * d_inv._at(-q, p),
                    f.alphabet, min(f.trunc, g.trunc), f.kind, almost=True)
 
@@ -290,7 +282,7 @@ def bullet_inverse(f):
     """Inverse under the product: D^(-1)(p,q) D(-q,p) with D = delta(F),
     both read by ``bullet``'s Euclid walk from F's memos: no inverse beyond
     the one per asked pair that D costs.  Like D, it is an almost function."""
-    d, d_inv = _symbol_fns(f, _EUCLID_MEMOS, _euclid_steps)
+    d, d_inv = _symbol_fns(f, _euclid_steps)
     return RecipFn(lambda p, q: d_inv._at(p, q) * d._at(-q, p),
                    f.alphabet, f.trunc, f.kind, almost=True)
 
@@ -302,20 +294,21 @@ def embed_exp(f, letter, alphabet, trunc, kind=RATIONAL, almost=True):
     return RecipFn(lambda p, q: exp_at(f(p, q)), alphabet, trunc, kind, almost)
 
 
-def embed_exp_symbol(d, letter, alphabet, trunc, kind=RATIONAL, almost=True):
-    """The analogous embedding of a scalar Dedekind symbol."""
+def embed_exp_symbol(d, letter, alphabet, trunc, kind=RATIONAL):
+    """The analogous embedding of a scalar almost Dedekind symbol."""
     exp_at = _exp_kernel(alphabet, trunc, (alphabet.index(letter),), kind)
-    return SymbolFn(lambda p, q: exp_at(d(p, q)), alphabet, trunc, kind, almost)
+    return SymbolFn(lambda p, q: exp_at(d(p, q)), alphabet, trunc, kind)
 
 
-def from_components(fs, alphabet, trunc, kind=RATIONAL, almost=True):
-    """Bullet product of one-letter exponentials, in alphabet order; the
-    length-1 components of the result are exactly the given scalars."""
+def from_components(fs, alphabet, trunc):
+    """Bullet product of exact one-letter exponentials of scalar almost
+    reciprocity functions, in alphabet order; the length-1 components of
+    the result are exactly the given scalars."""
     acc = None
     for letter in alphabet.names:
         if letter not in fs:
             continue
-        part = embed_exp(fs[letter], letter, alphabet, trunc, kind, almost)
+        part = embed_exp(fs[letter], letter, alphabet, trunc)
         acc = part if acc is None else bullet(acc, part)
     if acc is None:
         raise ValueError("no components given")
@@ -475,12 +468,15 @@ def power_difference_rf(m, c=1):
 # Constructive decomposition
 
 class Decomposition:
-    """Ordered exponential factors exp(c_w(p,q) w), words of length 1..depth.
+    """Ordered exponential factors exp(c_w(p,q) w), words of length 1..depth,
+    of a symbol D, the ``target``.
 
     Peeling at a pair: walk the words in canonical order, set c_w to the
     gap between the target component and the running product, then right-
     multiply the running product by exp(c_w w).  The running product then
-    agrees with the target on all components of length <= depth.
+    agrees with the target on all components of length <= depth.  Each c_w
+    is a function of the value D(p, q) alone, so it satisfies the symbol
+    axioms that D does, normalized or not.
     """
 
     def __init__(self, target, depth, tol):
@@ -534,17 +530,14 @@ class Decomposition:
         return self.target(p, q).truncated(self.depth).max_abs_diff(self.reconstruction(p, q))
 
 
-def decompose(m, depth, tol=1e-9):
-    """Peel a shuffled reciprocity function (or its normalized symbol).
+def decompose(d, depth, tol=1e-9):
+    """Peel a shuffled Dedekind symbol D into exponential factors.
 
-    A RecipFn is converted to its normalized symbol through delta; a
-    SymbolFn is normalized.  Raises NotShuffled lazily when an evaluation
-    point fails the group-like test at the given tolerance.
+    D is peeled as given; for a reciprocity function F, pass delta(F).
+    Raises NotShuffled lazily when an evaluation point fails the group-like
+    test at the given tolerance.
     """
-    if isinstance(m, SymbolFn):
-        target = m if m.normalized else normalize(m)
-    elif isinstance(m, RecipFn):
-        target = delta(m)
-    else:
-        raise TypeError("decompose expects a SymbolFn or RecipFn")
-    return Decomposition(target, depth, tol)
+    if not isinstance(d, SymbolFn):
+        raise TypeError(f"decompose expects a SymbolFn, got {type(d).__name__}; "
+                        "pass delta(F) for a reciprocity function F")
+    return Decomposition(d, depth, tol)

@@ -178,7 +178,7 @@ def test_criterion_7_decomposition():
     h = ei.HAssignment.letters({"A": mf.eisenstein(4), "B": mf.eisenstein(6)})
     cfg = ei.IntegratorConfig(trunc=2)
     mh = sy.psi(ei.symbol_fn(h, cfg))
-    dec = sy.decompose(mh, 2, tol=1e-8)
+    dec = sy.decompose(sy.delta(mh), 2, tol=1e-8)
     pairs = seeded_pairs(8, seed=7000, bound=5, avoid_diagonal=True)
     worst_rec = max(dec.residual(p, q) for p, q in pairs)
     # the peeled reconstruction also recovers M_h itself through psi

@@ -39,6 +39,13 @@ class TestSymbol:
         code, out = run(capsys, "symbol", "--forms", "A=E4,A=E6", "--pq", "3,5")
         assert code == 2 and not out
 
+    @pytest.mark.parametrize("forms,name", [("A=E4,AA=E6", "AA"), ("X1=E4", "X1")])
+    def test_letter_name_of_more_than_one_character_exits_2(self, capsys, forms, name):
+        code = main(["symbol", "--forms", forms, "--pq=3,2", "--length", "1"])
+        captured = capsys.readouterr()
+        assert code == 2 and not captured.out
+        assert f"letter name {name!r}" in captured.err
+
     def test_which_E(self, capsys):
         code, out = run(capsys, "symbol", "--forms", "A=E4", "--pq", "3,5", "--which", "E")
         assert code == 0

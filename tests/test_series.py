@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from dedekindsym import symbols as sy
 from dedekindsym.errors import NotInvertible
-from dedekindsym.series import COMPLEX, RATIONAL, Alphabet, TruncSeries, _remember, _split_table, shuffle_words
+from dedekindsym.series import COMPLEX, RATIONAL, Alphabet, TruncSeries, _split_table, shuffle_words
 from node_axis import node_groups
 
 AB = Alphabet.simple("ab")
@@ -42,6 +42,13 @@ class TestAlphabetWord:
             Alphabet([("a", 3)])
         with pytest.raises(ValueError):
             Alphabet([("a", 0)])
+
+    @pytest.mark.parametrize("name", ["AA", "X1", ""])
+    def test_letter_names_are_one_character(self, name):
+        # a string of names is read one character a letter, so a longer name
+        # would be read as a word of other letters
+        with pytest.raises(ValueError, match=repr(name)):
+            Alphabet([("A", 2), (name, 4)])
 
     def test_word_length_weight(self):
         ab = Alphabet([("a", 2), ("b", 4)])
@@ -469,7 +476,7 @@ class TestRemember:
     def test_remember_evicts_oldest(self):
         cache = {}
         for k in range(5):
-            _remember(cache, 3, k, -k)
+            sy._remember(cache, 3, k, -k)
         assert cache == {2: -2, 3: -3, 4: -4}
 
 

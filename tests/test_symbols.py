@@ -235,7 +235,7 @@ class TestDelta:
         assert self.dd(3, 5) == self.f(1, 3).inverse()
 
     def test_normalized(self):
-        assert self.dd.normalized and self.dd(1, 1) == one()
+        assert self.dd(1, 1) == one()
 
     def test_bijection_round_trips(self):
         dn = sy.normalize(self.d)
@@ -300,13 +300,13 @@ def corrupted_rf(seed):
     return sy.RecipFn(lambda p, q: base(p, q) + TruncSeries.term(AB, 3, "ab", 1), AB, 3)
 
 
-WALKS = {"canonical": (sy._DELTA_MEMOS, sy._canonical_steps), "euclid": (sy._EUCLID_MEMOS, sy._euclid_steps)}
+WALKS = {"canonical": sy._canonical_steps, "euclid": sy._euclid_steps}
 
 
 def symbol_fns(f, walk):
     """D = delta(F) and D^(-1) by the canonical walk of delta or the Euclid
     walk of bullet, on that walk's memos of F."""
-    return sy._symbol_fns(f, *WALKS[walk])
+    return sy._symbol_fns(f, WALKS[walk])
 
 
 class TestDeltaTails:
@@ -451,7 +451,7 @@ class TestDeltaTails:
         d(3000, 1)
         assert sorted(asked) == [(j, j + 1) for j in range(1, 3000)]
         assert counts == {"mul": 2998, "inverse": 1}
-        inv_memo, d_memo = sy._DELTA_MEMOS[f]
+        inv_memo, d_memo = f._walks[sy._canonical_steps]
         assert len(inv_memo) == 2999 and d._memo is d_memo and len(d_memo) == 1
         # <5, 3, 2, ..., 2> joins those tails at <2, ..., 2> = (2990, 2991):
         # D^(-1) at the pair and at its first tail, then one inverse
@@ -524,7 +524,7 @@ class TestDeltaTails:
             for fn in fns:
                 fn(p, q)
         by_orbit = r._func.__closure__[r._func.__code__.co_freevars.index("by_orbit")].cell_contents
-        memos = [*sy._DELTA_MEMOS[f], *sy._EUCLID_MEMOS[f], *(fn._memo for fn in fns), r._memo, by_orbit]
+        memos = [*(m for pair in f._walks.values() for m in pair), *(fn._memo for fn in fns), r._memo, by_orbit]
         assert all(memos) and any(len(m) > 100 for m in memos)
         gc.collect()
         gc.collect()
@@ -533,6 +533,8 @@ class TestDeltaTails:
         assert tracked == []
 
     def test_memos_go_with_the_function(self):
+        # F holds the memos of its two walks, and once F and its evaluators
+        # are gone nothing but this test holds them: no module-level table
         gc.collect()
         gc.disable()
         try:
@@ -540,10 +542,14 @@ class TestDeltaTails:
             fns = (sy.delta(f), sy.bullet(f, f), sy.bullet_inverse(f))
             for g in fns:
                 g(50, 1)
-            held = len(sy._DELTA_MEMOS)
-            assert f in sy._DELTA_MEMOS
+            walks = f._walks
+            memos = [m for pair in walks.values() for m in pair]
+            assert set(walks) == set(WALKS.values()) and len(memos) == 4 and all(memos)
             del f, fns, g
-            assert len(sy._DELTA_MEMOS) == held - 1
+            # one reference from the test's own name, one from the argument
+            assert sys.getrefcount(walks) == 2
+            # one from the list, one from walks' value tuple, one from the argument
+            assert all(sys.getrefcount(memos[i]) == 3 for i in range(len(memos)))
         finally:
             gc.enable()
 
@@ -836,7 +842,7 @@ class TestDecompose:
     def test_single_exponential(self):
         f = scalar_rf(101)
         fr = sy.embed_exp(f, "a", AB, 3)
-        dec = sy.decompose(fr, 2)
+        dec = sy.decompose(sy.delta(fr), 2)
         for p, q in sy.sample_pairs(6, seed=102):
             assert dec.residual(p, q) == 0.0
             # the letter factor recovers the normalized scalar symbol
@@ -845,19 +851,19 @@ class TestDecompose:
 
     def test_two_disjoint_exponentials(self):
         fc = sy.from_components({"a": scalar_rf(103), "b": scalar_rf(104)}, AB, 3)
-        dec = sy.decompose(fc, 3)
+        dec = sy.decompose(sy.delta(fc), 3)
         for p, q in sy.sample_pairs(6, seed=105):
             assert dec.residual(p, q) == 0.0
 
     def test_factor_words_ordered_by_length(self):
         fc = sy.from_components({"a": scalar_rf(106), "b": scalar_rf(107)}, AB, 2)
-        dec = sy.decompose(fc, 2)
+        dec = sy.decompose(sy.delta(fc), 2)
         lengths = [len(w) for w in dec.words]
         assert lengths == sorted(lengths)
 
     def test_factors_are_symbols(self):
         fc = sy.from_components({"a": scalar_rf(108), "b": scalar_rf(109)}, AB, 3)
-        dec = sy.decompose(fc, 2)
+        dec = sy.decompose(sy.delta(fc), 2)
         pairs = sy.sample_pairs(8, seed=110)
         for w in dec.words:
             fn = dec.scalar_fn(w)
@@ -869,7 +875,7 @@ class TestDecompose:
     def test_not_shuffled_raises(self):
         fc = sy.from_components({"a": scalar_rf(111), "b": scalar_rf(112)}, AB, 3)
         bad = sy.RecipFn(lambda p, q: fc(p, q) + TruncSeries.term(AB, 3, "ab", 1), AB, 3)
-        dec = sy.decompose(bad, 2)
+        dec = sy.decompose(sy.delta(bad), 2)
         with pytest.raises(NotShuffled):
             for p, q in sy.sample_pairs(10, seed=113):
                 dec.residual(p, q)
@@ -877,7 +883,7 @@ class TestDecompose:
     def test_peel_memo_is_bounded(self, monkeypatch):
         monkeypatch.setattr(sy, "_MEMO_CAP", 2)
         fc = sy.from_components({"a": scalar_rf(115), "b": scalar_rf(116)}, AB, 3)
-        dec = sy.decompose(fc, 2)
+        dec = sy.decompose(sy.delta(fc), 2)
         pairs = sy.sample_pairs(5, seed=117)
         first = {pq: (repr(dec.reconstruction(*pq).vec), dec.factors(*pq)) for pq in pairs}
         assert len(dec._peeled) <= 2 and pairs[0] not in dec._peeled
@@ -886,4 +892,27 @@ class TestDecompose:
     def test_depth_validation(self):
         fr = sy.embed_exp(scalar_rf(114), "a", AB, 2)
         with pytest.raises(ValueError):
-            sy.decompose(fr, 3)
+            sy.decompose(sy.delta(fr), 3)
+
+    def test_peels_the_symbol_it_is_given(self):
+        # a reciprocity function is refused, with the conversion to pass; an
+        # unnormalized exact symbol, group-like with D(1, 1) != 1, is peeled
+        # as it is, and its factors are symbols
+        fc = sy.from_components({"a": scalar_rf(118), "b": scalar_rf(119)}, AB, 3)
+        with pytest.raises(TypeError, match=r"delta\(F\)"):
+            sy.decompose(fc, 2)
+        c = TruncSeries.exp_term(AB, 3, "b", Fraction(2, 7))
+        dn = sy.delta(fc)
+        d = sy.SymbolFn(lambda p, q: c * dn._at(p, q), AB, 3)
+        assert d(1, 1) == c
+        dec = sy.decompose(d, 3)
+        pairs = sy.sample_pairs(8, seed=120)
+        for p, q in pairs:
+            assert dec.residual(p, q) == 0
+        assert dec.coefficient("b", 1, 1) == Fraction(2, 7)
+        for w in dec.words:
+            fn = dec.scalar_fn(w)
+            for p, q in pairs:
+                assert fn(p, -q) == fn(-p, q)
+                if p + q:
+                    assert fn(p, q) == fn(p, p + q)
