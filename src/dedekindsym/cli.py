@@ -102,14 +102,6 @@ def _parse_pq(text):
     return contfrac.coprime(p, q)
 
 
-def _assignment(args):
-    forms = _parse_forms(args.forms)
-    for letter, form in forms.items():
-        if form.level != 1:
-            raise DomainError(f"{form.name} is not a level-one form; use the gamma02 subcommand")
-    return eichler.HAssignment.letters(forms)
-
-
 def _series_rows(series, p, q):
     rows = []
     for w, c in series.items():
@@ -125,7 +117,7 @@ def _series_rows(series, p, q):
 # Subcommands
 
 def cmd_symbol(args):
-    h = _assignment(args)
+    h = eichler.HAssignment.letters(_parse_forms(args.forms))
     p, q = _parse_pq(args.pq)
     if args.length < 0:
         raise DomainError(f"--length must be at least 0, got {args.length}")
@@ -251,6 +243,8 @@ _SUITES = {"bijection": _suite_bijection, "shuffle": _suite_shuffle, "axioms": _
 def cmd_verify(args):
     if args.samples < 1:
         raise DomainError(f"--samples must be at least 1, got {args.samples}")
+    if args.corrupt and args.suite != "shuffle":
+        raise DomainError(f"--corrupt has a control only in --suite shuffle, not --suite {args.suite}")
     rows = _SUITES[args.suite](args)
     doc = _document("verify", rows, seed=args.seed, tolerance=args.tol,
                     extra={"suite": args.suite})
@@ -263,7 +257,7 @@ def cmd_decompose(args):
         raise DomainError(f"--pq-samples must be at least 1, got {args.pq_samples}")
     if args.depth < 1:
         raise DomainError(f"--depth must be at least 1, got {args.depth}")
-    h = _assignment(args)
+    h = eichler.HAssignment.letters(_parse_forms(args.forms))
     cfg = eichler.IntegratorConfig(trunc=args.depth)
     dn = symbols.delta(symbols.psi(eichler.symbol_fn(h, cfg)))
     dec = symbols.decompose(dn, args.depth, tol=args.tol)
@@ -308,9 +302,6 @@ def cmd_table(args):
     if args.pmax < 1:
         raise DomainError(f"--pmax must be at least 1, got {args.pmax}")
     forms = _parse_forms(args.forms)
-    for form in forms.values():
-        if form.level != 1:
-            raise DomainError(f"{form.name} is not a level-one form")
     grid = []
     for p in range(1, args.pmax + 1):
         for q in range(1, p + 1):
@@ -369,7 +360,7 @@ def build_parser():
     sp.add_argument("--weights", type=lambda s: [int(x) for x in s.split(",")], default=[4, 6, 8])
     sp.add_argument("--pmax", type=int, default=13)
     sp.add_argument("--corrupt", action="store_true",
-                    help="negative control: corrupt one fixture and expect failure")
+                    help="negative control of --suite shuffle: corrupt one fixture and expect failure")
     common(sp, tol=True)
     sp.set_defaults(func=cmd_verify)
 

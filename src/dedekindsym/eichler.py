@@ -46,16 +46,17 @@ product with Omega(tau + s) is a convolution along n and a shift of k and
 the power of s together.
 
 Three bounded ``functools.lru_cache`` memos hold what build_D and build_F
-read: ``_ri_limit`` the cusp limit RI(tau, i inf) per (assignment, tau,
-config), ``_end`` each regularized end of reg_to_cusp, with its direction
-keyed by the lowest-terms integer pair (num, den), den > 0, and its point
-up to sign, and ``_d_reduced`` D at each reduced pair of its recursion.
-Every build_D and build_F reads only the cusp limit at i, so a sweep over
-many pairs builds one series, and they pass their pairs straight to the
-memoized end, so no Fraction is built there.  A miss runs the operations
-that it would run without the memo, so no output depends on what was
-evaluated before.  ``clear_caches()`` empties the three memos and
-``cache_info()`` reports their sizes, hits and misses.
+read: ``_cusp_series`` the cusp limit RI(tau, i inf) per (assignment,
+tau, config), ``_end`` each regularized end, keyed by its direction as
+the lowest-terms integer pair (num, den), den > 0, and its point up to
+sign, and ``_d_reduced`` D at each reduced pair of its recursion.  Every
+build_D and build_F reads only the cusp limit at i, so a sweep over many
+pairs builds one series.  They call ``_end`` with integer pairs, each of
+F's ends at its direction's own pair, so no Fraction is built there;
+reg_to_cusp reads a point from outside into the same keys.  A miss runs
+the operations that it would run without the memo, so no output depends
+on what was evaluated before.  ``clear_caches()`` empties the three memos
+and ``cache_info()`` reports their sizes, hits and misses.
 
 I_inf needs no quadrature either.  Its antiderivative recursion runs once
 per (assignment, truncation) on a monomial axis, into a polynomial array
@@ -90,9 +91,11 @@ class HAssignment:
     The form attached to a word B must have weight w(B) + 2.  Assigning
     forms only to single letters gives the usual case; longer words are
     allowed and simply contribute extra terms to the connection form.
-    The forms are fixed at construction, and so is ``letter_constants``:
-    per letter, the constant Fourier term a_0 of its form as a complex (0
-    for a letter without a form), read once here for ``build_E``.
+    The forms are fixed at construction, and so are their constant Fourier
+    terms, read once here for I_inf and ``build_E``: ``constants`` maps
+    each word whose form has a_0 != 0 to a_0 as a complex, and
+    ``letter_constants`` holds a_0 per letter (0j for a letter without a
+    form), or is None when a longer word has a_0 != 0.
     """
 
     def __init__(self, alphabet, forms):
@@ -108,8 +111,9 @@ class HAssignment:
             if form.weight != need:
                 raise ValueError(f"word {alphabet.word_name(w)!r} needs weight {need}, got {form.weight}")
             self.forms[w] = form
-        letter_forms = (self.forms.get((i,)) for i in range(len(alphabet)))
-        self.letter_constants = tuple(0j if f is None else complex(f.coeff(0)) for f in letter_forms)
+        self.constants = {w: complex(f.coeff(0)) for w, f in self.forms.items() if f.coeff(0)}
+        self.letter_constants = (None if any(len(w) > 1 for w in self.constants) else
+                                 tuple(self.constants.get((i,), 0j) for i in range(len(alphabet))))
 
     @classmethod
     def letters(cls, assignments):
@@ -212,15 +216,14 @@ def _i_inf_paths(h, trunc):
 
     index = _split_table(h.alphabet, trunc).index
     weight = h.alphabet.word_weight
-    a0 = {w: complex(f.coeff(0)) for w, f in h.forms.items() if len(w) <= trunc and f.coeff(0)}
     reverse = np.zeros((len(index), 1 + trunc * max(h.alphabet.weights), trunc + 1), dtype=complex)
     reverse[0, 0, 0] = 1.0
     for word in h.alphabet.iter_words(trunc, min_len=1):
         rhs = np.zeros(reverse.shape[1:], dtype=complex)       # -(Omega_inf J) of the word
         for k in range(1, len(word) + 1):
-            if word[:k] in a0:
+            if word[:k] in h.constants:
                 shift = weight(word[:k])
-                rhs[shift:] -= a0[word[:k]] * reverse[index[word[k:]], :rhs.shape[0] - shift]
+                rhs[shift:] -= h.constants[word[:k]] * reverse[index[word[k:]], :rhs.shape[0] - shift]
         row = reverse[index[word]]
         for n in range(trunc):
             above = 0j
@@ -292,12 +295,15 @@ def _primitive_factors(N, J):
     return up, down
 
 
+@lru_cache(maxsize=256)
 def _cusp_series(h, tau, cfg):
-    """RI(tau, i inf) as the flat tuple of a (words, K) series centered at
-    tau: the constant terms P_w(0) of the exponential polynomial
-    G(s) = I(tau, tau + s), built word by word from G' = G Omega(tau + s)
-    (see the module docstring).  G_w is an array over the Fourier index
-    n <= N, the power j <= w(w) + |w| of s and the monomial k <= w(w)."""
+    """RI(tau, i inf) at the complex tau as the flat tuple of a (words, K)
+    series centered at tau, memoized per (assignment, tau, config); one
+    sweep pass holds one entry, the cusp limit at i.  Its entries are the
+    constant terms P_w(0) of the exponential polynomial G(s) = I(tau,
+    tau + s), built word by word from G' = G Omega(tau + s) (see the
+    module docstring).  G_w is an array over the Fourier index n <= N, the
+    power j <= w(w) + |w| of s and the monomial k <= w(w)."""
     import numpy as np
 
     if tau.imag <= 0:
@@ -343,49 +349,32 @@ def _cusp_series(h, tau, cfg):
     return tuple(out.ravel().tolist())
 
 
-def _unsigned(xy):
-    """The point xy = (X, Y) up to sign, as complex numbers, which ``_end``
-    is keyed by and reads: every coefficient is even in (X, Y), and a
-    series read at (-X, -Y) has the bytes it has at (X, Y)."""
-    X, Y = complex(xy[0]), complex(xy[1])
-    return (-X, -Y) if (Y.real, Y.imag, X.real, X.imag) < (0, 0, 0, 0) else (X, Y)
-
-
 # ---------------------------------------------------------------------------
 # Regularization at the cusp i-infinity
-
-@lru_cache(maxsize=256)
-def _ri_limit(h, tau, cfg):
-    """RI(tau, i inf) as the flat tuple of a (words, K) series centered at
-    tau; memoized per (assignment, tau, config).  One sweep pass holds one
-    entry, the cusp limit at i."""
-    return _cusp_series(h, complex(tau), cfg)
-
 
 def reg_to_cusp(h, tau, direction, xy, cfg=IntegratorConfig()):
     """I(tau, ->direction_inf): regularized integral from tau in the upper
     half-plane to the tangential base point at i-infinity, at the numeric
-    point xy: RI(tau, i inf) I_inf(tau, direction), each read at xy from
-    its stored series.  The rational direction is read once as its
-    lowest-terms pair for ``_reg_end``."""
+    point xy.  The adapter for points from outside: the rational direction
+    is read as its lowest-terms pair and the point up to sign (Y > 0, or
+    Y = 0 < X) for ``_end``, so these ends share entries with F's."""
     direction = Fraction(direction)
-    return _reg_end(h, complex(tau), (direction.numerator, direction.denominator), xy, cfg)
-
-
-def _reg_end(h, tau, direction, xy, cfg):
-    """reg_to_cusp at the complex tau, with the direction given as its
-    lowest-terms integer pair (num, den), den > 0: ``_end`` at the point
-    up to sign, so the two ends of F(p, q) are those of F(-q, p)."""
-    return _end(h, tau, direction, _unsigned(xy), cfg)
+    X, Y = complex(xy[0]), complex(xy[1])
+    if (Y.real, Y.imag, X.real, X.imag) < (0, 0, 0, 0):
+        X, Y = -X, -Y
+    return _end(h, complex(tau), (direction.numerator, direction.denominator), (X, Y), cfg)
 
 
 @lru_cache(maxsize=1024)
 def _end(h, tau, direction, xy, cfg):
-    """The regularized end RI(tau, i inf) I_inf(tau, num / den) at xy,
-    memoized per (assignment, tau, (num, den), xy, config).  num / den is
-    the correctly rounded float of the direction, as float(Fraction) is.
-    One sweep pass holds 84 entries."""
-    return (_at_point(h, _ri_limit(h, tau, cfg), xy, cfg.trunc, tau)
+    """The regularized end RI(tau, i inf) I_inf(tau, num / den) at xy, each
+    read from its stored series, memoized per (assignment, tau, (num, den),
+    xy, config).  The direction is the lowest-terms integer pair (num, den),
+    den > 0, and num / den its correctly rounded float, as float(Fraction)
+    is.  xy is the point up to sign: every coefficient is even in (X, Y),
+    so the two ends of F(p, q) are those of F(-q, p).  One sweep pass holds
+    84 entries."""
+    return (_at_point(h, _cusp_series(h, tau, cfg), xy, cfg.trunc, tau)
             * _i_inf_at(h, tau, direction[0] / direction[1], xy, cfg.trunc))
 
 
@@ -504,7 +493,7 @@ def _d_reduced(h, p, q, cfg):
 def _recursion_step(h, p, q, below, cfg):
     """D at the reduced pair (p, q) from D below it, D(-q, p)."""
     if (p, q) == (1, 1):
-        return _reg_end(h, 1j, (0, 1), (0, 1), cfg).inverse() * _reg_end(h, 1j, (0, 1), (1, 0), cfg)
+        return _end(h, 1j, (0, 1), (0, 1), cfg).inverse() * _end(h, 1j, (0, 1), (1, 0), cfg)
     return build_F(h, p, q, cfg) * below * build_E(h, -p, q, cfg.trunc)
 
 
@@ -512,28 +501,33 @@ def build_F(h, p, q, cfg=IntegratorConfig()):
     """The reciprocity series: I from ->(q/p) at i-infinity to ->(q/p) at 0.
 
     The cusp-zero chart is gamma = S, which fixes the anchor i; the
-    numeric point pulls back to (p, -q).  The directions q/p and -p/q are
-    the coprime pairs (q, p) and (-p, q) with the sign on the numerator.
+    numeric point pulls back to (p, -q).  Each end is ``_end`` at its
+    direction, q/p or -p/q, as the coprime pair with the sign on the
+    numerator, which is also its point (q, p) or (p, -q) up to sign.
     """
     p, q = coprime(p, q, almost=True)
-    head = _reg_end(h, 1j, (q, p) if p > 0 else (-q, -p), (complex(q), complex(p)), cfg)
-    tail = _reg_end(h, 1j, (-p, q) if q > 0 else (p, -q), (complex(p), complex(-q)), cfg)
-    return head.inverse() * tail
+    head = (q, p) if p > 0 else (-q, -p)
+    tail = (-p, q) if q > 0 else (p, -q)
+    return _end(h, 1j, head, head, cfg).inverse() * _end(h, 1j, tail, tail, cfg)
 
 
 def build_E(h, p, q, trunc=2):
-    """exp(sum_letters A_i a_0(h(A_i)) / (p q)): the constant-term correction.
+    """exp(sum_B B a_0(h(B)) / (p q)) over the assigned words B: the
+    constant-term correction, from the a_0 read once when the assignment
+    was built.  Every coefficient changes sign with p, so E(p, q)^-1 =
+    E(-p, q).
 
-    It is an exponential of letters, so its word A_i1 ... A_ik reads
-    c_i1 ... c_ik / k!, c_i = a_0(h(A_i)) / (p q), with the product taken
-    left to right and 1/k! as its nearest float: the bytes of ``exp``'s
-    power sum.  The a_0 are the assignment's ``letter_constants``, read
-    once when it was built.  A word with a letter whose a_0 is 0 reads 0
-    after the + 0j, whatever the signs of the zeros in its product.  Every
-    c_i changes sign with p, so E(p, q)^-1 = E(-p, q).
+    Where every a_0 != 0 sits on a letter, E is an exponential of letters,
+    so its word A_i1 ... A_ik reads c_i1 ... c_ik / k!, c_i = a_0(h(A_i)) /
+    (p q), with the product taken left to right and 1/k! as its nearest
+    float: the bytes of ``exp``'s power sum, which longer words take.  A
+    word with a letter whose a_0 is 0 reads 0 after the + 0j, whatever the
+    signs of the zeros in its product.
     """
     p, q = coprime(p, q, almost=True)
     pq = p * q
+    if h.letter_constants is None:
+        return TruncSeries(h.alphabet, trunc, {w: a0 / pq for w, a0 in h.constants.items()}, COMPLEX).exp()
     c = [a0 / pq for a0 in h.letter_constants]
     level, vec = [1], [1.0 + 0j]
     for k in range(1, trunc + 1):
@@ -553,7 +547,7 @@ def symbol_fn(h, cfg=IntegratorConfig()):
 def clear_caches():
     """Empty the cusp-limit, end and reduced-D memos and reset their
     counters."""
-    for memo in (_ri_limit, _end, _d_reduced):
+    for memo in (_cusp_series, _end, _d_reduced):
         memo.cache_clear()
 
 
@@ -563,7 +557,7 @@ def cache_info():
     the values held by the end and reduced-D memos with their hits and
     misses added up.  Every build_D reads each pair of its walk from the
     reduced-D memo, so a warm one counts one value hit per pair."""
-    paths, ends, ds = _ri_limit.cache_info(), _end.cache_info(), _d_reduced.cache_info()
+    paths, ends, ds = _cusp_series.cache_info(), _end.cache_info(), _d_reduced.cache_info()
     return {"series": paths.currsize, "values": ends.currsize + ds.currsize,
             "hits": paths.hits, "misses": paths.misses,
             "value_hits": ends.hits + ds.hits, "value_misses": ends.misses + ds.misses}

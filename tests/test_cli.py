@@ -108,6 +108,14 @@ class TestVerify:
         doc = json.loads(out)
         assert not all(r["pass"] for r in doc["rows"])
 
+    @pytest.mark.parametrize("suite", ["bijection", "axioms", "reciprocity-law", "eichler"])
+    def test_corrupt_outside_shuffle_exits_2(self, capsys, suite):
+        # only the shuffle suite has a corrupted fixture: elsewhere the
+        # negative control would pass, so the flag is refused and named
+        code = main(["verify", "--suite", suite, "--samples", "1", "--corrupt"])
+        out, err = capsys.readouterr()
+        assert code == 2 and not out and "--corrupt" in err
+
     @pytest.mark.parametrize("suite, samples", [("bijection", "0"), ("axioms", "0"),
                                                 ("axioms", "3000")])
     def test_sample_count_out_of_range_exits_2(self, capsys, suite, samples):
@@ -259,6 +267,14 @@ class TestArguments:
         code = main([*argv, f"--pq={pq}"])
         out, err = capsys.readouterr()
         assert code == 2 and not out and f"({pq.replace(',', ', ')})" in err
+
+    @pytest.mark.parametrize("argv", [["symbol", "--pq=3,2"], ["decompose"], ["table"]])
+    def test_level_two_name_exits_2(self, capsys, argv):
+        # --forms splits on ",", so the level-two name E6,2 leaves the
+        # fragment "2", which is no assignment
+        code = main([*argv, "--forms", "A=E6,2"])
+        out, err = capsys.readouterr()
+        assert code == 2 and not out and "malformed form assignment '2'" in err
 
     def test_cfrac_of_zero(self, capsys):
         code, out = run(capsys, "cfrac", "--pq=1,0")

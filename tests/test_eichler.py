@@ -51,6 +51,14 @@ def h_word():
     return ei.HAssignment(Alphabet([("A", 2), ("B", 4)]), {"A": mf.eisenstein(4), "AB": mf.eisenstein(8)})
 
 
+def h_square():
+    return ei.HAssignment(Alphabet([("A", 2)]), {"A": mf.eisenstein(4), "AA": mf.eisenstein(6)})
+
+
+def h_cube():
+    return ei.HAssignment(Alphabet([("A", 2)]), {"A": mf.eisenstein(4), "AAA": mf.eisenstein(8)})
+
+
 class TestHAssignment:
     def test_letters_weights(self):
         h = h_pair()
@@ -71,6 +79,17 @@ class TestHAssignment:
         ab = h.alphabet
         assert h.forms[ab.word("AB")].weight == 8
         assert ab.word("BA") not in h.forms
+        # AB has a_0 != 0, so E leaves the closed form of letters
+        assert h.constants == {ab.word("A"): complex(mf.eisenstein(4).coeff(0)),
+                               ab.word("AB"): complex(mf.eisenstein(8).coeff(0))}
+        assert h.letter_constants is None
+
+    def test_letter_constants(self):
+        # a letter without a form, or with a cusp form, reads 0j
+        h = h_e4_delta()
+        assert h.constants == {(0,): complex(mf.eisenstein(4).coeff(0))}
+        assert h.letter_constants == (complex(mf.eisenstein(4).coeff(0)), 0j)
+        h = ei.HAssignment(Alphabet([("A", 2), ("B", 8)]), {"A": mf.eisenstein(4), "AB": mf.delta_form()})
         assert h.letter_constants == (complex(mf.eisenstein(4).coeff(0)), 0j)
 
 
@@ -281,7 +300,7 @@ def numpy_at_point(h, coef, xy, trunc, center):
 
 def cusp_general(h, tau, xy, cfg):
     """RI(tau, i inf) at xy: the stored cusp limit read by ``numpy_at_point``."""
-    coef = np.reshape(ei._ri_limit(h, tau, cfg), (len(ei._split_table(h.alphabet, cfg.trunc).words), -1))
+    coef = np.reshape(ei._cusp_series(h, tau, cfg), (len(ei._split_table(h.alphabet, cfg.trunc).words), -1))
     return numpy_at_point(h, coef, xy, cfg.trunc, tau)
 
 
@@ -350,16 +369,16 @@ class TestIInfPaths:
     that reg_to_cusp multiplies the cusp limit by."""
 
     ASSIGNMENTS = {"E4,E6": h_pair,
-                   "A=E4,AA=E6": lambda: ei.HAssignment(Alphabet([("A", 2)]),
-                                                        {"A": mf.eisenstein(4), "AA": mf.eisenstein(6)}),
+                   "A=E4,AA=E6": h_square,
                    "E4,E6,Delta": lambda: ei.HAssignment.letters(
                        {"A": mf.eisenstein(4), "B": mf.eisenstein(6), "C": mf.delta_form()})}
 
     @staticmethod
     def build_points(h, monkeypatch):
         """Every (tau, direction, xy) at which build_D and build_F evaluate a
-        regularized end (``_reg_end``, direction as (num, den)) over the
-        signed grid (the points do not depend on the truncation)."""
+        regularized end (``_end``, direction as (num, den), point up to
+        sign) over the signed grid (the points do not depend on the
+        truncation)."""
         seen = {}
 
         def record(h, tau, direction, xy, cfg):
@@ -367,7 +386,7 @@ class TestIInfPaths:
             return TruncSeries.one(h.alphabet, cfg.trunc, COMPLEX)
 
         with monkeypatch.context() as m:
-            m.setattr(ei, "_reg_end", record)
+            m.setattr(ei, "_end", record)
             cfg = ei.IntegratorConfig(trunc=1)
             for p, q in SIGNED_GRID:
                 ei.build_D(h, p, q, cfg)
@@ -382,7 +401,14 @@ class TestIInfPaths:
         # 7.9e-14 at trunc 2 and 1.5e-12 at trunc 3
         h = self.ASSIGNMENTS[name]()
         points = self.build_points(h, monkeypatch)
-        assert len(points) > len(SIGNED_GRID)
+        # the head of F(p, q), toward q/p at (q, p) up to sign, for every
+        # pair of the grid (the tail of F(p, q) is the head of F(-q, p)),
+        # and the two ends of D(1, 1): 112 points, as F(-p, -q) has the
+        # ends of F(p, q)
+        heads = {(1j, Fraction(q, p), (complex(q), complex(p)) if p > 0 else (complex(-q), complex(-p)))
+                 for p, q in SIGNED_GRID}
+        assert set(points) == heads | {(1j, Fraction(0), (0j, 1 + 0j)), (1j, Fraction(0), (1 + 0j, 0j))}
+        assert len(points) == len(SIGNED_GRID) // 2 + 2
         for tau, s, xy in points:
             X, Y = (Fraction(int(v.real)) for v in xy)
             assert xy == (X, Y) and (X - s * Y == 0 or Y == 0)
@@ -460,13 +486,13 @@ class TestOnLineClosedForm:
         """The (tau, s, xy) of every regularized end that the (1, 0) end of
         D(1, 1), full_integral and i_numeric read off the line X - s Y = 0."""
         ends = {}
-        read = ei._reg_end
+        read = ei._end
 
         def record(h, tau, direction, xy, cfg):
             ends[tau, direction[0] / direction[1], tuple(map(complex, xy))] = None
             return read(h, tau, direction, xy, cfg)
 
-        monkeypatch.setattr(ei, "_reg_end", record)
+        monkeypatch.setattr(ei, "_end", record)
         cfg = ei.IntegratorConfig(trunc=1)
         ei.build_D(h, 1, 1, cfg)
         for p, q in [(7, 5), (-5, 7), (1, 9), (3, -8)]:
@@ -510,7 +536,7 @@ class TestOnLineClosedForm:
             cfg = ei.IntegratorConfig(trunc=trunc)
             words = ei._split_table(h.alphabet, trunc).words
             for tau, xy in points:
-                coef = ei._ri_limit(h, tau, cfg)
+                coef = ei._cusp_series(h, tau, cfg)
                 got = ei._at_point(h, coef, xy, trunc, tau)
                 K = len(coef) // len(words)
                 with mpmath.workdps(50):
@@ -597,6 +623,21 @@ class TestFullIntegral:
             tb1 = ei.TangentialBasePoint(INF, Fraction(q, p))
             fi = ei.full_integral(h, tb0, tb1, (p, q), CFG)
             assert relative_gap(fi, ei.build_D(h, p, q, CFG)) <= 1e-12, (p, q)
+
+    @pytest.mark.parametrize("make", [h_word, h_square, h_cube])
+    def test_matches_build_D_for_word_assignments(self, make):
+        # forms on words of length 2 and 3 enter E through their a_0 as the
+        # letters' do.  Bound fixed beforehand: 1e-12 of max(1, largest
+        # coefficient); with E over the letters alone the gap is 2e-3, the
+        # a_0 of the word's form summed over the Euclid steps
+        h = make()
+        for trunc in (2, 3):
+            cfg = ei.IntegratorConfig(trunc=trunc)
+            for p, q in [(3, 2), (2, 3), (5, 2), (1, 9), (-1, 9), (7, 5), (-2, 51), (13, 8)]:
+                tb0 = ei.TangentialBasePoint(Fraction(q, p), INF)
+                tb1 = ei.TangentialBasePoint(INF, Fraction(q, p))
+                fi = ei.full_integral(h, tb0, tb1, (p, q), cfg)
+                assert relative_gap(fi, ei.build_D(h, p, q, cfg)) <= 1e-12, (trunc, p, q)
 
     def test_matches_build_F_through_cusp_zero_chart(self):
         h = h_pair()
@@ -714,8 +755,8 @@ class TestBuilders:
 
 
 def power_sum_E(h, p, q, trunc):
-    """E(p, q) as the power sum of ``exp`` over the letters' a_0 / (p q)."""
-    coeffs = {w: complex(f.coeff(0)) / (p * q) for w, f in h.forms.items() if len(w) == 1}
+    """E(p, q) as the power sum of ``exp`` over every assigned word's a_0 / (p q)."""
+    coeffs = {w: complex(f.coeff(0)) / (p * q) for w, f in h.forms.items()}
     return TruncSeries(h.alphabet, trunc, coeffs, COMPLEX).exp()
 
 
@@ -724,7 +765,7 @@ class TestClosedFormE:
 
     SETTINGS = [(h_pair, 1), (h_pair, 2), (h_pair, 3), (h_e4_delta, 2), (h_delta, 3)]
 
-    @pytest.mark.parametrize("make", [h_pair, h_e4_delta, h_word, h_three])
+    @pytest.mark.parametrize("make", [h_pair, h_e4_delta, h_word, h_three, h_square, h_cube])
     def test_bytes_of_the_power_sum(self, make):
         h = make()
         for trunc in range(1, 6):
@@ -913,7 +954,7 @@ def relative_gap(got, want):
 def stored_series(h, cfg):
     """The cusp limit at i, read from its stored series, and the unit steps
     I(i, i +- 1) from i_numeric, each as a function of the numeric point."""
-    coef = ei._ri_limit(h, 1j, cfg)
+    coef = ei._cusp_series(h, 1j, cfg)
     return {"cusp": lambda xy: ei._at_point(h, coef, xy, cfg.trunc, 1j),
             "+1": lambda xy: ei.i_numeric(h, 1j, 1 + 1j, xy, cfg),
             "-1": lambda xy: ei.i_numeric(h, 1j, -1 + 1j, xy, cfg)}
@@ -957,7 +998,7 @@ class TestPathSeries:
         cfg = ei.IntegratorConfig(trunc=trunc)
         weights = [h.alphabet.word_weight(w) for w in ei._split_table(h.alphabet, trunc).words]
         for c in (1j, 1 + 1j, -1 + 1j):
-            coef = ei._ri_limit(h, c, cfg)
+            coef = ei._cusp_series(h, c, cfg)
             here = ei._at_point(h, coef, (X, Y), trunc, c)
             assert repr(ei._at_point(h, coef, (-X, -Y), trunc, c).vec) == repr(here.vec)
             there = ei._at_point(h, coef, (lam * X, lam * Y), trunc, c)
@@ -1040,7 +1081,7 @@ class TestCuspFourierSum:
         # 1e-14 of max(1, largest coefficient); trunc 3 at (1, 0) and (51, -2)
         make, trunc = self.SETTINGS[setting]
         h, cfg = make(), ei.IntegratorConfig(trunc=trunc)
-        coef = ei._ri_limit(h, 1j, cfg)
+        coef = ei._cusp_series(h, 1j, cfg)
         for xy in self.POINTS[::2] if trunc == 3 else self.POINTS:
             got = ei._at_point(h, coef, xy, trunc, 1j)
             want = TruncSeries._from_vec(h.alphabet, trunc, cusp_limit_mpmath(h, 1j, xy, trunc))
@@ -1074,13 +1115,6 @@ class TestCuspFourierSum:
             ei.reg_to_cusp(h, 0.3 + 0.005j, Fraction(0), (2, 1), CFG)
         with pytest.raises(ValueError):
             ei.reg_to_cusp(h, 0.3 - 1j, Fraction(0), (2, 1), CFG)
-
-
-def spy_on_cusp_series(monkeypatch):
-    """The taus that ``_cusp_series`` receives from now on, in a list."""
-    taus, build = [], ei._cusp_series
-    monkeypatch.setattr(ei, "_cusp_series", lambda h, tau, cfg: taus.append(tau) or build(h, tau, cfg))
-    return taus
 
 
 def spy_on_misses(monkeypatch, name):
@@ -1144,11 +1178,11 @@ class TestCuspLimitMemo:
     def test_config_change_misses(self):
         h = h_pair()
         ei.clear_caches()
-        ei._ri_limit(h, 1j, CFG)
-        ei._ri_limit(h, 1j, ei.IntegratorConfig(trunc=1))
-        ei._ri_limit(h, 1j, ei.IntegratorConfig(trunc=3))
+        ei._cusp_series(h, 1j, CFG)
+        ei._cusp_series(h, 1j, ei.IntegratorConfig(trunc=1))
+        ei._cusp_series(h, 1j, ei.IntegratorConfig(trunc=3))
         assert ei.cache_info()["misses"] == 3 and ei.cache_info()["hits"] == 0
-        ei._ri_limit(h, 1j, ei.IntegratorConfig(trunc=1))
+        ei._cusp_series(h, 1j, ei.IntegratorConfig(trunc=1))
         assert ei.cache_info()["hits"] == 1
 
     def test_clear_caches_resets(self):
@@ -1166,12 +1200,12 @@ class TestCuspLimitMemo:
         # the two ends of D(1, 1) at (0, 1) and (1, 0)
         h = h_pair()
         p, q = 3, 2
-        taus = spy_on_cusp_series(monkeypatch)
+        series = spy_on_misses(monkeypatch, "_cusp_series")
         ei.clear_caches()
         ei.build_D(h, p, q, CFG)
         ei.build_D(h, -q, p, CFG)
         ei.build_F(h, p, q, CFG)
-        assert taus == [1j]
+        assert [tau for _, tau, _ in series] == [1j]
         info = ei.cache_info()
         assert (info["misses"], info["series"]) == (1, 1) and info["hits"] > 3
 
@@ -1184,9 +1218,9 @@ class TestCuspLimitMemo:
         builders = self.builders(h, cfg)
         ei.clear_caches()
         want = [repr(build(p, q).vec) for p, q in self.PAIRS for build in builders]
-        assert 1 < ei.cache_info()["series"] <= ei._ri_limit.cache_info().maxsize
+        assert 1 < ei.cache_info()["series"] <= ei._cusp_series.cache_info().maxsize
         ei.clear_caches()
-        with_capacity_one(monkeypatch, "_ri_limit")
+        with_capacity_one(monkeypatch, "_cusp_series")
         got = [repr(build(p, q).vec) for p, q in self.PAIRS for build in builders]
         assert got == want
         assert ei.cache_info()["series"] == 1
@@ -1243,11 +1277,11 @@ class TestBridgeSteps:
         # pairs with p <= 9, each once.
         calls = []
         monkeypatch.setattr(ei, "form_value", lambda *args: calls.append(args) or mf.form_value(*args))
-        taus = spy_on_cusp_series(monkeypatch)
+        series = spy_on_misses(monkeypatch, "_cusp_series")
         ends, pairs = spy_on_misses(monkeypatch, "_end"), spy_on_misses(monkeypatch, "_d_reduced")
         self.sweep_pass(h_pair())
         info = ei.cache_info()
-        assert taus == [1j]
+        assert [tau for _, tau, _ in series] == [1j]
         assert (info["misses"], info["series"]) == (1, 1)
         assert calls == []
         assert (info["values"], info["value_misses"]) == (113, 113)
@@ -1275,7 +1309,7 @@ class TestBridgeSteps:
         assert (calls.count("_at_point"), calls.count("_i_inf_at")) == (84, 84)
         info = ei.cache_info()
         assert (info["hits"], info["misses"], info["value_hits"], info["value_misses"]) == (83, 1, 299, 113)
-        assert type(ei._ri_limit(h, 1j, CFG)) is tuple
+        assert type(ei._cusp_series(h, 1j, CFG)) is tuple
         ei.clear_caches()
 
     def test_sweep_pass_builds_no_fraction(self, monkeypatch):
