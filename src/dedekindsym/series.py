@@ -13,9 +13,13 @@ garbage collector must follow, so it drops out of the collector's lists at
 the first collection it meets, and memos keep the pair ``(vec, den)``.
 The table also carries two kernels compiled once from the splits w = u v
 of every word, one straight-line sum per word: the product, through which
-exp and log run, and the inverse.  ``coeffs`` is a read-only view
-{word: coefficient} of the nonzero entries, with ``Fraction`` values for
-rational series.
+exp and log run, and the inverse; a third brings a rational vector to
+lowest terms.  Each alphabet object keeps its tables, one per truncation,
+and equal alphabets share them, so a product or an inverse finds its
+kernels without hashing the alphabet.  A rational product or inverse is
+one kernel call and one reduction to lowest terms.  ``coeffs`` is a
+read-only view {word: coefficient} of the nonzero entries, with
+``Fraction`` values for rational series.
 
 Words are plain tuples of letter indices; ``Alphabet.word`` reads an
 index tuple or a string of letter names into one.  Words and coefficients
@@ -41,7 +45,7 @@ class Alphabet:
     """Ordered set of symbols, each a one-character name carrying an even
     weight >= 2, so that a string of names spells one word."""
 
-    __slots__ = ("names", "weights", "_index", "_hash")
+    __slots__ = ("names", "weights", "_index", "_hash", "_tables")
 
     def __init__(self, symbols):
         symbols = tuple((str(n), int(w)) for n, w in symbols)
@@ -58,6 +62,7 @@ class Alphabet:
         self.weights = weights
         self._index = {n: i for i, n in enumerate(names)}
         self._hash = hash((names, weights))
+        self._tables = {}  # trunc -> _SplitTable, see _split_table
 
     @classmethod
     def simple(cls, names, weight=2):
@@ -134,19 +139,30 @@ def shuffle_words(u, v):
 
 GroupLikeness = namedtuple("GroupLikeness", "ok worst witness")
 
-_SplitTable = namedtuple("_SplitTable", "words index mul inv")
+_SplitTable = namedtuple("_SplitTable", "words index mul inv lowest")
+
+
+def _split_table(alphabet, trunc):
+    """The word table of (alphabet, trunc), kept on the alphabet object, so
+    that a product or an inverse finds it without hashing the alphabet;
+    equal alphabets share the tables of ``_build_split_table``."""
+    table = alphabet._tables.get(trunc)
+    if table is None:
+        table = alphabet._tables[trunc] = _build_split_table(alphabet, trunc)
+    return table
 
 
 @lru_cache(maxsize=32)
-def _split_table(alphabet, trunc):
+def _build_split_table(alphabet, trunc):
     """Words of length <= trunc in canonical order (row 0 is the empty word),
-    their row numbers, and two kernels compiled from the splits w = u v of
-    every word, by |u| ascending: ``mul(x, y)`` is the product vector
-    sum x_u y_v, and ``inv(s, den, exact)`` is the pair (vector, denominator)
-    of the inverse of the series s / den (see ``TruncSeries.inverse``).  Each
-    is one straight-line sum per word that starts at the int 0, so it
-    rounds, and signs its zeros, as a loop accumulating from 0 would; both
-    return tuples."""
+    their row numbers, and three compiled kernels.  Two are compiled from the
+    splits w = u v of every word, by |u| ascending: ``mul(x, y)`` is the
+    product vector sum x_u y_v, and ``inv(s, den, exact)`` is the pair
+    (vector, denominator) of the inverse of the series s / den (see
+    ``TruncSeries.inverse``).  Each is one straight-line sum per word that
+    starts at the int 0, so it rounds, and signs its zeros, as a loop
+    accumulating from 0 would; both return tuples.  ``lowest(v, den)``
+    brings the int numerators v over den != 0 to lowest terms, den > 0."""
     words = tuple(alphabet.iter_words(trunc))
     index = {w: i for i, w in enumerate(words)}
     splits = tuple(tuple((index[w[:k]], index[w[k:]]) for k in range(len(w) + 1)) for w in words)
@@ -160,12 +176,16 @@ def _split_table(alphabet, trunc):
     solve = "".join(f"    m{w} = -({from_0(f'm{i} * t{j}' for i, j in s[:-1])})\n"
                     for w, s in enumerate(splits[1:], 1))
     out = [f"m{w} * den * c{trunc - len(word)}" for w, word in enumerate(words)]
-    kernels = {}
+    rows = "".join(f"v{i}, " for i in range(len(words)))
+    kernels = {"gcd": gcd}
     exec(f"def mul(x, y):\n    return ({products})\n"
          f"def inv(s, den, exact):\n    c = s[0]\n{powers}{scaled}    m0 = 1\n{solve}"
          f"    if exact:\n        return ({''.join(x + ', ' for x in out)}), c{trunc + 1}\n"
-         f"    return ({''.join(f'{x} / c{trunc + 1}, ' for x in out)}), 1\n", kernels)
-    return _SplitTable(words, index, kernels["mul"], kernels["inv"])
+         f"    return ({''.join(f'{x} / c{trunc + 1}, ' for x in out)}), 1\n"
+         f"def lowest(v, den):\n    {rows}= v\n    g = gcd(den, {rows})\n    if den < 0:\n        g = -g\n"
+         f"    if g == 1:\n        return v, den\n"
+         f"    return ({''.join(f'v{i} // g, ' for i in range(len(words)))}), den // g\n", kernels)
+    return _SplitTable(words, index, kernels["mul"], kernels["inv"], kernels["lowest"])
 
 
 @lru_cache(maxsize=32)
@@ -261,13 +281,11 @@ class TruncSeries:
     def _from_vec(cls, alphabet, trunc, vec, kind=COMPLEX, den=1):
         """Series from a vector over the word table, checking nothing; rational
         numerators over ``den`` are brought to lowest terms, den > 0."""
+        vec = tuple(vec)
         if kind == RATIONAL:
-            g = gcd(den, *vec) if den > 0 else -gcd(den, *vec)
-            if g != 1:
-                vec = [n // g for n in vec]
-                den //= g
+            vec, den = _split_table(alphabet, trunc).lowest(vec, den)
         out = object.__new__(cls)
-        out.alphabet, out.trunc, out.kind, out.vec, out.den = alphabet, trunc, kind, tuple(vec), den
+        out.alphabet, out.trunc, out.kind, out.vec, out.den = alphabet, trunc, kind, vec, den
         return out
 
     @classmethod
@@ -312,24 +330,33 @@ class TruncSeries:
         """Read-only map word tuple -> coefficient of the nonzero entries."""
         return MappingProxyType(dict(self.items()))
 
-    def _common(self, other):
-        """Both operands over one alphabet and one kind (complex if they differ)."""
-        if self.alphabet is not other.alphabet and self.alphabet != other.alphabet:
-            raise ValueError("alphabet mismatch")
-        if self.kind == other.kind:
+    def _coerced(self, other):
+        """Both operands over self's alphabet object, at the lesser truncation
+        and of one kind: complex if they differ, a rational one entering as the
+        floats of its coefficients.  A truncated rational vector may leave
+        lowest terms; every caller reduces its result."""
+        if other.alphabet is self.alphabet and other.trunc == self.trunc and other.kind == self.kind:
             return self, other
-        return tuple(s if s.kind == COMPLEX else
-                     TruncSeries._from_vec(s.alphabet, s.trunc, [complex(n / s.den) for n in s.vec])
-                     for s in (self, other))
+        if self.alphabet != other.alphabet:
+            raise ValueError("alphabet mismatch")
+        trunc = min(self.trunc, other.trunc)
+        kind = self.kind if self.kind == other.kind else COMPLEX
+        rows = len(_split_table(self.alphabet, trunc).words)
+
+        def coerce(s):
+            vec, den = s.vec[:rows], s.den
+            if s.kind != kind:
+                vec, den = tuple([complex(n / den) for n in vec]), 1
+            return TruncSeries._packed(self.alphabet, trunc, kind, vec, den)
+        return coerce(self), coerce(other)
 
     def __add__(self, other):
-        a, b = self._common(other)
-        trunc = min(a.trunc, b.trunc)
+        a, b = self._coerced(other)
         if a.kind == COMPLEX:
-            return TruncSeries._from_vec(a.alphabet, trunc, [x + y for x, y in zip(a.vec, b.vec)])
+            return TruncSeries._from_vec(a.alphabet, a.trunc, [x + y for x, y in zip(a.vec, b.vec)])
         den = lcm(a.den, b.den)
         fa, fb = den // a.den, den // b.den
-        return TruncSeries._from_vec(a.alphabet, trunc, [x * fa + y * fb for x, y in zip(a.vec, b.vec)],
+        return TruncSeries._from_vec(a.alphabet, a.trunc, [x * fa + y * fb for x, y in zip(a.vec, b.vec)],
                                      RATIONAL, den)
 
     def __sub__(self, other):
@@ -347,13 +374,22 @@ class TruncSeries:
 
     def __mul__(self, other):
         """Concatenation (Cauchy) product: (ST)^w = sum over splittings uv = w,
-        by |u| ascending."""
-        if not isinstance(other, TruncSeries):
-            return self.scale(other)
-        a, b = self._common(other)
-        trunc = min(a.trunc, b.trunc)
-        out = _split_table(a.alphabet, trunc).mul(a.vec, b.vec)
-        return TruncSeries._from_vec(a.alphabet, trunc, out, a.kind, a.den * b.den)
+        by |u| ascending.  It is one call of the word table's kernel and, for
+        rational series, one reduction to lowest terms.  Operands of two
+        kinds, of two truncations or over equal but distinct alphabet
+        objects are coerced first (see ``_coerced``); a scalar scales."""
+        a, b = self, other
+        if type(b) is not TruncSeries or b.alphabet is not a.alphabet or b.trunc != a.trunc or b.kind != a.kind:
+            if not isinstance(b, TruncSeries):
+                return self.scale(b)
+            a, b = self._coerced(b)
+        table = _split_table(a.alphabet, a.trunc)
+        vec, den = table.mul(a.vec, b.vec), 1
+        if a.kind == RATIONAL:
+            vec, den = table.lowest(vec, a.den * b.den)
+        out = object.__new__(TruncSeries)
+        out.alphabet, out.trunc, out.kind, out.vec, out.den = a.alphabet, a.trunc, a.kind, vec, den
+        return out
 
     def __rmul__(self, scalar):
         return self.scale(scalar)
@@ -368,8 +404,13 @@ class TruncSeries:
         division and returns the numerators over c^(N+1), all in integers."""
         if not self.vec[0]:
             raise NotInvertible("constant term is zero")
-        vec, den = _split_table(self.alphabet, self.trunc).inv(self.vec, self.den, self.kind == RATIONAL)
-        return TruncSeries._from_vec(self.alphabet, self.trunc, vec, self.kind, den)
+        table, exact = _split_table(self.alphabet, self.trunc), self.kind == RATIONAL
+        vec, den = table.inv(self.vec, self.den, exact)
+        if exact:  # den = c^(N+1) may be negative
+            vec, den = table.lowest(vec, den)
+        out = object.__new__(TruncSeries)
+        out.alphabet, out.trunc, out.kind, out.vec, out.den = self.alphabet, self.trunc, self.kind, vec, den
+        return out
 
     def _power_sum(self, acc, coef):
         """acc + sum over n = 1..trunc of coef(n) S^n; ``coef(n)`` is a

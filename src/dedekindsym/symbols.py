@@ -13,7 +13,7 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import pairwise
-from math import gcd, lcm
+from math import gcd
 
 from . import contfrac
 from .errors import NotShuffled
@@ -111,7 +111,9 @@ class _SeriesFn:
         """The value at a pair of ints in the function's domain, unchecked."""
         hit = self._memo.get((p, q))
         if hit is not None:
-            return TruncSeries._packed(self.alphabet, self.trunc, self.kind, *hit)
+            out = object.__new__(TruncSeries)
+            out.alphabet, out.trunc, out.kind, (out.vec, out.den) = self.alphabet, self.trunc, self.kind, hit
+            return out
         val = self._func(p, q)
         if val.vec[0] != val.den:
             raise ValueError(f"{type(self).__name__} evaluation must have constant term 1")
@@ -164,7 +166,8 @@ def _walk(f, inv_memo, one, steps, p, q):
     for step in steps(p, q):
         hit = inv_memo.get(step[0])
         if hit is not None:
-            acc = TruncSeries._packed(f.alphabet, f.trunc, f.kind, *hit)
+            acc = object.__new__(TruncSeries)
+            acc.alphabet, acc.trunc, acc.kind, (acc.vec, acc.den) = f.alphabet, f.trunc, f.kind, hit
             break
         path.append(step)
     # acc is D^(-1) below the last key of the path, None for 1
@@ -383,15 +386,13 @@ def verify_mrf(f, samples):
 # ---------------------------------------------------------------------------
 # Random generation (orbit-keyed, so the symbol axioms hold by construction)
 
-def _digest_ratio(digest):
-    """The seeded coefficient (num, den), not reduced, of a SHA-256 digest."""
-    return int.from_bytes(digest[:4], "big") % 19 - 9, int.from_bytes(digest[4:8], "big") % 9 + 1
-
-
 def _hash_fraction(seed, key, word):
+    """The seeded coefficient of (seed, key, word): the first two 4-byte
+    words a, b of a SHA-256 digest give a % 19 - 9 over b % 9 + 1."""
     import hashlib   # here, so that importing the package does not load OpenSSL
 
-    return Fraction(*_digest_ratio(hashlib.sha256(f"{seed}|{key}|{word}".encode()).digest()))
+    x = int.from_bytes(hashlib.sha256(f"{seed}|{key}|{word}".encode()).digest()[:8], "big")
+    return Fraction((x >> 32) % 19 - 9, (x & 0xFFFFFFFF) % 9 + 1)
 
 
 @lru_cache(maxsize=32)
@@ -403,32 +404,31 @@ def _word_bytes(alphabet, trunc):
 def random_symbol(alphabet, trunc, seed):
     """Seeded symbol with an independent rational coefficient per
     (orbit, word): the ``_hash_fraction`` of (seed, orbit key, word),
-    hashed from the digest state of the shared prefix and written straight
-    into one integer vector over the lcm of the denominators; deterministic
-    in the seed."""
+    hashed from the digest state of the shared prefix.  Every denominator
+    divides 2520 = lcm(1..9), so each word writes its numerator over 2520
+    and the vector is brought to lowest terms once; deterministic in the
+    seed."""
     import hashlib
 
-    words = _word_bytes(alphabet, trunc)
+    words, lowest = _word_bytes(alphabet, trunc), _split_table(alphabet, trunc).lowest
     by_orbit = {}
 
     def ev(p, q):
         key = orbit_key(p, q)
         hit = by_orbit.get(key)
-        if hit is not None:
-            return TruncSeries._packed(alphabet, trunc, RATIONAL, *hit)
-        prefix = hashlib.sha256(f"{seed}|{key}|".encode())
-        ratios = []
-        for word in words:
-            h = prefix.copy()
-            h.update(word)
-            num, den = _digest_ratio(h.digest())
-            g = gcd(num, den)
-            ratios.append((num // g, den // g))
-        den = lcm(*(d for _, d in ratios))
-        val = TruncSeries._from_vec(alphabet, trunc, (den, *(n * (den // d) for n, d in ratios)),
-                                    RATIONAL, den)
-        _remember(by_orbit, _MEMO_CAP, key, (val.vec, val.den))
-        return val
+        if hit is None:
+            prefix = hashlib.sha256(f"{seed}|{key}|".encode())
+            nums = [2520]
+            for word in words:
+                h = prefix.copy()
+                h.update(word)
+                x = int.from_bytes(h.digest()[:8], "big")
+                nums.append(((x >> 32) % 19 - 9) * (2520 // ((x & 0xFFFFFFFF) % 9 + 1)))
+            hit = lowest(tuple(nums), 2520)
+            _remember(by_orbit, _MEMO_CAP, key, hit)
+        out = object.__new__(TruncSeries)
+        out.alphabet, out.trunc, out.kind, (out.vec, out.den) = alphabet, trunc, RATIONAL, hit
+        return out
 
     return SymbolFn(ev, alphabet, trunc, RATIONAL, almost=True)
 

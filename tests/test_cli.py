@@ -122,6 +122,23 @@ class TestVerify:
         code, out = run(capsys, "verify", "--suite", suite, "--samples", samples)
         assert code == 2 and not out
 
+    @pytest.mark.parametrize("suite, flag, value", [("bijection", "--pmax", "1"),
+                                                    ("bijection", "--weights", "3"),
+                                                    ("shuffle", "--pmax", "5"),
+                                                    ("axioms", "--weights", "4,6"),
+                                                    ("eichler", "--samples", "3"),
+                                                    ("reciprocity-law", "--samples", "2")])
+    def test_flag_outside_its_suite_exits_2(self, capsys, suite, flag, value):
+        # a suite that never reads a flag would ignore it: refused and named
+        code = main(["verify", "--suite", suite, flag, value])
+        out, err = capsys.readouterr()
+        assert code == 2 and not out and f"{flag} is not read by --suite {suite}" in err
+
+    def test_seed_and_tol_are_read_by_every_suite(self, capsys):
+        code, out = run(capsys, "verify", "--suite", "reciprocity-law", "--weights", "4",
+                        "--pmax", "3", "--seed", "5", "--tol", "1e-8")
+        assert code == 0 and json.loads(out)["meta"]["seed"] == 5
+
     def test_reciprocity_small(self, capsys):
         code, out = run(capsys, "verify", "--suite", "reciprocity-law",
                         "--weights", "4", "--pmax", "5")
@@ -160,6 +177,13 @@ class TestDecompose:
                         "--seed", "465123", "--tol", "1e-8")
         assert code == 0
         assert all(r["pass"] for r in json.loads(out)["rows"])
+
+    def test_rounding_failure_exits_3(self, capsys):
+        # D is the integrator's float series: a shuffle gap of 2e-16 above
+        # --tol 1e-18 is rounding, so it is non-convergence, not a usage error
+        code = main(["decompose", "--forms", "A=E4,B=E6", "--depth", "2", "--tol", "1e-18"])
+        out, err = capsys.readouterr()
+        assert code == 3 and not out and "input is not shuffled at (6, -5)" in err
 
 
 class TestGamma02:

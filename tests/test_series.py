@@ -270,6 +270,20 @@ class TestKernels:
             for got, want in ((s * t, loop_mul(s, t)), (t * s, loop_mul(t, s))):
                 assert got.trunc == 2 and repr(got.vec) == repr(want.vec)
 
+    def test_warm_product_and_inverse_never_hash_the_alphabet(self, monkeypatch):
+        # the word table lives on the alphabet object, so the hot path does
+        # not hash the alphabet to find its kernels
+        ab = Alphabet.simple("ab")
+        rng = random.Random(13)
+        pairs = [[kernel_series(rng, ab, 3, kind) for _ in range(2)] for kind in (RATIONAL, COMPLEX)]
+        for s, t in pairs:
+            s * t, s.inverse()
+        calls = []
+        monkeypatch.setattr(Alphabet, "__hash__", lambda self: calls.append(self) or self._hash)
+        for s, t in pairs:
+            s * t, t * s, s.inverse(), t.inverse()
+        assert calls == []
+
     @pytest.mark.parametrize("letters", [2, 3])
     @pytest.mark.parametrize("trunc", [1, 2, 3])
     def test_split_table_lists_every_split_once(self, letters, trunc):
