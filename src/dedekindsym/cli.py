@@ -317,6 +317,8 @@ def cmd_table(args):
 
     if args.pmax < 1:
         raise DomainError(f"--pmax must be at least 1, got {args.pmax}")
+    if args.jobs < 1:
+        raise DomainError(f"--jobs must be at least 1, got {args.jobs}")
     forms = _parse_forms(args.forms)
     grid = []
     for p in range(1, args.pmax + 1):
@@ -330,7 +332,7 @@ def cmd_table(args):
         return {"form": letter, "p": p, "q": q, "re": val.real, "im": val.imag}
 
     jobs = [(letter, form, p, q) for letter, form in sorted(forms.items()) for p, q in grid]
-    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
+    with ThreadPoolExecutor(max_workers=min(args.jobs, os.cpu_count() or 1)) as pool:
         rows = list(pool.map(cell, jobs))
     doc = _document("table", rows, extra={"forms": args.forms, "pmax": args.pmax})
     _emit(args, doc, csv_columns=["form", "p", "q", "re", "im"])

@@ -14,17 +14,20 @@ the first collection it meets, and memos keep the pair ``(vec, den)``.
 The table also carries two kernels compiled once from the splits w = u v
 of every word, one straight-line sum per word: the product, through which
 exp and log run, and the inverse; a third brings a rational vector to
-lowest terms.  Each alphabet object keeps its tables, one per truncation,
-and equal alphabets share them, so a product or an inverse finds its
-kernels without hashing the alphabet.  A rational product or inverse is
-one kernel call and one reduction to lowest terms.  ``coeffs`` is a
-read-only view {word: coefficient} of the nonzero entries, with
-``Fraction`` values for rational series.
+lowest terms, and its memo keeps the rows of the group-likeness test and
+the one-word exponentials from first use.  Each alphabet object keeps its
+tables, one per truncation, and equal alphabets share them, so no warm
+product, inverse, test or exponential hashes the alphabet.  A rational
+product or inverse is one kernel call and one reduction to lowest terms.
+``coeffs`` is a read-only view {word: coefficient} of the nonzero entries,
+with ``Fraction`` values for rational series.
 
-Words are plain tuples of letter indices; ``Alphabet.word`` reads an
-index tuple or a string of letter names into one.  Words and coefficients
-are checked only at the API boundaries: the public constructors, ``coeff``
-and ``scale``.
+Words are plain tuples of letter indices; ``Alphabet.word`` reads an index
+tuple or a string of letter names into one.  Words and coefficients are
+checked only at the API boundaries: the public constructors, ``coeff`` and
+``scale``.  ``TruncSeries._packed`` is the one unchecked builder
+(``_from_vec`` reduces, then calls it); only the product and the inverse,
+the most frequent builds, write their results in place.
 """
 
 import itertools
@@ -124,22 +127,17 @@ class Alphabet:
         return big, map_self, map_other
 
 
-def _shuffle_tuples(u, v):
-    if not u:
-        return [v]
-    if not v:
-        return [u]
-    return [(u[0],) + w for w in _shuffle_tuples(u[1:], v)] + [(v[0],) + w for w in _shuffle_tuples(u, v[1:])]
-
-
 def shuffle_words(u, v):
     """Multiset of the C(l(u)+l(v), l(u)) interleavings of the index tuples u and v."""
-    return _shuffle_tuples(tuple(u), tuple(v))
+    u, v = tuple(u), tuple(v)
+    if not u or not v:
+        return [u or v]
+    return [(u[0],) + w for w in shuffle_words(u[1:], v)] + [(v[0],) + w for w in shuffle_words(u, v[1:])]
 
 
 GroupLikeness = namedtuple("GroupLikeness", "ok worst witness")
 
-_SplitTable = namedtuple("_SplitTable", "words index mul inv lowest")
+_SplitTable = namedtuple("_SplitTable", "words index mul inv lowest memo")
 
 
 def _split_table(alphabet, trunc):
@@ -162,7 +160,8 @@ def _build_split_table(alphabet, trunc):
     ``TruncSeries.inverse``).  Each is one straight-line sum per word that
     starts at the int 0, so it rounds, and signs its zeros, as a loop
     accumulating from 0 would; both return tuples.  ``lowest(v, den)``
-    brings the int numerators v over den != 0 to lowest terms, den > 0."""
+    brings the int numerators v over den != 0 to lowest terms, den > 0.
+    ``_shuffle_table`` and ``_exp_kernel`` fill ``memo`` on first use."""
     words = tuple(alphabet.iter_words(trunc))
     index = {w: i for i, w in enumerate(words)}
     splits = tuple(tuple((index[w[:k]], index[w[k:]]) for k in range(len(w) + 1)) for w in words)
@@ -185,18 +184,22 @@ def _build_split_table(alphabet, trunc):
          f"def lowest(v, den):\n    {rows}= v\n    g = gcd(den, {rows})\n    if den < 0:\n        g = -g\n"
          f"    if g == 1:\n        return v, den\n"
          f"    return ({''.join(f'v{i} // g, ' for i in range(len(words)))}), den // g\n", kernels)
-    return _SplitTable(words, index, kernels["mul"], kernels["inv"], kernels["lowest"])
+    return _SplitTable(words, index, kernels["mul"], kernels["inv"], kernels["lowest"], {})
 
 
-@lru_cache(maxsize=32)
 def _shuffle_table(alphabet, trunc):
     """The pairs (u, v) of nonempty words with u <= v and |u| + |v| <= trunc,
     in the order ``is_grouplike`` tests them: (u, v, row of u, row of v,
-    rows of the shuffles of u and v in ``shuffle_words`` order)."""
-    index = _split_table(alphabet, trunc).index
-    words = list(alphabet.iter_words(trunc - 1, min_len=1))
-    return tuple((u, v, index[u], index[v], tuple(index[w] for w in _shuffle_tuples(u, v)))
-                 for u in words for v in words if u <= v and len(u) + len(v) <= trunc)
+    rows of the shuffles of u and v in ``shuffle_words`` order), kept in the
+    word table's memo from first use, since they grow as C(|u|+|v|, |u|)."""
+    table = _split_table(alphabet, trunc)
+    rows = table.memo.get("shuffles")
+    if rows is None:
+        index, words = table.index, list(alphabet.iter_words(trunc - 1, min_len=1))
+        rows = table.memo["shuffles"] = tuple(
+            (u, v, index[u], index[v], tuple(index[w] for w in shuffle_words(u, v)))
+            for u in words for v in words if u <= v and len(u) + len(v) <= trunc)
+    return rows
 
 
 _ZERO = {RATIONAL: 0, COMPLEX: 0j}
@@ -210,42 +213,44 @@ def _coerce(kind, value):
     return Fraction(value)
 
 
-@lru_cache(maxsize=256)
 def _exp_kernel(alphabet, trunc, word, kind):
-    """The map c -> exp(c w) for a nonempty index tuple w, checked here once:
-    a rational c = a/b (an int or a Fraction) gives numerators
+    """The map c -> exp(c w) for a nonempty index tuple w, checked before any
+    table is read: a rational c = a/b (an int or a Fraction) gives numerators
     a^k b^(K-k) K!/k! over b^K K!; a complex c^k is taken by repeated
-    products, and 1/k! is applied as its nearest float.  The rows of w^k
-    and the factors are fixed here, so a call writes one vector."""
+    products, and 1/k! is applied as its nearest float.  The word table's
+    memo fixes the rows of w^k and the factors, so a call writes one vector."""
     if not word or trunc < 0 or kind not in _ZERO:
         raise ValueError(f"exp_term needs a nonempty word, trunc >= 0 and a known kind, "
                          f"got {word}, {trunc}, {kind!r}")
-    K = trunc // len(word)
-    index = _split_table(alphabet, trunc).index
-    rows = [index[word * k] for k in range(K + 1)]
-    zero = [_ZERO[kind]] * len(index)
-    if kind == RATIONAL:
-        fk = factorial(K)
-        ratios = [fk // factorial(k) for k in range(K + 1)]
+    table = _split_table(alphabet, trunc)
+    vec_at = table.memo.get((word, kind))
+    if vec_at is None:
+        K, lowest = trunc // len(word), table.lowest
+        rows = [table.index[word * k] for k in range(K + 1)]
+        zero = [_ZERO[kind]] * len(table.words)
+        if kind == RATIONAL:
+            fk = factorial(K)
+            ratios = [fk // factorial(k) for k in range(K + 1)]
 
-        def exp_at(c):
-            if not isinstance(c, (int, Fraction)):
-                raise TypeError(f"rational series needs int/Fraction coefficients, got {type(c).__name__}")
-            a, b, vec = c.numerator, c.denominator, zero.copy()
-            for k, row in enumerate(rows):
-                vec[row] = a ** k * b ** (K - k) * ratios[k]
-            return TruncSeries._from_vec(alphabet, trunc, vec, RATIONAL, b ** K * fk)
-        return exp_at
-    inv_fact = [float(Fraction(1, factorial(k))) for k in range(K + 1)]
+            def vec_at(c):
+                if not isinstance(c, (int, Fraction)):
+                    raise TypeError(f"rational series needs int/Fraction coefficients, got {type(c).__name__}")
+                a, b, vec = c.numerator, c.denominator, zero.copy()
+                for k, row in enumerate(rows):
+                    vec[row] = a ** k * b ** (K - k) * ratios[k]
+                return lowest(tuple(vec), b ** K * fk)
+        else:
+            inv_fact = [float(Fraction(1, factorial(k))) for k in range(K + 1)]
 
-    def exp_at(c):
-        c, ck, vec = complex(c), 1, zero.copy()
-        for row, f in zip(rows, inv_fact):
-            # + 0j turns a zero part -0.0 into 0.0, as exp's sums do
-            vec[row] = ck * f + 0j
-            ck = ck * c
-        return TruncSeries._from_vec(alphabet, trunc, vec)
-    return exp_at
+            def vec_at(c):
+                c, ck, vec = complex(c), 1, zero.copy()
+                for row, f in zip(rows, inv_fact):
+                    # + 0j turns a zero part -0.0 into 0.0, as exp's sums do
+                    vec[row] = ck * f + 0j
+                    ck = ck * c
+                return tuple(vec), 1
+        table.memo[word, kind] = vec_at
+    return lambda c: TruncSeries._packed(alphabet, trunc, kind, vec_at(c))
 
 
 class TruncSeries:
@@ -277,23 +282,21 @@ class TruncSeries:
             vec[i] = c if kind == COMPLEX else c.numerator * self.den // c.denominator
         self.vec = tuple(vec)
 
-    @classmethod
-    def _from_vec(cls, alphabet, trunc, vec, kind=COMPLEX, den=1):
+    @staticmethod
+    def _from_vec(alphabet, trunc, vec, kind=COMPLEX, den=1):
         """Series from a vector over the word table, checking nothing; rational
         numerators over ``den`` are brought to lowest terms, den > 0."""
         vec = tuple(vec)
         if kind == RATIONAL:
-            vec, den = _split_table(alphabet, trunc).lowest(vec, den)
-        out = object.__new__(cls)
-        out.alphabet, out.trunc, out.kind, out.vec, out.den = alphabet, trunc, kind, vec, den
-        return out
+            return TruncSeries._packed(alphabet, trunc, kind, _split_table(alphabet, trunc).lowest(vec, den))
+        return TruncSeries._packed(alphabet, trunc, kind, (vec, den))
 
-    @classmethod
-    def _packed(cls, alphabet, trunc, kind, vec, den):
-        """Series from the ``(vec, den)`` of another series over the same word
-        table: a tuple, rational numerators in lowest terms; nothing checked."""
-        out = object.__new__(cls)
-        out.alphabet, out.trunc, out.kind, out.vec, out.den = alphabet, trunc, kind, vec, den
+    @staticmethod
+    def _packed(alphabet, trunc, kind, packed):
+        """The one unchecked builder: a series from the pair ``(vec, den)`` that
+        memos keep, a tuple, rational numerators in lowest terms over den > 0."""
+        out = object.__new__(TruncSeries)
+        out.alphabet, out.trunc, out.kind, (out.vec, out.den) = alphabet, trunc, kind, packed
         return out
 
     @classmethod
@@ -347,10 +350,12 @@ class TruncSeries:
             vec, den = s.vec[:rows], s.den
             if s.kind != kind:
                 vec, den = tuple([complex(n / den) for n in vec]), 1
-            return TruncSeries._packed(self.alphabet, trunc, kind, vec, den)
+            return TruncSeries._packed(self.alphabet, trunc, kind, (vec, den))
         return coerce(self), coerce(other)
 
     def __add__(self, other):
+        if not isinstance(other, TruncSeries):
+            return NotImplemented
         a, b = self._coerced(other)
         if a.kind == COMPLEX:
             return TruncSeries._from_vec(a.alphabet, a.trunc, [x + y for x, y in zip(a.vec, b.vec)])
@@ -387,6 +392,7 @@ class TruncSeries:
         vec, den = table.mul(a.vec, b.vec), 1
         if a.kind == RATIONAL:
             vec, den = table.lowest(vec, a.den * b.den)
+        # built in place, not by _packed: a product is the most frequent build
         out = object.__new__(TruncSeries)
         out.alphabet, out.trunc, out.kind, out.vec, out.den = a.alphabet, a.trunc, a.kind, vec, den
         return out
@@ -408,6 +414,7 @@ class TruncSeries:
         vec, den = table.inv(self.vec, self.den, exact)
         if exact:  # den = c^(N+1) may be negative
             vec, den = table.lowest(vec, den)
+        # built in place, not by _packed: an inverse is the next most frequent build
         out = object.__new__(TruncSeries)
         out.alphabet, out.trunc, out.kind, out.vec, out.den = self.alphabet, self.trunc, self.kind, vec, den
         return out
@@ -452,6 +459,8 @@ class TruncSeries:
         return TruncSeries._from_vec(alphabet, self.trunc, vec, self.kind, self.den)
 
     def max_abs_diff(self, other):
+        """Largest |S_w - T_w| over the words both series hold, up to the lesser
+        truncation; ``Decomposition.residual`` relies on this."""
         if self.alphabet is not other.alphabet and self.alphabet != other.alphabet:
             raise ValueError("alphabet mismatch")
         a, b = (s.vec if s.kind == COMPLEX else [n / s.den for n in s.vec] for s in (self, other))

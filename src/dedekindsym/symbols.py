@@ -11,13 +11,13 @@ memos, so every memo goes with its evaluator.
 
 from collections import namedtuple
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import partial
 from itertools import pairwise
 from math import gcd
 
 from . import contfrac
 from .errors import NotShuffled
-from .series import RATIONAL, TruncSeries, _exp_kernel, _split_table
+from .series import RATIONAL, TruncSeries, _exp_kernel
 
 # ---------------------------------------------------------------------------
 # Orbits of the defining relations
@@ -111,9 +111,7 @@ class _SeriesFn:
         """The value at a pair of ints in the function's domain, unchecked."""
         hit = self._memo.get((p, q))
         if hit is not None:
-            out = object.__new__(TruncSeries)
-            out.alphabet, out.trunc, out.kind, (out.vec, out.den) = self.alphabet, self.trunc, self.kind, hit
-            return out
+            return TruncSeries._packed(self.alphabet, self.trunc, self.kind, hit)
         val = self._func(p, q)
         if val.vec[0] != val.den:
             raise ValueError(f"{type(self).__name__} evaluation must have constant term 1")
@@ -166,8 +164,7 @@ def _walk(f, inv_memo, one, steps, p, q):
     for step in steps(p, q):
         hit = inv_memo.get(step[0])
         if hit is not None:
-            acc = object.__new__(TruncSeries)
-            acc.alphabet, acc.trunc, acc.kind, (acc.vec, acc.den) = f.alphabet, f.trunc, f.kind, hit
+            acc = TruncSeries._packed(f.alphabet, f.trunc, f.kind, hit)
             break
         path.append(step)
     # acc is D^(-1) below the last key of the path, None for 1
@@ -243,8 +240,7 @@ def delta(f):
 def delta_full(f, rep):
     """Product of F(p_i, q_i)^(-1) over the proper tails of an arbitrary
     continued-fraction representation; needs F defined on all of U."""
-    one = TruncSeries.one(f.alphabet, f.trunc, f.kind)
-    acc = one
+    acc = TruncSeries.one(f.alphabet, f.trunc, f.kind)
     for pi, qi in contfrac.tails(rep)[1:]:
         acc = acc * f(pi, qi).inverse()
     return acc
@@ -395,12 +391,6 @@ def _hash_fraction(seed, key, word):
     return Fraction((x >> 32) % 19 - 9, (x & 0xFFFFFFFF) % 9 + 1)
 
 
-@lru_cache(maxsize=32)
-def _word_bytes(alphabet, trunc):
-    """The text of each nonempty word's index tuple, in word-table order."""
-    return tuple(str(w).encode() for w in _split_table(alphabet, trunc).words[1:])
-
-
 def random_symbol(alphabet, trunc, seed):
     """Seeded symbol with an independent rational coefficient per
     (orbit, word): the ``_hash_fraction`` of (seed, orbit key, word),
@@ -410,7 +400,7 @@ def random_symbol(alphabet, trunc, seed):
     seed."""
     import hashlib
 
-    words, lowest = _word_bytes(alphabet, trunc), _split_table(alphabet, trunc).lowest
+    words = [str(w).encode() for w in alphabet.iter_words(trunc, min_len=1)]
     by_orbit = {}
 
     def ev(p, q):
@@ -424,11 +414,10 @@ def random_symbol(alphabet, trunc, seed):
                 h.update(word)
                 x = int.from_bytes(h.digest()[:8], "big")
                 nums.append(((x >> 32) % 19 - 9) * (2520 // ((x & 0xFFFFFFFF) % 9 + 1)))
-            hit = lowest(tuple(nums), 2520)
-            _remember(by_orbit, _MEMO_CAP, key, hit)
-        out = object.__new__(TruncSeries)
-        out.alphabet, out.trunc, out.kind, (out.vec, out.den) = alphabet, trunc, RATIONAL, hit
-        return out
+            out = TruncSeries._from_vec(alphabet, trunc, nums, RATIONAL, 2520)
+            _remember(by_orbit, _MEMO_CAP, key, (out.vec, out.den))
+            return out
+        return TruncSeries._packed(alphabet, trunc, RATIONAL, hit)
 
     return SymbolFn(ev, alphabet, trunc, RATIONAL, almost=True)
 

@@ -225,6 +225,38 @@ class TestTable:
         out, err = capsys.readouterr()
         assert code == 2 and not out and f"--pmax must be at least 1, got {pmax}" in err
 
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_1_exits_2(self, capsys, jobs):
+        code = main(["table", "--forms", "A=E4", "--jobs", jobs])
+        out, err = capsys.readouterr()
+        assert code == 2 and not out and f"--jobs must be at least 1, got {jobs}" in err
+
+    @pytest.mark.parametrize("jobs, cpus, want", [(64, 2, 2), (1, 8, 1), (3, 8, 3), (5, None, 1)])
+    def test_jobs_capped_at_the_cpu_count(self, capsys, monkeypatch, jobs, cpus, want):
+        # a recording pool that maps serially, so that no thread starts
+        import concurrent.futures
+
+        workers = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        _, want_out = run(capsys, "table", "--forms", "A=E4", "--pmax", "4", "--jobs", "1")
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SerialPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        code, out = run(capsys, "table", "--forms", "A=E4", "--pmax", "4", "--jobs", str(jobs))
+        assert code == 0 and workers == [want] and out == want_out
+
     def test_deterministic_bytes(self, capsys):
         _, out1 = run(capsys, "table", "--forms", "A=E4", "--pmax", "5")
         _, out2 = run(capsys, "table", "--forms", "A=E4", "--pmax", "5")

@@ -149,7 +149,7 @@ def lowest_terms(alphabet, trunc, vec, kind, den):
         entries = [Fraction(n, den) for n in vec]
         den = lcm(*(x.denominator for x in entries))
         vec = [x.numerator * (den // x.denominator) for x in entries]
-    return TruncSeries._packed(alphabet, trunc, kind, tuple(vec), den)
+    return TruncSeries._packed(alphabet, trunc, kind, (tuple(vec), den))
 
 
 def loop_mul(s, t):
@@ -272,16 +272,25 @@ class TestKernels:
 
     def test_warm_product_and_inverse_never_hash_the_alphabet(self, monkeypatch):
         # the word table lives on the alphabet object, so the hot path does
-        # not hash the alphabet to find its kernels
+        # not hash the alphabet to find its kernels; the table also keeps
+        # the group-likeness rows and the exponential maps, so a warm gate
+        # or exp_term does not hash it either
         ab = Alphabet.simple("ab")
         rng = random.Random(13)
         pairs = [[kernel_series(rng, ab, 3, kind) for _ in range(2)] for kind in (RATIONAL, COMPLEX)]
-        for s, t in pairs:
-            s * t, s.inverse()
+        grouplike = [TruncSeries(ab, 3, {"a": Fraction(2, 3), "b": -1}, kind).exp() for kind in (RATIONAL, COMPLEX)]
+
+        def warm():
+            for s, t in pairs:
+                s * t, t * s, s.inverse(), t.inverse()
+            for g in grouplike:
+                assert g.is_grouplike(1e-12).ok
+            for c, kind in ((Fraction(-2, 7), RATIONAL), (0.5 - 1j, COMPLEX)):
+                TruncSeries.exp_term(ab, 3, "ab", c, kind)
+        warm()
         calls = []
         monkeypatch.setattr(Alphabet, "__hash__", lambda self: calls.append(self) or self._hash)
-        for s, t in pairs:
-            s * t, t * s, s.inverse(), t.inverse()
+        warm()
         assert calls == []
 
     @pytest.mark.parametrize("letters", [2, 3])
@@ -473,6 +482,12 @@ class TestKinds:
         with pytest.raises(TypeError):
             TruncSeries(AB, 2, {"a": 0.5})
         assert r.scale(Fraction(3, 2)).coeff("a") == Fraction(3, 2)
+
+    def test_adding_a_non_series_raises_type_error(self):
+        s = TruncSeries.one(AB, 2)
+        for op in (lambda: s + 1, lambda: s - 1, lambda: 1 + s, lambda: s + None, lambda: s - Fraction(1, 2)):
+            with pytest.raises(TypeError, match="unsupported operand"):
+                op()
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
